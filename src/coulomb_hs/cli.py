@@ -15,14 +15,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
 from .engine import (
-    ChargePolicy,
-    DEFAULT_POLICY,
+    DEFAULT_MAX_BOUND,
     EngineError,
     HSRequest,
     compute_hilbert_series,
@@ -99,13 +97,6 @@ def _conventions(args) -> Conventions:
     if args.so2_as_o2:
         conv = Conventions(conv.orthosymplectic_pair_weight, True)
     return conv
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("COULOMB_HS_THREADS")
-    return int(env) if env else 1
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +194,8 @@ def cmd_report(args) -> int:
 def cmd_hs(args) -> int:
     q = load_quiver(args.quiver)
     refined = frozenset(s for s in (args.refine or "").split(",") if s)
-    policy = ChargePolicy(max_bound=args.max_bound)
     req = HSRequest(q, args.order, refined=refined, ungauge=args.ungauge,
-                    policy=policy, conventions=_conventions(args),
-                    threads=_threads(args))
+                    max_bound=args.max_bound, conventions=_conventions(args))
     result = compute_hilbert_series(req)
     series = result.series
     manifest = RunManifest(
@@ -247,15 +236,13 @@ def cmd_hs(args) -> int:
 def cmd_implosion_check(args) -> int:
     n, order = args.n, args.order
     conv = _conventions(args)
-    threads = _threads(args)
     rows = []
     integral = refined_implosion_integral(
-        n, order, prefactor_exponent=args.prefactor_exponent,
-        conventions=conv, threads=threads)
+        n, order, prefactor_exponent=args.prefactor_exponent, conventions=conv)
     reference = nilcone_reference_hs(n, order)
     rows.append(("refined integral equals nilpotent-cone closed form",
                  reference.text(), integral.text(), integral == reference))
-    check = hs_contribution_check(n, conventions=conv, threads=threads)
+    check = hs_contribution_check(n, conventions=conv)
     if check.enhanced_dimension is not None:
         rows.append((f"t^2 coefficient (enhanced symmetry for n={n})",
                      str(check.enhanced_dimension), str(check.t2_coefficient),
@@ -303,7 +290,7 @@ def cmd_gale(args) -> int:
 # check-suite
 
 
-def _suite_rows(full: bool, threads: int):
+def _suite_rows(full: bool):
     from .series import expand_inverse, one_minus_power, plethystic_exp
 
     rows = []
@@ -317,7 +304,7 @@ def _suite_rows(full: bool, threads: int):
     for d in range(1, 6):
         q = Quiver([QuiverNode("g", NodeKind.GAUGE, U(1)),
                     QuiverNode("f", NodeKind.FLAVOR, U(d))], [("g", "f")])
-        s = compute_hilbert_series(HSRequest(q, 20, threads=threads)).series
+        s = compute_hilbert_series(HSRequest(q, 20)).series
         ref = one_minus_power(2 * d, 20) * expand_inverse(2, 20) \
             * expand_inverse(d, 20) * expand_inverse(d, 20)
         add(f"U(1) with {d} flavors matches closed form to t^20",
@@ -326,37 +313,35 @@ def _suite_rows(full: bool, threads: int):
     # nilpotent cone
     for n in (2, 3):
         q = build_linear_nilpotent_quiver(n)
-        s = compute_hilbert_series(HSRequest(q, 10, threads=threads)).series
+        s = compute_hilbert_series(HSRequest(q, 10)).series
         add(f"nilpotent-cone quiver n={n} matches closed form to t^10",
             nilcone_reference_hs(n, 10).text(), s.text())
 
     # bouquet coefficients
     s = compute_hilbert_series(
-        HSRequest(build_bouquet_quiver(2), 2, ungauge="b1", threads=threads)).series
+        HSRequest(build_bouquet_quiver(2), 2, ungauge="b1")).series
     add("ungauged bouquet(2): t coefficient", 4, s.coefficient(1))
     add("ungauged bouquet(2): t^2 coefficient", 10, s.coefficient(2))
     s = compute_hilbert_series(
-        HSRequest(build_bouquet_quiver(3), 4, ungauge="b1", threads=threads)).series
+        HSRequest(build_bouquet_quiver(3), 4, ungauge="b1")).series
     add("ungauged bouquet(3): t^2 coefficient", 28, s.coefficient(2))
     add("ungauged bouquet(4): t^2 coefficient", 18,
-        hs_contribution_check(4, threads=threads).t2_coefficient)
+        hs_contribution_check(4).t2_coefficient)
     if full:
         add("ungauged bouquet(5): t^2 coefficient", 28,
-            hs_contribution_check(5, threads=threads).t2_coefficient)
+            hs_contribution_check(5).t2_coefficient)
 
     # refined integrals
     for n in (2, 3):
         add(f"refined bouquet({n}) integral equals nilpotent cone to t^8",
             nilcone_reference_hs(n, 8).text(),
-            refined_implosion_integral(n, 8, threads=threads).text())
+            refined_implosion_integral(n, 8).text())
 
     # orthosymplectic
-    s = compute_hilbert_series(
-        HSRequest(build_dn_implosion_quiver(3), 2, threads=threads)).series
+    s = compute_hilbert_series(HSRequest(build_dn_implosion_quiver(3), 2)).series
     add("D-type bouquet n=3: t^2 coefficient", 18, s.coefficient(2))
     if full:
-        s = compute_hilbert_series(
-            HSRequest(build_dn_implosion_quiver(4), 2, threads=threads)).series
+        s = compute_hilbert_series(HSRequest(build_dn_implosion_quiver(4), 2)).series
         add("D-type bouquet n=4: t^2 coefficient", 32, s.coefficient(2))
 
     # dimension bookkeeping
@@ -385,8 +370,7 @@ def _suite_rows(full: bool, threads: int):
     add("predicted symmetry dimension = n^2+n-2 for bouquet, n=4..8", True, ok)
 
     # plethystic round trip on a golden series
-    s = compute_hilbert_series(
-        HSRequest(build_linear_nilpotent_quiver(3), 10, threads=threads)).series
+    s = compute_hilbert_series(HSRequest(build_linear_nilpotent_quiver(3), 10)).series
     add("PE[PL[...]] round trip on the n=3 nilpotent cone series",
         s.text(), plethystic_exp(plethystic_log(s)).text())
 
@@ -401,7 +385,7 @@ def _suite_rows(full: bool, threads: int):
 
 
 def cmd_check_suite(args) -> int:
-    rows = _suite_rows(args.full, _threads(args))
+    rows = _suite_rows(args.full)
     ok = _print_check_table(rows)
     digest = _hash_payload([[r[0], r[1], r[2], r[3]] for r in rows])
     print(f"suite: {sum(1 for r in rows if r[3])}/{len(rows)} passed; "
@@ -423,13 +407,19 @@ def _add_conv_flags(p):
     p.add_argument("--so2-as-o2", action="store_true",
                    help="treat SO(2) nodes as O(2): chamber m >= 0 and a "
                         "degree-2 invariant at the origin")
-    p.add_argument("--threads", type=int, default=None,
-                   help="evaluate charge contributions in this many chunks "
-                        "(falls back to COULOMB_HS_THREADS; never changes output)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_VALIDATION, not argparse's 2 (which
+    here means a computational error); subparsers inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="coulomb-hs",
         description="Exact Coulomb-branch Hilbert series via the monopole formula")
     ap.add_argument("--version", action="version", version=__version__)
@@ -462,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "with one fugacity each")
     h.add_argument("--pl", action="store_true",
                    help="also print the plethystic logarithm")
-    h.add_argument("--max-bound", type=int, default=DEFAULT_POLICY.max_bound)
+    h.add_argument("--max-bound", type=int, default=DEFAULT_MAX_BOUND)
     h.add_argument("--json", action="store_true")
     h.add_argument("-o", "--output")
     _add_conv_flags(h)
@@ -489,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="include the slower bouquet(5) and D_4 checks")
     cs.add_argument("--json", action="store_true")
     cs.add_argument("-o", "--output")
-    cs.add_argument("--threads", type=int, default=None)
     cs.set_defaults(func=cmd_check_suite)
     return ap
 

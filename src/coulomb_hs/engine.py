@@ -16,9 +16,10 @@ Charge enumeration grows a per-entry bound shell by shell and stops after
 two consecutive shells contribute nothing below the dimension cutoff.
 Within a shell, a depth-first search over the quiver's spanning tree is
 pruned with exact per-subtree minimum-cost tables, which keeps quivers
-with a dozen lattice dimensions tractable.  Matter terms are nonnegative,
-so dropping the (never occurring in practice) non-tree edges from the
-bound keeps it a true lower bound on general graphs.
+with a dozen lattice dimensions tractable.  Edges that close a cycle
+(every affine A_n quiver has one) are left out of the tables and added
+as soon as both endpoints are chosen; matter terms are nonnegative, so
+the tables stay a true lower bound on general graphs.
 """
 
 from __future__ import annotations
@@ -73,16 +74,7 @@ class UnsupportedEdgeError(EngineError):
     pass
 
 
-@dataclass(frozen=True)
-class ChargePolicy:
-    """Shell-growth policy for the charge enumeration."""
-
-    initial_bound: int = 0
-    max_bound: int = 64
-    extra_shells: int = 0  # continue past convergence (stability checks)
-
-
-DEFAULT_POLICY = ChargePolicy()
+DEFAULT_MAX_BOUND = 64  # largest per-entry charge shell before giving up
 
 
 @dataclass(frozen=True, order=True)
@@ -105,9 +97,8 @@ class HSRequest:
     order: int
     refined: frozenset = frozenset()
     ungauge: str | None = None
-    policy: ChargePolicy = DEFAULT_POLICY
+    max_bound: int = DEFAULT_MAX_BOUND
     conventions: Conventions = DEFAULT_CONVENTIONS
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -136,14 +127,22 @@ class _ENode:
         self.group = node.group
         self.rank = node.group.rank
         self.fixed = node.kind is NodeKind.FIXED
-        self.flavor = []  # (flavor GaugeGroup, multiplicity)
+        self.flavor = []  # _EEdge to each flavor node, which sits at charge 0
 
 
 class _EEdge:
-    __slots__ = ("a", "b", "mult", "ortho")
+    """Hypermultiplet on the edge between node ``a`` and node ``b``.
 
-    def __init__(self, a, b, mult, ortho):
-        self.a, self.b, self.mult, self.ortho = a, b, mult, ortho
+    ``b`` is -1 for a flavor node, whose charge is always ``zero``."""
+
+    __slots__ = ("a", "b", "mult", "ortho", "so_first", "so_odd", "zero")
+
+    def __init__(self, a, b, mult, ga, gb):
+        self.a, self.b, self.mult = a, b, mult
+        self.ortho = {ga.family, gb.family} == {Family.ORTHOGONAL, Family.SYMPLECTIC}
+        self.so_first = ga.family is Family.ORTHOGONAL
+        self.so_odd = (ga if self.so_first else gb).n % 2
+        self.zero = (0,) * gb.rank
 
 
 class _Problem:
@@ -156,18 +155,18 @@ class _Problem:
         self.edges: list = []
         for (a, b), mult in sorted(Counter(quiver.edges).items()):
             na, nb = quiver.node(a), quiver.node(b)
-            ortho = {na.group.family, nb.group.family} == \
-                {Family.ORTHOGONAL, Family.SYMPLECTIC}
-            if ortho and mult > 1:
+            if na.kind is NodeKind.FLAVOR:
+                na, nb = nb, na
+            if nb.kind is NodeKind.FLAVOR:
+                e = _EEdge(self.index[na.id], -1, mult, na.group, nb.group)
+                self.nodes[e.a].flavor.append(e)
+            else:
+                e = _EEdge(self.index[a], self.index[b], mult, na.group, nb.group)
+                self.edges.append(e)
+            if e.ortho and mult > 1:
                 raise UnsupportedEdgeError(
                     f"edge {a!r}-{b!r}: orthosymplectic edge multiplicity "
                     f"{mult} is not supported")
-            if na.kind is NodeKind.FLAVOR:
-                self.nodes[self.index[b]].flavor.append((na.group, mult))
-            elif nb.kind is NodeKind.FLAVOR:
-                self.nodes[self.index[a]].flavor.append((nb.group, mult))
-            else:
-                self.edges.append(_EEdge(self.index[a], self.index[b], mult, ortho))
         self._build_tree()
 
     def _build_tree(self):
@@ -217,24 +216,19 @@ class _Problem:
                 for y in cb:
                     s += abs(x - y)
             return 2 * e.mult * s
-        ga = self.nodes[e.a].group
-        if ga.family is Family.ORTHOGONAL:
-            so_odd, so, sp = ga.n % 2, ca, cb
-        else:
-            so_odd, so, sp = self.nodes[e.b].group.n % 2, cb, ca
-        return self.w2 * _ortho_sum(so, sp, so_odd)
+        so, sp = (ca, cb) if e.so_first else (cb, ca)
+        s = 0
+        for x in so:
+            for y in sp:
+                s += abs(x + y) + abs(x - y)
+        if e.so_odd:  # zero weight of the odd orthogonal vector
+            s += sum(abs(y) for y in sp)
+        return self.w2 * s
 
     def local4(self, nd: _ENode, m: Charge) -> int:
         t = -4 * sum(positive_root_values(nd.group, m))
-        for fg, mult in nd.flavor:
-            if fg.family is Family.UNITARY:
-                t += 2 * mult * fg.n * sum(abs(x) for x in m)
-            elif fg.family is Family.ORTHOGONAL:
-                zeros = (0,) * fg.rank
-                t += self.w2 * _ortho_sum(zeros, m, fg.n % 2)
-            else:
-                zeros = (0,) * fg.rank
-                t += self.w2 * _ortho_sum(m, zeros, nd.group.n % 2)
+        for f in nd.flavor:
+            t += self.edge4(f, m, f.zero)
         return t
 
     def delta4(self, vec: Sequence[Charge]) -> int:
@@ -268,28 +262,25 @@ class _Problem:
         return tuple(vec)
 
 
-def _ortho_sum(so: Charge, sp: Charge, so_odd: int) -> int:
-    s = 0
-    for x in so:
-        for y in sp:
-            s += abs(x + y) + abs(x - y)
-    if so_odd:
-        s += sum(abs(y) for y in sp)
-    return s
-
-
 # ---------------------------------------------------------------------------
 # charge enumeration
 
 
-def _scan_shell(prob: _Problem, b: int, thr4: int,
-                include_interior: bool = False) -> list:
-    """Charges with max |entry| == b (or <= b when the interior is
-    included, for the first scanned shell) and delta4 <= thr4, sorted."""
+def _edge_table(prob: _Problem, e: _EEdge, p: int, cands_p: list,
+                cands_v: list) -> list:
+    """``tab[ip][iv]``: quarter-unit cost of tree edge ``e`` between parent
+    candidate ``ip`` and child candidate ``iv``."""
+    if p == e.a:
+        return [[prob.edge4(e, x, y) for y in cands_v] for x in cands_p]
+    return [[prob.edge4(e, y, x) for y in cands_v] for x in cands_p]
+
+
+def _scan_shell(prob: _Problem, b: int, thr4: int) -> list:
+    """Charges with max |entry| == b and delta4 <= thr4, sorted."""
     nodes = prob.nodes
     n = len(nodes)
     if n == 0:
-        return [((), 0)] if b == 0 or include_interior else []
+        return [((), 0)] if b == 0 else []
     cands, maxabs, local4 = [], [], []
     for nd in nodes:
         cl = [(0,) * nd.rank] if nd.fixed else \
@@ -311,7 +302,7 @@ def _scan_shell(prob: _Problem, b: int, thr4: int,
         p = prob.parent[v]
         if p >= 0:
             e = prob.edges[prob.parent_edge[v]]
-            tab = _edge_table(prob, e, p, cands[p], cands[v], b)
+            tab = _edge_table(prob, e, p, cands[p], cands[v])
             etab[v] = tab
             best[v] = [min(r + s for r, s in zip(row, sc)) for row in tab]
     root_min = {r: min(sub_cost[r]) for r in prob.roots}
@@ -323,7 +314,7 @@ def _scan_shell(prob: _Problem, b: int, thr4: int,
 
     def rec(k: int, lb: int, mx: int):
         if k == n:
-            if mx == b or include_interior:
+            if mx == b:
                 if lb <= 0 and any(any(c) for c in selected):
                     raise BadTheoryError(
                         "nonzero magnetic charge "
@@ -359,41 +350,40 @@ def _scan_shell(prob: _Problem, b: int, thr4: int,
     return found
 
 
-def _enumerate_raw(prob: _Problem, thr4: int, policy: ChargePolicy):
+def _enumerate_raw(prob: _Problem, thr4: int, max_bound: int):
     """All charges with 4*Delta <= thr4, plus the bound reached."""
     if thr4 < 0:
         raise ValueError("the dimension cutoff must be nonnegative")
+    if max_bound < 0:
+        raise ValueError("max_bound must be >= 0")
     found: list = []
     empty_streak = 0
-    b = policy.initial_bound
-    shells = 0
+    b = 0
     while True:
-        shell = _scan_shell(prob, b, thr4,
-                            include_interior=(b == policy.initial_bound and b > 0))
-        shells += 1
+        shell = _scan_shell(prob, b, thr4)
         if shell:
             found.extend(shell)
             empty_streak = 0
         else:
             empty_streak += 1
-        if empty_streak >= 2 + policy.extra_shells:
-            return found, b, shells
-        if b >= policy.max_bound:
+        if empty_streak >= 2:
+            return found, b, b + 1
+        if b >= max_bound:
             raise ConvergenceNotReachedError(
                 f"charge shells still contribute at bound {b}; "
-                "raise the policy max_bound or check the theory")
+                "raise max_bound or check the theory")
         b += 1
 
 
-def enumerate_charges(q: Quiver, delta_max,
-                      policy: ChargePolicy = DEFAULT_POLICY,
+def enumerate_charges(q: Quiver, delta_max, *,
+                      max_bound: int = DEFAULT_MAX_BOUND,
                       conv: Conventions = DEFAULT_CONVENTIONS) -> list:
     """All dominant charges with Delta(m) <= delta_max, deterministic order."""
     thr4 = Fraction(delta_max) * 4
     if thr4.denominator != 1:
         raise ValueError("delta_max must be a quarter-integer")
     prob = _Problem(q, conv)
-    raw, _, _ = _enumerate_raw(prob, int(thr4), policy)
+    raw, _, _ = _enumerate_raw(prob, int(thr4), max_bound)
     ids = tuple(nd.id for nd in prob.nodes)
     return [QuiverCharge(ids, c) for c, _ in raw]
 
@@ -494,23 +484,9 @@ def compute_hilbert_series(request: HSRequest) -> HSResult:
                 f"refined node {nid!r} must be a unitary gauge node")
     prob = _Problem(q, request.conventions)
     thr4 = 2 * request.order
-    raw, bound, shells = _enumerate_raw(prob, thr4, request.policy)
+    raw, bound, shells = _enumerate_raw(prob, thr4, request.max_bound)
     refined = tuple((prob.index[nid], nid) for nid in sorted(request.refined))
-    threads = max(1, request.threads)
-    if threads == 1 or len(raw) < 2 * threads:
-        acc = _assemble(prob, raw, request.order, refined)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk = (len(raw) + threads - 1) // threads
-        parts = [raw[i:i + chunk] for i in range(0, len(raw), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda part: _assemble(prob, part, request.order, refined), parts))
-        acc = {}
-        for part in results:
-            for e, c in part.items():
-                acc[e] = acc.get(e, 0) + c
+    acc = _assemble(prob, raw, request.order, refined)
     series = TruncatedSeries(request.order, acc,
                              frozenset(nid for _, nid in refined))
     stats = EngineStats(len(raw), bound, shells, time.perf_counter() - t0)
@@ -549,9 +525,8 @@ def bouquet_leaf_ids(n: int) -> list:
 
 def refined_implosion_integral(n: int, order: int, *,
                                prefactor_exponent: int | None = None,
-                               policy: ChargePolicy = DEFAULT_POLICY,
                                conventions: Conventions = DEFAULT_CONVENTIONS,
-                               threads: int = 1) -> TruncatedSeries:
+                               ) -> TruncatedSeries:
     """Residue integral over the bouquet fugacities.
 
     Ungauges the first bouquet U(1), refines the remaining n-1 with one
@@ -566,7 +541,7 @@ def refined_implosion_integral(n: int, order: int, *,
     q = build_bouquet_quiver(n)
     leaves = bouquet_leaf_ids(n)
     req = HSRequest(q, order, refined=frozenset(leaves[1:]), ungauge=leaves[0],
-                    policy=policy, conventions=conventions, threads=threads)
+                    conventions=conventions)
     s = coulomb_hilbert_series(req)
     exponent = (n - 1) if prefactor_exponent is None else prefactor_exponent
     s = s * (one_minus_power(2, order) ** exponent)
@@ -594,9 +569,8 @@ class ContributionCheck:
 _ENHANCED_T2 = {2: 10, 3: 28}  # Sp(2) and SO(8) enhancements
 
 
-def hs_contribution_check(n: int, *, policy: ChargePolicy = DEFAULT_POLICY,
-                          conventions: Conventions = DEFAULT_CONVENTIONS,
-                          threads: int = 1) -> ContributionCheck:
+def hs_contribution_check(n: int, *, conventions: Conventions = DEFAULT_CONVENTIONS,
+                          ) -> ContributionCheck:
     """Check the t^2 coefficient (n^2 + n - 2 for n >= 4, with documented
     enhancements at n = 2, 3) and count the 2n basic bouquet monopoles at
     order t^(n-1)."""
@@ -605,8 +579,7 @@ def hs_contribution_check(n: int, *, policy: ChargePolicy = DEFAULT_POLICY,
     order = max(2, n - 1)
     q = build_bouquet_quiver(n)
     leaves = bouquet_leaf_ids(n)
-    req = HSRequest(q, order, ungauge=leaves[0], policy=policy,
-                    conventions=conventions, threads=threads)
+    req = HSRequest(q, order, ungauge=leaves[0], conventions=conventions)
     s = coulomb_hilbert_series(req)
     t2 = int(s.coefficient(2))
     ungauged = ungauge(q, leaves[0])

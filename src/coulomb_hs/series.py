@@ -360,18 +360,6 @@ class TruncatedSeries:
         return " ".join(parts)
 
 
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def coefficient(s: TruncatedSeries, k: int) -> Coefficient:
-    return s.coefficient(k)
-
-
 def expand_inverse(d: int, order: int) -> TruncatedSeries:
     """Geometric expansion of 1/(1 - t^d) up to the truncation order."""
     if d < 1:

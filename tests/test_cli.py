@@ -192,22 +192,26 @@ def test_check_suite(capsys):
     assert hash1 == hash2
 
 
-def test_threads_flag_does_not_change_series(tmp_path, capsys):
+def test_usage_errors_exit_1(tmp_path, capsys):
     qf = tmp_path / "b3.json"
     run(capsys, "generate", "bouquet", "--n", "3", "-o", str(qf))
-    _, a, _ = run(capsys, "hs", str(qf), "--order", "4", "--ungauge", "b1",
-                  "--json")
-    _, b, _ = run(capsys, "hs", str(qf), "--order", "4", "--ungauge", "b1",
-                  "--threads", "4", "--json")
-    assert json.loads(a)["series"] == json.loads(b)["series"]
+    for argv in (["hs", str(qf), "--threads", "4"],
+                 ["hs", str(qf), "--order", "x"],
+                 ["no-such-command"],
+                 []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert "error:" in capsys.readouterr().err
+    for argv in (["--help"], ["hs", "--help"], ["--version"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, argv
 
 
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
+def test_negative_max_bound_is_validation_error(tmp_path, capsys):
     qf = tmp_path / "b3.json"
     run(capsys, "generate", "bouquet", "--n", "3", "-o", str(qf))
-    _, a, _ = run(capsys, "hs", str(qf), "--order", "4", "--ungauge", "b1",
-                  "--json")
-    monkeypatch.setenv("COULOMB_HS_THREADS", "3")
-    _, b, _ = run(capsys, "hs", str(qf), "--order", "4", "--ungauge", "b1",
-                  "--json")
-    assert json.loads(a)["series"] == json.loads(b)["series"]
+    code, _, err = run(capsys, "hs", str(qf), "--order", "2", "--ungauge", "b1",
+                       "--max-bound", "-1")
+    assert code == 1 and "max_bound" in err

@@ -1,10 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from coulomb_hs.engine import (
     BadTheoryError,
-    ChargePolicy,
     ConvergenceNotReachedError,
     HalfOddGradingError,
     HSRequest,
@@ -18,8 +18,10 @@ from coulomb_hs.engine import (
     nilcone_reference_hs,
     refined_implosion_integral,
     symmetry_dimension,
+    _Problem,
+    _scan_shell,
 )
-from coulomb_hs.liedata import Conventions, HALF_PAIR_WEIGHT
+from coulomb_hs.liedata import Conventions, HALF_PAIR_WEIGHT, dominant_charges
 from coulomb_hs.quiver import (
     DecoupledU1UnresolvedError,
     NodeKind,
@@ -34,6 +36,8 @@ from coulomb_hs.quiver import (
     ungauge,
 )
 from coulomb_hs.series import TruncatedSeries, expand_inverse, one_minus_power
+
+from brute import delta_ref, hs_ref
 
 
 def u1_with_flavors(d):
@@ -119,14 +123,9 @@ def test_enumerate_charge_api():
 
 def test_enumerate_convergence_guard():
     with pytest.raises(ConvergenceNotReachedError):
-        enumerate_charges(u1_with_flavors(2), 9, policy=ChargePolicy(max_bound=3))
-
-
-def test_enumerate_initial_bound_keeps_interior():
-    q = build_linear_nilpotent_quiver(3)
-    base = enumerate_charges(q, 2)
-    skipped_ahead = enumerate_charges(q, 2, policy=ChargePolicy(initial_bound=2))
-    assert set(base) == set(skipped_ahead)
+        enumerate_charges(u1_with_flavors(2), 9, max_bound=3)
+    with pytest.raises(ValueError, match="max_bound"):
+        enumerate_charges(u1_with_flavors(2), 1, max_bound=-1)
 
 
 def test_enumerate_deterministic():
@@ -198,20 +197,21 @@ def test_hs_ungauging_choice_independent():
         assert series[0] == series[1] == series[2]
 
 
+def shells_past_bound(req):
+    """The charges in the two shells just past the bound ``req`` stopped
+    at, under the same dimension cutoff.  Both are empty exactly when
+    scanning two more shells would change no coefficient."""
+    q = ungauge(req.quiver, req.ungauge) if req.ungauge else req.quiver
+    prob = _Problem(q, req.conventions)
+    b = compute_hilbert_series(req).stats.bound_reached
+    return [_scan_shell(prob, b + k, 2 * req.order) for k in (1, 2)]
+
+
 def test_hs_stability_under_larger_bound():
     for req in (HSRequest(build_linear_nilpotent_quiver(3), 8),
                 HSRequest(build_bouquet_quiver(3), 4, ungauge="b1"),
                 HSRequest(build_dn_implosion_quiver(3), 4)):
-        base = coulomb_hilbert_series(req)
-        wider = HSRequest(req.quiver, req.order, ungauge=req.ungauge,
-                          policy=ChargePolicy(extra_shells=2))
-        assert coulomb_hilbert_series(wider) == base
-
-
-def test_hs_threads_do_not_change_output():
-    req1 = HSRequest(build_bouquet_quiver(3), 4, ungauge="b1")
-    req3 = HSRequest(build_bouquet_quiver(3), 4, ungauge="b1", threads=3)
-    assert coulomb_hilbert_series(req1) == coulomb_hilbert_series(req3)
+        assert shells_past_bound(req) == [[], []]
 
 
 def test_hs_refined_to_one_matches_unrefined():
@@ -394,6 +394,61 @@ def test_oracle_so2_usp2_chain():
     s = coulomb_hilbert_series(HSRequest(q, K))
     assert [s.coefficient(k) for k in range(K + 1)] == acc
     assert s.coefficient(2) == 6  # dim SO(4)
+
+
+def affine_a2_triangle():
+    """Three U(1) nodes in a cycle, with "a" ungauged."""
+    nodes = [QuiverNode(i, NodeKind.GAUGE, U(1)) for i in "abc"]
+    return ungauge(Quiver(nodes, [("a", "b"), ("b", "c"), ("c", "a")]), "a")
+
+
+def test_cycle_gives_sl3_minimal_orbit():
+    # The triangle is a non-tree graph; its Coulomb branch is the sl3
+    # minimal nilpotent orbit, HS = sum_k dim V(k theta) t^(2k) = sum (k+1)^3 t^(2k).
+    s = coulomb_hilbert_series(HSRequest(affine_a2_triangle(), 8))
+    assert [s.coefficient(k) for k in range(9)] == [1, 0, 8, 0, 27, 0, 64, 0, 125]
+
+
+def test_delta_matches_reference():
+    # Every matter family, a fixed node, a doubled edge and a cycle in each
+    # family, against Delta rebuilt from liedata alone.
+    unitary = ungauge(Quiver(
+        [QuiverNode("a", NodeKind.GAUGE, U(1)), QuiverNode("b", NodeKind.GAUGE, U(2)),
+         QuiverNode("c", NodeKind.GAUGE, U(1)), QuiverNode("f", NodeKind.FLAVOR, U(3))],
+        [("a", "b"), ("a", "b"), ("b", "c"), ("c", "a"), ("b", "f")]), "c")
+    ortho = Quiver(
+        [QuiverNode("s2", NodeKind.GAUGE, SO(2)), QuiverNode("p4", NodeKind.GAUGE, USp(4)),
+         QuiverNode("s5", NodeKind.GAUGE, SO(5)), QuiverNode("p2", NodeKind.GAUGE, USp(2)),
+         QuiverNode("s4", NodeKind.GAUGE, SO(4)),
+         QuiverNode("fo", NodeKind.FLAVOR, SO(7)), QuiverNode("fe", NodeKind.FLAVOR, SO(6)),
+         QuiverNode("fp", NodeKind.FLAVOR, USp(2))],
+        [("s2", "p4"), ("p4", "s5"), ("s5", "p2"), ("p2", "s2"), ("p2", "s4"),
+         ("p4", "fo"), ("p2", "fe"), ("s5", "fp"), ("s4", "fp")])
+    rng = random.Random(7)
+    for conv in (Conventions(), HALF_PAIR_WEIGHT, Conventions(so2_as_o2=True),
+                 Conventions(Fraction(1, 2), True)):
+        for q in (unitary, ortho):
+            for _ in range(40):
+                charge = {n.id: rng.choice(dominant_charges(n.group, 3, conv))
+                          for n in q.gauge_nodes}
+                assert delta(q, charge, conv) == delta_ref(q, charge, conv), charge
+
+
+def test_hs_matches_unpruned_box_sum():
+    # The pruned shell search against a plain sum over every dominant
+    # charge in the box two shells past the bound it stopped at.
+    fixed_u1 = ungauge(Quiver(
+        [QuiverNode("a", NodeKind.GAUGE, U(1)), QuiverNode("g", NodeKind.GAUGE, U(2)),
+         QuiverNode("f", NodeKind.FLAVOR, U(2))],
+        [("a", "g"), ("a", "g"), ("g", "f")]), "a")
+    for q, order in ((affine_a2_triangle(), 8),
+                     (ungauge(build_bouquet_quiver(2), "b1"), 6),
+                     (build_linear_nilpotent_quiver(3), 6),
+                     (build_dn_implosion_quiver(2, with_flavor=True), 6),
+                     (fixed_u1, 6)):
+        result = compute_hilbert_series(HSRequest(q, order))
+        want = hs_ref(q, order, result.stats.bound_reached + 2)
+        assert [result.series.coefficient(k) for k in range(order + 1)] == want
 
 
 # ---------------------------------------------------------------------------
