@@ -452,7 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
                                     "with one fugacity each")
     h.add_argument("--pl", action="store_true",
                    help="also print the plethystic logarithm")
-    h.add_argument("--max-bound", type=int, default=DEFAULT_MAX_BOUND)
+    h.add_argument("--max-bound", type=int, default=DEFAULT_MAX_BOUND,
+                   help="largest charge box (max |entry|) the search may "
+                        "scan; exit 2 when the proven box is larger "
+                        f"(default {DEFAULT_MAX_BOUND})")
     h.add_argument("--json", action="store_true")
     h.add_argument("-o", "--output")
     _add_conv_flags(h)

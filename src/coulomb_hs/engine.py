@@ -12,9 +12,11 @@ gauge group.
 All conformal dimensions are handled internally in quarter-integer units
 (``delta4 = 4*Delta``) so the hot loops run on plain integers.
 
-Charge enumeration grows a per-entry bound shell by shell and stops after
-two consecutive shells contribute nothing below the dimension cutoff.
-Within a shell, a depth-first search over the quiver's spanning tree is
+Charge enumeration scans one box of charges with max |entry| <= B, where
+B is proven to hold every charge below the dimension cutoff: on the shell
+of charges with max |entry| == b, 4*Delta is at least b times its minimum
+over shell 1 (see ``_enumerate_raw``), so one scan of box 1 fixes B.
+Within a box, a depth-first search over the quiver's spanning tree is
 pruned with exact per-subtree minimum-cost tables, which keeps quivers
 with a dozen lattice dimensions tractable.  Edges that close a cycle
 (every affine A_n quiver has one) are left out of the tables and added
@@ -74,7 +76,7 @@ class UnsupportedEdgeError(EngineError):
     pass
 
 
-DEFAULT_MAX_BOUND = 64  # largest per-entry charge shell before giving up
+DEFAULT_MAX_BOUND = 64  # largest charge box the search may scan
 
 
 @dataclass(frozen=True, order=True)
@@ -104,8 +106,7 @@ class HSRequest:
 @dataclass(frozen=True)
 class EngineStats:
     charge_count: int
-    bound_reached: int
-    shells_scanned: int
+    bound_reached: int  # the proven charge box: max |entry| of any charge
     wall_time_s: float
 
 
@@ -240,6 +241,11 @@ class _Problem:
         if isinstance(charge, QuiverCharge):
             charge = charge.as_dict()
         if isinstance(charge, Mapping):
+            for key in charge:
+                if key not in self.index:
+                    raise QuiverError(
+                        f"charge given for {key!r}, which is not a gauge "
+                        "or fixed node")
             vec = []
             for nd in self.nodes:
                 if nd.id not in charge:
@@ -275,12 +281,13 @@ def _edge_table(prob: _Problem, e: _EEdge, p: int, cands_p: list,
     return [[prob.edge4(e, y, x) for y in cands_v] for x in cands_p]
 
 
-def _scan_shell(prob: _Problem, b: int, thr4: int) -> list:
-    """Charges with max |entry| == b and delta4 <= thr4, sorted."""
+def _scan_box(prob: _Problem, b: int, thr4: int) -> list:
+    """Charges with max |entry| <= b and delta4 <= thr4: each shell of equal
+    max |entry| sorted, shells in increasing order."""
     nodes = prob.nodes
     n = len(nodes)
     if n == 0:
-        return [((), 0)] if b == 0 else []
+        return [((), 0)]
     cands, maxabs, local4 = [], [], []
     for nd in nodes:
         cl = [(0,) * nd.rank] if nd.fixed else \
@@ -307,20 +314,19 @@ def _scan_shell(prob: _Problem, b: int, thr4: int) -> list:
             best[v] = [min(r + s for r, s in zip(row, sc)) for row in tab]
     root_min = {r: min(sub_cost[r]) for r in prob.roots}
 
-    found: list = []
+    shells: list = [[] for _ in range(b + 1)]
     choice = [0] * n
     selected: list = [None] * n
     pre = prob.preorder
 
     def rec(k: int, lb: int, mx: int):
         if k == n:
-            if mx == b:
-                if lb <= 0 and any(any(c) for c in selected):
-                    raise BadTheoryError(
-                        "nonzero magnetic charge "
-                        f"{tuple(selected)} has 2*Delta = {Fraction(lb, 2)} <= 0; "
-                        "the monopole sum diverges")
-                found.append((tuple(selected), lb))
+            if mx and lb <= 0:
+                raise BadTheoryError(
+                    "nonzero magnetic charge "
+                    f"{tuple(selected)} has 2*Delta = {Fraction(lb, 2)} <= 0; "
+                    "the monopole sum diverges")
+            shells[mx].append((tuple(selected), lb))
             return
         v = pre[k]
         p = prob.parent[v]
@@ -346,33 +352,44 @@ def _scan_shell(prob: _Problem, b: int, thr4: int) -> list:
         selected[v] = None
 
     rec(0, sum(root_min.values()), 0)
-    found.sort()
+    found: list = []
+    for shell in shells:
+        shell.sort()
+        found.extend(shell)
     return found
 
 
 def _enumerate_raw(prob: _Problem, thr4: int, max_bound: int):
-    """All charges with 4*Delta <= thr4, plus the bound reached."""
+    """All charges with 4*Delta <= thr4, plus the proven box bound B.
+
+    On the product of dominant chambers, 4*Delta is continuous, positively
+    homogeneous of degree 1 and linear on every cell of the arrangement of
+    hyperplanes x_i = +-x_j and x_i = 0: roots, matter weights, flavors
+    (at charge 0), fixed nodes and chamber walls all have that form.  On a
+    face x_i = +-1 of the real unit max-norm shell, each vertex of a cell
+    solves independent equations x_i +- x_j = 0, x_i = 0, x_i = +-1, so its
+    coordinates lie in {-1, 0, 1}.  Hence the minimum c4 of 4*Delta over
+    the real unit shell is attained on integer shell 1, and by homogeneity
+    every charge on shell b has 4*Delta >= b*c4.  Box 1 holds a nonzero
+    charge with 4*Delta <= 0 exactly when c4 <= 0, which the scan reports
+    as a bad theory; otherwise every charge with 4*Delta <= thr4 lies in
+    the box B = thr4 // c4 (B = 0 when no nonzero charge of box 1 is below
+    the cutoff, since then c4 > thr4).
+    """
     if thr4 < 0:
         raise ValueError("the dimension cutoff must be nonnegative")
     if max_bound < 0:
         raise ValueError("max_bound must be >= 0")
-    found: list = []
-    empty_streak = 0
-    b = 0
-    while True:
-        shell = _scan_shell(prob, b, thr4)
-        if shell:
-            found.extend(shell)
-            empty_streak = 0
-        else:
-            empty_streak += 1
-        if empty_streak >= 2:
-            return found, b, b + 1
-        if b >= max_bound:
-            raise ConvergenceNotReachedError(
-                f"charge shells still contribute at bound {b}; "
-                "raise max_bound or check the theory")
-        b += 1
+    found = _scan_box(prob, 1, thr4)
+    c4 = min((d4 for vec, d4 in found if any(map(any, vec))), default=None)
+    bound = 0 if c4 is None else thr4 // c4
+    if bound > max_bound:
+        raise ConvergenceNotReachedError(
+            f"the proven charge box is {bound}, above max_bound {max_bound}; "
+            "raise max_bound")
+    if bound > 1:
+        found = _scan_box(prob, bound, thr4)
+    return found, bound
 
 
 def enumerate_charges(q: Quiver, delta_max, *,
@@ -383,7 +400,7 @@ def enumerate_charges(q: Quiver, delta_max, *,
     if thr4.denominator != 1:
         raise ValueError("delta_max must be a quarter-integer")
     prob = _Problem(q, conv)
-    raw, _, _ = _enumerate_raw(prob, int(thr4), max_bound)
+    raw, _ = _enumerate_raw(prob, int(thr4), max_bound)
     ids = tuple(nd.id for nd in prob.nodes)
     return [QuiverCharge(ids, c) for c, _ in raw]
 
@@ -484,12 +501,12 @@ def compute_hilbert_series(request: HSRequest) -> HSResult:
                 f"refined node {nid!r} must be a unitary gauge node")
     prob = _Problem(q, request.conventions)
     thr4 = 2 * request.order
-    raw, bound, shells = _enumerate_raw(prob, thr4, request.max_bound)
+    raw, bound = _enumerate_raw(prob, thr4, request.max_bound)
     refined = tuple((prob.index[nid], nid) for nid in sorted(request.refined))
     acc = _assemble(prob, raw, request.order, refined)
     series = TruncatedSeries(request.order, acc,
                              frozenset(nid for _, nid in refined))
-    stats = EngineStats(len(raw), bound, shells, time.perf_counter() - t0)
+    stats = EngineStats(len(raw), bound, time.perf_counter() - t0)
     return HSResult(series, stats)
 
 

@@ -44,6 +44,17 @@ def delta_ref(q, charge: dict, conv=DEFAULT_CONVENTIONS) -> Fraction:
     return d
 
 
+def shell_min_ref(q, b: int, conv=DEFAULT_CONVENTIONS):
+    """The least Delta over the dominant charges with max |entry| == b,
+    or None when shell b holds no charge."""
+    gauge = q.gauge_nodes
+    return min((delta_ref(q, dict(zip((n.id for n in gauge), combo)), conv)
+                for combo in product(*(dominant_charges(n.group, b, conv)
+                                       for n in gauge))
+                if max((abs(x) for c in combo for x in c), default=0) == b),
+               default=None)
+
+
 def hs_ref(q, order: int, bound: int, conv=DEFAULT_CONVENTIONS) -> list:
     """Coefficients of t^0..t^order, summed over every dominant charge with
     max |entry| <= bound."""
@@ -52,10 +63,10 @@ def hs_ref(q, order: int, bound: int, conv=DEFAULT_CONVENTIONS) -> list:
     for combo in product(*(dominant_charges(n.group, bound, conv) for n in gauge)):
         charge = {n.id: c for n, c in zip(gauge, combo)}
         two_delta = 2 * delta_ref(q, charge, conv)
+        if two_delta > order:
+            continue
         assert two_delta.denominator == 1, "half-odd t-grading"
         te = int(two_delta)
-        if te > order:
-            continue
         dress = [0] * (order + 1)
         dress[0] = 1
         for n in gauge:

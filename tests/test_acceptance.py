@@ -48,7 +48,7 @@ from coulomb_hs.quiver import (
 from coulomb_hs.series import expand_inverse, one_minus_power, plethystic_exp, \
     plethystic_log
 
-from test_engine import shells_past_bound
+from test_engine import boxes_past_bound
 
 
 def u1_with_flavors(d):
@@ -259,9 +259,10 @@ def test_criterion_10d_enumeration_stability():
                 HSRequest(build_linear_nilpotent_quiver(3), 8),
                 HSRequest(build_bouquet_quiver(3), 4, ungauge="b1"),
                 HSRequest(build_dn_implosion_quiver(3), 4)):
-        assert shells_past_bound(req) == [[], []]
-    report(10, "enumeration stability: the two shells past the bound reached "
-               "hold no charge")
+        wider, proven = boxes_past_bound(req)
+        assert wider == proven
+    report(10, "enumeration stability: the box two past the proven bound "
+               "holds no further charge")
 
 
 def test_criterion_10e_ungauging_choice_independence():

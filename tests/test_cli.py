@@ -215,3 +215,13 @@ def test_negative_max_bound_is_validation_error(tmp_path, capsys):
     code, _, err = run(capsys, "hs", str(qf), "--order", "2", "--ungauge", "b1",
                        "--max-bound", "-1")
     assert code == 1 and "max_bound" in err
+
+
+def test_max_bound_below_proven_box_exits_2(tmp_path, capsys):
+    qf = tmp_path / "b3.json"
+    run(capsys, "generate", "bouquet", "--n", "3", "-o", str(qf))
+    argv = ("hs", str(qf), "--order", "4", "--ungauge", "b1", "--json")
+    code, _, err = run(capsys, *argv, "--max-bound", "1")
+    assert code == 2 and "box is 2" in err
+    code, out, _ = run(capsys, *argv, "--max-bound", "2")
+    assert code == 0 and json.loads(out)["manifest"]["charge_bound_reached"] == 2

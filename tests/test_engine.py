@@ -19,13 +19,14 @@ from coulomb_hs.engine import (
     refined_implosion_integral,
     symmetry_dimension,
     _Problem,
-    _scan_shell,
+    _scan_box,
 )
 from coulomb_hs.liedata import Conventions, HALF_PAIR_WEIGHT, dominant_charges
 from coulomb_hs.quiver import (
     DecoupledU1UnresolvedError,
     NodeKind,
     Quiver,
+    QuiverError,
     QuiverNode,
     SO,
     U,
@@ -37,7 +38,7 @@ from coulomb_hs.quiver import (
 )
 from coulomb_hs.series import TruncatedSeries, expand_inverse, one_minus_power
 
-from brute import delta_ref, hs_ref
+from brute import delta_ref, hs_ref, shell_min_ref
 
 
 def u1_with_flavors(d):
@@ -76,6 +77,16 @@ def test_delta_orthosymplectic_balanced_current():
     assert delta(q, charge) == 1
     # the alternative half weight makes it negative (divergent theory)
     assert delta(q, charge, HALF_PAIR_WEIGHT) == Fraction(-3, 2)
+
+
+def test_delta_rejects_unknown_charge_keys():
+    q = u1_with_flavors(2)
+    with pytest.raises(QuiverError, match="'typo'"):
+        delta(q, {"g": (1,), "typo": (5,)})
+    with pytest.raises(QuiverError, match="'f'"):  # a flavor node has no charge
+        delta(q, {"g": (1,), "f": (5,)})
+    with pytest.raises(QuiverError, match="'f'"):
+        dressing_factor(q, {"g": (1,), "f": (0, 0)}, 4)
 
 
 def test_delta_fixed_nodes_keep_matter():
@@ -122,8 +133,10 @@ def test_enumerate_charge_api():
 
 
 def test_enumerate_convergence_guard():
-    with pytest.raises(ConvergenceNotReachedError):
+    # Delta >= |m| here, so Delta <= 9 needs the box 9.
+    with pytest.raises(ConvergenceNotReachedError, match="box is 9"):
         enumerate_charges(u1_with_flavors(2), 9, max_bound=3)
+    assert len(enumerate_charges(u1_with_flavors(2), 9, max_bound=9)) == 19
     with pytest.raises(ValueError, match="max_bound"):
         enumerate_charges(u1_with_flavors(2), 1, max_bound=-1)
 
@@ -197,21 +210,23 @@ def test_hs_ungauging_choice_independent():
         assert series[0] == series[1] == series[2]
 
 
-def shells_past_bound(req):
-    """The charges in the two shells just past the bound ``req`` stopped
-    at, under the same dimension cutoff.  Both are empty exactly when
-    scanning two more shells would change no coefficient."""
+def boxes_past_bound(req):
+    """The charges of the box two past the proven bound of ``req`` and of
+    the proven box itself, under the same dimension cutoff.  They are
+    equal exactly when the larger box would change no coefficient."""
     q = ungauge(req.quiver, req.ungauge) if req.ungauge else req.quiver
     prob = _Problem(q, req.conventions)
     b = compute_hilbert_series(req).stats.bound_reached
-    return [_scan_shell(prob, b + k, 2 * req.order) for k in (1, 2)]
+    thr4 = 2 * req.order
+    return _scan_box(prob, b + 2, thr4), _scan_box(prob, b, thr4)
 
 
 def test_hs_stability_under_larger_bound():
     for req in (HSRequest(build_linear_nilpotent_quiver(3), 8),
                 HSRequest(build_bouquet_quiver(3), 4, ungauge="b1"),
                 HSRequest(build_dn_implosion_quiver(3), 4)):
-        assert shells_past_bound(req) == [[], []]
+        wider, proven = boxes_past_bound(req)
+        assert wider == proven
 
 
 def test_hs_refined_to_one_matches_unrefined():
@@ -407,6 +422,94 @@ def test_cycle_gives_sl3_minimal_orbit():
     # minimal nilpotent orbit, HS = sum_k dim V(k theta) t^(2k) = sum (k+1)^3 t^(2k).
     s = coulomb_hilbert_series(HSRequest(affine_a2_triangle(), 8))
     assert [s.coefficient(k) for k in range(9)] == [1, 0, 8, 0, 27, 0, 64, 0, 125]
+
+
+def weyl_dimension(positive_roots, rho, highest) -> int:
+    """Weyl: dim V(highest) = prod over positive a of (highest + rho, a) / (rho, a)."""
+    num = den = 1
+    for a in positive_roots:
+        num *= sum((h + r) * x for h, r, x in zip(highest, rho, a))
+        den *= sum(r * x for r, x in zip(rho, a))
+    assert num % den == 0
+    return num // den
+
+
+def minimal_orbit_series(positive_roots, rho, theta, order) -> list:
+    """Coefficients of sum_k dim V(k theta) t^(2k) up to t^order."""
+    return [weyl_dimension(positive_roots, rho, [k // 2 * x for x in theta])
+            if k % 2 == 0 else 0 for k in range(order + 1)]
+
+
+def type_a(n):
+    """sl(n) in R^n: roots e_i - e_j, rho, theta = e_1 - e_n."""
+    roots = [[(k == i) - (k == j) for k in range(n)]
+             for i in range(n) for j in range(i + 1, n)]
+    theta = [(k == 0) - (k == n - 1) for k in range(n)]
+    return roots, list(range(n - 1, -1, -1)), theta
+
+
+def type_d(n):
+    """so(2n) in R^n: roots e_i +- e_j, rho, theta = e_1 + e_2."""
+    roots = [[(k == i) + s * (k == j) for k in range(n)]
+             for i in range(n) for j in range(i + 1, n) for s in (1, -1)]
+    theta = [int(k < 2) for k in range(n)]
+    return roots, list(range(n - 1, -1, -1)), theta
+
+
+def affine_a_cycle(n):
+    """n U(1) nodes in a cycle, with the first ungauged."""
+    ids = [f"u{i}" for i in range(n)]
+    nodes = [QuiverNode(i, NodeKind.GAUGE, U(1)) for i in ids]
+    edges = [(ids[i], ids[(i + 1) % n]) for i in range(n)]
+    return ungauge(Quiver(nodes, edges), ids[0])
+
+
+def affine_d4():
+    """U(2) with four U(1) nodes, one of them ungauged."""
+    nodes = [QuiverNode("c", NodeKind.GAUGE, U(2))]
+    nodes += [QuiverNode(f"l{i}", NodeKind.GAUGE, U(1)) for i in range(4)]
+    return ungauge(Quiver(nodes, [("c", f"l{i}") for i in range(4)]), "l0")
+
+
+def test_affine_quivers_give_minimal_orbits():
+    # Affine ADE quivers have the minimal nilpotent orbit of the finite
+    # algebra as Coulomb branch: HS = sum_k dim V(k theta) t^(2k).
+    assert minimal_orbit_series(*type_a(3), 8) == [1, 0, 8, 0, 27, 0, 64, 0, 125]
+    for q, algebra, order, head in (
+            (affine_a_cycle(4), type_a(4), 8, [1, 15, 84, 300, 825]),
+            (affine_a_cycle(5), type_a(5), 6, [1, 24, 200, 1000]),
+            (affine_d4(), type_d(4), 8, [1, 28, 300, 1925, 8918])):
+        want = minimal_orbit_series(*algebra, order)
+        assert want[::2] == head
+        s = coulomb_hilbert_series(HSRequest(q, order))
+        assert [s.coefficient(k) for k in range(order + 1)] == want
+
+
+def test_shell_minimum_is_linear_in_the_shell():
+    # The proven box rests on min over shell b of Delta being b times the
+    # shell-1 minimum c; the search box is then 2K // (4c), and c <= 0
+    # marks a bad theory.
+    fixed_u1 = ungauge(Quiver(
+        [QuiverNode("a", NodeKind.GAUGE, U(1)), QuiverNode("g", NodeKind.GAUGE, U(2)),
+         QuiverNode("f", NodeKind.FLAVOR, U(2))],
+        [("a", "g"), ("a", "g"), ("g", "f")]), "a")
+    order = 6
+    negative = 0
+    for q in (affine_a2_triangle(), ungauge(build_bouquet_quiver(3), "b1"),
+              build_linear_nilpotent_quiver(3),
+              build_dn_implosion_quiver(2, with_flavor=True), fixed_u1):
+        for conv in (Conventions(), HALF_PAIR_WEIGHT, Conventions(so2_as_o2=True)):
+            c = shell_min_ref(q, 1, conv)
+            assert shell_min_ref(q, 2, conv) == 2 * c
+            req = HSRequest(q, order, conventions=conv)
+            if c <= 0:
+                negative += 1
+                with pytest.raises(BadTheoryError):
+                    compute_hilbert_series(req)
+            else:
+                stats = compute_hilbert_series(req).stats
+                assert stats.bound_reached == 2 * order // int(4 * c)
+    assert negative == 1  # the D-chain under the half pair weight
 
 
 def test_delta_matches_reference():
