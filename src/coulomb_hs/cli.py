@@ -235,14 +235,13 @@ def cmd_hs(args) -> int:
 
 def cmd_implosion_check(args) -> int:
     n, order = args.n, args.order
-    conv = _conventions(args)
     rows = []
     integral = refined_implosion_integral(
-        n, order, prefactor_exponent=args.prefactor_exponent, conventions=conv)
+        n, order, prefactor_exponent=args.prefactor_exponent)
     reference = nilcone_reference_hs(n, order)
     rows.append(("refined integral equals nilpotent-cone closed form",
                  reference.text(), integral.text(), integral == reference))
-    check = hs_contribution_check(n, conventions=conv)
+    check = hs_contribution_check(n)
     if check.enhanced_dimension is not None:
         rows.append((f"t^2 coefficient (enhanced symmetry for n={n})",
                      str(check.enhanced_dimension), str(check.t2_coefficient),
@@ -399,16 +398,6 @@ def cmd_check_suite(args) -> int:
 # parser
 
 
-def _add_conv_flags(p):
-    p.add_argument("--ortho-pair-weight", choices=["1", "1/2"], default="1",
-                   help="weight per sign-reduced orthosymplectic weight pair "
-                        "(default 1; 1/2 is a documented alternative that "
-                        "makes balanced orthosymplectic chains divergent)")
-    p.add_argument("--so2-as-o2", action="store_true",
-                   help="treat SO(2) nodes as O(2): chamber m >= 0 and a "
-                        "degree-2 invariant at the origin")
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with EXIT_VALIDATION, not argparse's 2 (which
     here means a computational error); subparsers inherit this."""
@@ -458,7 +447,13 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default {DEFAULT_MAX_BOUND})")
     h.add_argument("--json", action="store_true")
     h.add_argument("-o", "--output")
-    _add_conv_flags(h)
+    h.add_argument("--ortho-pair-weight", choices=["1", "1/2"], default="1",
+                   help="weight per sign-reduced orthosymplectic weight pair "
+                        "(default 1; 1/2 is a documented alternative that "
+                        "makes balanced orthosymplectic chains divergent)")
+    h.add_argument("--so2-as-o2", action="store_true",
+                   help="treat SO(2) nodes as O(2): chamber m >= 0 and a "
+                        "degree-2 invariant at the origin")
     h.set_defaults(func=cmd_hs)
 
     ic = sub.add_parser("implosion-check",
@@ -468,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     ic.add_argument("--prefactor-exponent", type=int, default=None,
                     help="override the (1-t^2) prefactor exponent "
                          "(negative-control testing; default n-1)")
-    _add_conv_flags(ic)
     ic.set_defaults(func=cmd_implosion_check)
 
     ga = sub.add_parser("gale", help="Gale-dual configuration and report")

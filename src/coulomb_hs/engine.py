@@ -30,7 +30,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Mapping, Sequence
 
@@ -417,7 +416,6 @@ def delta(q: Quiver, charge, conv: Conventions = DEFAULT_CONVENTIONS) -> Fractio
     return Fraction(prob.delta4(prob.coerce_charge(charge)), 4)
 
 
-@lru_cache(maxsize=None)
 def _dressing_coeffs(degrees: tuple, order: int) -> tuple:
     arr = [0] * (order + 1)
     arr[0] = 1
@@ -447,39 +445,33 @@ def dressing_factor(q: Quiver, charge, order: int,
 
 
 def _assemble(prob: _Problem, raw: list, order: int, refined: tuple) -> dict:
-    conv = prob.conv
-    acc: dict = {}
-    degree_cache: dict = {}
+    """Sum t^(2 Delta) P(m, t) times the monomial of the refined nodes'
+    topological charges.  Charges are counted by (t-exponent, sorted
+    dressing degrees, monomial) first, so each distinct term is expanded
+    once; without refined nodes every monomial is the empty key."""
+    gauged = [(i, nd.group, {}) for i, nd in enumerate(prob.nodes) if not nd.fixed]
+    counts: Counter = Counter()
     for vec, d4 in raw:
         if d4 % 2:
             raise HalfOddGradingError(
                 f"charge {vec} has 2*Delta = {Fraction(d4, 2)}, not an integer; "
                 "the t-grading would be half-odd")
-        te = d4 // 2
-        if te > order:
-            continue
         key = []
-        for i, nd in enumerate(prob.nodes):
-            if nd.fixed:
-                continue
-            ck = (i, vec[i])
-            degs = degree_cache.get(ck)
+        for i, group, degrees in gauged:
+            degs = degrees.get(vec[i])
             if degs is None:
-                degs = tuple(dressing_degrees(nd.group, vec[i], conv))
-                degree_cache[ck] = degs
+                degs = degrees[vec[i]] = dressing_degrees(group, vec[i], prob.conv)
             key.extend(degs)
-        arr = _dressing_coeffs(tuple(sorted(key)), order - te)
-        if refined:
-            mono = Laurent.monomial(
-                {nid: sum(vec[i]) for i, nid in refined})
-            for e, c in enumerate(arr):
-                if c:
-                    acc[te + e] = acc.get(te + e, 0) + c * mono
-        else:
-            for e, c in enumerate(arr):
-                if c:
-                    acc[te + e] = acc.get(te + e, 0) + c
-    return acc
+        # refined is sorted by id, so this is a canonical Laurent key.
+        mono = tuple((nid, s) for i, nid in refined if (s := sum(vec[i])))
+        counts[d4 // 2, tuple(sorted(key)), mono] += 1
+    terms: dict = {}
+    for (te, key, mono), n in counts.items():
+        for e, c in enumerate(_dressing_coeffs(key, order - te), te):
+            if c:
+                row = terms.setdefault(e, {})
+                row[mono] = row.get(mono, 0) + n * c
+    return {e: Laurent(row) for e, row in terms.items()}
 
 
 def compute_hilbert_series(request: HSRequest) -> HSResult:
@@ -542,7 +534,6 @@ def bouquet_leaf_ids(n: int) -> list:
 
 def refined_implosion_integral(n: int, order: int, *,
                                prefactor_exponent: int | None = None,
-                               conventions: Conventions = DEFAULT_CONVENTIONS,
                                ) -> TruncatedSeries:
     """Residue integral over the bouquet fugacities.
 
@@ -557,8 +548,7 @@ def refined_implosion_integral(n: int, order: int, *,
         return TruncatedSeries.one(order)
     q = build_bouquet_quiver(n)
     leaves = bouquet_leaf_ids(n)
-    req = HSRequest(q, order, refined=frozenset(leaves[1:]), ungauge=leaves[0],
-                    conventions=conventions)
+    req = HSRequest(q, order, refined=frozenset(leaves[1:]), ungauge=leaves[0])
     s = coulomb_hilbert_series(req)
     exponent = (n - 1) if prefactor_exponent is None else prefactor_exponent
     s = s * (one_minus_power(2, order) ** exponent)
@@ -586,8 +576,7 @@ class ContributionCheck:
 _ENHANCED_T2 = {2: 10, 3: 28}  # Sp(2) and SO(8) enhancements
 
 
-def hs_contribution_check(n: int, *, conventions: Conventions = DEFAULT_CONVENTIONS,
-                          ) -> ContributionCheck:
+def hs_contribution_check(n: int) -> ContributionCheck:
     """Check the t^2 coefficient (n^2 + n - 2 for n >= 4, with documented
     enhancements at n = 2, 3) and count the 2n basic bouquet monopoles at
     order t^(n-1)."""
@@ -596,11 +585,11 @@ def hs_contribution_check(n: int, *, conventions: Conventions = DEFAULT_CONVENTI
     order = max(2, n - 1)
     q = build_bouquet_quiver(n)
     leaves = bouquet_leaf_ids(n)
-    req = HSRequest(q, order, ungauge=leaves[0], conventions=conventions)
+    req = HSRequest(q, order, ungauge=leaves[0])
     s = coulomb_hilbert_series(req)
     t2 = int(s.coefficient(2))
     ungauged = ungauge(q, leaves[0])
-    prob = _Problem(ungauged, conventions)
+    prob = _Problem(ungauged, DEFAULT_CONVENTIONS)
     target4 = 2 * (n - 1)  # 4*Delta for 2*Delta = n - 1
     count = 0
     for sign in (1, -1):

@@ -228,7 +228,19 @@ def config_to_json(c: ToricConfig) -> dict:
 def config_from_json(obj: dict) -> ToricConfig:
     if not isinstance(obj, dict) or "columns" not in obj:
         raise GaleError("matrix JSON must be an object with 'columns'")
-    return ToricConfig.from_columns(obj["columns"], obj.get("n"), obj.get("d"))
+    columns = obj["columns"]
+    if not isinstance(columns, list):
+        raise GaleError("columns: expected a list")
+    for j, col in enumerate(columns):
+        if not isinstance(col, list):
+            raise GaleError(f"columns[{j}]: expected a list")
+        for i, x in enumerate(col):
+            if type(x) is not int:  # bool and float entries are not integers
+                raise GaleError(f"columns[{j}][{i}]: expected an integer, got {x!r}")
+    for key in ("n", "d"):
+        if key in obj and type(obj[key]) is not int:
+            raise GaleError(f"{key}: expected an integer, got {obj[key]!r}")
+    return ToricConfig.from_columns(columns, obj.get("n"), obj.get("d"))
 
 
 def load_config(path: str) -> ToricConfig:

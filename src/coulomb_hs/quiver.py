@@ -559,17 +559,25 @@ def quiver_to_json(q: Quiver) -> dict:
 def quiver_from_json(obj: dict) -> Quiver:
     if not isinstance(obj, dict) or "nodes" not in obj:
         raise QuiverValidationError("quiver JSON must be an object with 'nodes'")
+    for key in ("nodes", "edges"):
+        if not isinstance(obj.get(key, []), list):
+            raise QuiverValidationError(f"{key}: expected a list")
     nodes = []
-    for i, spec in enumerate(obj.get("nodes", [])):
+    for i, spec in enumerate(obj["nodes"]):
         try:
             kind = NodeKind(spec["kind"])
             family = Family(spec["group"]["family"])
-            group = GaugeGroup(family, int(spec["group"]["n"]))
-            nodes.append(QuiverNode(str(spec["id"]), kind, group))
-        except QuiverValidationError as exc:
-            raise QuiverValidationError(f"nodes[{i}]: {exc}") from None
+            n = spec["group"]["n"]
+            node_id = str(spec["id"])
         except (KeyError, ValueError, TypeError) as exc:
             raise QuiverValidationError(f"nodes[{i}]: malformed node: {exc}") from None
+        if type(n) is not int:  # bool is not a group dimension either
+            raise QuiverValidationError(
+                f"nodes[{i}].group.n: expected an integer, got {n!r}")
+        try:
+            nodes.append(QuiverNode(node_id, kind, GaugeGroup(family, n)))
+        except QuiverValidationError as exc:
+            raise QuiverValidationError(f"nodes[{i}]: {exc}") from None
     edges = []
     for i, e in enumerate(obj.get("edges", [])):
         if not isinstance(e, (list, tuple)) or len(e) != 2:
@@ -585,9 +593,3 @@ def load_quiver(path: str) -> Quiver:
         except json.JSONDecodeError as exc:
             raise QuiverValidationError(f"{path}: invalid JSON: {exc}") from None
     return quiver_from_json(obj)
-
-
-def save_quiver(q: Quiver, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(quiver_to_json(q), fh, indent=2)
-        fh.write("\n")

@@ -324,9 +324,6 @@ class TruncatedSeries:
             out[e] = c
         return TruncatedSeries(self.order, out, frozenset())
 
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs.values())
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

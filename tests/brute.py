@@ -11,6 +11,7 @@ and the Hilbert series is the unpruned sum of t^(2 Delta(m)) P(m, t) over
 every dominant charge in a box.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -55,11 +56,18 @@ def shell_min_ref(q, b: int, conv=DEFAULT_CONVENTIONS):
                default=None)
 
 
-def hs_ref(q, order: int, bound: int, conv=DEFAULT_CONVENTIONS) -> list:
+def hs_ref(q, order: int, bound: int, conv=DEFAULT_CONVENTIONS,
+           refined=None) -> list:
     """Coefficients of t^0..t^order, summed over every dominant charge with
-    max |entry| <= bound."""
+    max |entry| <= bound.
+
+    With a set of ``refined`` gauge node ids, each coefficient is instead a
+    map from the tuple of their topological charges (the sum of the node's
+    charge entries, ids in sorted order) to the count of terms carrying it.
+    """
     gauge = q.gauge_nodes
-    acc = [0] * (order + 1)
+    ids = sorted(refined or ())
+    acc = [Counter() for _ in range(order + 1)]
     for combo in product(*(dominant_charges(n.group, bound, conv) for n in gauge)):
         charge = {n.id: c for n, c in zip(gauge, combo)}
         two_delta = 2 * delta_ref(q, charge, conv)
@@ -67,6 +75,7 @@ def hs_ref(q, order: int, bound: int, conv=DEFAULT_CONVENTIONS) -> list:
             continue
         assert two_delta.denominator == 1, "half-odd t-grading"
         te = int(two_delta)
+        top = tuple(sum(charge[i]) for i in ids)
         dress = [0] * (order + 1)
         dress[0] = 1
         for n in gauge:
@@ -74,5 +83,7 @@ def hs_ref(q, order: int, bound: int, conv=DEFAULT_CONVENTIONS) -> list:
                 for e in range(2 * d, order + 1):
                     dress[e] += dress[e - 2 * d]
         for e in range(order + 1 - te):
-            acc[te + e] += dress[e]
-    return acc
+            acc[te + e][top] += dress[e]
+    if refined is None:
+        return [c[()] for c in acc]
+    return [{k: v for k, v in c.items() if v} for c in acc]

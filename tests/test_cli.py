@@ -162,6 +162,34 @@ def test_implosion_check_pass_and_negative_control(capsys):
     assert code == 3 and "FAIL" in text
 
 
+def one_gauge_node(n):
+    return {"nodes": [{"id": "g", "kind": "gauge", "group": {"family": "U", "n": n}},
+                      {"id": "f", "kind": "flavor", "group": {"family": "U", "n": 2}}],
+            "edges": [["g", "f"]]}
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    ("hs", {"nodes": 5}, "nodes: expected a list"),
+    ("hs", {"nodes": [], "edges": 5}, "edges: expected a list"),
+    ("hs", one_gauge_node(1.9), "nodes[0].group.n: expected an integer, got 1.9"),
+    ("hs", one_gauge_node(True), "nodes[0].group.n: expected an integer, got True"),
+    ("gale", {"columns": 7}, "columns: expected a list"),
+    ("gale", {"columns": [5]}, "columns[0]: expected a list"),
+    ("gale", {"columns": [[1.5, 0], [0, 1]]},
+     "columns[0][0]: expected an integer, got 1.5"),
+    ("gale", {"columns": [[1, 0], [0, 1]], "n": True},
+     "n: expected an integer, got True"),
+    ("gale", {"columns": [[1, 0], [0, 1]], "d": 2.0},
+     "d: expected an integer, got 2.0"),
+], ids=["nodes-int", "edges-int", "group-n-float", "group-n-bool", "columns-int",
+        "column-int", "entry-float", "n-bool", "d-float"])
+def test_malformed_input_file_exits_1(tmp_path, capsys, command, obj, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_gale_command(tmp_path, capsys):
     mf = tmp_path / "m.json"
     mf.write_text(json.dumps({"n": 1, "d": 2, "columns": [[1], [1]]}))
@@ -197,6 +225,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     run(capsys, "generate", "bouquet", "--n", "3", "-o", str(qf))
     for argv in (["hs", str(qf), "--threads", "4"],
                  ["hs", str(qf), "--order", "x"],
+                 ["implosion-check", "--n", "3", "--so2-as-o2"],
+                 ["implosion-check", "--n", "3", "--ortho-pair-weight", "1/2"],
                  ["no-such-command"],
                  []):
         with pytest.raises(SystemExit) as exc:

@@ -36,7 +36,7 @@ from coulomb_hs.quiver import (
     build_linear_nilpotent_quiver,
     ungauge,
 )
-from coulomb_hs.series import TruncatedSeries, expand_inverse, one_minus_power
+from coulomb_hs.series import Laurent, TruncatedSeries, expand_inverse, one_minus_power
 
 from brute import delta_ref, hs_ref, shell_min_ref
 
@@ -44,6 +44,14 @@ from brute import delta_ref, hs_ref, shell_min_ref
 def u1_with_flavors(d):
     return Quiver([QuiverNode("g", NodeKind.GAUGE, U(1)),
                    QuiverNode("f", NodeKind.FLAVOR, U(d))], [("g", "f")])
+
+
+def u2_doubled_to_fixed_u1():
+    """U(2) with a doubled edge to a fixed U(1) and a U(2) flavor."""
+    return ungauge(Quiver(
+        [QuiverNode("a", NodeKind.GAUGE, U(1)), QuiverNode("g", NodeKind.GAUGE, U(2)),
+         QuiverNode("f", NodeKind.FLAVOR, U(2))],
+        [("a", "g"), ("a", "g"), ("g", "f")]), "a")
 
 
 def abelian_closed_form(d, order):
@@ -489,10 +497,7 @@ def test_shell_minimum_is_linear_in_the_shell():
     # The proven box rests on min over shell b of Delta being b times the
     # shell-1 minimum c; the search box is then 2K // (4c), and c <= 0
     # marks a bad theory.
-    fixed_u1 = ungauge(Quiver(
-        [QuiverNode("a", NodeKind.GAUGE, U(1)), QuiverNode("g", NodeKind.GAUGE, U(2)),
-         QuiverNode("f", NodeKind.FLAVOR, U(2))],
-        [("a", "g"), ("a", "g"), ("g", "f")]), "a")
+    fixed_u1 = u2_doubled_to_fixed_u1()
     order = 6
     negative = 0
     for q in (affine_a2_triangle(), ungauge(build_bouquet_quiver(3), "b1"),
@@ -540,10 +545,7 @@ def test_delta_matches_reference():
 def test_hs_matches_unpruned_box_sum():
     # The pruned shell search against a plain sum over every dominant
     # charge in the box two shells past the bound it stopped at.
-    fixed_u1 = ungauge(Quiver(
-        [QuiverNode("a", NodeKind.GAUGE, U(1)), QuiverNode("g", NodeKind.GAUGE, U(2)),
-         QuiverNode("f", NodeKind.FLAVOR, U(2))],
-        [("a", "g"), ("a", "g"), ("g", "f")]), "a")
+    fixed_u1 = u2_doubled_to_fixed_u1()
     for q, order in ((affine_a2_triangle(), 8),
                      (ungauge(build_bouquet_quiver(2), "b1"), 6),
                      (build_linear_nilpotent_quiver(3), 6),
@@ -552,6 +554,31 @@ def test_hs_matches_unpruned_box_sum():
         result = compute_hilbert_series(HSRequest(q, order))
         want = hs_ref(q, order, result.stats.bound_reached + 2)
         assert [result.series.coefficient(k) for k in range(order + 1)] == want
+
+
+def topological_counts(c, ids) -> dict:
+    """A refined coefficient as {charges of the ids, in order: count}."""
+    terms = c.terms if isinstance(c, Laurent) else {(): c}
+    out = {}
+    for key, v in terms.items():
+        exps = dict(key)
+        assert 0 not in exps.values() and set(exps) <= set(ids), key
+        out[tuple(exps.get(i, 0) for i in ids)] = v
+    return {k: v for k, v in out.items() if v}
+
+
+def test_refined_hs_matches_unpruned_box_sum():
+    # The topological grading, term by term: U(1) leaves, a U(2) node whose
+    # charges such as (1, -1) have topological charge 0, and a fixed node.
+    # The box is one past the proven one: bouquet(3) has 9604 charges there.
+    for q, order, refined in ((ungauge(build_bouquet_quiver(3), "b1"), 4, ("b2", "b3")),
+                              (build_linear_nilpotent_quiver(3), 8, ("g2",)),
+                              (u2_doubled_to_fixed_u1(), 6, ("g",))):
+        result = compute_hilbert_series(HSRequest(q, order, refined=frozenset(refined)))
+        want = hs_ref(q, order, result.stats.bound_reached + 1, refined=refined)
+        got = [topological_counts(result.series.coefficient(k), refined)
+               for k in range(order + 1)]
+        assert got == want, q
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,59 @@
+"""Golden digests of whole CLI outputs.
+
+Any change to a coefficient, a manifest field or the check-suite rows moves
+one of these sha256 digests.  A change meant to keep every answer must leave
+them as they are; a change meant to alter an answer updates the digest it
+moves and says why.  ``wall_time_s`` is the only field dropped, since it is
+the one that differs between reruns.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from coulomb_hs.cli import main
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def stdout_of(capsys, *argv) -> str:
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0, out
+    return out
+
+
+def test_check_suite_full_manifest_hash(capsys):
+    out = stdout_of(capsys, "check-suite", "--full")
+    assert out.splitlines()[-1] == (
+        "suite: 25/25 passed; manifest hash "
+        "e9d5bb8dd367390b30a258881963380ce4e3b09fd415b72dfcd3aca4fde7e6c4")
+
+
+@pytest.mark.parametrize("generate, argv, digest", [
+    (("bouquet", "--n", "5"), ("--ungauge", "b1", "--order", "4", "--pl"),
+     "4bd15c9af7e09eb40075dc98c81e1221bf747d894aabb4802138e767d17f7b7c"),
+    (("bouquet", "--n", "5"), ("--ungauge", "b1", "--order", "4",
+                               "--refine", "b2,b3"),
+     "9358811003ab7b88def46e767bff889fd85dff5c606dc367f30e22722f1fb0d8"),
+    (("partial", "--n", "4", "--partition", "2,2"),
+     ("--ungauge", "l1_1", "--order", "6", "--pl"),
+     "0613b65a535e3c057ed5c96198399b73d4c036589feba818af1a9cd8baa3e8eb"),
+    (("dn", "--n", "5", "--flavor"), ("--order", "6", "--pl"),
+     "42cee02c3f4d4d96bb374ea3420409022e31dadfe78f71a678d4bffa3d35a432"),
+], ids=["bouquet5-K4", "bouquet5-K4-refined", "partial-e6-K6", "dn5-flavor-K6"])
+def test_hs_json_payload(tmp_path, capsys, generate, argv, digest):
+    path = tmp_path / "q.json"
+    stdout_of(capsys, "generate", *generate, "-o", str(path))
+    payload = json.loads(stdout_of(capsys, "hs", str(path), *argv, "--json"))
+    del payload["manifest"]["wall_time_s"]
+    assert sha256(json.dumps(payload, sort_keys=True)) == digest
+
+
+def test_implosion_check_stdout(capsys):
+    out = stdout_of(capsys, "implosion-check", "--n", "3", "--order", "12")
+    assert sha256(out) == \
+        "c2c8b385e305d49104a461f24b966ba20269ee9aafc4d6c86896d9833186d56d"
