@@ -407,6 +407,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+def _bouquet_size(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="coulomb-hs",
@@ -458,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ic = sub.add_parser("implosion-check",
                         help="bouquet quiver consistency checks")
-    ic.add_argument("--n", type=int, required=True)
+    ic.add_argument("--n", type=_bouquet_size, required=True,
+                    help="number of bouquet leaves (at least 2)")
     ic.add_argument("--order", type=int, default=8)
     ic.add_argument("--prefactor-exponent", type=int, default=None,
                     help="override the (1-t^2) prefactor exponent "

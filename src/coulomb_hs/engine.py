@@ -22,6 +22,12 @@ with a dozen lattice dimensions tractable.  Edges that close a cycle
 (every affine A_n quiver has one) are left out of the tables and added
 as soon as both endpoints are chosen; matter terms are nonnegative, so
 the tables stay a true lower bound on general graphs.
+
+The search counts rather than collects: it tallies the charges it finds
+by 4*Delta and one label per node.  The Hilbert series labels a node's
+charge by its dressing degrees and topological charge, so a few hundred
+counts stand for tens of thousands of charges and no charge list is
+built; ``enumerate_charges`` labels each node by its charge instead.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from typing import Mapping, Sequence
 
@@ -280,19 +287,25 @@ def _edge_table(prob: _Problem, e: _EEdge, p: int, cands_p: list,
     return [[prob.edge4(e, y, x) for y in cands_v] for x in cands_p]
 
 
-def _scan_box(prob: _Problem, b: int, thr4: int) -> list:
-    """Charges with max |entry| <= b and delta4 <= thr4: each shell of equal
-    max |entry| sorted, shells in increasing order."""
+def _charge_label(i: int, c: Charge) -> Charge:
+    return c
+
+
+def _scan_box(prob: _Problem, b: int, thr4: int, label=_charge_label) -> Counter:
+    """Counts of the charges with max |entry| <= b and delta4 <= thr4, keyed
+    by ``(delta4, labels)`` where ``labels[i] = label(i, c)`` for node i's
+    charge c.  With the default label, each key is one charge."""
     nodes = prob.nodes
     n = len(nodes)
     if n == 0:
-        return [((), 0)]
-    cands, maxabs, local4 = [], [], []
-    for nd in nodes:
+        return Counter({(0, ()): 1})
+    cands, nonzero, labs, local4 = [], [], [], []
+    for i, nd in enumerate(nodes):
         cl = [(0,) * nd.rank] if nd.fixed else \
             dominant_charges(nd.group, b, prob.conv)
         cands.append(cl)
-        maxabs.append([max((abs(x) for x in c), default=0) for c in cl])
+        nonzero.append([any(c) for c in cl])
+        labs.append([label(i, c) for c in cl])
         local4.append([prob.local4(nd, c) for c in cl])
 
     # Exact minimum added cost of each subtree, per parent candidate.
@@ -313,20 +326,14 @@ def _scan_box(prob: _Problem, b: int, thr4: int) -> list:
             best[v] = [min(r + s for r, s in zip(row, sc)) for row in tab]
     root_min = {r: min(sub_cost[r]) for r in prob.roots}
 
-    shells: list = [[] for _ in range(b + 1)]
+    counts: Counter = Counter()
     choice = [0] * n
     selected: list = [None] * n
+    labels: list = [None] * n
     pre = prob.preorder
+    last = n - 1
 
-    def rec(k: int, lb: int, mx: int):
-        if k == n:
-            if mx and lb <= 0:
-                raise BadTheoryError(
-                    "nonzero magnetic charge "
-                    f"{tuple(selected)} has 2*Delta = {Fraction(lb, 2)} <= 0; "
-                    "the monopole sum diverges")
-            shells[mx].append((tuple(selected), lb))
-            return
+    def rec(k: int, lb: int, nz: bool):
         v = pre[k]
         p = prob.parent[v]
         base = lb - (best[v][choice[p]] if p >= 0 else root_min[v])
@@ -337,29 +344,35 @@ def _scan_box(prob: _Problem, b: int, thr4: int) -> list:
             if nl > thr4:
                 continue
             cv = cands[v][iv]
-            nt = 0
             for other, ei in prob.nontree[v]:
                 e = prob.edges[ei]
                 ca, cb = (cv, selected[other]) if e.a == v else (selected[other], cv)
-                nt += prob.edge4(e, ca, cb)
-            nl += nt
+                nl += prob.edge4(e, ca, cb)
             if nl > thr4:
                 continue
-            choice[v] = iv
-            selected[v] = cv
-            rec(k + 1, nl, mx if mx >= maxabs[v][iv] else maxabs[v][iv])
+            labels[v] = labs[v][iv]
+            if k == last:
+                if nl <= 0 and (nz or nonzero[v][iv]):
+                    selected[v] = cv
+                    raise BadTheoryError(
+                        "nonzero magnetic charge "
+                        f"{tuple(selected)} has 2*Delta = {Fraction(nl, 2)} <= 0; "
+                        "the monopole sum diverges")
+                counts[nl, tuple(labels)] += 1
+            else:
+                choice[v] = iv
+                selected[v] = cv
+                rec(k + 1, nl, nz or nonzero[v][iv])
         selected[v] = None
 
-    rec(0, sum(root_min.values()), 0)
-    found: list = []
-    for shell in shells:
-        shell.sort()
-        found.extend(shell)
-    return found
+    rec(0, sum(root_min.values()), False)
+    return counts
 
 
-def _enumerate_raw(prob: _Problem, thr4: int, max_bound: int):
-    """All charges with 4*Delta <= thr4, plus the proven box bound B.
+def _enumerate_raw(prob: _Problem, thr4: int, max_bound: int,
+                   label=_charge_label):
+    """Counts of all charges with 4*Delta <= thr4 as ``_scan_box`` keys them
+    with ``label``, plus the proven box bound B.
 
     On the product of dominant chambers, 4*Delta is continuous, positively
     homogeneous of degree 1 and linear on every cell of the arrangement of
@@ -379,16 +392,24 @@ def _enumerate_raw(prob: _Problem, thr4: int, max_bound: int):
         raise ValueError("the dimension cutoff must be nonnegative")
     if max_bound < 0:
         raise ValueError("max_bound must be >= 0")
-    found = _scan_box(prob, 1, thr4)
-    c4 = min((d4 for vec, d4 in found if any(map(any, vec))), default=None)
+    counts = _scan_box(prob, 1, thr4)
+    c4 = min((d4 for d4, vec in counts if any(map(any, vec))), default=None)
     bound = 0 if c4 is None else thr4 // c4
     if bound > max_bound:
         raise ConvergenceNotReachedError(
             f"the proven charge box is {bound}, above max_bound {max_bound}; "
             "raise max_bound")
-    if bound > 1:
-        found = _scan_box(prob, bound, thr4)
-    return found, bound
+    if bound > 1 or label is not _charge_label:
+        counts = _scan_box(prob, bound, thr4, label)
+    return counts, bound
+
+
+def _shell_order(counts: Counter) -> list:
+    """The ``(charge, delta4)`` of a charge-labelled scan, shell by shell of
+    equal max |entry| and sorted within each shell."""
+    keyed = sorted((max(map(abs, chain.from_iterable(vec)), default=0), vec, d4)
+                   for d4, vec in counts)
+    return [(vec, d4) for _, vec, d4 in keyed]
 
 
 def enumerate_charges(q: Quiver, delta_max, *,
@@ -399,9 +420,9 @@ def enumerate_charges(q: Quiver, delta_max, *,
     if thr4.denominator != 1:
         raise ValueError("delta_max must be a quarter-integer")
     prob = _Problem(q, conv)
-    raw, _ = _enumerate_raw(prob, int(thr4), max_bound)
+    counts, _ = _enumerate_raw(prob, int(thr4), max_bound)
     ids = tuple(nd.id for nd in prob.nodes)
-    return [QuiverCharge(ids, c) for c, _ in raw]
+    return [QuiverCharge(ids, vec) for vec, _ in _shell_order(counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -444,29 +465,21 @@ def dressing_factor(q: Quiver, charge, order: int,
 # Hilbert series
 
 
-def _assemble(prob: _Problem, raw: list, order: int, refined: tuple) -> dict:
+def _assemble(counts: Counter, order: int, refined: tuple) -> dict:
     """Sum t^(2 Delta) P(m, t) times the monomial of the refined nodes'
-    topological charges.  Charges are counted by (t-exponent, sorted
-    dressing degrees, monomial) first, so each distinct term is expanded
-    once; without refined nodes every monomial is the empty key."""
-    gauged = [(i, nd.group, {}) for i, nd in enumerate(prob.nodes) if not nd.fixed]
-    counts: Counter = Counter()
-    for vec, d4 in raw:
-        if d4 % 2:
-            raise HalfOddGradingError(
-                f"charge {vec} has 2*Delta = {Fraction(d4, 2)}, not an integer; "
-                "the t-grading would be half-odd")
-        key = []
-        for i, group, degrees in gauged:
-            degs = degrees.get(vec[i])
-            if degs is None:
-                degs = degrees[vec[i]] = dressing_degrees(group, vec[i], prob.conv)
-            key.extend(degs)
+    topological charges over the counts of a scan labelled by
+    ``(dressing degrees, topological charge)``.  The counts are merged by
+    (t-exponent, sorted dressing degrees, monomial) first, so each distinct
+    term is expanded once; without refined nodes every monomial is the
+    empty key."""
+    merged: Counter = Counter()
+    for (d4, labels), n in counts.items():
+        key = tuple(sorted(d for degs, _ in labels for d in degs))
         # refined is sorted by id, so this is a canonical Laurent key.
-        mono = tuple((nid, s) for i, nid in refined if (s := sum(vec[i])))
-        counts[d4 // 2, tuple(sorted(key)), mono] += 1
+        mono = tuple((nid, s) for i, nid in refined if (s := labels[i][1]))
+        merged[d4 // 2, key, mono] += n
     terms: dict = {}
-    for (te, key, mono), n in counts.items():
+    for (te, key, mono), n in merged.items():
         for e, c in enumerate(_dressing_coeffs(key, order - te), te):
             if c:
                 row = terms.setdefault(e, {})
@@ -492,13 +505,28 @@ def compute_hilbert_series(request: HSRequest) -> HSResult:
             raise QuiverError(
                 f"refined node {nid!r} must be a unitary gauge node")
     prob = _Problem(q, request.conventions)
+
+    def label(i: int, c: Charge) -> tuple:
+        nd = prob.nodes[i]
+        if nd.fixed:
+            return (), 0
+        return (tuple(dressing_degrees(nd.group, c, prob.conv)),
+                sum(c) if nd.id in request.refined else 0)
+
     thr4 = 2 * request.order
-    raw, bound = _enumerate_raw(prob, thr4, request.max_bound)
+    counts, bound = _enumerate_raw(prob, thr4, request.max_bound, label)
+    if any(d4 % 2 for d4, _ in counts):
+        # Labels drop the charge; rescan to name the first offending one.
+        vec, d4 = next(x for x in _shell_order(_scan_box(prob, bound, thr4))
+                       if x[1] % 2)
+        raise HalfOddGradingError(
+            f"charge {vec} has 2*Delta = {Fraction(d4, 2)}, not an integer; "
+            "the t-grading would be half-odd")
     refined = tuple((prob.index[nid], nid) for nid in sorted(request.refined))
-    acc = _assemble(prob, raw, request.order, refined)
+    acc = _assemble(counts, request.order, refined)
     series = TruncatedSeries(request.order, acc,
                              frozenset(nid for _, nid in refined))
-    stats = EngineStats(len(raw), bound, time.perf_counter() - t0)
+    stats = EngineStats(sum(counts.values()), bound, time.perf_counter() - t0)
     return HSResult(series, stats)
 
 

@@ -568,9 +568,12 @@ def quiver_from_json(obj: dict) -> Quiver:
             kind = NodeKind(spec["kind"])
             family = Family(spec["group"]["family"])
             n = spec["group"]["n"]
-            node_id = str(spec["id"])
+            node_id = spec["id"]
         except (KeyError, ValueError, TypeError) as exc:
             raise QuiverValidationError(f"nodes[{i}]: malformed node: {exc}") from None
+        if not isinstance(node_id, str):
+            raise QuiverValidationError(
+                f"nodes[{i}].id: expected a string, got {node_id!r}")
         if type(n) is not int:  # bool is not a group dimension either
             raise QuiverValidationError(
                 f"nodes[{i}].group.n: expected an integer, got {n!r}")
@@ -582,7 +585,11 @@ def quiver_from_json(obj: dict) -> Quiver:
     for i, e in enumerate(obj.get("edges", [])):
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise QuiverValidationError(f"edges[{i}]: expected a pair of node ids")
-        edges.append((str(e[0]), str(e[1])))
+        for j, end in enumerate(e):
+            if not isinstance(end, str):
+                raise QuiverValidationError(
+                    f"edges[{i}][{j}]: expected a string, got {end!r}")
+        edges.append(tuple(e))
     return Quiver(nodes, edges)
 
 

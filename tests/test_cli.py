@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coulomb_hs
 from coulomb_hs.cli import main
 from coulomb_hs.quiver import quiver_from_json
 from coulomb_hs.series import series_from_json, series_to_json
@@ -181,8 +186,16 @@ def one_gauge_node(n):
      "n: expected an integer, got True"),
     ("gale", {"columns": [[1, 0], [0, 1]], "d": 2.0},
      "d: expected an integer, got 2.0"),
+    ("hs", {**one_gauge_node(1), "nodes": [
+        {"id": 5, "kind": "gauge", "group": {"family": "U", "n": 1}}]},
+     "nodes[0].id: expected a string, got 5"),
+    ("hs", {**one_gauge_node(1), "edges": [[5, "f"]]},
+     "edges[0][0]: expected a string, got 5"),
+    ("hs", {**one_gauge_node(1), "edges": [["g", None]]},
+     "edges[0][1]: expected a string, got None"),
 ], ids=["nodes-int", "edges-int", "group-n-float", "group-n-bool", "columns-int",
-        "column-int", "entry-float", "n-bool", "d-float"])
+        "column-int", "entry-float", "n-bool", "d-float", "id-int", "edge-end-int",
+        "edge-end-null"])
 def test_malformed_input_file_exits_1(tmp_path, capsys, command, obj, message):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
@@ -233,6 +246,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 1, argv
         assert "error:" in capsys.readouterr().err
+    for n in ("1", "0", "x"):  # rejected before the refined integral runs
+        with pytest.raises(SystemExit) as exc:
+            main(["implosion-check", "--n", n, "--order", "4"])
+        assert exc.value.code == 1, n
+        assert "error: argument --n:" in capsys.readouterr().err
     for argv in (["--help"], ["hs", "--help"], ["--version"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -255,3 +273,11 @@ def test_max_bound_below_proven_box_exits_2(tmp_path, capsys):
     assert code == 2 and "box is 2" in err
     code, out, _ = run(capsys, *argv, "--max-bound", "2")
     assert code == 0 and json.loads(out)["manifest"]["charge_bound_reached"] == 2
+
+
+def test_python_m_runs_the_cli():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(coulomb_hs.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "coulomb_hs", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout.strip()) == (0, coulomb_hs.__version__)

@@ -34,6 +34,7 @@ from coulomb_hs.quiver import (
     build_bouquet_quiver,
     build_dn_implosion_quiver,
     build_linear_nilpotent_quiver,
+    build_partial_implosion_quiver,
     ungauge,
 )
 from coulomb_hs.series import Laurent, TruncatedSeries, expand_inverse, one_minus_power
@@ -270,7 +271,8 @@ def test_half_odd_grading_detected():
     # 2*Delta = 1/2 at the basic monopole.
     q = Quiver([QuiverNode("g", NodeKind.GAUGE, USp(2)),
                 QuiverNode("f", NodeKind.FLAVOR, SO(9))], [("g", "f")])
-    with pytest.raises(HalfOddGradingError):
+    with pytest.raises(HalfOddGradingError,
+                       match=r"^charge \(\(1,\),\) has 2\*Delta = 1/2, not an integer"):
         coulomb_hilbert_series(HSRequest(q, 2, conventions=HALF_PAIR_WEIGHT))
     # with the default weight the theory is fine
     s = coulomb_hilbert_series(HSRequest(q, 4))
@@ -464,6 +466,43 @@ def type_d(n):
     return roots, list(range(n - 1, -1, -1)), theta
 
 
+def positive_roots_of(cartan):
+    """Positive roots of a Cartan matrix, as simple-root coefficients, built
+    height by height from the root strings: beta + alpha_i is a root
+    exactly when p - <beta, alpha_i> > 0, where beta - p alpha_i starts the
+    alpha_i-string through beta."""
+    r = len(cartan)
+    simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    roots, layer = set(simple), simple
+    while layer:
+        nxt = set()
+        for beta in layer:
+            for i in range(r):
+                p = 0
+                while tuple(b - (p + 1) * (j == i) for j, b in enumerate(beta)) in roots:
+                    p += 1
+                pairing = sum(beta[j] * cartan[j][i] for j in range(r))
+                if p - pairing > 0:
+                    nxt.add(tuple(b + (j == i) for j, b in enumerate(beta)))
+        roots |= nxt
+        layer = sorted(nxt)
+    return sorted(roots, key=lambda a: (sum(a), a))
+
+
+def type_e6():
+    """E6 in the simple-root basis.  A simply-laced algebra pairs a weight
+    given by Dynkin labels with a root given by simple-root coefficients
+    as the plain dot product, so rho is all ones and theta is the Cartan
+    matrix applied to the highest root."""
+    chain = {(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)}  # Bourbaki: node 2 on node 4
+    cartan = [[2 if i == j else -int((i, j) in chain or (j, i) in chain)
+               for j in range(6)] for i in range(6)]
+    roots = positive_roots_of(cartan)
+    highest = roots[-1]
+    theta = [sum(a * c for a, c in zip(row, highest)) for row in cartan]
+    return roots, [1] * 6, theta
+
+
 def affine_a_cycle(n):
     """n U(1) nodes in a cycle, with the first ungauged."""
     ids = [f"u{i}" for i in range(n)]
@@ -483,10 +522,14 @@ def test_affine_quivers_give_minimal_orbits():
     # Affine ADE quivers have the minimal nilpotent orbit of the finite
     # algebra as Coulomb branch: HS = sum_k dim V(k theta) t^(2k).
     assert minimal_orbit_series(*type_a(3), 8) == [1, 0, 8, 0, 27, 0, 64, 0, 125]
+    e6_roots, _, e6_theta = type_e6()
+    assert (len(e6_roots), e6_theta) == (36, [0, 1, 0, 0, 0, 0])
     for q, algebra, order, head in (
             (affine_a_cycle(4), type_a(4), 8, [1, 15, 84, 300, 825]),
             (affine_a_cycle(5), type_a(5), 6, [1, 24, 200, 1000]),
-            (affine_d4(), type_d(4), 8, [1, 28, 300, 1925, 8918])):
+            (affine_d4(), type_d(4), 8, [1, 28, 300, 1925, 8918]),
+            (ungauge(build_partial_implosion_quiver(4, [2, 2]), "l1_1"), type_e6(),
+             6, [1, 78, 2430, 43758])):
         want = minimal_orbit_series(*algebra, order)
         assert want[::2] == head
         s = coulomb_hilbert_series(HSRequest(q, order))

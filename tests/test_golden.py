@@ -1,4 +1,4 @@
-"""Golden digests of whole CLI outputs.
+"""Golden digests of whole CLI outputs and of the ordered charge list.
 
 Any change to a coefficient, a manifest field or the check-suite rows moves
 one of these sha256 digests.  A change meant to keep every answer must leave
@@ -13,6 +13,8 @@ import json
 import pytest
 
 from coulomb_hs.cli import main
+from coulomb_hs.engine import enumerate_charges
+from coulomb_hs.quiver import build_bouquet_quiver, build_linear_nilpotent_quiver, ungauge
 
 
 def sha256(text: str) -> str:
@@ -57,3 +59,17 @@ def test_implosion_check_stdout(capsys):
     out = stdout_of(capsys, "implosion-check", "--n", "3", "--order", "12")
     assert sha256(out) == \
         "c2c8b385e305d49104a461f24b966ba20269ee9aafc4d6c86896d9833186d56d"
+
+
+@pytest.mark.parametrize("quiver, delta_max, count, digest", [
+    (build_linear_nilpotent_quiver(3), 3, 52,
+     "51745024f4c35edad21e15c24904063f1b926fb8e76103bffd2d1c65b307effd"),
+    (ungauge(build_bouquet_quiver(3), "b1"), 2, 202,
+     "f74e9543ddab18054d0345315183fd04c9406edb18a44a98bd90ad50d9cd6490"),
+], ids=["nilcone3-delta3", "bouquet3-ungauged-delta2"])
+def test_enumerate_charges_list(quiver, delta_max, count, digest):
+    # The charges and their order: shell by shell of max |entry|, each
+    # shell sorted.
+    got = enumerate_charges(quiver, delta_max)
+    assert len(got) == count
+    assert sha256(repr(got)) == digest

@@ -1,6 +1,8 @@
 """Property test: the pruned box search against the brute-force box sum on
 small random quivers."""
 
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -11,6 +13,7 @@ from coulomb_hs.engine import (
     HalfOddGradingError,
     HSRequest,
     compute_hilbert_series,
+    enumerate_charges,
 )
 from coulomb_hs.liedata import Conventions, HALF_PAIR_WEIGHT
 from coulomb_hs.quiver import (
@@ -108,3 +111,5 @@ def test_engine_matches_brute_force(q, conv, order):
     assert bound == (0 if c is None else 2 * order // int(4 * c))
     want = hs_ref(q, order, bound + 1, conv)
     assert [result.series.coefficient(k) for k in range(order + 1)] == want
+    assert result.stats.charge_count == len(
+        enumerate_charges(q, Fraction(order, 2), conv=conv))
