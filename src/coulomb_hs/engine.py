@@ -12,22 +12,29 @@ gauge group.
 All conformal dimensions are handled internally in quarter-integer units
 (``delta4 = 4*Delta``) so the hot loops run on plain integers.
 
-Charge enumeration scans one box of charges with max |entry| <= B, where
-B is proven to hold every charge below the dimension cutoff: on the shell
-of charges with max |entry| == b, 4*Delta is at least b times its minimum
-over shell 1 (see ``_enumerate_raw``), so one scan of box 1 fixes B.
-Within a box, a depth-first search over the quiver's spanning tree is
-pruned with exact per-subtree minimum-cost tables, which keeps quivers
-with a dozen lattice dimensions tractable.  Edges that close a cycle
-(every affine A_n quiver has one) are left out of the tables and added
-as soon as both endpoints are chosen; matter terms are nonnegative, so
-the tables stay a true lower bound on general graphs.
+Every charge below the dimension cutoff lies in one box of charges with
+max |entry| <= B, and B is proven: on the shell of charges with
+max |entry| == b, 4*Delta is at least b times its minimum over shell 1
+(see ``_proven_box``), so a depth-first scan of box 1 fixes B.  That scan
+also gives the bad-theory verdict, and ``enumerate_charges`` lists the
+charges of box B by the same search, pruned with exact per-subtree
+minimum-cost tables over the quiver's spanning forest (an edge that
+closes a cycle is added once both its endpoints are chosen).
 
-The search counts rather than collects: it tallies the charges it finds
-by 4*Delta and one label per node.  The Hilbert series labels a node's
-charge by its dressing degrees and topological charge, so a few hundred
-counts stand for tens of thousands of charges and no charge list is
-built; ``enumerate_charges`` labels each node by its charge instead.
+The Hilbert series visits no charge.  4*Delta is a sum of node terms and
+tree-edge terms and P(m,t) a product of node factors, so the sum
+factorises over the spanning forest: each node sends its parent, per
+parent candidate, one polynomial in the slack of 4*Delta above the
+minimum-cost tables, times its dressing series and its children's
+messages.  Each message is cut at the cutoff minus the least 4*Delta of
+any charge through that parent candidate, which is exact, so the work
+grows with the table cells times the order rather than with the number
+of charges.  A second lane with dressing 1 counts the charges and finds
+any half-odd grading.  Refined topological charges ride along as digits
+of one packed integer.  Edges that close a cycle (every affine A_n
+quiver has one) are handled by conditioning on the charges of their
+early endpoints, a cycle cutset, and running the same pass once per
+assignment.
 """
 
 from __future__ import annotations
@@ -36,8 +43,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import comb
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .liedata import (
@@ -280,56 +288,60 @@ class _Problem:
 
 def _edge_table(prob: _Problem, e: _EEdge, p: int, cands_p: list,
                 cands_v: list) -> list:
-    """``tab[ip][iv]``: quarter-unit cost of tree edge ``e`` between parent
-    candidate ``ip`` and child candidate ``iv``."""
+    """``tab[ip][iv]``: quarter-unit cost of edge ``e`` between candidate
+    ``ip`` of node ``p`` and candidate ``iv`` of its other endpoint."""
     if p == e.a:
         return [[prob.edge4(e, x, y) for y in cands_v] for x in cands_p]
     return [[prob.edge4(e, y, x) for y in cands_v] for x in cands_p]
 
 
-def _charge_label(i: int, c: Charge) -> Charge:
-    return c
+def _box_tables(prob: _Problem, b: int):
+    """Each node's dominant charges with max |entry| <= b, their node terms
+    ``local4``, and the table ``etab[v]`` of the tree edge from each
+    non-root node v to its parent."""
+    cands = [[(0,) * nd.rank] if nd.fixed else dominant_charges(nd.group, b, prob.conv)
+             for nd in prob.nodes]
+    local4 = [[prob.local4(nd, c) for c in cl] for nd, cl in zip(prob.nodes, cands)]
+    etab = [None if p < 0 else _edge_table(prob, prob.edges[prob.parent_edge[v]],
+                                           p, cands[p], cands[v])
+            for v, p in enumerate(prob.parent)]
+    return cands, local4, etab
 
 
-def _scan_box(prob: _Problem, b: int, thr4: int, label=_charge_label) -> Counter:
-    """Counts of the charges with max |entry| <= b and delta4 <= thr4, keyed
-    by ``(delta4, labels)`` where ``labels[i] = label(i, c)`` for node i's
-    charge c.  With the default label, each key is one charge."""
-    nodes = prob.nodes
-    n = len(nodes)
-    if n == 0:
-        return Counter({(0, ()): 1})
-    cands, nonzero, labs, local4 = [], [], [], []
-    for i, nd in enumerate(nodes):
-        cl = [(0,) * nd.rank] if nd.fixed else \
-            dominant_charges(nd.group, b, prob.conv)
-        cands.append(cl)
-        nonzero.append([any(c) for c in cl])
-        labs.append([label(i, c) for c in cl])
-        local4.append([prob.local4(nd, c) for c in cl])
+def _min_tables(prob: _Problem, local4: list, etab: list):
+    """Bottom-up exact minimum costs over the spanning forest.
 
-    # Exact minimum added cost of each subtree, per parent candidate.
+    ``sub_cost[v][iv]`` is the least cost of v's subtree with v at candidate
+    iv, and ``best[v][ip]`` the least cost of that subtree plus its edge to
+    the parent, with the parent at candidate ip."""
+    n = len(prob.nodes)
     sub_cost: list = [None] * n
     best: list = [None] * n
-    etab: list = [None] * n
     for v in reversed(prob.preorder):
-        sc = list(local4[v])
+        sc = local4[v]
         for c in prob.children[v]:
-            bc = best[c]
-            sc = [s + bc[i] for i, s in enumerate(sc)]
+            sc = list(map(add, sc, best[c]))
         sub_cost[v] = sc
-        p = prob.parent[v]
-        if p >= 0:
-            e = prob.edges[prob.parent_edge[v]]
-            tab = _edge_table(prob, e, p, cands[p], cands[v])
-            etab[v] = tab
-            best[v] = [min(r + s for r, s in zip(row, sc)) for row in tab]
+        if prob.parent[v] >= 0:
+            best[v] = [min(map(add, row, sc)) for row in etab[v]]
+    return sub_cost, best
+
+
+def _scan_box(prob: _Problem, b: int, thr4: int) -> dict:
+    """``{charge: delta4}`` for the charges with max |entry| <= b and
+    delta4 <= thr4, found by a depth-first search pruned with the exact
+    minimum-cost tables."""
+    n = len(prob.nodes)
+    if n == 0:
+        return {(): 0}
+    cands, local4, etab = _box_tables(prob, b)
+    nonzero = [[any(c) for c in cl] for cl in cands]
+    sub_cost, best = _min_tables(prob, local4, etab)
     root_min = {r: min(sub_cost[r]) for r in prob.roots}
 
-    counts: Counter = Counter()
+    found: dict = {}
     choice = [0] * n
     selected: list = [None] * n
-    labels: list = [None] * n
     pre = prob.preorder
     last = n - 1
 
@@ -350,29 +362,26 @@ def _scan_box(prob: _Problem, b: int, thr4: int, label=_charge_label) -> Counter
                 nl += prob.edge4(e, ca, cb)
             if nl > thr4:
                 continue
-            labels[v] = labs[v][iv]
+            selected[v] = cv
             if k == last:
                 if nl <= 0 and (nz or nonzero[v][iv]):
-                    selected[v] = cv
                     raise BadTheoryError(
                         "nonzero magnetic charge "
                         f"{tuple(selected)} has 2*Delta = {Fraction(nl, 2)} <= 0; "
                         "the monopole sum diverges")
-                counts[nl, tuple(labels)] += 1
+                found[tuple(selected)] = nl
             else:
                 choice[v] = iv
-                selected[v] = cv
                 rec(k + 1, nl, nz or nonzero[v][iv])
         selected[v] = None
 
     rec(0, sum(root_min.values()), False)
-    return counts
+    return found
 
 
-def _enumerate_raw(prob: _Problem, thr4: int, max_bound: int,
-                   label=_charge_label):
-    """Counts of all charges with 4*Delta <= thr4 as ``_scan_box`` keys them
-    with ``label``, plus the proven box bound B.
+def _proven_box(prob: _Problem, thr4: int, max_bound: int):
+    """The charges of box 1 with 4*Delta <= thr4 as ``_scan_box`` gives
+    them, plus the proven box bound B.
 
     On the product of dominant chambers, 4*Delta is continuous, positively
     homogeneous of degree 1 and linear on every cell of the arrangement of
@@ -392,23 +401,21 @@ def _enumerate_raw(prob: _Problem, thr4: int, max_bound: int,
         raise ValueError("the dimension cutoff must be nonnegative")
     if max_bound < 0:
         raise ValueError("max_bound must be >= 0")
-    counts = _scan_box(prob, 1, thr4)
-    c4 = min((d4 for d4, vec in counts if any(map(any, vec))), default=None)
+    box1 = _scan_box(prob, 1, thr4)
+    c4 = min((d4 for vec, d4 in box1.items() if any(map(any, vec))), default=None)
     bound = 0 if c4 is None else thr4 // c4
     if bound > max_bound:
         raise ConvergenceNotReachedError(
             f"the proven charge box is {bound}, above max_bound {max_bound}; "
             "raise max_bound")
-    if bound > 1 or label is not _charge_label:
-        counts = _scan_box(prob, bound, thr4, label)
-    return counts, bound
+    return box1, bound
 
 
-def _shell_order(counts: Counter) -> list:
-    """The ``(charge, delta4)`` of a charge-labelled scan, shell by shell of
-    equal max |entry| and sorted within each shell."""
+def _shell_order(found: dict) -> list:
+    """The ``(charge, delta4)`` pairs of a scan, shell by shell of equal
+    max |entry| and sorted within each shell."""
     keyed = sorted((max(map(abs, chain.from_iterable(vec)), default=0), vec, d4)
-                   for d4, vec in counts)
+                   for vec, d4 in found.items())
     return [(vec, d4) for _, vec, d4 in keyed]
 
 
@@ -420,9 +427,11 @@ def enumerate_charges(q: Quiver, delta_max, *,
     if thr4.denominator != 1:
         raise ValueError("delta_max must be a quarter-integer")
     prob = _Problem(q, conv)
-    counts, _ = _enumerate_raw(prob, int(thr4), max_bound)
+    found, bound = _proven_box(prob, int(thr4), max_bound)
+    if bound > 1:
+        found = _scan_box(prob, bound, int(thr4))
     ids = tuple(nd.id for nd in prob.nodes)
-    return [QuiverCharge(ids, vec) for vec, _ in _shell_order(counts)]
+    return [QuiverCharge(ids, vec) for vec, _ in _shell_order(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -465,26 +474,174 @@ def dressing_factor(q: Quiver, charge, order: int,
 # Hilbert series
 
 
-def _assemble(counts: Counter, order: int, refined: tuple) -> dict:
-    """Sum t^(2 Delta) P(m, t) times the monomial of the refined nodes'
-    topological charges over the counts of a scan labelled by
-    ``(dressing degrees, topological charge)``.  The counts are merged by
-    (t-exponent, sorted dressing degrees, monomial) first, so each distinct
-    term is expanded once; without refined nodes every monomial is the
-    empty key."""
-    merged: Counter = Counter()
-    for (d4, labels), n in counts.items():
-        key = tuple(sorted(d for degs, _ in labels for d in degs))
-        # refined is sorted by id, so this is a canonical Laurent key.
-        mono = tuple((nid, s) for i, nid in refined if (s := labels[i][1]))
-        merged[d4 // 2, key, mono] += n
-    terms: dict = {}
-    for (te, key, mono), n in merged.items():
-        for e, c in enumerate(_dressing_coeffs(key, order - te), te):
-            if c:
-                row = terms.setdefault(e, {})
-                row[mono] = row.get(mono, 0) + n * c
-    return {e: Laurent(row) for e, row in terms.items()}
+def _poly_mul(a: dict, b: dict, top: int) -> dict:
+    """Product of two packed polynomials, keys above ``top`` dropped."""
+    out: dict = {}
+    for ka, ca in a.items():
+        lim = top - ka
+        for kb, cb in b.items():
+            if kb <= lim:
+                k = ka + kb
+                out[k] = out.get(k, 0) + ca * cb
+    return out
+
+
+def _message(fm: list, fc: list, slack: list, cap: int, width: int):
+    """The sums of ``x^slack[iv] * f[iv]`` over the candidates iv with slack
+    at most ``cap``, for the main lane ``fm`` and the count lane ``fc``, cut
+    at ``cap``."""
+    out: dict = {}
+    outc: dict = {}
+    top = cap * width + width // 2
+    for iv, s in enumerate(slack):
+        if s <= cap:
+            shift = s * width
+            lim = top - shift
+            for k, c in fm[iv].items():
+                if k <= lim:
+                    k += shift
+                    out[k] = out.get(k, 0) + c
+            lim = cap - s
+            for k, c in fc[iv].items():
+                if k <= lim:
+                    k += s
+                    outc[k] = outc.get(k, 0) + c
+    return out, outc
+
+
+def _tree_pass(prob: _Problem, thr4: int, local4: list, dress: list,
+               etab: list, width: int):
+    """The monopole sum over one spanning forest, as packed polynomials in x
+    with x^(4*Delta) = t^(2*Delta): the main lane keyed ``X * width + mono``
+    and the count lane, with dressing 1 and no monomial, keyed ``X``.
+
+    Every exponent is the least total S = sum of the root minima plus a
+    slack ``etab[v][ip][iv] + sub_cost[v][iv] - best[v][ip] >= 0`` per node,
+    so the messages carry X - S; the result is shifted back to X.
+    ``tot[v][iv]`` is the least 4*Delta of any charge with node v at
+    candidate iv; a term whose parent sits at ip can add at most
+    ``thr4 - tot[p][ip]`` on top of the rest of the charge, so cutting each
+    message there drops nothing at or below the cutoff."""
+    n = len(prob.nodes)
+    parent, children = prob.parent, prob.children
+    sub_cost, best = _min_tables(prob, local4, etab)
+    root_min = {r: min(sub_cost[r]) for r in prob.roots}
+    s0 = sum(root_min.values())
+    if s0 > thr4:
+        return {}, {}
+    tot: list = [None] * n
+    for v in prob.preorder:
+        p = parent[v]
+        if p < 0:
+            tot[v] = [s - root_min[v] + s0 for s in sub_cost[v]]
+        else:
+            rel = list(map(sub, tot[p], best[v]))
+            tot[v] = [min(map(add, rel, col)) + s
+                      for col, s in zip(zip(*etab[v]), sub_cost[v])]
+
+    half = width // 2
+    dressings: dict = {}
+    msg: list = [None] * n
+    msgc: list = [None] * n
+    final, finalc = {0: 1}, {0: 1}
+    for v in reversed(prob.preorder):
+        fm: list = [None] * len(tot[v])
+        fc: list = [None] * len(tot[v])
+        for iv, t in enumerate(tot[v]):
+            if t > thr4:
+                continue
+            cap = thr4 - t
+            key = dress[v][iv], cap
+            pm = dressings.get(key)
+            if pm is None:
+                degrees, mono = dress[v][iv]
+                pm = dressings[key] = {
+                    2 * j * width + mono: c
+                    for j, c in enumerate(_dressing_coeffs(degrees, cap // 2)) if c}
+            pc = {0: 1}
+            top = cap * width + half
+            for c in children[v]:
+                pm = _poly_mul(pm, msg[c][iv], top)
+                pc = _poly_mul(pc, msgc[c][iv], cap)
+            fm[iv], fc[iv] = pm, pc
+        p = parent[v]
+        if p < 0:
+            out, outc = _message(fm, fc, [s - root_min[v] for s in sub_cost[v]],
+                                 thr4 - s0, width)
+            final = _poly_mul(final, out, (thr4 - s0) * width + half)
+            finalc = _poly_mul(finalc, outc, thr4 - s0)
+            continue
+        msg[v], msgc[v] = [None] * len(tot[p]), [None] * len(tot[p])
+        for ip, row in enumerate(etab[v]):
+            if tot[p][ip] <= thr4:
+                bv = best[v][ip]
+                msg[v][ip], msgc[v][ip] = _message(
+                    fm, fc, [e + s - bv for e, s in zip(row, sub_cost[v])],
+                    thr4 - tot[p][ip], width)
+        for c in children[v]:
+            msg[c] = msgc[c] = None
+    return ({k + s0 * width: c for k, c in final.items()},
+            {k + s0: c for k, c in finalc.items()})
+
+
+def _monopole_sum(prob: _Problem, b: int, thr4: int, refined: list):
+    """Sum t^(2 Delta) P(m, t) times the monomial of the topological charges
+    of the ``refined`` node ids over box b, and count the charges, both up
+    to 4*Delta = thr4.
+
+    Returns ``{t-exponent: {Laurent key: coefficient}}``, with ``refined``
+    sorted so that the keys are canonical, and ``{4*Delta: charge count}``.
+
+    Monomials pack into one integer: the j-th refined node holds a
+    balanced digit of base 2*rank*b + 1 below the exponent, so multiplying
+    monomials adds keys.  Edges outside the spanning forest are handled by
+    conditioning on their early endpoints: for each assignment of that
+    cutset, the pinned nodes keep one candidate, each such edge's cost
+    joins the local term of its late endpoint, and the tree pass runs as
+    is."""
+    nodes = prob.nodes
+    cands, local4, etab = _box_tables(prob, b)
+    bases = [2 * nodes[prob.index[nid]].rank * b + 1 for nid in refined]
+    place, width = {}, 1
+    for nid, base in zip(refined, bases):
+        place[prob.index[nid]] = width
+        width *= base
+    dress = [[((), 0) if nd.fixed else
+              (tuple(dressing_degrees(nd.group, c, prob.conv)), sum(c) * place.get(i, 0))
+              for c in cl] for i, (nd, cl) in enumerate(zip(nodes, cands))]
+    cuts = [(v, u, _edge_table(prob, prob.edges[ei], u, cands[u], cands[v]))
+            for v in range(len(nodes)) for u, ei in prob.nontree[v]]
+    cutset = sorted({u for _, u, _ in cuts})
+
+    main: Counter = Counter()
+    count: Counter = Counter()
+    for pins in product(*(range(len(cands[u])) for u in cutset)):
+        pin = dict(zip(cutset, pins))
+        loc, dr, tab = list(local4), list(dress), list(etab)
+        for v, u, cost in cuts:
+            loc[v] = list(map(add, loc[v], cost[pin[u]]))
+        for u, iu in pin.items():
+            loc[u], dr[u] = [loc[u][iu]], [dr[u][iu]]
+            if prob.parent[u] >= 0:
+                tab[u] = [[row[iu]] for row in tab[u]]
+            for c in prob.children[u]:
+                tab[c] = [tab[c][iu]]
+        terms, counts = _tree_pass(prob, thr4, loc, dr, tab, width)
+        main.update(terms)
+        count.update(counts)
+
+    half = width // 2
+    rows: dict = {}
+    for k, coeff in main.items():
+        x = (k + half) // width
+        rest, mono = k - x * width, []
+        for nid, base in zip(refined, bases):
+            digit = (rest + base // 2) % base - base // 2
+            if digit:
+                mono.append((nid, digit))
+            rest = (rest - digit) // base
+        rows.setdefault(x // 2, {})[tuple(mono)] = coeff
+    return rows, count
 
 
 def compute_hilbert_series(request: HSRequest) -> HSResult:
@@ -493,39 +650,34 @@ def compute_hilbert_series(request: HSRequest) -> HSResult:
     q = request.quiver
     if request.ungauge is not None:
         q = ungauge(q, request.ungauge)
-    if detect_decoupled_u1(q):
-        raise DecoupledU1UnresolvedError(
-            "a diagonal U(1) acts trivially and the monopole sum diverges; "
-            "set the ungauge option (--ungauge <U(1) node id>) first")
     if request.order < 0:
         raise ValueError("truncation order must be >= 0")
+    if request.max_bound < 0:
+        raise ValueError("max_bound must be >= 0")
     for nid in request.refined:
         node = q.node(nid)
         if node.kind is not NodeKind.GAUGE or node.group.family is not Family.UNITARY:
             raise QuiverError(
                 f"refined node {nid!r} must be a unitary gauge node")
+    if detect_decoupled_u1(q):
+        raise DecoupledU1UnresolvedError(
+            "a diagonal U(1) acts trivially and the monopole sum diverges; "
+            "set the ungauge option (--ungauge <U(1) node id>) first")
     prob = _Problem(q, request.conventions)
-
-    def label(i: int, c: Charge) -> tuple:
-        nd = prob.nodes[i]
-        if nd.fixed:
-            return (), 0
-        return (tuple(dressing_degrees(nd.group, c, prob.conv)),
-                sum(c) if nd.id in request.refined else 0)
-
     thr4 = 2 * request.order
-    counts, bound = _enumerate_raw(prob, thr4, request.max_bound, label)
-    if any(d4 % 2 for d4, _ in counts):
-        # Labels drop the charge; rescan to name the first offending one.
+    _, bound = _proven_box(prob, thr4, request.max_bound)
+    refined = sorted(request.refined)
+    rows, counts = _monopole_sum(prob, bound, thr4, refined)
+    if any(d4 % 2 for d4 in counts):
+        # The sum drops the charges; rescan to name the first offending one.
         vec, d4 = next(x for x in _shell_order(_scan_box(prob, bound, thr4))
                        if x[1] % 2)
         raise HalfOddGradingError(
             f"charge {vec} has 2*Delta = {Fraction(d4, 2)}, not an integer; "
             "the t-grading would be half-odd")
-    refined = tuple((prob.index[nid], nid) for nid in sorted(request.refined))
-    acc = _assemble(counts, request.order, refined)
-    series = TruncatedSeries(request.order, acc,
-                             frozenset(nid for _, nid in refined))
+    series = TruncatedSeries(request.order,
+                             {e: Laurent(row) for e, row in rows.items()},
+                             frozenset(refined))
     stats = EngineStats(sum(counts.values()), bound, time.perf_counter() - t0)
     return HSResult(series, stats)
 

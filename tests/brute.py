@@ -13,6 +13,7 @@ every dominant charge in a box.
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from coulomb_hs.liedata import (
@@ -32,17 +33,36 @@ def charge_of(node, charge: dict) -> tuple:
     return (0,) * node.group.rank
 
 
-def delta_ref(q, charge: dict, conv=DEFAULT_CONVENTIONS) -> Fraction:
-    """Delta(m) for a dict of gauge-node charges."""
-    d = Fraction(0)
+def root_term(group, c) -> int:
+    """Minus the sum of |alpha(m)| over the positive roots of one node."""
+    return -sum(positive_root_values(group, c))
+
+
+def matter_term(ga, ca, gb, cb, conv) -> Fraction:
+    """Half the weighted sum of |rho(m)| over one edge's matter weights."""
+    return Fraction(1, 2) * sum(w * v for v, w in
+                                matter_weight_values(ga, ca, gb, cb, conv))
+
+
+def quarter_units(x: Fraction) -> int:
+    """4 x, which must be an integer."""
+    assert (4 * x).denominator == 1, x
+    return int(4 * x)
+
+
+def delta_ref(q, charge: dict, conv=DEFAULT_CONVENTIONS, root=root_term,
+              matter=matter_term) -> Fraction:
+    """Delta(m) for a dict of gauge-node charges: the sum of ``root`` over
+    the gauge nodes and of ``matter`` over the edges (4*Delta when both
+    are given in quarter units)."""
+    d = 0
     for node in q.gauge_nodes:
-        d -= sum(positive_root_values(node.group, charge_of(node, charge)))
+        d += root(node.group, charge_of(node, charge))
     for a, b in q.edges:  # a repeated edge is listed once per multiplicity
         na, nb = q.node(a), q.node(b)
-        weights = matter_weight_values(na.group, charge_of(na, charge),
-                                       nb.group, charge_of(nb, charge), conv)
-        d += Fraction(1, 2) * sum(w * v for v, w in weights)
-    return d
+        d += matter(na.group, charge_of(na, charge), nb.group, charge_of(nb, charge),
+                    conv)
+    return Fraction(d)
 
 
 def shell_min_ref(q, b: int, conv=DEFAULT_CONVENTIONS):
@@ -68,9 +88,13 @@ def hs_ref(q, order: int, bound: int, conv=DEFAULT_CONVENTIONS,
     gauge = q.gauge_nodes
     ids = sorted(refined or ())
     acc = [Counter() for _ in range(order + 1)]
+    # Each term depends on one node or one edge; caching them in quarter
+    # units makes the box sum affordable without changing what is summed.
+    root = lru_cache(None)(lambda *a: 4 * root_term(*a))
+    matter = lru_cache(None)(lambda *a: quarter_units(matter_term(*a)))
     for combo in product(*(dominant_charges(n.group, bound, conv) for n in gauge)):
         charge = {n.id: c for n, c in zip(gauge, combo)}
-        two_delta = 2 * delta_ref(q, charge, conv)
+        two_delta = delta_ref(q, charge, conv, root, matter) / 2
         if two_delta > order:
             continue
         assert two_delta.denominator == 1, "half-odd t-grading"
@@ -87,3 +111,15 @@ def hs_ref(q, order: int, bound: int, conv=DEFAULT_CONVENTIONS,
     if refined is None:
         return [c[()] for c in acc]
     return [{k: v for k, v in c.items() if v} for c in acc]
+
+
+def topological_counts(c, ids) -> dict:
+    """An engine coefficient in the refined form of ``hs_ref``:
+    {charges of the ids, in order: count}."""
+    terms = getattr(c, "terms", {(): c})  # a Laurent, or a plain integer
+    out = {}
+    for key, v in terms.items():
+        exps = dict(key)
+        assert 0 not in exps.values() and set(exps) <= set(ids), key
+        out[tuple(exps.get(i, 0) for i in ids)] = v
+    return {k: v for k, v in out.items() if v}

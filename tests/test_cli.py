@@ -257,6 +257,21 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert exc.value.code == 0, argv
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--order", "-1"), "truncation order must be >= 0"),
+    (("--refine", "zz"), "no node 'zz'"),
+    (("--max-bound", "-1"), "max_bound must be >= 0"),
+])
+def test_bad_hs_flags_exit_1_before_the_decoupled_u1_test(tmp_path, capsys,
+                                                          flags, message):
+    # Without --ungauge the bouquet has a decoupled U(1), an exit-2 compute
+    # error; a bad flag must still be reported as a usage error first.
+    qf = tmp_path / "b3.json"
+    run(capsys, "generate", "bouquet", "--n", "3", "-o", str(qf))
+    code, _, err = run(capsys, "hs", str(qf), *flags)
+    assert code == 1 and message in err
+
+
 def test_negative_max_bound_is_validation_error(tmp_path, capsys):
     qf = tmp_path / "b3.json"
     run(capsys, "generate", "bouquet", "--n", "3", "-o", str(qf))

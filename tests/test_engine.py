@@ -39,7 +39,7 @@ from coulomb_hs.quiver import (
 )
 from coulomb_hs.series import Laurent, TruncatedSeries, expand_inverse, one_minus_power
 
-from brute import delta_ref, hs_ref, shell_min_ref
+from brute import delta_ref, hs_ref, shell_min_ref, topological_counts
 
 
 def u1_with_flavors(d):
@@ -489,18 +489,19 @@ def positive_roots_of(cartan):
     return sorted(roots, key=lambda a: (sum(a), a))
 
 
-def type_e6():
-    """E6 in the simple-root basis.  A simply-laced algebra pairs a weight
-    given by Dynkin labels with a root given by simple-root coefficients
-    as the plain dot product, so rho is all ones and theta is the Cartan
-    matrix applied to the highest root."""
-    chain = {(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)}  # Bourbaki: node 2 on node 4
-    cartan = [[2 if i == j else -int((i, j) in chain or (j, i) in chain)
-               for j in range(6)] for i in range(6)]
+def type_e(n):
+    """E_n (n = 6, 7, 8) in the simple-root basis.  A simply-laced algebra
+    pairs a weight given by Dynkin labels with a root given by simple-root
+    coefficients as the plain dot product, so rho is all ones and theta is
+    the Cartan matrix applied to the highest root."""
+    # Bourbaki: the chain 1-3-4-...-n with node 2 on node 4.
+    links = {(0, 2), (1, 3)} | {(i, i + 1) for i in range(2, n - 1)}
+    cartan = [[2 if i == j else -int((i, j) in links or (j, i) in links)
+               for j in range(n)] for i in range(n)]
     roots = positive_roots_of(cartan)
     highest = roots[-1]
     theta = [sum(a * c for a, c in zip(row, highest)) for row in cartan]
-    return roots, [1] * 6, theta
+    return roots, [1] * n, theta
 
 
 def affine_a_cycle(n):
@@ -518,18 +519,54 @@ def affine_d4():
     return ungauge(Quiver(nodes, [("c", f"l{i}") for i in range(4)]), "l0")
 
 
+def affine_dynkin_quiver(ranks, links):
+    """Unitary quiver on an affine Dynkin diagram: node i is U(ranks[i]),
+    and node 0, the affine node, is a U(1) and is ungauged."""
+    ids = [f"n{i}" for i in range(len(ranks))]
+    nodes = [QuiverNode(i, NodeKind.GAUGE, U(r)) for i, r in zip(ids, ranks)]
+    return ungauge(Quiver(nodes, [(ids[a], ids[b]) for a, b in links]), ids[0])
+
+
+def affine_d(n):
+    """Affine D_n: the U(2) chain n2..n(n-2) with U(1) pairs at both ends."""
+    chain = [(i, i + 1) for i in range(2, n - 2)]
+    return affine_dynkin_quiver([1, 1] + [2] * (n - 3) + [1, 1],
+                                [(0, 2), (1, 2)] + chain + [(n - 2, n - 1), (n - 2, n)])
+
+
+def affine_e7():
+    """Affine E7: the chain 1-2-3-4-3-2-1 with a U(2) on the U(4)."""
+    return affine_dynkin_quiver([1, 2, 3, 4, 3, 2, 1, 2],
+                                [(i, i + 1) for i in range(6)] + [(3, 7)])
+
+
+def affine_e8():
+    """Affine E8: the chain 1-2-3-4-5-6-4-2 with a U(3) on the U(6)."""
+    return affine_dynkin_quiver([1, 2, 3, 4, 5, 6, 4, 2, 3],
+                                [(i, i + 1) for i in range(7)] + [(5, 8)])
+
+
 def test_affine_quivers_give_minimal_orbits():
     # Affine ADE quivers have the minimal nilpotent orbit of the finite
-    # algebra as Coulomb branch: HS = sum_k dim V(k theta) t^(2k).
+    # algebra as Coulomb branch: HS = sum_k dim V(k theta) t^(2k)
+    # (Benvenuti-Hanany-Mekareeya, arXiv:1005.3026).
     assert minimal_orbit_series(*type_a(3), 8) == [1, 0, 8, 0, 27, 0, 64, 0, 125]
-    e6_roots, _, e6_theta = type_e6()
-    assert (len(e6_roots), e6_theta) == (36, [0, 1, 0, 0, 0, 0])
+    for n, roots, theta in ((6, 36, [0, 1, 0, 0, 0, 0]),
+                            (7, 63, [1, 0, 0, 0, 0, 0, 0]),
+                            (8, 120, [0, 0, 0, 0, 0, 0, 0, 1])):
+        e_roots, _, e_theta = type_e(n)
+        assert (len(e_roots), e_theta) == (roots, theta)
+    e6 = ungauge(build_partial_implosion_quiver(4, [2, 2]), "l1_1")
     for q, algebra, order, head in (
             (affine_a_cycle(4), type_a(4), 8, [1, 15, 84, 300, 825]),
             (affine_a_cycle(5), type_a(5), 6, [1, 24, 200, 1000]),
             (affine_d4(), type_d(4), 8, [1, 28, 300, 1925, 8918]),
-            (ungauge(build_partial_implosion_quiver(4, [2, 2]), "l1_1"), type_e6(),
-             6, [1, 78, 2430, 43758])):
+            (affine_d(5), type_d(5), 6, [1, 45, 770, 7644]),
+            (affine_d(6), type_d(6), 6, [1, 66, 1638, 23100]),
+            (e6, type_e(6), 6, [1, 78, 2430, 43758]),
+            (e6, type_e(6), 10, [1, 78, 2430, 43758, 537966, 4969107]),
+            (affine_e7(), type_e(7), 4, [1, 133, 7371]),
+            (affine_e8(), type_e(8), 4, [1, 248, 27000])):
         want = minimal_orbit_series(*algebra, order)
         assert want[::2] == head
         s = coulomb_hilbert_series(HSRequest(q, order))
@@ -599,17 +636,6 @@ def test_hs_matches_unpruned_box_sum():
         assert [result.series.coefficient(k) for k in range(order + 1)] == want
 
 
-def topological_counts(c, ids) -> dict:
-    """A refined coefficient as {charges of the ids, in order: count}."""
-    terms = c.terms if isinstance(c, Laurent) else {(): c}
-    out = {}
-    for key, v in terms.items():
-        exps = dict(key)
-        assert 0 not in exps.values() and set(exps) <= set(ids), key
-        out[tuple(exps.get(i, 0) for i in ids)] = v
-    return {k: v for k, v in out.items() if v}
-
-
 def test_refined_hs_matches_unpruned_box_sum():
     # The topological grading, term by term: U(1) leaves, a U(2) node whose
     # charges such as (1, -1) have topological charge 0, and a fixed node.
@@ -622,6 +648,29 @@ def test_refined_hs_matches_unpruned_box_sum():
         got = [topological_counts(result.series.coefficient(k), refined)
                for k in range(order + 1)]
         assert got == want, q
+
+
+def test_two_node_cutset_matches_unpruned_box_sum():
+    # K4 of U(1) nodes: the spanning tree is the path a-b-c-d, and the
+    # three other edges close cycles at a, a and b, so the sum conditions
+    # on the charges of two nodes.  A flavor on a tells a from c.
+    ids = "abcd"
+    nodes = [QuiverNode(i, NodeKind.GAUGE, U(1)) for i in ids]
+    nodes.append(QuiverNode("f", NodeKind.FLAVOR, U(1)))
+    edges = [(x, y) for k, x in enumerate(ids) for y in ids[k + 1:]] + [("a", "f")]
+    q = ungauge(Quiver(nodes, edges), "d")
+    prob = _Problem(q, Conventions())
+    cutset = {prob.nodes[u].id for late in prob.nontree for u, _ in late}
+    assert cutset == {"a", "b"}
+    order = 8
+    for refined in ((), ("b",), ("a", "c")):
+        result = compute_hilbert_series(HSRequest(q, order, refined=frozenset(refined)))
+        want = hs_ref(q, order, result.stats.bound_reached + 1,
+                      refined=refined or None)
+        got = [result.series.coefficient(k) for k in range(order + 1)]
+        if refined:
+            got = [topological_counts(c, refined) for c in got]
+        assert got == want, refined
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Property test: the pruned box search against the brute-force box sum on
-small random quivers."""
+"""Property test: the engine (box-1 search, tree sum over a cycle cutset,
+refined monomials) against the brute-force box sum on small random
+quivers."""
 
 from fractions import Fraction
 
@@ -28,16 +29,19 @@ from coulomb_hs.quiver import (
     ungauge,
 )
 
-from brute import hs_ref, shell_min_ref
+from brute import hs_ref, shell_min_ref, topological_counts
 
 CONVENTIONS = (Conventions(), HALF_PAIR_WEIGHT, Conventions(so2_as_o2=True))
 
 
 @st.composite
-def unitary_quivers(draw):
-    """A tree of up to four U(1)/U(2) nodes, possibly with a doubled edge,
-    one extra edge closing a cycle, flavors and one ungauged U(1)."""
-    n = draw(st.integers(1, 4))
+def unitary_quivers(draw, cycles=0, forest=False):
+    """A tree of U(1)/U(2) nodes with ``cycles`` extra edges closing cycles,
+    up to four nodes in all; with ``forest``, a tree of one or two nodes
+    next to a second component of U(1) nodes with its own flavor.  A tree
+    edge may be doubled, nodes get flavors and one U(1) may be ungauged.
+    Paired with a drawn set of gauge nodes to refine."""
+    n = draw(st.integers((1, 3, 4)[cycles], 2 if forest else 4))
     ranks = [draw(st.integers(1, 2)) if i == 0 else 1 for i in range(n)]
     ids = [f"u{i}" for i in range(n)]
     nodes = [QuiverNode(i, NodeKind.GAUGE, U(r)) for i, r in zip(ids, ranks)]
@@ -46,8 +50,10 @@ def unitary_quivers(draw):
         edges.append(draw(st.sampled_from(edges)))
     chords = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)
               if (ids[i], ids[j]) not in edges]
-    if chords and draw(st.booleans()):
-        edges.append(draw(st.sampled_from(chords)))
+    for _ in range(cycles):
+        chord = draw(st.sampled_from(chords))
+        chords.remove(chord)
+        edges.append(chord)
     for i in ids:
         f = draw(st.integers(0, 3))
         if f:
@@ -60,7 +66,14 @@ def unitary_quivers(draw):
     if detect_decoupled_u1(q):  # a lone U(2) with no flavor
         q = Quiver(q.nodes + (QuiverNode("f", NodeKind.FLAVOR, U(4)),),
                    q.edges + (("u0", "f"),))
-    return q
+    if forest:  # three nodes at most keep hs_ref fast
+        k = draw(st.integers(1, 3 - n))
+        q = Quiver(q.nodes + tuple(QuiverNode(f"w{i}", NodeKind.GAUGE, U(1))
+                                   for i in range(k))
+                   + (QuiverNode("fw", NodeKind.FLAVOR, U(draw(st.integers(1, 2)))),),
+                   q.edges + (("w0", "fw"),) + (("w0", "w1"),) * (k - 1))
+    gauge = sorted(nd.id for nd in q.gauge_nodes)
+    return q, frozenset(draw(st.sets(st.sampled_from(gauge)) if gauge else st.just(set())))
 
 
 @st.composite
@@ -87,15 +100,18 @@ def orthosymplectic_chains(draw):
         if group is not None:
             nodes.append(QuiverNode(f"f{end}", NodeKind.FLAVOR, group))
             edges.append((f"c{end}", f"f{end}"))
-    return Quiver(nodes, edges)
+    return Quiver(nodes, edges), frozenset()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(q=st.one_of(unitary_quivers(), orthosymplectic_chains()),
+@given(case=st.one_of(unitary_quivers(), unitary_quivers(cycles=1),
+                     unitary_quivers(cycles=2), unitary_quivers(forest=True),
+                     orthosymplectic_chains()),
        conv=st.sampled_from(CONVENTIONS), order=st.integers(0, 4))
-def test_engine_matches_brute_force(q, conv, order):
-    req = HSRequest(q, order, conventions=conv)
+def test_engine_matches_brute_force(case, conv, order):
+    q, refined = case
+    req = HSRequest(q, order, refined=refined, conventions=conv)
     c = shell_min_ref(q, 1, conv)
     if c is not None and c <= 0:
         with pytest.raises(BadTheoryError):
@@ -109,7 +125,11 @@ def test_engine_matches_brute_force(q, conv, order):
         return
     bound = result.stats.bound_reached
     assert bound == (0 if c is None else 2 * order // int(4 * c))
-    want = hs_ref(q, order, bound + 1, conv)
-    assert [result.series.coefficient(k) for k in range(order + 1)] == want
+    ids = sorted(refined)
+    want = hs_ref(q, order, bound + 1, conv, refined=ids or None)
+    got = [result.series.coefficient(k) for k in range(order + 1)]
+    if ids:
+        got = [topological_counts(x, ids) for x in got]
+    assert got == want
     assert result.stats.charge_count == len(
         enumerate_charges(q, Fraction(order, 2), conv=conv))
