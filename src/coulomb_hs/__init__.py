@@ -9,7 +9,6 @@ from .engine import (
     DEFAULT_MAX_BOUND,
     EngineError,
     EngineStats,
-    HalfOddGradingError,
     HSRequest,
     HSResult,
     QuiverCharge,
@@ -35,12 +34,8 @@ from .gale import (
 )
 from .liedata import (
     ChamberViolationError,
-    Conventions,
-    DEFAULT_CONVENTIONS,
-    HALF_PAIR_WEIGHT,
     casimir_degrees,
     dominant_charges,
-    matter_weight_values,
     positive_root_values,
     residual_stabilizer,
 )

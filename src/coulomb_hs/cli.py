@@ -37,7 +37,6 @@ from .gale import (
     is_gale_dual_pair,
     load_config,
 )
-from .liedata import Conventions, DEFAULT_CONVENTIONS, HALF_PAIR_WEIGHT
 from .quiver import (
     DecoupledU1UnresolvedError,
     NodeKind,
@@ -90,13 +89,6 @@ def _emit(obj, path: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _conventions(args) -> Conventions:
-    conv = HALF_PAIR_WEIGHT if args.ortho_pair_weight == "1/2" else DEFAULT_CONVENTIONS
-    if args.so2_as_o2:
-        conv = Conventions(conv.orthosymplectic_pair_weight, True)
-    return conv
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +187,7 @@ def cmd_hs(args) -> int:
     q = load_quiver(args.quiver)
     refined = frozenset(s for s in (args.refine or "").split(",") if s)
     req = HSRequest(q, args.order, refined=refined, ungauge=args.ungauge,
-                    max_bound=args.max_bound, conventions=_conventions(args))
+                    max_bound=args.max_bound)
     result = compute_hilbert_series(req)
     series = result.series
     manifest = RunManifest(
@@ -205,8 +197,9 @@ def cmd_hs(args) -> int:
             "order": args.order,
             "refined": sorted(refined),
             "ungauge": args.ungauge,
-            "conventions": [str(req.conventions.orthosymplectic_pair_weight),
-                            req.conventions.so2_as_o2],
+            # The one orthosymplectic convention (pair weight 1, SO(2) not
+            # O(2)), hashed as before it was fixed so input hashes hold.
+            "conventions": ["1", False],
         }),
         order=args.order,
         charge_bound_reached=result.stats.bound_reached,
@@ -457,13 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default {DEFAULT_MAX_BOUND})")
     h.add_argument("--json", action="store_true")
     h.add_argument("-o", "--output")
-    h.add_argument("--ortho-pair-weight", choices=["1", "1/2"], default="1",
-                   help="weight per sign-reduced orthosymplectic weight pair "
-                        "(default 1; 1/2 is a documented alternative that "
-                        "makes balanced orthosymplectic chains divergent)")
-    h.add_argument("--so2-as-o2", action="store_true",
-                   help="treat SO(2) nodes as O(2): chamber m >= 0 and a "
-                        "degree-2 invariant at the origin")
     h.set_defaults(func=cmd_hs)
 
     ic = sub.add_parser("implosion-check",

@@ -7,10 +7,16 @@ Computes the Coulomb-branch Hilbert series of a quiver as the lattice sum
 where Delta(m) is the conformal dimension of the bare monopole (negative
 root contributions plus half the matter weight contributions) and P(m,t)
 is the dressing factor built from the Casimir degrees of the residual
-gauge group.
+gauge group.  Each orthosymplectic half-hypermultiplet contributes
+|x + y| + |x - y| per pair of SO and USp entries, plus |y| for the zero
+weight of an odd orthogonal vector; SO(2) is the torus U(1), summed over
+every integer.
 
-All conformal dimensions are handled internally in quarter-integer units
-(``delta4 = 4*Delta``) so the hot loops run on plain integers.
+Conformal dimensions are handled internally in quarter units
+(``delta4 = 4*Delta``) so the hot loops run on plain integers.  Every
+term of 4*Delta is even (roots give -4 times a sum, unitary edges 2*mult
+times one and orthosymplectic edges 2 times one), so 2*Delta is an
+integer and the t-grading is never half-odd.
 
 Every charge below the dimension cutoff lies in one box of charges with
 max |entry| <= B, and B is proven: on the shell of charges with
@@ -29,9 +35,8 @@ minimum-cost tables, times its dressing series and its children's
 messages.  Each message is cut at the cutoff minus the least 4*Delta of
 any charge through that parent candidate, which is exact, so the work
 grows with the table cells times the order rather than with the number
-of charges.  A second lane with dressing 1 counts the charges and finds
-any half-odd grading.  Refined topological charges ride along as digits
-of one packed integer.  Edges that close a cycle (every affine A_n
+of charges.  A second lane with dressing 1 counts the charges.  Refined
+topological charges ride along as digits of one packed integer.  Edges that close a cycle (every affine A_n
 quiver has one) are handled by conditioning on the charges of their
 early endpoints, a cycle cutset, and running the same pass once per
 assignment.
@@ -50,8 +55,6 @@ from typing import Mapping, Sequence
 
 from .liedata import (
     Charge,
-    Conventions,
-    DEFAULT_CONVENTIONS,
     dominant_charges,
     dressing_degrees,
     positive_root_values,
@@ -79,10 +82,6 @@ class BadTheoryError(EngineError):
 
 
 class ConvergenceNotReachedError(EngineError):
-    pass
-
-
-class HalfOddGradingError(EngineError):
     pass
 
 
@@ -114,7 +113,6 @@ class HSRequest:
     refined: frozenset = frozenset()
     ungauge: str | None = None
     max_bound: int = DEFAULT_MAX_BOUND
-    conventions: Conventions = DEFAULT_CONVENTIONS
 
 
 @dataclass(frozen=True)
@@ -161,10 +159,8 @@ class _EEdge:
 
 
 class _Problem:
-    def __init__(self, quiver: Quiver, conv: Conventions):
+    def __init__(self, quiver: Quiver):
         self.quiver = quiver
-        self.conv = conv
-        self.w2 = int(2 * conv.orthosymplectic_pair_weight)  # 2 or 1
         self.nodes = [_ENode(n) for n in quiver.nodes if n.kind is not NodeKind.FLAVOR]
         self.index = {nd.id: i for i, nd in enumerate(self.nodes)}
         self.edges: list = []
@@ -238,7 +234,7 @@ class _Problem:
                 s += abs(x + y) + abs(x - y)
         if e.so_odd:  # zero weight of the odd orthogonal vector
             s += sum(abs(y) for y in sp)
-        return self.w2 * s
+        return 2 * s
 
     def local4(self, nd: _ENode, m: Charge) -> int:
         t = -4 * sum(positive_root_values(nd.group, m))
@@ -278,7 +274,7 @@ class _Problem:
                 if any(c):
                     raise QuiverError(f"fixed node {nd.id!r} must carry charge 0")
             else:
-                validate_charge(nd.group, c, self.conv)
+                validate_charge(nd.group, c)
         return tuple(vec)
 
 
@@ -299,7 +295,7 @@ def _box_tables(prob: _Problem, b: int):
     """Each node's dominant charges with max |entry| <= b, their node terms
     ``local4``, and the table ``etab[v]`` of the tree edge from each
     non-root node v to its parent."""
-    cands = [[(0,) * nd.rank] if nd.fixed else dominant_charges(nd.group, b, prob.conv)
+    cands = [[(0,) * nd.rank] if nd.fixed else dominant_charges(nd.group, b)
              for nd in prob.nodes]
     local4 = [[prob.local4(nd, c) for c in cl] for nd, cl in zip(prob.nodes, cands)]
     etab = [None if p < 0 else _edge_table(prob, prob.edges[prob.parent_edge[v]],
@@ -367,7 +363,7 @@ def _scan_box(prob: _Problem, b: int, thr4: int) -> dict:
                 if nl <= 0 and (nz or nonzero[v][iv]):
                     raise BadTheoryError(
                         "nonzero magnetic charge "
-                        f"{tuple(selected)} has 2*Delta = {Fraction(nl, 2)} <= 0; "
+                        f"{tuple(selected)} has 2*Delta = {nl // 2} <= 0; "
                         "the monopole sum diverges")
                 found[tuple(selected)] = nl
             else:
@@ -411,38 +407,31 @@ def _proven_box(prob: _Problem, thr4: int, max_bound: int):
     return box1, bound
 
 
-def _shell_order(found: dict) -> list:
-    """The ``(charge, delta4)`` pairs of a scan, shell by shell of equal
-    max |entry| and sorted within each shell."""
-    keyed = sorted((max(map(abs, chain.from_iterable(vec)), default=0), vec, d4)
-                   for vec, d4 in found.items())
-    return [(vec, d4) for _, vec, d4 in keyed]
-
-
 def enumerate_charges(q: Quiver, delta_max, *,
-                      max_bound: int = DEFAULT_MAX_BOUND,
-                      conv: Conventions = DEFAULT_CONVENTIONS) -> list:
-    """All dominant charges with Delta(m) <= delta_max, deterministic order."""
+                      max_bound: int = DEFAULT_MAX_BOUND) -> list:
+    """All dominant charges with Delta(m) <= delta_max, shell by shell of
+    equal max |entry| and sorted within each shell."""
     thr4 = Fraction(delta_max) * 4
     if thr4.denominator != 1:
         raise ValueError("delta_max must be a quarter-integer")
-    prob = _Problem(q, conv)
+    prob = _Problem(q)
     found, bound = _proven_box(prob, int(thr4), max_bound)
     if bound > 1:
         found = _scan_box(prob, bound, int(thr4))
     ids = tuple(nd.id for nd in prob.nodes)
-    return [QuiverCharge(ids, vec) for vec, _ in _shell_order(found)]
+    keyed = sorted((max(map(abs, chain.from_iterable(vec)), default=0), vec)
+                   for vec in found)
+    return [QuiverCharge(ids, vec) for _, vec in keyed]
 
 
 # ---------------------------------------------------------------------------
 # public conformal-dimension / dressing operations
 
 
-def delta(q: Quiver, charge, conv: Conventions = DEFAULT_CONVENTIONS) -> Fraction:
-    """Conformal dimension of the bare monopole of charge m (half-integer
-    for unitary quivers; quarter-integers can only arise under the
-    alternative orthosymplectic weight convention)."""
-    prob = _Problem(q, conv)
+def delta(q: Quiver, charge) -> Fraction:
+    """Conformal dimension of the bare monopole of charge m, always a
+    half-integer."""
+    prob = _Problem(q)
     return Fraction(prob.delta4(prob.coerce_charge(charge)), 4)
 
 
@@ -456,16 +445,15 @@ def _dressing_coeffs(degrees: tuple, order: int) -> tuple:
     return tuple(arr)
 
 
-def dressing_factor(q: Quiver, charge, order: int,
-                    conv: Conventions = DEFAULT_CONVENTIONS) -> TruncatedSeries:
+def dressing_factor(q: Quiver, charge, order: int) -> TruncatedSeries:
     """P(m,t): product over residual Casimir degrees d of 1/(1 - t^(2d));
     fixed nodes contribute factor 1."""
-    prob = _Problem(q, conv)
+    prob = _Problem(q)
     vec = prob.coerce_charge(charge)
     degrees: list = []
     for i, nd in enumerate(prob.nodes):
         if not nd.fixed:
-            degrees.extend(dressing_degrees(nd.group, vec[i], conv))
+            degrees.extend(dressing_degrees(nd.group, vec[i]))
     arr = _dressing_coeffs(tuple(sorted(degrees)), order)
     return TruncatedSeries(order, {e: c for e, c in enumerate(arr) if c})
 
@@ -607,7 +595,7 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, refined: list):
         place[prob.index[nid]] = width
         width *= base
     dress = [[((), 0) if nd.fixed else
-              (tuple(dressing_degrees(nd.group, c, prob.conv)), sum(c) * place.get(i, 0))
+              (tuple(dressing_degrees(nd.group, c)), sum(c) * place.get(i, 0))
               for c in cl] for i, (nd, cl) in enumerate(zip(nodes, cands))]
     cuts = [(v, u, _edge_table(prob, prob.edges[ei], u, cands[u], cands[v]))
             for v in range(len(nodes)) for u, ei in prob.nontree[v]]
@@ -663,18 +651,11 @@ def compute_hilbert_series(request: HSRequest) -> HSResult:
         raise DecoupledU1UnresolvedError(
             "a diagonal U(1) acts trivially and the monopole sum diverges; "
             "set the ungauge option (--ungauge <U(1) node id>) first")
-    prob = _Problem(q, request.conventions)
+    prob = _Problem(q)
     thr4 = 2 * request.order
     _, bound = _proven_box(prob, thr4, request.max_bound)
     refined = sorted(request.refined)
     rows, counts = _monopole_sum(prob, bound, thr4, refined)
-    if any(d4 % 2 for d4 in counts):
-        # The sum drops the charges; rescan to name the first offending one.
-        vec, d4 = next(x for x in _shell_order(_scan_box(prob, bound, thr4))
-                       if x[1] % 2)
-        raise HalfOddGradingError(
-            f"charge {vec} has 2*Delta = {Fraction(d4, 2)}, not an integer; "
-            "the t-grading would be half-odd")
     series = TruncatedSeries(request.order,
                              {e: Laurent(row) for e, row in rows.items()},
                              frozenset(refined))
@@ -769,7 +750,7 @@ def hs_contribution_check(n: int) -> ContributionCheck:
     s = coulomb_hilbert_series(req)
     t2 = int(s.coefficient(2))
     ungauged = ungauge(q, leaves[0])
-    prob = _Problem(ungauged, DEFAULT_CONVENTIONS)
+    prob = _Problem(ungauged)
     target4 = 2 * (n - 1)  # 4*Delta for 2*Delta = n - 1
     count = 0
     for sign in (1, -1):

@@ -1,6 +1,6 @@
 """Root-system data for U(n), SO(n) and USp(2m): dominant magnetic
-chambers, positive-root evaluation, residual stabilizers, Casimir degrees
-and matter-weight evaluation.
+chambers, positive-root evaluation, residual stabilizers and Casimir
+degrees.
 
 Magnetic charges are integer tuples throughout (no spinor or coweight
 refinements).  Dominant chambers:
@@ -9,28 +9,12 @@ refinements).  Dominant chambers:
 * USp(2r):   m_1 >= ... >= m_r >= 0
 * SO(2r+1):  m_1 >= ... >= m_r >= 0
 * SO(2r):    m_1 >= ... >= m_{r-1} >= |m_r|
-* SO(2):     a single unconstrained integer
-
-Two conventions for orthosymplectic quivers are switchable, since the
-Coulomb-branch literature leaves them implicit:
-
-* the weight attached to each sign-reduced bifundamental value |m_i +- n_j|
-  (``1`` reproduces the half-hypermultiplet count, one quarter of the full
-  sign-doubled weight set, and is the package default; ``1/2`` is kept as
-  an alternative but makes balanced orthosymplectic chains divergent);
-* whether SO(2) nodes are summed over the full integer lattice (default)
-  or treated as O(2), with chamber m >= 0 and an invariant of degree 2 at
-  the origin.
-
-The defaults are the setting that reproduces the known orthosymplectic
-t^2 coefficients (18, 32, ... for the D-type bouquet quivers).
+* SO(2):     a single unconstrained integer (SO(2) is the torus U(1))
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 from .quiver import Family, GaugeGroup, QuiverError
 
@@ -39,31 +23,10 @@ class ChamberViolationError(QuiverError):
     pass
 
 
-class MixedFamilyEdgeError(QuiverError):
-    pass
-
-
 Charge = tuple
 
 
-@dataclass(frozen=True)
-class Conventions:
-    """Switchable orthosymplectic conventions (see module docstring)."""
-
-    orthosymplectic_pair_weight: Fraction = Fraction(1)
-    so2_as_o2: bool = False
-
-    def __post_init__(self):
-        if self.orthosymplectic_pair_weight not in (Fraction(1), Fraction(1, 2)):
-            raise ValueError("pair weight must be 1 or 1/2")
-
-
-DEFAULT_CONVENTIONS = Conventions()
-HALF_PAIR_WEIGHT = Conventions(orthosymplectic_pair_weight=Fraction(1, 2))
-
-
-def validate_charge(g: GaugeGroup, m: Charge,
-                    conv: Conventions = DEFAULT_CONVENTIONS) -> None:
+def validate_charge(g: GaugeGroup, m: Charge) -> None:
     """Raise ChamberViolationError unless m is a dominant representative."""
     m = tuple(m)
     r = g.rank
@@ -77,8 +40,8 @@ def validate_charge(g: GaugeGroup, m: Charge,
         ok = all(m[i] >= m[i + 1] for i in range(r - 1)) and (r == 0 or m[-1] >= 0)
     elif g.n % 2:  # SO(odd)
         ok = all(m[i] >= m[i + 1] for i in range(r - 1)) and (r == 0 or m[-1] >= 0)
-    elif r == 1:   # SO(2)
-        ok = m[0] >= 0 if conv.so2_as_o2 else True
+    elif r == 1:   # SO(2): every integer
+        ok = True
     else:          # SO(even), rank >= 2
         ok = all(m[i] >= m[i + 1] for i in range(r - 2)) and m[r - 2] >= abs(m[r - 1])
     if not ok:
@@ -102,45 +65,6 @@ def positive_root_values(g: GaugeGroup, m: Charge) -> list:
         out.extend(abs(2 * x) for x in m)
     elif g.n % 2:
         out.extend(abs(x) for x in m)
-    return out
-
-
-def positive_root_count(g: GaugeGroup) -> int:
-    r = g.rank
-    if g.family is Family.UNITARY:
-        return r * (r - 1) // 2
-    if g.family is Family.SYMPLECTIC or g.n % 2:
-        return r * r
-    return r * (r - 1)
-
-
-def matter_weight_values(ga: GaugeGroup, ma: Charge, gb: GaugeGroup, mb: Charge,
-                         conv: Conventions = DEFAULT_CONVENTIONS) -> list:
-    """Weighted |weight(m)| values of the hypermultiplet on one edge.
-
-    Unitary bifundamental: |m_i - n_j| with weight 1 each.  Orthosymplectic
-    (vector x fundamental half-hypermultiplet): the sign-reduced values
-    |m_i + n_j| and |m_i - n_j|, plus |n_j| for the zero weight of an odd
-    orthogonal vector, each carrying the convention's pair weight.
-    Returns (value, weight) pairs.
-    """
-    fa, fb = ga.family, gb.family
-    if fa is Family.UNITARY and fb is Family.UNITARY:
-        return [(abs(x - y), Fraction(1)) for x in ma for y in mb]
-    if {fa, fb} != {Family.ORTHOGONAL, Family.SYMPLECTIC}:
-        raise MixedFamilyEdgeError(f"edge mixes families {fa.value} and {fb.value}")
-    if fa is Family.ORTHOGONAL:
-        so_group, so, sp = ga, tuple(ma), tuple(mb)
-    else:
-        so_group, so, sp = gb, tuple(mb), tuple(ma)
-    w = conv.orthosymplectic_pair_weight
-    out = []
-    for x in so:
-        for y in sp:
-            out.append((abs(x + y), w))
-            out.append((abs(x - y), w))
-    if so_group.n % 2:
-        out.extend((abs(y), w) for y in sp)
     return out
 
 
@@ -192,22 +116,16 @@ def casimir_degrees(g: GaugeGroup) -> tuple:
     return tuple(sorted(list(range(2, 2 * r - 1, 2)) + [r]))
 
 
-def dressing_degrees(g: GaugeGroup, m: Charge,
-                     conv: Conventions = DEFAULT_CONVENTIONS) -> list:
+def dressing_degrees(g: GaugeGroup, m: Charge) -> list:
     """Casimir degrees of the residual stabilizer, ready for the dressing
-    factor.  Under the O(2) convention an SO(2) node keeps only the
-    degree-2 invariant at the origin."""
-    if conv.so2_as_o2 and g.family is Family.ORTHOGONAL and g.n == 2:
-        validate_charge(g, m, conv)
-        return [2] if m[0] == 0 else [1]
+    factor."""
     out: list = []
     for piece in residual_stabilizer(g, m):
         out.extend(casimir_degrees(piece))
     return out
 
 
-def dominant_charges(g: GaugeGroup, bound: int,
-                     conv: Conventions = DEFAULT_CONVENTIONS) -> list:
+def dominant_charges(g: GaugeGroup, bound: int) -> list:
     """All dominant charges with max |entry| <= bound, descending-lex."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -220,8 +138,6 @@ def dominant_charges(g: GaugeGroup, bound: int,
         alphabet = range(bound, -1, -1)
         return [tuple(t) for t in combinations_with_replacement(alphabet, r)]
     if r == 1:  # SO(2)
-        if conv.so2_as_o2:
-            return [(x,) for x in range(bound, -1, -1)]
         return [(x,) for x in range(bound, -bound - 1, -1)]
     out = []
     for t in combinations_with_replacement(range(bound, -1, -1), r):
@@ -230,20 +146,3 @@ def dominant_charges(g: GaugeGroup, bound: int,
             out.append(t[:-1] + (-t[-1],))
     out.sort(reverse=True)
     return out
-
-
-def weyl_orbit(g: GaugeGroup, m: Charge) -> set:
-    """Full Weyl orbit of a charge (brute force; meant for small ranks)."""
-    m = tuple(m)
-    r = g.rank
-    orbit: set = set()
-    if g.family is Family.UNITARY:
-        return {tuple(p) for p in permutations(m)}
-    for p in permutations(m):
-        for signs in range(1 << r):
-            flips = [(-1) ** ((signs >> i) & 1) for i in range(r)]
-            if g.family is Family.ORTHOGONAL and g.n % 2 == 0:
-                if sum((signs >> i) & 1 for i in range(r)) % 2:
-                    continue  # D-series flips signs in pairs only
-            orbit.add(tuple(f * x for f, x in zip(flips, p)))
-    return orbit

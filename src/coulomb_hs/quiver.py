@@ -330,20 +330,11 @@ def _classify_component(ids: list, adjacency: dict, edge_count: int) -> DynkinCo
     return DynkinComponent(idset, None, None, shape)
 
 
-def balanced_subquiver_classification(q: Quiver) -> list:
-    """Connected components of the balanced gauge subgraph, ADE-labelled
-    by graph isomorphism where the shape is a simply-laced Dynkin graph."""
-    balanced = balance_report(q).balanced_ids
-    adjacency: dict = {i: [] for i in balanced}
-    inner_edges = Counter()
-    for a, b in q.edges:
-        if a in balanced and b in balanced:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-            inner_edges[frozenset((a, b))] += 1
+def _components(adjacency: dict) -> list:
+    """The vertex lists of the connected components of an adjacency map."""
     seen: set = set()
-    components = []
-    for root in sorted(balanced):
+    out = []
+    for root in sorted(adjacency):
         if root in seen:
             continue
         stack, comp = [root], []
@@ -355,6 +346,23 @@ def balanced_subquiver_classification(q: Quiver) -> list:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
+        out.append(comp)
+    return out
+
+
+def balanced_subquiver_classification(q: Quiver) -> list:
+    """Connected components of the balanced gauge subgraph, ADE-labelled
+    by graph isomorphism where the shape is a simply-laced Dynkin graph."""
+    balanced = balance_report(q).balanced_ids
+    adjacency: dict = {i: [] for i in balanced}
+    inner_edges = Counter()
+    for a, b in q.edges:
+        if a in balanced and b in balanced:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+            inner_edges[frozenset((a, b))] += 1
+    components = []
+    for comp in _components(adjacency):
         edge_count = sum(m for pair, m in inner_edges.items() if pair <= set(comp))
         components.append(_classify_component(sorted(comp), adjacency, edge_count))
     components.sort(key=lambda c: sorted(c.node_ids))
@@ -370,14 +378,18 @@ class SymmetryPrediction:
 
 
 def detect_decoupled_u1(q: Quiver) -> bool:
-    """True when the diagonal U(1) acts trivially: an all-unitary gauge
-    quiver with no flavor (and no already-fixed) nodes.  The conformal
-    dimension is then invariant under the diagonal magnetic shift and the
-    monopole sum diverges unless one U(1) is ungauged."""
-    gauge = q.gauge_nodes
-    if not gauge or q.flavor_nodes or q.fixed_nodes:
-        return False
-    return all(n.group.family is Family.UNITARY for n in gauge)
+    """True when a diagonal U(1) acts trivially: some connected component
+    of the quiver is all unitary gauge nodes, with no flavor (and no
+    already-fixed) node.  The conformal dimension is then invariant under
+    that component's diagonal magnetic shift and the monopole sum diverges
+    unless one of its U(1) nodes is ungauged."""
+    adjacency: dict = {n.id: [] for n in q.nodes}
+    for a, b in q.edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return any(all(q.node(i).kind is NodeKind.GAUGE
+                   and q.node(i).group.family is Family.UNITARY for i in comp)
+               for comp in _components(adjacency))
 
 
 def predict_global_symmetry(q: Quiver) -> SymmetryPrediction:

@@ -1,29 +1,85 @@
 """Brute-force reference for the monopole formula, for tests only.
 
-Built from ``liedata`` and the quiver data model alone, so it shares no
-code with the engine's pruned search or its quarter-unit kernels:
+Built from ``liedata`` and the quiver data model alone, with its own
+matter weights, so it shares no code with the engine's pruned search or
+its quarter-unit kernels:
 
     Delta(m) = -sum |alpha(m)| over positive roots of every gauge node
                + 1/2 * sum over edges (with multiplicity) of
                  sum weight * |rho(m)| over the edge's matter weights
 
 and the Hilbert series is the unpruned sum of t^(2 Delta(m)) P(m, t) over
-every dominant charge in a box.
+every dominant charge in a box.  Also the Weyl orbits and positive-root
+counts that the Lie-data tests check against.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
-from coulomb_hs.liedata import (
-    DEFAULT_CONVENTIONS,
-    dominant_charges,
-    dressing_degrees,
-    matter_weight_values,
-    positive_root_values,
-)
-from coulomb_hs.quiver import NodeKind
+from coulomb_hs.liedata import dominant_charges, dressing_degrees, positive_root_values
+from coulomb_hs.quiver import Family, NodeKind
+
+# The pair weight of the orthosymplectic half-hypermultiplet that the
+# monopole formula uses; 1/2 is the rejected alternative, kept here as
+# evidence that it makes the D-type implosion quivers diverge.
+PAIR_WEIGHT = Fraction(1)
+HALF_PAIR_WEIGHT = Fraction(1, 2)
+
+
+def positive_root_count(g) -> int:
+    r = g.rank
+    if g.family is Family.UNITARY:
+        return r * (r - 1) // 2
+    if g.family is Family.SYMPLECTIC or g.n % 2:
+        return r * r
+    return r * (r - 1)
+
+
+def weyl_orbit(g, m) -> set:
+    """Full Weyl orbit of a charge (brute force; meant for small ranks)."""
+    m = tuple(m)
+    r = g.rank
+    orbit: set = set()
+    if g.family is Family.UNITARY:
+        return {tuple(p) for p in permutations(m)}
+    for p in permutations(m):
+        for signs in range(1 << r):
+            flips = [(-1) ** ((signs >> i) & 1) for i in range(r)]
+            if g.family is Family.ORTHOGONAL and g.n % 2 == 0:
+                if sum((signs >> i) & 1 for i in range(r)) % 2:
+                    continue  # D-series flips signs in pairs only
+            orbit.add(tuple(f * x for f, x in zip(flips, p)))
+    return orbit
+
+
+def matter_weight_values(ga, ma, gb, mb, pair_weight=PAIR_WEIGHT) -> list:
+    """Weighted |weight(m)| values of the hypermultiplet on one edge.
+
+    Unitary bifundamental: |m_i - n_j| with weight 1 each.  Orthosymplectic
+    (vector x fundamental half-hypermultiplet): the sign-reduced values
+    |m_i + n_j| and |m_i - n_j|, plus |n_j| for the zero weight of an odd
+    orthogonal vector, each carrying ``pair_weight``.
+    Returns (value, weight) pairs.
+    """
+    fa, fb = ga.family, gb.family
+    if fa is Family.UNITARY and fb is Family.UNITARY:
+        return [(abs(x - y), Fraction(1)) for x in ma for y in mb]
+    if {fa, fb} != {Family.ORTHOGONAL, Family.SYMPLECTIC}:
+        raise ValueError(f"edge mixes families {fa.value} and {fb.value}")
+    if fa is Family.ORTHOGONAL:
+        so_group, so, sp = ga, tuple(ma), tuple(mb)
+    else:
+        so_group, so, sp = gb, tuple(mb), tuple(ma)
+    out = []
+    for x in so:
+        for y in sp:
+            out.append((abs(x + y), pair_weight))
+            out.append((abs(x - y), pair_weight))
+    if so_group.n % 2:
+        out.extend((abs(y), pair_weight) for y in sp)
+    return out
 
 
 def charge_of(node, charge: dict) -> tuple:
@@ -38,10 +94,10 @@ def root_term(group, c) -> int:
     return -sum(positive_root_values(group, c))
 
 
-def matter_term(ga, ca, gb, cb, conv) -> Fraction:
+def matter_term(ga, ca, gb, cb, pair_weight=PAIR_WEIGHT) -> Fraction:
     """Half the weighted sum of |rho(m)| over one edge's matter weights."""
     return Fraction(1, 2) * sum(w * v for v, w in
-                                matter_weight_values(ga, ca, gb, cb, conv))
+                                matter_weight_values(ga, ca, gb, cb, pair_weight))
 
 
 def quarter_units(x: Fraction) -> int:
@@ -50,7 +106,7 @@ def quarter_units(x: Fraction) -> int:
     return int(4 * x)
 
 
-def delta_ref(q, charge: dict, conv=DEFAULT_CONVENTIONS, root=root_term,
+def delta_ref(q, charge: dict, pair_weight=PAIR_WEIGHT, root=root_term,
               matter=matter_term) -> Fraction:
     """Delta(m) for a dict of gauge-node charges: the sum of ``root`` over
     the gauge nodes and of ``matter`` over the edges (4*Delta when both
@@ -61,23 +117,22 @@ def delta_ref(q, charge: dict, conv=DEFAULT_CONVENTIONS, root=root_term,
     for a, b in q.edges:  # a repeated edge is listed once per multiplicity
         na, nb = q.node(a), q.node(b)
         d += matter(na.group, charge_of(na, charge), nb.group, charge_of(nb, charge),
-                    conv)
+                    pair_weight)
     return Fraction(d)
 
 
-def shell_min_ref(q, b: int, conv=DEFAULT_CONVENTIONS):
+def shell_min_ref(q, b: int, pair_weight=PAIR_WEIGHT):
     """The least Delta over the dominant charges with max |entry| == b,
     or None when shell b holds no charge."""
     gauge = q.gauge_nodes
-    return min((delta_ref(q, dict(zip((n.id for n in gauge), combo)), conv)
-                for combo in product(*(dominant_charges(n.group, b, conv)
+    return min((delta_ref(q, dict(zip((n.id for n in gauge), combo)), pair_weight)
+                for combo in product(*(dominant_charges(n.group, b)
                                        for n in gauge))
                 if max((abs(x) for c in combo for x in c), default=0) == b),
                default=None)
 
 
-def hs_ref(q, order: int, bound: int, conv=DEFAULT_CONVENTIONS,
-           refined=None) -> list:
+def hs_ref(q, order: int, bound: int, refined=None) -> list:
     """Coefficients of t^0..t^order, summed over every dominant charge with
     max |entry| <= bound.
 
@@ -92,9 +147,9 @@ def hs_ref(q, order: int, bound: int, conv=DEFAULT_CONVENTIONS,
     # units makes the box sum affordable without changing what is summed.
     root = lru_cache(None)(lambda *a: 4 * root_term(*a))
     matter = lru_cache(None)(lambda *a: quarter_units(matter_term(*a)))
-    for combo in product(*(dominant_charges(n.group, bound, conv) for n in gauge)):
+    for combo in product(*(dominant_charges(n.group, bound) for n in gauge)):
         charge = {n.id: c for n, c in zip(gauge, combo)}
-        two_delta = delta_ref(q, charge, conv, root, matter) / 2
+        two_delta = delta_ref(q, charge, PAIR_WEIGHT, root, matter) / 2
         if two_delta > order:
             continue
         assert two_delta.denominator == 1, "half-odd t-grading"
@@ -103,7 +158,7 @@ def hs_ref(q, order: int, bound: int, conv=DEFAULT_CONVENTIONS,
         dress = [0] * (order + 1)
         dress[0] = 1
         for n in gauge:
-            for d in dressing_degrees(n.group, charge[n.id], conv):
+            for d in dressing_degrees(n.group, charge[n.id]):
                 for e in range(2 * d, order + 1):
                     dress[e] += dress[e - 2 * d]
         for e in range(order + 1 - te):

@@ -6,10 +6,7 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from coulomb_hs.engine import (
-    BadTheoryError,
     HSRequest,
     compute_hilbert_series,
     coulomb_hilbert_series,
@@ -27,7 +24,7 @@ from coulomb_hs.gale import (
     hnf_rows,
     is_gale_dual_pair,
 )
-from coulomb_hs.liedata import HALF_PAIR_WEIGHT, positive_root_values, weyl_orbit
+from coulomb_hs.liedata import positive_root_values
 from coulomb_hs.quiver import (
     NodeKind,
     Quiver,
@@ -48,6 +45,7 @@ from coulomb_hs.quiver import (
 from coulomb_hs.series import expand_inverse, one_minus_power, plethystic_exp, \
     plethystic_log
 
+from brute import HALF_PAIR_WEIGHT, delta_ref, weyl_orbit
 from test_engine import boxes_past_bound
 
 
@@ -133,16 +131,18 @@ def test_criterion_07_orthosymplectic_t2():
     assert symmetry_dimension(s3) == 18
     s4 = coulomb_hilbert_series(HSRequest(build_dn_implosion_quiver(4), 2))
     assert symmetry_dimension(s4) == 32
-    # arbitration of the convention flags: the documented default (pair
-    # weight 1, SO(2) summed over Z) reproduces 18; the half-weight
-    # alternative is a divergent theory on these quivers.
-    with pytest.raises(BadTheoryError):
-        coulomb_hilbert_series(HSRequest(build_dn_implosion_quiver(3), 2,
-                                         conventions=HALF_PAIR_WEIGHT))
+    # The convention that gives 18 (pair weight 1, SO(2) summed over Z)
+    # is the engine's only one; the half pair weight, through the
+    # brute-force Delta, gives the balanced USp basic monopole of the D3
+    # chain Delta < 0, a divergent theory.
+    chain = build_dn_implosion_quiver(3, with_flavor=True)
+    monopole = {"c1": (0,), "c2": (0,), "c3": (0, 0), "c4": (1, 0)}
+    assert delta_ref(chain, monopole) == 1
+    assert delta_ref(chain, monopole, HALF_PAIR_WEIGHT) < 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
-    report(7, f"D-type bouquets: t^2 = 18 (n=3) and 32 (n=4) under the "
-              f"documented default conventions ({elapsed:.2f}s)")
+    report(7, f"D-type bouquets: t^2 = 18 (n=3) and 32 (n=4) with pair "
+              f"weight 1 and SO(2) summed over Z ({elapsed:.2f}s)")
 
 
 def test_criterion_08_dimension_bookkeeping():

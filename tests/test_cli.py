@@ -8,8 +8,18 @@ import pytest
 
 import coulomb_hs
 from coulomb_hs.cli import main
-from coulomb_hs.quiver import quiver_from_json
-from coulomb_hs.series import series_from_json, series_to_json
+from coulomb_hs.engine import HSRequest, coulomb_hilbert_series
+from coulomb_hs.quiver import (
+    DecoupledU1UnresolvedError,
+    detect_decoupled_u1,
+    quiver_from_json,
+)
+from coulomb_hs.series import (
+    expand_inverse,
+    one_minus_power,
+    series_from_json,
+    series_to_json,
+)
 
 
 def run(capsys, *argv):
@@ -118,6 +128,28 @@ def test_hs_decoupled_error_names_flag(tmp_path, capsys):
     assert "--ungauge" in err
 
 
+def test_decoupled_u1_in_one_component(tmp_path, capsys):
+    # U(1) a - U(1) b has no flavor, beside U(1) c with two flavors: the
+    # diagonal U(1) of the first component alone acts trivially.
+    obj = {"nodes": [{"id": i, "kind": "gauge", "group": {"family": "U", "n": 1}}
+                     for i in "abc"]
+           + [{"id": "f", "kind": "flavor", "group": {"family": "U", "n": 2}}],
+           "edges": [["a", "b"], ["c", "f"]]}
+    q = quiver_from_json(obj)
+    assert detect_decoupled_u1(q)
+    with pytest.raises(DecoupledU1UnresolvedError):
+        coulomb_hilbert_series(HSRequest(q, 4))
+    qf = tmp_path / "split.json"
+    qf.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "hs", str(qf), "--order", "4")
+    assert code == 2 and "--ungauge" in err
+    code, text, _ = run(capsys, "hs", str(qf), "--order", "4", "--ungauge", "a")
+    # b is U(1) with one flavor (C^2), c is U(1) with two (C^2/Z_2)
+    want = expand_inverse(1, 4) ** 2 * one_minus_power(4, 4) \
+        * expand_inverse(2, 4) ** 3
+    assert code == 0 and text.splitlines()[0] == want.text()
+
+
 def test_hs_pl_flag(tmp_path, capsys):
     qf = tmp_path / "fig2d2.json"
     qf.write_text(json.dumps({
@@ -150,13 +182,17 @@ def test_hs_validation_error(tmp_path, capsys):
 
 
 def test_ortho_convention_flags(tmp_path, capsys):
+    # One orthosymplectic convention: the old switches are usage errors.
     qf = tmp_path / "d3.json"
     run(capsys, "generate", "dn", "--n", "3", "-o", str(qf))
     code, text, _ = run(capsys, "hs", str(qf), "--order", "2")
     assert code == 0 and text.splitlines()[0] == "1 + 18*t^2"
-    code, _, err = run(capsys, "hs", str(qf), "--order", "2",
-                       "--ortho-pair-weight", "1/2")
-    assert code == 2 and "diverges" in err
+    for flags in (["--ortho-pair-weight", "1"], ["--ortho-pair-weight", "1/2"],
+                  ["--so2-as-o2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["hs", str(qf), "--order", "2", *flags])
+        assert exc.value.code == 1, flags
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_implosion_check_pass_and_negative_control(capsys):

@@ -6,7 +6,6 @@ import pytest
 from coulomb_hs.engine import (
     BadTheoryError,
     ConvergenceNotReachedError,
-    HalfOddGradingError,
     HSRequest,
     QuiverCharge,
     compute_hilbert_series,
@@ -21,7 +20,7 @@ from coulomb_hs.engine import (
     _Problem,
     _scan_box,
 )
-from coulomb_hs.liedata import Conventions, HALF_PAIR_WEIGHT, dominant_charges
+from coulomb_hs.liedata import dominant_charges
 from coulomb_hs.quiver import (
     DecoupledU1UnresolvedError,
     NodeKind,
@@ -39,7 +38,7 @@ from coulomb_hs.quiver import (
 )
 from coulomb_hs.series import Laurent, TruncatedSeries, expand_inverse, one_minus_power
 
-from brute import delta_ref, hs_ref, shell_min_ref, topological_counts
+from brute import HALF_PAIR_WEIGHT, delta_ref, hs_ref, shell_min_ref, topological_counts
 
 
 def u1_with_flavors(d):
@@ -84,8 +83,9 @@ def test_delta_orthosymplectic_balanced_current():
     q = build_dn_implosion_quiver(3, with_flavor=True)
     charge = {"c1": (0,), "c2": (0,), "c3": (0, 0), "c4": (1, 0)}
     assert delta(q, charge) == 1
-    # the alternative half weight makes it negative (divergent theory)
-    assert delta(q, charge, HALF_PAIR_WEIGHT) == Fraction(-3, 2)
+    assert delta_ref(q, charge) == 1
+    # the rejected half pair weight makes it negative (divergent theory)
+    assert delta_ref(q, charge, HALF_PAIR_WEIGHT) == Fraction(-3, 2)
 
 
 def test_delta_rejects_unknown_charge_keys():
@@ -224,7 +224,7 @@ def boxes_past_bound(req):
     the proven box itself, under the same dimension cutoff.  They are
     equal exactly when the larger box would change no coefficient."""
     q = ungauge(req.quiver, req.ungauge) if req.ungauge else req.quiver
-    prob = _Problem(q, req.conventions)
+    prob = _Problem(q)
     b = compute_hilbert_series(req).stats.bound_reached
     thr4 = 2 * req.order
     return _scan_box(prob, b + 2, thr4), _scan_box(prob, b, thr4)
@@ -266,23 +266,24 @@ def test_hs_coefficients_nonnegative_integers():
         assert all(isinstance(c, int) and c >= 0 for c in s.coeffs.values())
 
 
-def test_half_odd_grading_detected():
-    # Under the alternative half weight, USp(2) with an SO(9) flavor has
-    # 2*Delta = 1/2 at the basic monopole.
+def test_half_weight_makes_dn_chain_divergent():
+    # The rejected half pair weight, through the brute-force Delta: shell 1
+    # of the D3 bouquet and of the D3 flavor chain holds a nonzero charge
+    # with Delta <= 0, so the monopole sum would diverge.
+    for q in (build_dn_implosion_quiver(3),
+              build_dn_implosion_quiver(3, with_flavor=True)):
+        assert shell_min_ref(q, 1, HALF_PAIR_WEIGHT) <= 0
+        assert shell_min_ref(q, 1) > 0
+
+
+def test_odd_so_flavor_grading_is_integral():
+    # USp(2) with an SO(9) flavor: the zero weight of the odd vector adds
+    # |m| per USp entry, and the grading stays integral.
     q = Quiver([QuiverNode("g", NodeKind.GAUGE, USp(2)),
                 QuiverNode("f", NodeKind.FLAVOR, SO(9))], [("g", "f")])
-    with pytest.raises(HalfOddGradingError,
-                       match=r"^charge \(\(1,\),\) has 2\*Delta = 1/2, not an integer"):
-        coulomb_hilbert_series(HSRequest(q, 2, conventions=HALF_PAIR_WEIGHT))
-    # with the default weight the theory is fine
+    assert delta(q, {"g": (1,)}) == Fraction(5, 2)
     s = coulomb_hilbert_series(HSRequest(q, 4))
     assert s.coefficient(0) == 1
-
-
-def test_half_weight_makes_dn_chain_divergent():
-    q = build_dn_implosion_quiver(3, with_flavor=True)
-    with pytest.raises(BadTheoryError):
-        coulomb_hilbert_series(HSRequest(q, 2, conventions=HALF_PAIR_WEIGHT))
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +304,22 @@ def test_dn_chain_flavor_t2_is_so_dimension():
         assert symmetry_dimension(s) == n * (2 * n - 1)
 
 
-def test_o2_convention_changes_dn_answer():
-    o2 = Conventions(so2_as_o2=True)
-    s = coulomb_hilbert_series(HSRequest(build_dn_implosion_quiver(3), 2,
-                                         conventions=o2))
-    assert symmetry_dimension(s) != 18
+def so_nilpotent_cone(n, order):
+    """prod_d (1 - t^(2d)) / (1 - t^2)^(n(2n-1)), d = 2, 4, ..., 2n-2, n:
+    the Hilbert series of the nilpotent cone of so(2n)."""
+    s = TruncatedSeries.one(order)
+    for d in list(range(2, 2 * n - 1, 2)) + [n]:
+        s = s * one_minus_power(2 * d, order)
+    return s * expand_inverse(2, order) ** (n * (2 * n - 1))
+
+
+def test_dn_flavor_chain_gives_so2n_nilpotent_cone():
+    # The D-type chain with its SO(2n) flavor node: the whole series, not
+    # only its t^2 coefficient, pins the orthosymplectic matter weights.
+    for n, order in ((2, 8), (3, 8), (4, 6), (5, 4)):
+        q = build_dn_implosion_quiver(n, with_flavor=True)
+        assert coulomb_hilbert_series(HSRequest(q, order)) == \
+            so_nilpotent_cone(n, order), n
 
 
 # ---------------------------------------------------------------------------
@@ -578,23 +590,24 @@ def test_shell_minimum_is_linear_in_the_shell():
     # shell-1 minimum c; the search box is then 2K // (4c), and c <= 0
     # marks a bad theory.
     fixed_u1 = u2_doubled_to_fixed_u1()
+    bad_u2 = Quiver([QuiverNode("g", NodeKind.GAUGE, U(2)),
+                     QuiverNode("f", NodeKind.FLAVOR, U(1))], [("g", "f")])
     order = 6
     negative = 0
     for q in (affine_a2_triangle(), ungauge(build_bouquet_quiver(3), "b1"),
               build_linear_nilpotent_quiver(3),
-              build_dn_implosion_quiver(2, with_flavor=True), fixed_u1):
-        for conv in (Conventions(), HALF_PAIR_WEIGHT, Conventions(so2_as_o2=True)):
-            c = shell_min_ref(q, 1, conv)
-            assert shell_min_ref(q, 2, conv) == 2 * c
-            req = HSRequest(q, order, conventions=conv)
-            if c <= 0:
-                negative += 1
-                with pytest.raises(BadTheoryError):
-                    compute_hilbert_series(req)
-            else:
-                stats = compute_hilbert_series(req).stats
-                assert stats.bound_reached == 2 * order // int(4 * c)
-    assert negative == 1  # the D-chain under the half pair weight
+              build_dn_implosion_quiver(2, with_flavor=True), fixed_u1, bad_u2):
+        c = shell_min_ref(q, 1)
+        assert shell_min_ref(q, 2) == 2 * c
+        req = HSRequest(q, order)
+        if c <= 0:
+            negative += 1
+            with pytest.raises(BadTheoryError):
+                compute_hilbert_series(req)
+        else:
+            stats = compute_hilbert_series(req).stats
+            assert stats.bound_reached == 2 * order // int(4 * c)
+    assert negative == 1  # U(2) with one flavor
 
 
 def test_delta_matches_reference():
@@ -613,13 +626,11 @@ def test_delta_matches_reference():
         [("s2", "p4"), ("p4", "s5"), ("s5", "p2"), ("p2", "s2"), ("p2", "s4"),
          ("p4", "fo"), ("p2", "fe"), ("s5", "fp"), ("s4", "fp")])
     rng = random.Random(7)
-    for conv in (Conventions(), HALF_PAIR_WEIGHT, Conventions(so2_as_o2=True),
-                 Conventions(Fraction(1, 2), True)):
-        for q in (unitary, ortho):
-            for _ in range(40):
-                charge = {n.id: rng.choice(dominant_charges(n.group, 3, conv))
-                          for n in q.gauge_nodes}
-                assert delta(q, charge, conv) == delta_ref(q, charge, conv), charge
+    for q in (unitary, ortho):
+        for _ in range(160):
+            charge = {n.id: rng.choice(dominant_charges(n.group, 3))
+                      for n in q.gauge_nodes}
+            assert delta(q, charge) == delta_ref(q, charge), charge
 
 
 def test_hs_matches_unpruned_box_sum():
@@ -659,7 +670,7 @@ def test_two_node_cutset_matches_unpruned_box_sum():
     nodes.append(QuiverNode("f", NodeKind.FLAVOR, U(1)))
     edges = [(x, y) for k, x in enumerate(ids) for y in ids[k + 1:]] + [("a", "f")]
     q = ungauge(Quiver(nodes, edges), "d")
-    prob = _Problem(q, Conventions())
+    prob = _Problem(q)
     cutset = {prob.nodes[u].id for late in prob.nontree for u, _ in late}
     assert cutset == {"a", "b"}
     order = 8

@@ -5,21 +5,16 @@ import pytest
 
 from coulomb_hs.liedata import (
     ChamberViolationError,
-    Conventions,
-    DEFAULT_CONVENTIONS,
-    HALF_PAIR_WEIGHT,
-    MixedFamilyEdgeError,
     casimir_degrees,
     dominant_charges,
     dressing_degrees,
-    matter_weight_values,
-    positive_root_count,
     positive_root_values,
     residual_stabilizer,
     validate_charge,
-    weyl_orbit,
 )
 from coulomb_hs.quiver import Family, GaugeGroup, SO, U, USp
+
+from brute import HALF_PAIR_WEIGHT, matter_weight_values, positive_root_count, weyl_orbit
 
 
 SMALL_GROUPS = [U(1), U(2), U(3), USp(2), USp(4), USp(6),
@@ -82,8 +77,6 @@ def test_validate_charge():
     with pytest.raises(ChamberViolationError):
         validate_charge(SO(6), (2, 1, -2))
     validate_charge(SO(2), (-5,))
-    with pytest.raises(ChamberViolationError):
-        validate_charge(SO(2), (-5,), Conventions(so2_as_o2=True))
     with pytest.raises(ChamberViolationError):
         validate_charge(U(2), (1,))
 
@@ -156,7 +149,7 @@ def test_matter_weight_ortho_examples():
     assert pairs == [(1, Fraction(1, 2)), (1, Fraction(1, 2))]
     pairs = matter_weight_values(SO(2), (1,), USp(2), (0,))
     assert aggregate(pairs) == {1: Fraction(2)}
-    with pytest.raises(MixedFamilyEdgeError):
+    with pytest.raises(ValueError, match="mixes families"):
         matter_weight_values(U(2), (0, 0), SO(3), (0,))
 
 
@@ -289,11 +282,10 @@ def test_casimir_degree_identities():
         assert prod == len(weyl_orbit(g, generic))
 
 
-def test_dressing_degrees_o2_flag():
-    o2 = Conventions(so2_as_o2=True)
-    assert dressing_degrees(SO(2), (0,), o2) == [2]
-    assert dressing_degrees(SO(2), (3,), o2) == [1]
+def test_dressing_degrees_so2_is_a_torus():
     assert dressing_degrees(SO(2), (0,)) == [1]
+    assert dressing_degrees(SO(2), (3,)) == [1]
+    assert dressing_degrees(SO(2), (-3,)) == [1]
     assert dressing_degrees(USp(4), (1, 0)) in ([2, 1], [1, 2])
 
 

@@ -11,12 +11,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coulomb_hs.engine import (
     BadTheoryError,
-    HalfOddGradingError,
     HSRequest,
     compute_hilbert_series,
     enumerate_charges,
 )
-from coulomb_hs.liedata import Conventions, HALF_PAIR_WEIGHT
 from coulomb_hs.quiver import (
     Family,
     NodeKind,
@@ -30,8 +28,6 @@ from coulomb_hs.quiver import (
 )
 
 from brute import hs_ref, shell_min_ref, topological_counts
-
-CONVENTIONS = (Conventions(), HALF_PAIR_WEIGHT, Conventions(so2_as_o2=True))
 
 
 @st.composite
@@ -108,28 +104,23 @@ def orthosymplectic_chains(draw):
 @given(case=st.one_of(unitary_quivers(), unitary_quivers(cycles=1),
                      unitary_quivers(cycles=2), unitary_quivers(forest=True),
                      orthosymplectic_chains()),
-       conv=st.sampled_from(CONVENTIONS), order=st.integers(0, 4))
-def test_engine_matches_brute_force(case, conv, order):
+       order=st.integers(0, 4))
+def test_engine_matches_brute_force(case, order):
     q, refined = case
-    req = HSRequest(q, order, refined=refined, conventions=conv)
-    c = shell_min_ref(q, 1, conv)
+    req = HSRequest(q, order, refined=refined)
+    c = shell_min_ref(q, 1)
     if c is not None and c <= 0:
         with pytest.raises(BadTheoryError):
             compute_hilbert_series(req)
         return
-    try:
-        result = compute_hilbert_series(req)
-    except HalfOddGradingError:
-        with pytest.raises(AssertionError, match="half-odd"):
-            hs_ref(q, order, 2 * order // int(4 * c) + 1, conv)
-        return
+    result = compute_hilbert_series(req)
     bound = result.stats.bound_reached
     assert bound == (0 if c is None else 2 * order // int(4 * c))
     ids = sorted(refined)
-    want = hs_ref(q, order, bound + 1, conv, refined=ids or None)
+    want = hs_ref(q, order, bound + 1, refined=ids or None)
     got = [result.series.coefficient(k) for k in range(order + 1)]
     if ids:
         got = [topological_counts(x, ids) for x in got]
     assert got == want
     assert result.stats.charge_count == len(
-        enumerate_charges(q, Fraction(order, 2), conv=conv))
+        enumerate_charges(q, Fraction(order, 2)))

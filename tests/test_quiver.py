@@ -229,6 +229,16 @@ def test_detect_decoupled_u1():
     assert not detect_decoupled_u1(build_dn_implosion_quiver(3))
     assert not detect_decoupled_u1(Quiver([], []))
     assert not detect_decoupled_u1(ungauge(build_bouquet_quiver(3), "b1"))
+    # judged per connected component: a flavorless U(1) pair beside a
+    # flavored node decouples, a fixed node in its component does not
+    split = Quiver([QuiverNode(i, NodeKind.GAUGE, U(1)) for i in "abc"]
+                   + [QuiverNode("f", NodeKind.FLAVOR, U(2))],
+                   [("a", "b"), ("c", "f")])
+    assert detect_decoupled_u1(split)
+    assert not detect_decoupled_u1(ungauge(split, "a"))
+    lone_u2 = Quiver([QuiverNode("h", NodeKind.GAUGE, U(2))]
+                     + list(u1_with_flavors(3).nodes), [("g", "f")])
+    assert detect_decoupled_u1(lone_u2)
 
 
 # ---------------------------------------------------------------------------
