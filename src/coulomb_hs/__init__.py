@@ -60,6 +60,7 @@ from .quiver import (
     build_dn_implosion_quiver,
     build_linear_nilpotent_quiver,
     build_partial_implosion_quiver,
+    decoupled_u1_count,
     detect_decoupled_u1,
     expected_coulomb_dimension_real,
     gauge_group_rank,

@@ -47,7 +47,7 @@ from .quiver import (
     build_dn_implosion_quiver,
     build_linear_nilpotent_quiver,
     build_partial_implosion_quiver,
-    detect_decoupled_u1,
+    decoupled_u1_count,
     expected_coulomb_dimension_real,
     gauge_group_rank,
     load_quiver,
@@ -120,11 +120,13 @@ def cmd_report(args) -> int:
     rep = balance_report(q)
     components = balanced_subquiver_classification(q)
     pred = predict_global_symmetry(q)
-    decoupled = detect_decoupled_u1(q)
+    decoupled = decoupled_u1_count(q)
     rank = gauge_group_rank(q)
     if decoupled:
-        expected_dim = 4 * (rank - 1)
-        dim_note = "after removing the decoupled diagonal U(1)"
+        expected_dim = 4 * (rank - decoupled)
+        dim_note = ("after removing the decoupled diagonal U(1)" if decoupled == 1
+                    else f"after removing {decoupled} decoupled diagonal U(1)s, "
+                    "one per flavorless all-unitary component")
     else:
         expected_dim = expected_coulomb_dimension_real(q)
         dim_note = None
@@ -148,7 +150,7 @@ def cmd_report(args) -> int:
         },
         "gauge_rank": rank,
         "expected_coulomb_dimension_real": expected_dim,
-        "decoupled_diagonal_u1": decoupled,
+        "decoupled_diagonal_u1": decoupled > 0,
     }
     if dim_note:
         data["expected_coulomb_dimension_note"] = dim_note

@@ -20,12 +20,18 @@ integer and the t-grading is never half-odd.
 
 Every charge below the dimension cutoff lies in one box of charges with
 max |entry| <= B, and B is proven: on the shell of charges with
-max |entry| == b, 4*Delta is at least b times its minimum over shell 1
-(see ``_proven_box``), so a depth-first scan of box 1 fixes B.  That scan
-also gives the bad-theory verdict, and ``enumerate_charges`` lists the
-charges of box B by the same search, pruned with exact per-subtree
-minimum-cost tables over the quiver's spanning forest (an edge that
-closes a cycle is added once both its endpoints are chosen).
+max |entry| == b, 4*Delta is at least b times its minimum c4 over shell 1
+(see ``_proven_box``).  c4 is read off box 1's exact minimum-cost tables
+over the quiver's spanning forest, with no search: the least 4*Delta of
+any charge through each nonzero candidate of each node.  Only a bad
+theory (c4 <= 0) runs the depth-first search of box 1, to name the
+offending charge; ``enumerate_charges`` lists the charges of box B by the
+same search, pruned with the same tables (an edge that closes a cycle is
+added once both its endpoints are chosen).
+
+Each edge table is built row by row: its cost is a sum over pairs of
+entries, so one row per parent entry value is added along a prefix trie
+of the parent's candidates, one row addition per trie node.
 
 The Hilbert series visits no charge.  4*Delta is a sum of node terms and
 tree-edge terms and P(m,t) a product of node factors, so the sum
@@ -36,10 +42,10 @@ messages.  Each message is cut at the cutoff minus the least 4*Delta of
 any charge through that parent candidate, which is exact, so the work
 grows with the table cells times the order rather than with the number
 of charges.  A second lane with dressing 1 counts the charges.  Refined
-topological charges ride along as digits of one packed integer.  Edges that close a cycle (every affine A_n
-quiver has one) are handled by conditioning on the charges of their
-early endpoints, a cycle cutset, and running the same pass once per
-assignment.
+topological charges ride along as digits of one packed integer.  Edges
+that close a cycle (every affine A_n quiver has one) are handled by
+conditioning on the charges of their early endpoints, a cycle cutset,
+and running the same pass once per assignment.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, compress, product
 from math import comb
 from operator import add, sub
 from typing import Mapping, Sequence
@@ -67,7 +73,7 @@ from .quiver import (
     Quiver,
     QuiverError,
     build_bouquet_quiver,
-    detect_decoupled_u1,
+    decoupled_u1_count,
     ungauge,
 )
 from .series import Laurent, TruncatedSeries, one_minus_power
@@ -285,10 +291,42 @@ class _Problem:
 def _edge_table(prob: _Problem, e: _EEdge, p: int, cands_p: list,
                 cands_v: list) -> list:
     """``tab[ip][iv]``: quarter-unit cost of edge ``e`` between candidate
-    ``ip`` of node ``p`` and candidate ``iv`` of its other endpoint."""
-    if p == e.a:
-        return [[prob.edge4(e, x, y) for y in cands_v] for x in cands_p]
-    return [[prob.edge4(e, y, x) for y in cands_v] for x in cands_p]
+    ``ip`` of node ``p`` and candidate ``iv`` of its other endpoint, equal
+    to ``prob.edge4`` on every cell.
+
+    That cost is a sum of h(x, y) over the entries x of ``ip`` and y of
+    ``iv``, plus 2|y| per USp entry when the SO side is odd.  So each value
+    x of a parent entry gets one row ``part[x][iv]``, the sum over the
+    child's entries (with 2|x| when the parent is that USp side), and the
+    parent candidates are walked in their descending-lex order as a prefix
+    trie: one row addition per trie node."""
+    if e.ortho:
+        def h(x, y):
+            return 2 * (abs(x + y) + abs(x - y))
+        p_so = (p == e.a) == e.so_first
+        odd_p, odd_v = 2 * e.so_odd * (not p_so), 2 * e.so_odd * p_so
+    else:
+        def h(x, y):
+            return 2 * e.mult * abs(x - y)
+        odd_p = odd_v = 0
+    ys = {y for c in cands_v for y in c}
+    part = {}
+    for x in {x for c in cands_p for x in c}:
+        hx = {y: h(x, y) for y in ys}
+        part[x] = [sum(map(hx.__getitem__, c)) + odd_p * abs(x) for c in cands_v]
+    base = [odd_v * sum(map(abs, c)) for c in cands_v]
+    tab: list = []
+    rows, prev = [base], ()  # rows[k]: base plus the parts of prev[:k]
+    for c in cands_p:
+        k = 0
+        while k < len(prev) and c[k] == prev[k]:
+            k += 1
+        del rows[k + 1:]
+        for x in c[k:]:
+            rows.append(list(map(add, rows[-1], part[x])))
+        tab.append(rows[-1])
+        prev = c
+    return tab
 
 
 def _box_tables(prob: _Problem, b: int):
@@ -308,8 +346,9 @@ def _min_tables(prob: _Problem, local4: list, etab: list):
     """Bottom-up exact minimum costs over the spanning forest.
 
     ``sub_cost[v][iv]`` is the least cost of v's subtree with v at candidate
-    iv, and ``best[v][ip]`` the least cost of that subtree plus its edge to
-    the parent, with the parent at candidate ip."""
+    iv, ``best[v][ip]`` the least cost of that subtree plus its edge to
+    the parent, with the parent at candidate ip, and ``root_min[r]`` the
+    least cost of the tree rooted at r."""
     n = len(prob.nodes)
     sub_cost: list = [None] * n
     best: list = [None] * n
@@ -320,7 +359,49 @@ def _min_tables(prob: _Problem, local4: list, etab: list):
         sub_cost[v] = sc
         if prob.parent[v] >= 0:
             best[v] = [min(map(add, row, sc)) for row in etab[v]]
-    return sub_cost, best
+    root_min = {r: min(sub_cost[r]) for r in prob.roots}
+    return sub_cost, best, root_min
+
+
+def _totals(prob: _Problem, etab: list, sub_cost: list, best: list,
+            root_min: dict) -> list:
+    """Top-down from ``_min_tables``: ``tot[v][iv]`` is the least 4*Delta of
+    any charge with node v at candidate iv."""
+    s0 = sum(root_min.values())
+    tot: list = [None] * len(prob.nodes)
+    for v in prob.preorder:
+        p = prob.parent[v]
+        if p < 0:
+            tot[v] = [s - root_min[v] + s0 for s in sub_cost[v]]
+        else:
+            rel = list(map(sub, tot[p], best[v]))
+            tot[v] = [min(map(add, rel, col)) + s
+                      for col, s in zip(zip(*etab[v]), sub_cost[v])]
+    return tot
+
+
+def _cutset_assignments(prob: _Problem, cands: list, local4: list, etab: list,
+                        labels: list):
+    """Condition on the charges of the cycle cutset: for each assignment of
+    the early endpoints of the edges outside the spanning forest, yield the
+    node terms, tree-edge tables and per-candidate ``labels`` with each
+    pinned node kept at its one candidate and each such edge's cost added
+    to the node term of its late endpoint.  A forest has one assignment."""
+    cuts = [(v, u, _edge_table(prob, prob.edges[ei], u, cands[u], cands[v]))
+            for v in range(len(prob.nodes)) for u, ei in prob.nontree[v]]
+    cutset = sorted({u for _, u, _ in cuts})
+    for pins in product(*(range(len(cands[u])) for u in cutset)):
+        pin = dict(zip(cutset, pins))
+        loc, lab, tab = list(local4), list(labels), list(etab)
+        for v, u, cost in cuts:
+            loc[v] = list(map(add, loc[v], cost[pin[u]]))
+        for u, iu in pin.items():
+            loc[u], lab[u] = [loc[u][iu]], [lab[u][iu]]
+            if prob.parent[u] >= 0:
+                tab[u] = [[row[iu]] for row in tab[u]]
+            for c in prob.children[u]:
+                tab[c] = [tab[c][iu]]
+        yield loc, tab, lab
 
 
 def _scan_box(prob: _Problem, b: int, thr4: int) -> dict:
@@ -332,8 +413,7 @@ def _scan_box(prob: _Problem, b: int, thr4: int) -> dict:
         return {(): 0}
     cands, local4, etab = _box_tables(prob, b)
     nonzero = [[any(c) for c in cl] for cl in cands]
-    sub_cost, best = _min_tables(prob, local4, etab)
-    root_min = {r: min(sub_cost[r]) for r in prob.roots}
+    sub_cost, best, root_min = _min_tables(prob, local4, etab)
 
     found: dict = {}
     choice = [0] * n
@@ -375,9 +455,9 @@ def _scan_box(prob: _Problem, b: int, thr4: int) -> dict:
     return found
 
 
-def _proven_box(prob: _Problem, thr4: int, max_bound: int):
-    """The charges of box 1 with 4*Delta <= thr4 as ``_scan_box`` gives
-    them, plus the proven box bound B.
+def _proven_box(prob: _Problem, thr4: int, max_bound: int) -> int:
+    """The proven box bound B: every charge with 4*Delta <= thr4 has
+    max |entry| <= B.
 
     On the product of dominant chambers, 4*Delta is continuous, positively
     homogeneous of degree 1 and linear on every cell of the arrangement of
@@ -387,24 +467,35 @@ def _proven_box(prob: _Problem, thr4: int, max_bound: int):
     solves independent equations x_i +- x_j = 0, x_i = 0, x_i = +-1, so its
     coordinates lie in {-1, 0, 1}.  Hence the minimum c4 of 4*Delta over
     the real unit shell is attained on integer shell 1, and by homogeneity
-    every charge on shell b has 4*Delta >= b*c4.  Box 1 holds a nonzero
-    charge with 4*Delta <= 0 exactly when c4 <= 0, which the scan reports
-    as a bad theory; otherwise every charge with 4*Delta <= thr4 lies in
-    the box B = thr4 // c4 (B = 0 when no nonzero charge of box 1 is below
-    the cutoff, since then c4 > thr4).
+    every charge on shell b has 4*Delta >= b*c4.  Every nonzero charge of
+    box 1 has some node at a nonzero candidate, so c4 is the least
+    ``tot[v][iv]`` of box 1's tables over the nonzero candidates iv of
+    every node v, under every assignment of the cycle cutset.  Box 1 holds
+    a nonzero charge with 4*Delta <= 0 exactly when c4 <= 0, a bad theory,
+    which ``_scan_box`` then names; otherwise every charge with
+    4*Delta <= thr4 lies in the box B = thr4 // c4 (B = 0 when box 1 holds
+    no nonzero charge).
     """
     if thr4 < 0:
         raise ValueError("the dimension cutoff must be nonnegative")
     if max_bound < 0:
         raise ValueError("max_bound must be >= 0")
-    box1 = _scan_box(prob, 1, thr4)
-    c4 = min((d4 for vec, d4 in box1.items() if any(map(any, vec))), default=None)
+    cands, local4, etab = _box_tables(prob, 1)
+    nonzero = [[any(c) for c in cl] for cl in cands]
+    least: list = []
+    for loc, tab, nz in _cutset_assignments(prob, cands, local4, etab, nonzero):
+        tot = _totals(prob, tab, *_min_tables(prob, loc, tab))
+        least.extend(chain.from_iterable(map(compress, tot, nz)))
+    c4 = min(least, default=None)
+    if c4 is not None and c4 <= 0:
+        _scan_box(prob, 1, thr4)  # raises BadTheoryError naming the charge
+        raise AssertionError("box 1 holds a charge with 4*Delta <= 0")
     bound = 0 if c4 is None else thr4 // c4
     if bound > max_bound:
         raise ConvergenceNotReachedError(
             f"the proven charge box is {bound}, above max_bound {max_bound}; "
             "raise max_bound")
-    return box1, bound
+    return bound
 
 
 def enumerate_charges(q: Quiver, delta_max, *,
@@ -415,9 +506,8 @@ def enumerate_charges(q: Quiver, delta_max, *,
     if thr4.denominator != 1:
         raise ValueError("delta_max must be a quarter-integer")
     prob = _Problem(q)
-    found, bound = _proven_box(prob, int(thr4), max_bound)
-    if bound > 1:
-        found = _scan_box(prob, bound, int(thr4))
+    bound = _proven_box(prob, int(thr4), max_bound)
+    found = _scan_box(prob, bound, int(thr4))
     ids = tuple(nd.id for nd in prob.nodes)
     keyed = sorted((max(map(abs, chain.from_iterable(vec)), default=0), vec)
                    for vec in found)
@@ -512,20 +602,11 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, dress: list,
     message there drops nothing at or below the cutoff."""
     n = len(prob.nodes)
     parent, children = prob.parent, prob.children
-    sub_cost, best = _min_tables(prob, local4, etab)
-    root_min = {r: min(sub_cost[r]) for r in prob.roots}
+    sub_cost, best, root_min = _min_tables(prob, local4, etab)
     s0 = sum(root_min.values())
     if s0 > thr4:
         return {}, {}
-    tot: list = [None] * n
-    for v in prob.preorder:
-        p = parent[v]
-        if p < 0:
-            tot[v] = [s - root_min[v] + s0 for s in sub_cost[v]]
-        else:
-            rel = list(map(sub, tot[p], best[v]))
-            tot[v] = [min(map(add, rel, col)) + s
-                      for col, s in zip(zip(*etab[v]), sub_cost[v])]
+    tot = _totals(prob, etab, sub_cost, best, root_min)
 
     half = width // 2
     dressings: dict = {}
@@ -597,23 +678,9 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, refined: list):
     dress = [[((), 0) if nd.fixed else
               (tuple(dressing_degrees(nd.group, c)), sum(c) * place.get(i, 0))
               for c in cl] for i, (nd, cl) in enumerate(zip(nodes, cands))]
-    cuts = [(v, u, _edge_table(prob, prob.edges[ei], u, cands[u], cands[v]))
-            for v in range(len(nodes)) for u, ei in prob.nontree[v]]
-    cutset = sorted({u for _, u, _ in cuts})
-
     main: Counter = Counter()
     count: Counter = Counter()
-    for pins in product(*(range(len(cands[u])) for u in cutset)):
-        pin = dict(zip(cutset, pins))
-        loc, dr, tab = list(local4), list(dress), list(etab)
-        for v, u, cost in cuts:
-            loc[v] = list(map(add, loc[v], cost[pin[u]]))
-        for u, iu in pin.items():
-            loc[u], dr[u] = [loc[u][iu]], [dr[u][iu]]
-            if prob.parent[u] >= 0:
-                tab[u] = [[row[iu]] for row in tab[u]]
-            for c in prob.children[u]:
-                tab[c] = [tab[c][iu]]
+    for loc, tab, dr in _cutset_assignments(prob, cands, local4, etab, dress):
         terms, counts = _tree_pass(prob, thr4, loc, dr, tab, width)
         main.update(terms)
         count.update(counts)
@@ -647,13 +714,16 @@ def compute_hilbert_series(request: HSRequest) -> HSResult:
         if node.kind is not NodeKind.GAUGE or node.group.family is not Family.UNITARY:
             raise QuiverError(
                 f"refined node {nid!r} must be a unitary gauge node")
-    if detect_decoupled_u1(q):
+    decoupled = decoupled_u1_count(q)
+    if decoupled:
         raise DecoupledU1UnresolvedError(
-            "a diagonal U(1) acts trivially and the monopole sum diverges; "
-            "set the ungauge option (--ungauge <U(1) node id>) first")
+            f"{decoupled} flavorless all-unitary component(s) each carry a "
+            "diagonal U(1) that acts trivially, and the monopole sum "
+            "diverges; one U(1) per such component must be ungauged "
+            "(--ungauge <U(1) node id> pins one node)")
     prob = _Problem(q)
     thr4 = 2 * request.order
-    _, bound = _proven_box(prob, thr4, request.max_bound)
+    bound = _proven_box(prob, thr4, request.max_bound)
     refined = sorted(request.refined)
     rows, counts = _monopole_sum(prob, bound, thr4, refined)
     series = TruncatedSeries(request.order,

@@ -377,25 +377,33 @@ class SymmetryPrediction:
     total_dimension: int
 
 
-def detect_decoupled_u1(q: Quiver) -> bool:
-    """True when a diagonal U(1) acts trivially: some connected component
-    of the quiver is all unitary gauge nodes, with no flavor (and no
-    already-fixed) node.  The conformal dimension is then invariant under
-    that component's diagonal magnetic shift and the monopole sum diverges
-    unless one of its U(1) nodes is ungauged."""
+def decoupled_u1_count(q: Quiver) -> int:
+    """The number of trivially-acting diagonal U(1)s: one per connected
+    component of the quiver that is all unitary gauge nodes, with no
+    flavor (and no already-fixed) node.  The conformal dimension is
+    invariant under each such component's diagonal magnetic shift, so the
+    monopole sum diverges unless one U(1) node per component is
+    ungauged."""
     adjacency: dict = {n.id: [] for n in q.nodes}
     for a, b in q.edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    return any(all(q.node(i).kind is NodeKind.GAUGE
+    return sum(all(q.node(i).kind is NodeKind.GAUGE
                    and q.node(i).group.family is Family.UNITARY for i in comp)
                for comp in _components(adjacency))
+
+
+def detect_decoupled_u1(q: Quiver) -> bool:
+    """True when some diagonal U(1) acts trivially (see
+    ``decoupled_u1_count``)."""
+    return decoupled_u1_count(q) > 0
 
 
 def predict_global_symmetry(q: Quiver) -> SymmetryPrediction:
     """Dual-symmetry prediction: balanced components give the semisimple
     part, unbalanced unitary gauge nodes give abelian factors (one fewer
-    when a diagonal U(1) decouples).
+    per decoupled diagonal U(1), that is per flavorless all-unitary
+    component).
 
     Component labels are graph shapes; for orthosymplectic quivers only the
     semisimple report is meaningful and the abelian rule counts unitary
@@ -408,7 +416,7 @@ def predict_global_symmetry(q: Quiver) -> SymmetryPrediction:
     unbalanced_unitary = sum(
         1 for n in q.gauge_nodes
         if n.group.family is Family.UNITARY and report.balances[n.id] != 0)
-    abelian = unbalanced_unitary - (1 if detect_decoupled_u1(q) else 0)
+    abelian = unbalanced_unitary - decoupled_u1_count(q)
     abelian = max(abelian, 0)
     total = sum(c.dimension for c in factors) + abelian
     return SymmetryPrediction(factors, unknown, abelian, total)
@@ -440,7 +448,8 @@ def expected_coulomb_dimension_real(q: Quiver) -> int:
     """4 * rank of the gauge group, the expected real Coulomb dimension."""
     if detect_decoupled_u1(q):
         raise DecoupledU1UnresolvedError(
-            "a diagonal U(1) decouples; ungauge one U(1) node first")
+            "a diagonal U(1) decouples; ungauge one U(1) node per "
+            "flavorless all-unitary component first")
     return 4 * gauge_group_rank(q)
 
 

@@ -15,7 +15,6 @@ counts that the Lie-data tests check against.
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations, product
 
 from coulomb_hs.liedata import dominant_charges, dressing_degrees, positive_root_values
@@ -106,18 +105,16 @@ def quarter_units(x: Fraction) -> int:
     return int(4 * x)
 
 
-def delta_ref(q, charge: dict, pair_weight=PAIR_WEIGHT, root=root_term,
-              matter=matter_term) -> Fraction:
-    """Delta(m) for a dict of gauge-node charges: the sum of ``root`` over
-    the gauge nodes and of ``matter`` over the edges (4*Delta when both
-    are given in quarter units)."""
+def delta_ref(q, charge: dict, pair_weight=PAIR_WEIGHT) -> Fraction:
+    """Delta(m) for a dict of gauge-node charges: the root terms of the
+    gauge nodes plus the matter terms of the edges."""
     d = 0
     for node in q.gauge_nodes:
-        d += root(node.group, charge_of(node, charge))
+        d += root_term(node.group, charge_of(node, charge))
     for a, b in q.edges:  # a repeated edge is listed once per multiplicity
         na, nb = q.node(a), q.node(b)
-        d += matter(na.group, charge_of(na, charge), nb.group, charge_of(nb, charge),
-                    pair_weight)
+        d += matter_term(na.group, charge_of(na, charge), nb.group,
+                         charge_of(nb, charge), pair_weight)
     return Fraction(d)
 
 
@@ -141,24 +138,40 @@ def hs_ref(q, order: int, bound: int, refined=None) -> list:
     charge entries, ids in sorted order) to the count of terms carrying it.
     """
     gauge = q.gauge_nodes
-    ids = sorted(refined or ())
+    slot = {n.id: k for k, n in enumerate(gauge)}
+    tops = [slot[i] for i in sorted(refined or ())]
+    cands = [dominant_charges(n.group, bound) for n in gauge]
+    # Delta as in delta_ref, with node groups and edge endpoints resolved
+    # once and each term (in quarter units) and each node's dressing
+    # degrees cached by the charges they depend on: that makes the box sum
+    # affordable without changing what is summed.
+    root = [{c: 4 * root_term(n.group, c) for c in cl} for n, cl in zip(gauge, cands)]
+    degrees = [{c: dressing_degrees(n.group, c) for c in cl}
+               for n, cl in zip(gauge, cands)]
+    ends = []
+    for a, b in q.edges:  # a repeated edge is listed once per multiplicity
+        na, nb = q.node(a), q.node(b)
+        ends.append((na.group, slot.get(a), (0,) * na.group.rank,
+                     nb.group, slot.get(b), (0,) * nb.group.rank, {}))
     acc = [Counter() for _ in range(order + 1)]
-    # Each term depends on one node or one edge; caching them in quarter
-    # units makes the box sum affordable without changing what is summed.
-    root = lru_cache(None)(lambda *a: 4 * root_term(*a))
-    matter = lru_cache(None)(lambda *a: quarter_units(matter_term(*a)))
-    for combo in product(*(dominant_charges(n.group, bound) for n in gauge)):
-        charge = {n.id: c for n, c in zip(gauge, combo)}
-        two_delta = delta_ref(q, charge, PAIR_WEIGHT, root, matter) / 2
-        if two_delta > order:
+    for combo in product(*cands):
+        d4 = sum(r[c] for r, c in zip(root, combo))
+        for ga, ia, za, gb, ib, zb, cache in ends:
+            ca = za if ia is None else combo[ia]
+            cb = zb if ib is None else combo[ib]
+            m = cache.get((ca, cb))
+            if m is None:
+                m = cache[ca, cb] = quarter_units(matter_term(ga, ca, gb, cb))
+            d4 += m
+        if d4 > 2 * order:
             continue
-        assert two_delta.denominator == 1, "half-odd t-grading"
-        te = int(two_delta)
-        top = tuple(sum(charge[i]) for i in ids)
+        assert d4 % 2 == 0, "half-odd t-grading"
+        te = d4 // 2
+        top = tuple(sum(combo[k]) for k in tops)
         dress = [0] * (order + 1)
         dress[0] = 1
-        for n in gauge:
-            for d in dressing_degrees(n.group, charge[n.id]):
+        for deg, c in zip(degrees, combo):
+            for d in deg[c]:
                 for e in range(2 * d, order + 1):
                     dress[e] += dress[e - 2 * d]
         for e in range(order + 1 - te):

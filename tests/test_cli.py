@@ -150,6 +150,25 @@ def test_decoupled_u1_in_one_component(tmp_path, capsys):
     assert code == 0 and text.splitlines()[0] == want.text()
 
 
+def test_two_decoupled_components(tmp_path, capsys):
+    # U(1)=U(1) beside U(1)=U(1), no flavor: one diagonal U(1) decouples
+    # per component, so the expected dimension is 4 * (4 - 2).
+    obj = {"nodes": [{"id": i, "kind": "gauge", "group": {"family": "U", "n": 1}}
+                     for i in "abcd"],
+           "edges": [["a", "b"], ["a", "b"], ["c", "d"], ["c", "d"]]}
+    qf = tmp_path / "pairs.json"
+    qf.write_text(json.dumps(obj))
+    code, text, _ = run(capsys, "report", str(qf), "--json")
+    data = json.loads(text)
+    assert code == 0 and data["expected_coulomb_dimension_real"] == 8
+    assert data["decoupled_diagonal_u1"] is True
+    assert "2 decoupled" in data["expected_coulomb_dimension_note"]
+    code, text, _ = run(capsys, "report", str(qf))
+    assert "expected Coulomb dimension (real): 8 (after removing 2" in text
+    code, _, err = run(capsys, "hs", str(qf), "--order", "4", "--ungauge", "a")
+    assert code == 2 and "one U(1) per such component must be ungauged" in err
+
+
 def test_hs_pl_flag(tmp_path, capsys):
     qf = tmp_path / "fig2d2.json"
     qf.write_text(json.dumps({

@@ -18,6 +18,7 @@ from coulomb_hs.engine import (
     refined_implosion_integral,
     symmetry_dimension,
     _Problem,
+    _edge_table,
     _scan_box,
 )
 from coulomb_hs.liedata import dominant_charges
@@ -682,6 +683,83 @@ def test_two_node_cutset_matches_unpruned_box_sum():
         if refined:
             got = [topological_counts(c, refined) for c in got]
         assert got == want, refined
+
+
+def test_edge_table_matches_edge4():
+    # The prefix-trie kernel against edge4, cell by cell, with either
+    # endpoint as the parent: unitary edges of multiplicity 1 and 2, an
+    # edge to a fixed node, SO(2)-, SO(even)- and SO(odd)-USp edges, and
+    # the edges of a cycle, including the one its cutset conditions on.
+    unitary = ungauge(Quiver(
+        [QuiverNode("a", NodeKind.GAUGE, U(1)), QuiverNode("b", NodeKind.GAUGE, U(2)),
+         QuiverNode("c", NodeKind.GAUGE, U(3)), QuiverNode("d", NodeKind.GAUGE, U(1))],
+        [("a", "b"), ("b", "c"), ("b", "c"), ("c", "d"), ("d", "b")]), "a")
+    ortho = Quiver(
+        [QuiverNode("s2", NodeKind.GAUGE, SO(2)), QuiverNode("p2", NodeKind.GAUGE, USp(2)),
+         QuiverNode("s4", NodeKind.GAUGE, SO(4)), QuiverNode("p4", NodeKind.GAUGE, USp(4)),
+         QuiverNode("s5", NodeKind.GAUGE, SO(5)), QuiverNode("s3", NodeKind.GAUGE, SO(3))],
+        [("s2", "p2"), ("p2", "s4"), ("s4", "p4"), ("p4", "s5"), ("s3", "p2")])
+    families = set()
+    for q in (unitary, ortho):
+        prob = _Problem(q)
+        pairs = [(e.a, e.b) for e in prob.edges] + [(e.b, e.a) for e in prob.edges]
+        for e in prob.edges:
+            ga, gb = prob.nodes[e.a].group, prob.nodes[e.b].group
+            families.add((e.ortho, e.mult, prob.nodes[e.a].fixed or prob.nodes[e.b].fixed,
+                          e.ortho and (ga if e.so_first else gb).n))
+        for b in range(4):
+            cands = [[(0,) * nd.rank] if nd.fixed else dominant_charges(nd.group, b)
+                     for nd in prob.nodes]
+            for e in prob.edges:
+                for p in (e.a, e.b):
+                    v = e.b if p == e.a else e.a
+                    want = [[prob.edge4(e, *((x, y) if p == e.a else (y, x)))
+                             for y in cands[v]] for x in cands[p]]
+                    assert _edge_table(prob, e, p, cands[p], cands[v]) == want, (b, p, v)
+    assert families == {(False, 1, True, False), (False, 2, False, False),
+                        (False, 1, False, False), (True, 1, False, 2),
+                        (True, 1, False, 4), (True, 1, False, 5), (True, 1, False, 3)}
+    prob = _Problem(unitary)
+    assert [(prob.nodes[u].id, prob.nodes[v].id)
+            for v, late in enumerate(prob.nontree) for u, _ in late] == [("b", "d")]
+
+
+def test_bad_theory_message_names_the_charge():
+    # The first nonzero charge of box 1 with 2*Delta <= 0 in the search
+    # order, as this engine named it before c4 came from the tables: a
+    # tree, and a triangle whose third edge the cutset conditions on.
+    tree = Quiver([QuiverNode("g", NodeKind.GAUGE, U(2)),
+                   QuiverNode("f", NodeKind.FLAVOR, U(1))], [("g", "f")])
+    cycle = Quiver([QuiverNode("a", NodeKind.GAUGE, U(1)),
+                    QuiverNode("b", NodeKind.GAUGE, U(2)),
+                    QuiverNode("c", NodeKind.GAUGE, U(1)),
+                    QuiverNode("f", NodeKind.FLAVOR, U(1))],
+                   [("a", "b"), ("b", "c"), ("c", "a"), ("a", "f")])
+    for q, charge, two_delta in ((tree, "((1, 0),)", -1),
+                                 (cycle, "((0,), (1, 0), (0,))", 0)):
+        message = (f"nonzero magnetic charge {charge} has 2*Delta = {two_delta} "
+                   "<= 0; the monopole sum diverges")
+        for order in (0, 4):
+            with pytest.raises(BadTheoryError) as exc:
+                compute_hilbert_series(HSRequest(q, order))
+            assert str(exc.value) == message
+            with pytest.raises(BadTheoryError) as exc:
+                enumerate_charges(q, order)
+            assert str(exc.value) == message
+
+
+def test_two_decoupled_components_need_two_ungauged_nodes():
+    # U(1)=U(1) beside U(1)=U(1): two diagonal U(1)s act trivially, and
+    # pinning one node leaves the other component divergent.
+    q = Quiver([QuiverNode(i, NodeKind.GAUGE, U(1)) for i in "abcd"],
+               [("a", "b"), ("a", "b"), ("c", "d"), ("c", "d")])
+    with pytest.raises(DecoupledU1UnresolvedError, match="^2 .* one U\\(1\\) per"):
+        coulomb_hilbert_series(HSRequest(q, 4))
+    with pytest.raises(DecoupledU1UnresolvedError, match="^1 flavorless"):
+        coulomb_hilbert_series(HSRequest(q, 4, ungauge="a"))
+    # each pinned component is U(1) with two flavors, C^2/Z_2
+    s = coulomb_hilbert_series(HSRequest(ungauge(q, "a"), 4, ungauge="c"))
+    assert s == abelian_closed_form(2, 4) * abelian_closed_form(2, 4)
 
 
 # ---------------------------------------------------------------------------

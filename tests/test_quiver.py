@@ -29,6 +29,7 @@ from coulomb_hs.quiver import (
     build_dn_implosion_quiver,
     build_linear_nilpotent_quiver,
     build_partial_implosion_quiver,
+    decoupled_u1_count,
     detect_decoupled_u1,
     expected_coulomb_dimension_real,
     gauge_group_rank,
@@ -239,6 +240,19 @@ def test_detect_decoupled_u1():
     lone_u2 = Quiver([QuiverNode("h", NodeKind.GAUGE, U(2))]
                      + list(u1_with_flavors(3).nodes), [("g", "f")])
     assert detect_decoupled_u1(lone_u2)
+    assert decoupled_u1_count(lone_u2) == 1
+
+
+def test_one_abelian_factor_less_per_decoupled_component():
+    # Two U(1) - U(1) pairs, no flavor: four unbalanced U(1) nodes and two
+    # decoupled diagonal U(1)s; each pair is U(1) with one flavor once its
+    # diagonal is removed, so the abelian rank is 2.
+    pairs = Quiver([QuiverNode(i, NodeKind.GAUGE, U(1)) for i in "abcd"],
+                   [("a", "b"), ("c", "d")])
+    assert decoupled_u1_count(pairs) == 2
+    assert decoupled_u1_count(ungauge(pairs, "a")) == 1
+    assert predict_global_symmetry(pairs).abelian_rank == 2
+    assert predict_global_symmetry(ungauge(pairs, "a")).abelian_rank == 2
 
 
 # ---------------------------------------------------------------------------
