@@ -24,14 +24,18 @@ max |entry| == b, 4*Delta is at least b times its minimum c4 over shell 1
 (see ``_proven_box``).  c4 is read off box 1's exact minimum-cost tables
 over the quiver's spanning forest, with no search: the least 4*Delta of
 any charge through each nonzero candidate of each node.  Only a bad
-theory (c4 <= 0) runs the depth-first search of box 1, to name the
-offending charge; ``enumerate_charges`` lists the charges of box B by the
-same search, pruned with the same tables (an edge that closes a cycle is
-added once both its endpoints are chosen).
+theory (c4 <= 0) runs the depth-first search of box 1, with cutoff 0,
+to name the offending charge; ``enumerate_charges`` lists the charges of
+box B by the same search.  The search runs once per assignment of the
+cycle cutset (below), over the spanning forest, pruned with that
+assignment's tables.
 
-Each edge table is built row by row: its cost is a sum over pairs of
-entries, so one row per parent entry value is added along a prefix trie
-of the parent's candidates, one row addition per trie node.
+Every matter term, on a tree edge, an edge that closes a cycle or a
+flavor edge, comes from one kernel, the edge table, and 4*Delta of a
+single charge (``delta``) is the same pipeline with one candidate per
+node.  Each edge table is built row by row: its cost is a sum over pairs
+of entries, so one row per parent entry value is added along a prefix
+trie of the parent's candidates, one row addition per trie node.
 
 The Hilbert series visits no charge.  4*Delta is a sum of node terms and
 tree-edge terms and P(m,t) a product of node factors, so the sum
@@ -224,35 +228,6 @@ class _Problem:
                 late, early = (e.a, e.b) if pos[e.a] > pos[e.b] else (e.b, e.a)
                 self.nontree[late].append((early, ei))
 
-    # -- quarter-unit conformal dimension pieces ---------------------------
-
-    def edge4(self, e: _EEdge, ca: Charge, cb: Charge) -> int:
-        if not e.ortho:
-            s = 0
-            for x in ca:
-                for y in cb:
-                    s += abs(x - y)
-            return 2 * e.mult * s
-        so, sp = (ca, cb) if e.so_first else (cb, ca)
-        s = 0
-        for x in so:
-            for y in sp:
-                s += abs(x + y) + abs(x - y)
-        if e.so_odd:  # zero weight of the odd orthogonal vector
-            s += sum(abs(y) for y in sp)
-        return 2 * s
-
-    def local4(self, nd: _ENode, m: Charge) -> int:
-        t = -4 * sum(positive_root_values(nd.group, m))
-        for f in nd.flavor:
-            t += self.edge4(f, m, f.zero)
-        return t
-
-    def delta4(self, vec: Sequence[Charge]) -> int:
-        total = sum(self.local4(nd, vec[i]) for i, nd in enumerate(self.nodes))
-        total += sum(self.edge4(e, vec[e.a], vec[e.b]) for e in self.edges)
-        return total
-
     def coerce_charge(self, charge) -> tuple:
         if isinstance(charge, QuiverCharge):
             charge = charge.as_dict()
@@ -291,8 +266,9 @@ class _Problem:
 def _edge_table(prob: _Problem, e: _EEdge, p: int, cands_p: list,
                 cands_v: list) -> list:
     """``tab[ip][iv]``: quarter-unit cost of edge ``e`` between candidate
-    ``ip`` of node ``p`` and candidate ``iv`` of its other endpoint, equal
-    to ``prob.edge4`` on every cell.
+    ``ip`` of node ``p`` and candidate ``iv`` of its other endpoint (for a
+    flavor edge, its one charge ``e.zero``).  This is the engine's only
+    definition of a matter term.
 
     That cost is a sum of h(x, y) over the entries x of ``ip`` and y of
     ``iv``, plus 2|y| per USp entry when the SO side is odd.  So each value
@@ -329,17 +305,28 @@ def _edge_table(prob: _Problem, e: _EEdge, p: int, cands_p: list,
     return tab
 
 
-def _box_tables(prob: _Problem, b: int):
-    """Each node's dominant charges with max |entry| <= b, their node terms
-    ``local4``, and the table ``etab[v]`` of the tree edge from each
+def _candidates(prob: _Problem, b: int) -> list:
+    """Each node's dominant charges with max |entry| <= b; a fixed node has
+    only charge 0."""
+    return [[(0,) * nd.rank] if nd.fixed else dominant_charges(nd.group, b)
+            for nd in prob.nodes]
+
+
+def _box_tables(prob: _Problem, cands: list):
+    """The node terms ``local4`` of the candidates ``cands`` (the roots and
+    the flavor edges) and the table ``etab[v]`` of the tree edge from each
     non-root node v to its parent."""
-    cands = [[(0,) * nd.rank] if nd.fixed else dominant_charges(nd.group, b)
-             for nd in prob.nodes]
-    local4 = [[prob.local4(nd, c) for c in cl] for nd, cl in zip(prob.nodes, cands)]
+    local4 = []
+    for v, (nd, cl) in enumerate(zip(prob.nodes, cands)):
+        loc = [-4 * sum(positive_root_values(nd.group, c)) for c in cl]
+        for f in nd.flavor:
+            col = [row[0] for row in _edge_table(prob, f, v, cl, [f.zero])]
+            loc = list(map(add, loc, col))
+        local4.append(loc)
     etab = [None if p < 0 else _edge_table(prob, prob.edges[prob.parent_edge[v]],
                                            p, cands[p], cands[v])
             for v, p in enumerate(prob.parent)]
-    return cands, local4, etab
+    return local4, etab
 
 
 def _min_tables(prob: _Problem, local4: list, etab: list):
@@ -404,54 +391,51 @@ def _cutset_assignments(prob: _Problem, cands: list, local4: list, etab: list,
         yield loc, tab, lab
 
 
+def _delta4(prob: _Problem, vec: Sequence[Charge]) -> int:
+    """4*Delta of one charge: the box tables with one candidate per node,
+    under their one cutset assignment, summed over the spanning forest."""
+    cands = [[c] for c in vec]
+    local4, etab = _box_tables(prob, cands)
+    (loc, tab, _), = _cutset_assignments(prob, cands, local4, etab, cands)
+    return sum(_min_tables(prob, loc, tab)[2].values())
+
+
 def _scan_box(prob: _Problem, b: int, thr4: int) -> dict:
-    """``{charge: delta4}`` for the charges with max |entry| <= b and
-    delta4 <= thr4, found by a depth-first search pruned with the exact
-    minimum-cost tables."""
+    """``{charge: 4*Delta}`` for the charges with max |entry| <= b and
+    4*Delta <= thr4: for each assignment of the cycle cutset, a
+    depth-first search over the spanning forest pruned with that
+    assignment's exact minimum-cost tables."""
     n = len(prob.nodes)
     if n == 0:
         return {(): 0}
-    cands, local4, etab = _box_tables(prob, b)
-    nonzero = [[any(c) for c in cl] for cl in cands]
-    sub_cost, best, root_min = _min_tables(prob, local4, etab)
-
+    cands = _candidates(prob, b)
+    local4, etab = _box_tables(prob, cands)
     found: dict = {}
     choice = [0] * n
     selected: list = [None] * n
     pre = prob.preorder
     last = n - 1
 
-    def rec(k: int, lb: int, nz: bool):
+    def rec(k: int, lb: int):
         v = pre[k]
         p = prob.parent[v]
         base = lb - (best[v][choice[p]] if p >= 0 else root_min[v])
-        erow = etab[v][choice[p]] if p >= 0 else None
+        erow = tab[v][choice[p]] if p >= 0 else None
         sc = sub_cost[v]
-        for iv in range(len(cands[v])):
+        for iv, cv in enumerate(lab[v]):
             nl = base + sc[iv] + (erow[iv] if erow is not None else 0)
-            if nl > thr4:
-                continue
-            cv = cands[v][iv]
-            for other, ei in prob.nontree[v]:
-                e = prob.edges[ei]
-                ca, cb = (cv, selected[other]) if e.a == v else (selected[other], cv)
-                nl += prob.edge4(e, ca, cb)
             if nl > thr4:
                 continue
             selected[v] = cv
             if k == last:
-                if nl <= 0 and (nz or nonzero[v][iv]):
-                    raise BadTheoryError(
-                        "nonzero magnetic charge "
-                        f"{tuple(selected)} has 2*Delta = {nl // 2} <= 0; "
-                        "the monopole sum diverges")
                 found[tuple(selected)] = nl
             else:
                 choice[v] = iv
-                rec(k + 1, nl, nz or nonzero[v][iv])
-        selected[v] = None
+                rec(k + 1, nl)
 
-    rec(0, sum(root_min.values()), False)
+    for loc, tab, lab in _cutset_assignments(prob, cands, local4, etab, cands):
+        sub_cost, best, root_min = _min_tables(prob, loc, tab)
+        rec(0, sum(root_min.values()))
     return found
 
 
@@ -472,15 +456,16 @@ def _proven_box(prob: _Problem, thr4: int, max_bound: int) -> int:
     ``tot[v][iv]`` of box 1's tables over the nonzero candidates iv of
     every node v, under every assignment of the cycle cutset.  Box 1 holds
     a nonzero charge with 4*Delta <= 0 exactly when c4 <= 0, a bad theory,
-    which ``_scan_box`` then names; otherwise every charge with
-    4*Delta <= thr4 lies in the box B = thr4 // c4 (B = 0 when box 1 holds
-    no nonzero charge).
+    named by the first nonzero charge that a cutoff-0 ``_scan_box`` of
+    box 1 finds; otherwise every charge with 4*Delta <= thr4 lies in the
+    box B = thr4 // c4 (B = 0 when box 1 holds no nonzero charge).
     """
     if thr4 < 0:
         raise ValueError("the dimension cutoff must be nonnegative")
     if max_bound < 0:
         raise ValueError("max_bound must be >= 0")
-    cands, local4, etab = _box_tables(prob, 1)
+    cands = _candidates(prob, 1)
+    local4, etab = _box_tables(prob, cands)
     nonzero = [[any(c) for c in cl] for cl in cands]
     least: list = []
     for loc, tab, nz in _cutset_assignments(prob, cands, local4, etab, nonzero):
@@ -488,8 +473,11 @@ def _proven_box(prob: _Problem, thr4: int, max_bound: int) -> int:
         least.extend(chain.from_iterable(map(compress, tot, nz)))
     c4 = min(least, default=None)
     if c4 is not None and c4 <= 0:
-        _scan_box(prob, 1, thr4)  # raises BadTheoryError naming the charge
-        raise AssertionError("box 1 holds a charge with 4*Delta <= 0")
+        vec, d4 = next((vec, d4) for vec, d4 in _scan_box(prob, 1, 0).items()
+                       if any(chain.from_iterable(vec)))
+        raise BadTheoryError(
+            f"nonzero magnetic charge {vec} has 2*Delta = {d4 // 2} <= 0; "
+            "the monopole sum diverges")
     bound = 0 if c4 is None else thr4 // c4
     if bound > max_bound:
         raise ConvergenceNotReachedError(
@@ -522,7 +510,7 @@ def delta(q: Quiver, charge) -> Fraction:
     """Conformal dimension of the bare monopole of charge m, always a
     half-integer."""
     prob = _Problem(q)
-    return Fraction(prob.delta4(prob.coerce_charge(charge)), 4)
+    return Fraction(_delta4(prob, prob.coerce_charge(charge)), 4)
 
 
 def _dressing_coeffs(degrees: tuple, order: int) -> tuple:
@@ -538,6 +526,8 @@ def _dressing_coeffs(degrees: tuple, order: int) -> tuple:
 def dressing_factor(q: Quiver, charge, order: int) -> TruncatedSeries:
     """P(m,t): product over residual Casimir degrees d of 1/(1 - t^(2d));
     fixed nodes contribute factor 1."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
     prob = _Problem(q)
     vec = prob.coerce_charge(charge)
     degrees: list = []
@@ -669,7 +659,8 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, refined: list):
     joins the local term of its late endpoint, and the tree pass runs as
     is."""
     nodes = prob.nodes
-    cands, local4, etab = _box_tables(prob, b)
+    cands = _candidates(prob, b)
+    local4, etab = _box_tables(prob, cands)
     bases = [2 * nodes[prob.index[nid]].rank * b + 1 for nid in refined]
     place, width = {}, 1
     for nid, base in zip(refined, bases):
@@ -827,11 +818,11 @@ def hs_contribution_check(n: int) -> ContributionCheck:
         for leaf in leaves[1:]:
             vec = [(0,) * nd.rank for nd in prob.nodes]
             vec[prob.index[leaf]] = (sign,)
-            if prob.delta4(vec) == target4:
+            if _delta4(prob, vec) == target4:
                 count += 1
         vec = [(0,) * nd.rank if nd.fixed else (sign,) * nd.rank
                for nd in prob.nodes]
-        if prob.delta4(vec) == target4:
+        if _delta4(prob, vec) == target4:
             count += 1
     return ContributionCheck(
         n=n,

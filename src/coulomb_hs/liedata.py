@@ -32,7 +32,7 @@ def validate_charge(g: GaugeGroup, m: Charge) -> None:
     r = g.rank
     if len(m) != r:
         raise ChamberViolationError(f"{g}: charge {m} has wrong length (rank {r})")
-    if any(not isinstance(x, int) for x in m):
+    if any(type(x) is not int for x in m):  # bool entries are not integers
         raise ChamberViolationError(f"{g}: charge entries must be integers")
     if g.family is Family.UNITARY:
         ok = all(m[i] >= m[i + 1] for i in range(r - 1))

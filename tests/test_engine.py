@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain, product
 
 import pytest
 
@@ -39,7 +40,8 @@ from coulomb_hs.quiver import (
 )
 from coulomb_hs.series import Laurent, TruncatedSeries, expand_inverse, one_minus_power
 
-from brute import HALF_PAIR_WEIGHT, delta_ref, hs_ref, shell_min_ref, topological_counts
+from brute import (HALF_PAIR_WEIGHT, delta_ref, hs_ref, matter_term, quarter_units,
+                   shell_min_ref, topological_counts)
 
 
 def u1_with_flavors(d):
@@ -99,6 +101,13 @@ def test_delta_rejects_unknown_charge_keys():
         dressing_factor(q, {"g": (1,), "f": (0, 0)}, 4)
 
 
+def test_delta_rejects_bool_entries():
+    q = build_linear_nilpotent_quiver(3)
+    assert delta(q, {"g1": (1,), "g2": (0, 0)}) == 1
+    with pytest.raises(QuiverError, match="must be integers"):
+        delta(q, {"g1": (True,), "g2": (0, 0)})
+
+
 def test_delta_fixed_nodes_keep_matter():
     q = ungauge(build_bouquet_quiver(2), "b1")
     # chain U(1) at 1, leaf b2 at 0: edge to the fixed b1 still costs 1/2
@@ -119,6 +128,13 @@ def test_dressing_examples():
     assert broken == expand_inverse(2, 8) * expand_inverse(2, 8)
     lone_fixed = ungauge(Quiver([QuiverNode("g", NodeKind.GAUGE, U(1))], []), "g")
     assert dressing_factor(lone_fixed, {"g": (0,)}, 6) == TruncatedSeries.one(6)
+
+
+def test_dressing_rejects_negative_order():
+    q = u1_with_flavors(2)
+    assert dressing_factor(q, {"g": (0,)}, 0) == TruncatedSeries.one(0)
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        dressing_factor(q, {"g": (0,)}, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -662,15 +678,20 @@ def test_refined_hs_matches_unpruned_box_sum():
         assert got == want, q
 
 
-def test_two_node_cutset_matches_unpruned_box_sum():
-    # K4 of U(1) nodes: the spanning tree is the path a-b-c-d, and the
-    # three other edges close cycles at a, a and b, so the sum conditions
-    # on the charges of two nodes.  A flavor on a tells a from c.
+def k4_two_node_cutset():
+    """K4 of U(1) nodes with "d" ungauged: the spanning tree is the path
+    a-b-c-d, and the three other edges close cycles at a, a and b, so the
+    sum conditions on the charges of two nodes.  A flavor on a tells a
+    from c."""
     ids = "abcd"
     nodes = [QuiverNode(i, NodeKind.GAUGE, U(1)) for i in ids]
     nodes.append(QuiverNode("f", NodeKind.FLAVOR, U(1)))
     edges = [(x, y) for k, x in enumerate(ids) for y in ids[k + 1:]] + [("a", "f")]
-    q = ungauge(Quiver(nodes, edges), "d")
+    return ungauge(Quiver(nodes, edges), "d")
+
+
+def test_two_node_cutset_matches_unpruned_box_sum():
+    q = k4_two_node_cutset()
     prob = _Problem(q)
     cutset = {prob.nodes[u].id for late in prob.nontree for u, _ in late}
     assert cutset == {"a", "b"}
@@ -685,40 +706,73 @@ def test_two_node_cutset_matches_unpruned_box_sum():
         assert got == want, refined
 
 
-def test_edge_table_matches_edge4():
-    # The prefix-trie kernel against edge4, cell by cell, with either
-    # endpoint as the parent: unitary edges of multiplicity 1 and 2, an
-    # edge to a fixed node, SO(2)-, SO(even)- and SO(odd)-USp edges, and
-    # the edges of a cycle, including the one its cutset conditions on.
+def test_cyclic_enumeration_matches_brute_force():
+    # The charge search runs once per cutset assignment: on a triangle and
+    # on the two-node cutset, its charges are exactly the dominant charges
+    # with Delta <= 3 in the box two past the proven one, shell by shell.
+    for q, count in ((affine_a2_triangle(), 37), (k4_two_node_cutset(), 21)):
+        got = enumerate_charges(q, 3)
+        bound = compute_hilbert_series(HSRequest(q, 6)).stats.bound_reached
+        ids = [n.id for n in q.gauge_nodes]
+        want = {combo for combo in product(*(dominant_charges(q.node(i).group, bound + 2)
+                                             for i in ids))
+                if delta_ref(q, dict(zip(ids, combo))) <= 3}
+        assert {tuple(c.charge_of(i) for i in ids) for c in got} == want
+        assert len(got) == count
+
+        def shell(c):
+            return max(abs(x) for x in chain.from_iterable(c.charges))
+        assert got == sorted(got, key=lambda c: (shell(c), c.charges))
+
+
+def test_edge_table_matches_reference():
+    # The prefix-trie kernel against the matter term rebuilt from liedata
+    # alone, cell by cell, with either endpoint as the parent: unitary
+    # edges of multiplicity 1 and 2, an edge to a fixed node, SO(2)-,
+    # SO(even)- and SO(odd)-USp edges, the edges of a cycle, including the
+    # one its cutset conditions on, and the flavor edges that make up the
+    # node terms: a doubled U(1) flavor and an SO(3) flavor on a USp node.
     unitary = ungauge(Quiver(
         [QuiverNode("a", NodeKind.GAUGE, U(1)), QuiverNode("b", NodeKind.GAUGE, U(2)),
-         QuiverNode("c", NodeKind.GAUGE, U(3)), QuiverNode("d", NodeKind.GAUGE, U(1))],
-        [("a", "b"), ("b", "c"), ("b", "c"), ("c", "d"), ("d", "b")]), "a")
+         QuiverNode("c", NodeKind.GAUGE, U(3)), QuiverNode("d", NodeKind.GAUGE, U(1)),
+         QuiverNode("f", NodeKind.FLAVOR, U(1))],
+        [("a", "b"), ("b", "c"), ("b", "c"), ("c", "d"), ("d", "b"),
+         ("c", "f"), ("c", "f")]), "a")
     ortho = Quiver(
         [QuiverNode("s2", NodeKind.GAUGE, SO(2)), QuiverNode("p2", NodeKind.GAUGE, USp(2)),
          QuiverNode("s4", NodeKind.GAUGE, SO(4)), QuiverNode("p4", NodeKind.GAUGE, USp(4)),
-         QuiverNode("s5", NodeKind.GAUGE, SO(5)), QuiverNode("s3", NodeKind.GAUGE, SO(3))],
-        [("s2", "p2"), ("p2", "s4"), ("s4", "p4"), ("p4", "s5"), ("s3", "p2")])
+         QuiverNode("s5", NodeKind.GAUGE, SO(5)), QuiverNode("s3", NodeKind.GAUGE, SO(3)),
+         QuiverNode("f3", NodeKind.FLAVOR, SO(3))],
+        [("s2", "p2"), ("p2", "s4"), ("s4", "p4"), ("p4", "s5"), ("s3", "p2"),
+         ("p4", "f3")])
     families = set()
     for q in (unitary, ortho):
         prob = _Problem(q)
-        pairs = [(e.a, e.b) for e in prob.edges] + [(e.b, e.a) for e in prob.edges]
-        for e in prob.edges:
-            ga, gb = prob.nodes[e.a].group, prob.nodes[e.b].group
-            families.add((e.ortho, e.mult, prob.nodes[e.a].fixed or prob.nodes[e.b].fixed,
-                          e.ortho and (ga if e.so_first else gb).n))
+        groups = [nd.group for nd in prob.nodes]
+        flavor = {prob.index[g]: q.node(f).group for edge in q.edges
+                  for g, f in (edge, edge[::-1]) if q.node(f).kind is NodeKind.FLAVOR}
+        edges = [(e, groups[e.b]) for e in prob.edges]
+        edges += [(f, flavor[v]) for v, nd in enumerate(prob.nodes) for f in nd.flavor]
+        for e, gb in edges:
+            ga = groups[e.a]
+            families.add((e.ortho, e.mult, e.b < 0 or prob.nodes[e.a].fixed
+                           or prob.nodes[e.b].fixed,
+                           e.ortho and (ga if e.so_first else gb).n))
         for b in range(4):
             cands = [[(0,) * nd.rank] if nd.fixed else dominant_charges(nd.group, b)
                      for nd in prob.nodes]
-            for e in prob.edges:
-                for p in (e.a, e.b):
-                    v = e.b if p == e.a else e.a
-                    want = [[prob.edge4(e, *((x, y) if p == e.a else (y, x)))
-                             for y in cands[v]] for x in cands[p]]
-                    assert _edge_table(prob, e, p, cands[p], cands[v]) == want, (b, p, v)
+            for e, gb in edges:
+                ends = [(e.a, e.b)] if e.b < 0 else [(e.a, e.b), (e.b, e.a)]
+                for p, v in ends:
+                    cv = [e.zero] if v < 0 else cands[v]
+                    want = [[e.mult * quarter_units(matter_term(
+                        *((ga, x, gb, y) if p == e.a else (ga, y, gb, x))))
+                        for y in cv] for x in cands[p]]
+                    assert _edge_table(prob, e, p, cands[p], cv) == want, (b, p, v)
     assert families == {(False, 1, True, False), (False, 2, False, False),
                         (False, 1, False, False), (True, 1, False, 2),
-                        (True, 1, False, 4), (True, 1, False, 5), (True, 1, False, 3)}
+                        (True, 1, False, 4), (True, 1, False, 5), (True, 1, False, 3),
+                        (False, 2, True, False), (True, 1, True, 3)}
     prob = _Problem(unitary)
     assert [(prob.nodes[u].id, prob.nodes[v].id)
             for v, late in enumerate(prob.nontree) for u, _ in late] == [("b", "d")]

@@ -79,6 +79,9 @@ def test_validate_charge():
     validate_charge(SO(2), (-5,))
     with pytest.raises(ChamberViolationError):
         validate_charge(U(2), (1,))
+    for m in ((True,), (False,), (1.0,)):  # True == 1, but is no charge entry
+        with pytest.raises(ChamberViolationError, match="must be integers"):
+            validate_charge(U(1), m)
 
 
 # ---------------------------------------------------------------------------
