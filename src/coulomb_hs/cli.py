@@ -103,7 +103,11 @@ def cmd_generate(args) -> int:
     elif args.kind == "partial":
         if not args.partition:
             raise QuiverError("partial needs --partition, e.g. --partition 2,2")
-        parts = [int(p) for p in args.partition.split(",")]
+        try:
+            parts = [int(p) for p in args.partition.split(",")]
+        except ValueError:
+            raise QuiverError("--partition: parts must be comma-separated integers, "
+                              f"got {args.partition!r}") from None
         q = build_partial_implosion_quiver(args.n, parts)
     else:
         q = build_dn_implosion_quiver(args.n, with_flavor=args.flavor)

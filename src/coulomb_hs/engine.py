@@ -10,7 +10,9 @@ is the dressing factor built from the Casimir degrees of the residual
 gauge group.  Each orthosymplectic half-hypermultiplet contributes
 |x + y| + |x - y| per pair of SO and USp entries, plus |y| for the zero
 weight of an odd orthogonal vector; SO(2) is the torus U(1), summed over
-every integer.
+every integer.  Every candidate charge is dominant, where each positive
+root is nonnegative, so a node's root term is -<2*rho, m> with rho its
+Weyl vector: one dot product per candidate.
 
 Conformal dimensions are handled internally in quarter units
 (``delta4 = 4*Delta``) so the hot loops run on plain integers.  Every
@@ -35,7 +37,9 @@ flavor edge, comes from one kernel, the edge table, and 4*Delta of a
 single charge (``delta``) is the same pipeline with one candidate per
 node.  Each edge table is built row by row: its cost is a sum over pairs
 of entries, so one row per parent entry value is added along a prefix
-trie of the parent's candidates, one row addition per trie node.
+trie of the parent's candidates, one row addition per trie node.  Nodes
+of one type share one candidate list, and edges of one type between the
+same two lists share one table, which nothing mutates.
 
 The Hilbert series visits no charge.  4*Delta is a sum of node terms and
 tree-edge terms and P(m,t) a product of node factors, so the sum
@@ -45,11 +49,14 @@ minimum-cost tables, times its dressing series and its children's
 messages.  Each message is cut at the cutoff minus the least 4*Delta of
 any charge through that parent candidate, which is exact, so the work
 grows with the table cells times the order rather than with the number
-of charges.  A second lane with dressing 1 counts the charges.  Refined
-topological charges ride along as digits of one packed integer.  Edges
-that close a cycle (every affine A_n quiver has one) are handled by
-conditioning on the charges of their early endpoints, a cycle cutset,
-and running the same pass once per assignment.
+of charges.  A candidate through which no charge is within the cutoff is
+dead: no message sums over it and its dressing degrees are never
+computed; a live candidate's are computed once per group and charge.  A
+second lane with dressing 1 counts the charges.  Refined topological
+charges ride along as digits of one packed integer.  Edges that close a
+cycle (every affine A_n quiver has one) are handled by conditioning on
+the charges of their early endpoints, a cycle cutset, and running the
+same pass once per assignment.
 """
 
 from __future__ import annotations
@@ -60,15 +67,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product
 from math import comb
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .liedata import (
     Charge,
     dominant_charges,
     dressing_degrees,
-    positive_root_values,
     validate_charge,
+    weyl_vector,
 )
 from .quiver import (
     DecoupledU1UnresolvedError,
@@ -305,26 +312,55 @@ def _edge_table(prob: _Problem, e: _EEdge, p: int, cands_p: list,
     return tab
 
 
+def _table_memo(prob: _Problem):
+    """``_edge_table`` with a memo, for one caller: edges of one type
+    between the same two candidate lists share one table.  The key is what
+    the kernel reads, the edge's kind (orthosymplectic with the SO side's
+    orientation and parity, or unitary with its multiplicity) and the two
+    lists, by identity; the memo holds the lists, so no identity is
+    reused while it lives.  A shared table is never mutated: every
+    consumer builds new lists."""
+    memo: dict = {}
+
+    def table(e: _EEdge, p: int, cands_p: list, cands_v: list) -> list:
+        kind = (True, (p == e.a) == e.so_first, e.so_odd) if e.ortho else (False, e.mult)
+        key = kind, id(cands_p), id(cands_v)
+        if key not in memo:
+            memo[key] = _edge_table(prob, e, p, cands_p, cands_v), cands_p, cands_v
+        return memo[key][0]
+    return table
+
+
 def _candidates(prob: _Problem, b: int) -> list:
     """Each node's dominant charges with max |entry| <= b; a fixed node has
-    only charge 0."""
-    return [[(0,) * nd.rank] if nd.fixed else dominant_charges(nd.group, b)
-            for nd in prob.nodes]
+    only charge 0.  Nodes of one type (group, fixed) share one list, which
+    no consumer mutates."""
+    shared: dict = {}
+    for nd in prob.nodes:
+        if (nd.group, nd.fixed) not in shared:
+            shared[nd.group, nd.fixed] = ([(0,) * nd.rank] if nd.fixed
+                                          else dominant_charges(nd.group, b))
+    return [shared[nd.group, nd.fixed] for nd in prob.nodes]
 
 
 def _box_tables(prob: _Problem, cands: list):
-    """The node terms ``local4`` of the candidates ``cands`` (the roots and
-    the flavor edges) and the table ``etab[v]`` of the tree edge from each
-    non-root node v to its parent."""
+    """The node terms ``local4`` of the candidates ``cands`` and the table
+    ``etab[v]`` of the tree edge from each non-root node v to its parent.
+
+    A node term is the root term, -4 <2*rho, c> (exact, since every
+    candidate is dominant), plus one column of the flavor edges' tables.
+    One table is built per edge type and pair of candidate lists."""
+    table = _table_memo(prob)
+    zeros: dict = {}
     local4 = []
     for v, (nd, cl) in enumerate(zip(prob.nodes, cands)):
-        loc = [-4 * sum(positive_root_values(nd.group, c)) for c in cl]
+        rho2 = weyl_vector(nd.group)
+        loc = [-4 * sum(map(mul, rho2, c)) for c in cl]
         for f in nd.flavor:
-            col = [row[0] for row in _edge_table(prob, f, v, cl, [f.zero])]
+            col = [row[0] for row in table(f, v, cl, zeros.setdefault(f.zero, [f.zero]))]
             loc = list(map(add, loc, col))
         local4.append(loc)
-    etab = [None if p < 0 else _edge_table(prob, prob.edges[prob.parent_edge[v]],
-                                           p, cands[p], cands[v])
+    etab = [None if p < 0 else table(prob.edges[prob.parent_edge[v]], p, cands[p], cands[v])
             for v, p in enumerate(prob.parent)]
     return local4, etab
 
@@ -374,7 +410,8 @@ def _cutset_assignments(prob: _Problem, cands: list, local4: list, etab: list,
     node terms, tree-edge tables and per-candidate ``labels`` with each
     pinned node kept at its one candidate and each such edge's cost added
     to the node term of its late endpoint.  A forest has one assignment."""
-    cuts = [(v, u, _edge_table(prob, prob.edges[ei], u, cands[u], cands[v]))
+    table = _table_memo(prob)
+    cuts = [(v, u, table(prob.edges[ei], u, cands[u], cands[v]))
             for v in range(len(prob.nodes)) for u, ei in prob.nontree[v]]
     cutset = sorted({u for _, u, _ in cuts})
     for pins in product(*(range(len(cands[u])) for u in cutset)):
@@ -577,8 +614,8 @@ def _message(fm: list, fc: list, slack: list, cap: int, width: int):
     return out, outc
 
 
-def _tree_pass(prob: _Problem, thr4: int, local4: list, dress: list,
-               etab: list, width: int):
+def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
+               etab: list, width: int, dress):
     """The monopole sum over one spanning forest, as packed polynomials in x
     with x^(4*Delta) = t^(2*Delta): the main lane keyed ``X * width + mono``
     and the count lane, with dressing 1 and no monomial, keyed ``X``.
@@ -589,7 +626,13 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, dress: list,
     ``tot[v][iv]`` is the least 4*Delta of any charge with node v at
     candidate iv; a term whose parent sits at ip can add at most
     ``thr4 - tot[p][ip]`` on top of the rest of the charge, so cutting each
-    message there drops nothing at or below the cutoff."""
+    message there drops nothing at or below the cutoff.
+
+    Only the live candidates of a node, those with ``tot[v][iv] <= thr4``,
+    are priced: ``dress(v, c)`` gives the dressing degrees and packed
+    monomial of node v at charge c, and the messages run over the live
+    children alone.  A dead child never passes a message's cap:
+    ``tot[p][ip]`` plus its slack is at least ``tot[v][iv] > thr4``."""
     n = len(prob.nodes)
     parent, children = prob.parent, prob.children
     sub_cost, best, root_min = _min_tables(prob, local4, etab)
@@ -604,16 +647,16 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, dress: list,
     msgc: list = [None] * n
     final, finalc = {0: 1}, {0: 1}
     for v in reversed(prob.preorder):
-        fm: list = [None] * len(tot[v])
-        fc: list = [None] * len(tot[v])
-        for iv, t in enumerate(tot[v]):
-            if t > thr4:
-                continue
-            cap = thr4 - t
-            key = dress[v][iv], cap
+        live = [iv for iv, t in enumerate(tot[v]) if t <= thr4]
+        fm: list = []
+        fc: list = []
+        for iv in live:
+            cap = thr4 - tot[v][iv]
+            dv = dress(v, cands[v][iv])
+            key = dv, cap
             pm = dressings.get(key)
             if pm is None:
-                degrees, mono = dress[v][iv]
+                degrees, mono = dv
                 pm = dressings[key] = {
                     2 * j * width + mono: c
                     for j, c in enumerate(_dressing_coeffs(degrees, cap // 2)) if c}
@@ -622,10 +665,12 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, dress: list,
             for c in children[v]:
                 pm = _poly_mul(pm, msg[c][iv], top)
                 pc = _poly_mul(pc, msgc[c][iv], cap)
-            fm[iv], fc[iv] = pm, pc
+            fm.append(pm)
+            fc.append(pc)
+        sc = [sub_cost[v][iv] for iv in live]
         p = parent[v]
         if p < 0:
-            out, outc = _message(fm, fc, [s - root_min[v] for s in sub_cost[v]],
+            out, outc = _message(fm, fc, [s - root_min[v] for s in sc],
                                  thr4 - s0, width)
             final = _poly_mul(final, out, (thr4 - s0) * width + half)
             finalc = _poly_mul(finalc, outc, thr4 - s0)
@@ -635,7 +680,7 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, dress: list,
             if tot[p][ip] <= thr4:
                 bv = best[v][ip]
                 msg[v][ip], msgc[v][ip] = _message(
-                    fm, fc, [e + s - bv for e, s in zip(row, sub_cost[v])],
+                    fm, fc, [row[iv] + s - bv for iv, s in zip(live, sc)],
                     thr4 - tot[p][ip], width)
         for c in children[v]:
             msg[c] = msgc[c] = None
@@ -657,7 +702,9 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, refined: list):
     conditioning on their early endpoints: for each assignment of that
     cutset, the pinned nodes keep one candidate, each such edge's cost
     joins the local term of its late endpoint, and the tree pass runs as
-    is."""
+    is.  The tree pass asks ``dress`` for the dressing degrees of its live
+    candidates only, and ``dress`` computes them once per (group, fixed,
+    charge) for the whole sum."""
     nodes = prob.nodes
     cands = _candidates(prob, b)
     local4, etab = _box_tables(prob, cands)
@@ -666,13 +713,19 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, refined: list):
     for nid, base in zip(refined, bases):
         place[prob.index[nid]] = width
         width *= base
-    dress = [[((), 0) if nd.fixed else
-              (tuple(dressing_degrees(nd.group, c)), sum(c) * place.get(i, 0))
-              for c in cl] for i, (nd, cl) in enumerate(zip(nodes, cands))]
+    degrees: dict = {}
+
+    def dress(v: int, c: Charge) -> tuple:
+        nd = nodes[v]
+        key = nd.group, nd.fixed, c
+        if key not in degrees:
+            degrees[key] = () if nd.fixed else tuple(dressing_degrees(nd.group, c))
+        return degrees[key], sum(c) * place.get(v, 0)
+
     main: Counter = Counter()
     count: Counter = Counter()
-    for loc, tab, dr in _cutset_assignments(prob, cands, local4, etab, dress):
-        terms, counts = _tree_pass(prob, thr4, loc, dr, tab, width)
+    for loc, tab, lab in _cutset_assignments(prob, cands, local4, etab, cands):
+        terms, counts = _tree_pass(prob, thr4, loc, lab, tab, width, dress)
         main.update(terms)
         count.update(counts)
 

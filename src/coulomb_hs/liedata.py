@@ -1,6 +1,6 @@
 """Root-system data for U(n), SO(n) and USp(2m): dominant magnetic
-chambers, positive-root evaluation, residual stabilizers and Casimir
-degrees.
+chambers, positive-root evaluation, the Weyl vector, residual stabilizers
+and Casimir degrees.
 
 Magnetic charges are integer tuples throughout (no spinor or coweight
 refinements).  Dominant chambers:
@@ -66,6 +66,23 @@ def positive_root_values(g: GaugeGroup, m: Charge) -> list:
     elif g.n % 2:
         out.extend(abs(x) for x in m)
     return out
+
+
+def weyl_vector(g: GaugeGroup) -> tuple:
+    """2*rho, twice the Weyl vector of g, in the charge coordinates.
+
+    On the dominant chamber every positive root is nonnegative, so the sum
+    of ``positive_root_values(g, m)`` is the dot product <2*rho, m>.  For
+    SO(2r) the last entry's weight is 0: its roots m_i -+ m_r cancel in
+    it, which is why a negative last entry changes nothing."""
+    r = g.rank
+    if g.family is Family.UNITARY:
+        return tuple(range(r - 1, -r, -2))
+    if g.family is Family.SYMPLECTIC:
+        return tuple(range(2 * r, 0, -2))
+    if g.n % 2:
+        return tuple(range(2 * r - 1, 0, -2))
+    return tuple(range(2 * r - 2, -1, -2))
 
 
 def residual_stabilizer(g: GaugeGroup, m: Charge) -> list:

@@ -67,6 +67,12 @@ def test_generate_partial(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "partial", "--n", "4",
                        "--partition", "3,3")
     assert code == 1 and "partition" in err
+    for bad in ("2,x", "2,,2"):
+        code, _, err = run(capsys, "generate", "partial", "--n", "4",
+                           "--partition", bad)
+        assert code == 1
+        assert err == ("error: --partition: parts must be comma-separated "
+                       f"integers, got {bad!r}\n")
 
 
 def test_report_text_and_json(tmp_path, capsys):

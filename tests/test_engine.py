@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import chain, product
@@ -19,10 +20,17 @@ from coulomb_hs.engine import (
     refined_implosion_integral,
     symmetry_dimension,
     _Problem,
+    _box_tables,
+    _candidates,
+    _cutset_assignments,
     _edge_table,
+    _min_tables,
+    _proven_box,
     _scan_box,
+    _totals,
+    _tree_pass,
 )
-from coulomb_hs.liedata import dominant_charges
+from coulomb_hs.liedata import dominant_charges, dressing_degrees
 from coulomb_hs.quiver import (
     DecoupledU1UnresolvedError,
     NodeKind,
@@ -776,6 +784,71 @@ def test_edge_table_matches_reference():
     prob = _Problem(unitary)
     assert [(prob.nodes[u].id, prob.nodes[v].id)
             for v, late in enumerate(prob.nontree) for u, _ in late] == [("b", "d")]
+
+
+def test_edge_tables_are_shared_per_edge_type():
+    # The four U(1) leaves of the bouquet hang off one U(4) node and share
+    # one candidate list, so their tree edges share one table; sharing
+    # does not change a cell.
+    prob = _Problem(ungauge(build_bouquet_quiver(5), "b1"))
+    cands = _candidates(prob, _proven_box(prob, 8, 64))
+    _, etab = _box_tables(prob, cands)
+    leaves = [prob.index[f"b{i}"] for i in range(2, 6)]
+    assert len({id(cands[v]) for v in leaves}) == 1
+    assert len({id(etab[v]) for v in leaves}) == 1
+    for v in leaves:
+        p = prob.parent[v]
+        fresh = _edge_table(prob, prob.edges[prob.parent_edge[v]], p,
+                            list(cands[p]), list(cands[v]))
+        assert etab[v] == fresh and etab[v] is not fresh
+
+
+def test_shared_tables_are_never_mutated():
+    # Repeated U(1) groups share candidate lists and edge tables, so no
+    # consumer may change them in place: every stage of the sum and of
+    # the search leaves box 2's lists and tables exactly as built.
+    for q in (affine_a2_triangle(), k4_two_node_cutset()):
+        prob = _Problem(q)
+        cands = _candidates(prob, 2)
+        local4, etab = _box_tables(prob, cands)
+        before = copy.deepcopy((cands, local4, etab))
+
+        def dress(v, c):
+            nd = prob.nodes[v]
+            return () if nd.fixed else tuple(dressing_degrees(nd.group, c)), 0
+        for loc, tab, lab in _cutset_assignments(prob, cands, local4, etab, cands):
+            sub_cost, best, root_min = _min_tables(prob, loc, tab)
+            _totals(prob, tab, sub_cost, best, root_min)
+            _tree_pass(prob, 12, loc, lab, tab, 1, dress)
+        _scan_box(prob, 2, 12)
+        assert (cands, local4, etab) == before, q
+
+
+def test_dressing_is_priced_on_demand(monkeypatch):
+    # The sum prices the dressing of a candidate only when some charge
+    # through it is within the cutoff, and each (group, charge) once.
+    import coulomb_hs.engine as engine
+    calls = []
+
+    def counted(g, m):
+        calls.append((g, m))
+        return dressing_degrees(g, m)
+    monkeypatch.setattr(engine, "dressing_degrees", counted)
+    q = build_bouquet_quiver(5)
+    result = compute_hilbert_series(HSRequest(q, 4, ungauge="b1"))
+    assert result.series.coefficient(2) == 28
+
+    thr4 = 8
+    prob = _Problem(ungauge(q, "b1"))
+    cands = _candidates(prob, result.stats.bound_reached)
+    local4, etab = _box_tables(prob, cands)
+    (loc, tab, lab), = _cutset_assignments(prob, cands, local4, etab, cands)
+    tot = _totals(prob, tab, *_min_tables(prob, loc, tab))
+    live = {(nd.group, c) for nd, cl, tv in zip(prob.nodes, lab, tot)
+            for c, t in zip(cl, tv) if t <= thr4}
+    assert calls and set(calls) <= live
+    assert len(calls) == len(set(calls))
+    assert len(calls) < sum(map(len, cands))
 
 
 def test_bad_theory_message_names_the_charge():

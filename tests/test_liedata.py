@@ -11,6 +11,7 @@ from coulomb_hs.liedata import (
     positive_root_values,
     residual_stabilizer,
     validate_charge,
+    weyl_vector,
 )
 from coulomb_hs.quiver import Family, GaugeGroup, SO, U, USp
 
@@ -125,6 +126,30 @@ def test_weyl_invariance_brute_force():
             reference = sum(positive_root_values(g, m))
             orbit = weyl_orbit(g, m)
             assert all(eval_root_sum(roots, w) == reference for w in orbit)
+
+
+def test_root_sum_is_the_weyl_vector_dot_product():
+    # On the dominant chamber the root term is <2*rho, m>, so the engine
+    # prices it as a dot product; SO(even) charges with a negative last
+    # entry are included.
+    groups = ([U(r) for r in range(1, 6)] + [SO(n) for n in range(2, 11)]
+              + [USp(n) for n in range(2, 9, 2)])
+    assert weyl_vector(U(4)) == (3, 1, -1, -3)
+    assert weyl_vector(USp(6)) == (6, 4, 2)
+    assert weyl_vector(SO(7)) == (5, 3, 1)
+    assert weyl_vector(SO(8)) == (6, 4, 2, 0)
+    assert weyl_vector(SO(2)) == (0,)
+    negative_last = 0
+    for g in groups:
+        rho2 = weyl_vector(g)
+        assert len(rho2) == g.rank
+        for b in range(4):
+            for m in dominant_charges(g, b):
+                assert sum(positive_root_values(g, m)) == \
+                    sum(w * x for w, x in zip(rho2, m)), (g, m)
+                negative_last += (g.family is Family.ORTHOGONAL and g.n % 2 == 0
+                                  and m[-1] < 0)
+    assert negative_last > 0
 
 
 # ---------------------------------------------------------------------------
