@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -120,6 +121,31 @@ def test_involution_and_pair_randomized():
             assert ddc.rows != hnf_rows(c.rows, c.d)
         else:
             assert ddc.rows == hnf_rows(c.rows, c.d)
+
+
+def test_kernel_basis_is_pinned():
+    # The exact HNF bases of seeded random configurations, n = 0 included,
+    # hashed: any change to the elimination that alters a basis shows here.
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    count = 0
+    for _ in range(1000):
+        d = rng.randint(1, 9)
+        n = rng.randint(0, d)
+        rows = [[rng.randint(-5, 5) for _ in range(d)] for _ in range(n)]
+        try:
+            c = ToricConfig(rows, d=d)
+        except RankDeficientError:
+            continue
+        kernel = kernel_lattice(c)
+        assert len(kernel) == d - n
+        for r in kernel:
+            assert all(sum(a * x for a, x in zip(row, r)) == 0 for row in c.rows)
+        digest.update(repr(kernel).encode())
+        count += 1
+    assert count == 992
+    assert digest.hexdigest() == (
+        "f1929d7effda232ef7b56550d0d1a46005ce1a7431d41415d8226d72df55f857")
 
 
 def test_json_round_trip():
