@@ -215,13 +215,14 @@ def cmd_hs(args) -> int:
     )
     payload = {"series": series_to_json(series), "manifest": asdict(manifest)}
     if args.pl:
-        payload["plethystic_log"] = series_to_json(plethystic_log(series))
+        pl = plethystic_log(series)
+        payload["plethystic_log"] = series_to_json(pl)
     if args.json:
         _emit(payload, args.output)
         return EXIT_OK
     print(series.text())
     if args.pl:
-        print("PL:", plethystic_log(series).text())
+        print("PL:", pl.text())
     print("manifest:", json.dumps(asdict(manifest), sort_keys=True))
     if args.output:
         _emit(payload, args.output)

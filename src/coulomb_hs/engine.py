@@ -210,23 +210,29 @@ class _Problem:
         self.roots: list = []
         self.preorder: list = []
         tree_edge = [False] * len(self.edges)
-
-        def dfs(u):
-            self.preorder.append(u)
-            for v, ei in adj[u]:
-                if not visited[v]:
-                    visited[v] = True
-                    self.parent[v] = u
-                    self.parent_edge[v] = ei
-                    self.children[u].append(v)
-                    tree_edge[ei] = True
-                    dfs(v)
-
+        # Depth-first, with a stack of adjacency iterators in place of
+        # recursion, so that a long chain of nodes cannot exhaust the stack.
         for s in range(n):
-            if not visited[s]:
-                visited[s] = True
-                self.roots.append(s)
-                dfs(s)
+            if visited[s]:
+                continue
+            visited[s] = True
+            self.roots.append(s)
+            self.preorder.append(s)
+            stack = [(s, iter(adj[s]))]
+            while stack:
+                u, it = stack[-1]
+                for v, ei in it:
+                    if not visited[v]:
+                        visited[v] = True
+                        self.parent[v] = u
+                        self.parent_edge[v] = ei
+                        self.children[u].append(v)
+                        tree_edge[ei] = True
+                        self.preorder.append(v)
+                        stack.append((v, iter(adj[v])))
+                        break
+                else:
+                    stack.pop()
         pos = {v: k for k, v in enumerate(self.preorder)}
         # Non-tree edges, attached to whichever endpoint comes later.
         self.nontree: list = [[] for _ in range(n)]
@@ -441,7 +447,9 @@ def _scan_box(prob: _Problem, b: int, thr4: int) -> dict:
     """``{charge: 4*Delta}`` for the charges with max |entry| <= b and
     4*Delta <= thr4: for each assignment of the cycle cutset, a
     depth-first search over the spanning forest pruned with that
-    assignment's exact minimum-cost tables."""
+    assignment's exact minimum-cost tables.  The search keeps one
+    candidate iterator per preorder position on a stack, not one Python
+    frame per node, so long quivers do not hit the recursion limit."""
     n = len(prob.nodes)
     if n == 0:
         return {(): 0}
@@ -453,7 +461,9 @@ def _scan_box(prob: _Problem, b: int, thr4: int) -> dict:
     pre = prob.preorder
     last = n - 1
 
-    def rec(k: int, lb: int):
+    def level(k: int, lb: int):
+        """The candidates of node ``pre[k]`` whose lower bound stays within
+        ``thr4``, given the choices at the earlier preorder positions."""
         v = pre[k]
         p = prob.parent[v]
         base = lb - (best[v][choice[p]] if p >= 0 else root_min[v])
@@ -461,18 +471,25 @@ def _scan_box(prob: _Problem, b: int, thr4: int) -> dict:
         sc = sub_cost[v]
         for iv, cv in enumerate(lab[v]):
             nl = base + sc[iv] + (erow[iv] if erow is not None else 0)
-            if nl > thr4:
-                continue
-            selected[v] = cv
-            if k == last:
-                found[tuple(selected)] = nl
-            else:
-                choice[v] = iv
-                rec(k + 1, nl)
+            if nl <= thr4:
+                yield iv, cv, nl
 
     for loc, tab, lab in _cutset_assignments(prob, cands, local4, etab, cands):
         sub_cost, best, root_min = _min_tables(prob, loc, tab)
-        rec(0, sum(root_min.values()))
+        stack = [level(0, sum(root_min.values()))]
+        while stack:
+            k = len(stack) - 1
+            v = pre[k]
+            for iv, cv, nl in stack[-1]:
+                selected[v] = cv
+                if k == last:
+                    found[tuple(selected)] = nl
+                else:
+                    choice[v] = iv
+                    stack.append(level(k + 1, nl))
+                    break
+            else:
+                stack.pop()
     return found
 
 

@@ -8,10 +8,11 @@ n <-> d - n exchanges the isometry-torus rank with the number of
 deformation parameters of the associated hypertoric space, whose real
 dimensions are 4n and 4(d - n).
 
-All linear algebra is exact big-integer arithmetic; kernels are returned
-in row Hermite normal form (positive pivots, entries above a pivot
-reduced into [0, pivot)), which fixes the basis ambiguity and makes
-outputs deterministic and the duality an involution on row lattices.
+All linear algebra is exact big-integer arithmetic in one routine, the
+row Hermite normal form ``hnf_rows`` (positive pivots, entries above a
+pivot reduced into [0, pivot)), which fixes the basis ambiguity and makes
+outputs deterministic and the duality an involution on row lattices.  The
+kernel of U is the tail of the augmented reduction HNF([U^T | I_d]).
 """
 
 from __future__ import annotations
@@ -36,18 +37,15 @@ class DimensionMismatchError(GaleError):
 Matrix = tuple  # tuple of row tuples
 
 
-def _row_hnf(rows: Iterable[Sequence[int]], width: int) -> Matrix:
-    """Canonical row Hermite normal form; zero rows dropped."""
+def hnf_rows(rows: Iterable[Sequence[int]], width: int) -> Matrix:
+    """Canonical row Hermite normal form of a row lattice, zero rows
+    dropped.  This is the module's one elimination routine."""
     mat = [list(r) for r in rows]
     if any(len(r) != width for r in mat):
         raise GaleError("ragged matrix")
     pivot_row = 0
     for col in range(width):
-        pr = None
-        for r in range(pivot_row, len(mat)):
-            if mat[r][col]:
-                pr = r
-                break
+        pr = next((r for r in range(pivot_row, len(mat)) if mat[r][col]), None)
         if pr is None:
             continue
         mat[pivot_row], mat[pr] = mat[pr], mat[pivot_row]
@@ -66,36 +64,6 @@ def _row_hnf(rows: Iterable[Sequence[int]], width: int) -> Matrix:
                 mat[r] = [a - q * b for a, b in zip(mat[r], mat[pivot_row])]
         pivot_row += 1
     return tuple(tuple(r) for r in mat[:pivot_row])
-
-
-def _kernel_basis(rows: Matrix, width: int) -> Matrix:
-    """Basis of the integer (right) kernel of the matrix, via a unimodular
-    row reduction of its transpose."""
-    d = width
-    a = [[row[j] for row in rows] for j in range(d)]  # transpose, d rows
-    w = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    n = len(rows)
-    pivot_row = 0
-    for col in range(n):
-        pr = None
-        for r in range(pivot_row, d):
-            if a[r][col]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        a[pivot_row], a[pr] = a[pr], a[pivot_row]
-        w[pivot_row], w[pr] = w[pr], w[pivot_row]
-        for r in range(pivot_row + 1, d):
-            while a[r][col]:
-                q = a[pivot_row][col] // a[r][col]
-                a[pivot_row] = [x - q * y for x, y in zip(a[pivot_row], a[r])]
-                w[pivot_row] = [x - q * y for x, y in zip(w[pivot_row], w[r])]
-                a[pivot_row], a[r] = a[r], a[pivot_row]
-                w[pivot_row], w[r] = w[r], w[pivot_row]
-        pivot_row += 1
-    kernel = [w[r] for r in range(pivot_row, d)]
-    return _row_hnf(kernel, d)
 
 
 @dataclass(frozen=True)
@@ -122,7 +90,7 @@ class ToricConfig:
         object.__setattr__(self, "d", d)
         if self.n > self.d:
             raise RankDeficientError(f"need n <= d, got n={self.n}, d={self.d}")
-        if rows and len(_row_hnf(rows, self.d)) != len(rows):
+        if rows and len(hnf_rows(rows, self.d)) != len(rows):
             raise RankDeficientError("columns do not span full rank")
 
     @property
@@ -135,36 +103,32 @@ class ToricConfig:
         cols = [tuple(int(x) for x in c) for c in columns]
         if d is not None and len(cols) != d:
             raise GaleError(f"expected {d} columns, got {len(cols)}")
-        if not cols:
-            return ToricConfig((), d=d or 0)
-        height = len(cols[0])
+        # With no columns the height is the declared n: an n x 0 matrix.
+        height = len(cols[0]) if cols else n or 0
         if n is not None and height != n:
             raise GaleError(f"expected columns of height {n}, got {height}")
         if any(len(c) != height for c in cols):
             raise GaleError("ragged columns")
-        if height == 0:
-            return ToricConfig((), d=len(cols))
-        return ToricConfig(tuple(tuple(c[i] for c in cols) for i in range(height)))
+        return ToricConfig(tuple(zip(*cols)) or ((),) * height, d=len(cols))
 
     @property
     def columns(self) -> Matrix:
         return tuple(tuple(r[j] for r in self.rows) for j in range(self.d))
 
 
-def hnf_rows(rows: Iterable[Sequence[int]], width: int) -> Matrix:
-    """Canonical Hermite normal form of a row lattice (public helper for
-    comparing lattices)."""
-    return _row_hnf(rows, width)
-
-
 def kernel_lattice(c: ToricConfig) -> Matrix:
     """Hermite-normal-form basis of the integer kernel of the configuration
-    matrix: the lattice of dependency relations among the columns."""
-    if not c.rows:
-        # 0 x d matrix: the kernel is all of Z^d.
-        return tuple(tuple(1 if i == j else 0 for j in range(c.d))
-                     for i in range(c.d))
-    return _kernel_basis(c.rows, c.d)
+    matrix A: the lattice of dependency relations among the columns.
+
+    The rows of [A^T | I_d] span {(A w, w) : w in Z^d}.  In its HNF the
+    rows with a pivot among the first n columns come first and stay
+    independent there, so the rows whose first n entries vanish, cut to
+    their last d entries, are a basis of the kernel: as the tail of a
+    normal form, its own HNF.  For n = 0 the HNF of I_d is I_d = Z^d."""
+    n, d = c.n, c.d
+    aug = [col + tuple(int(i == j) for i in range(d))
+           for j, col in enumerate(c.columns)]
+    return tuple(r[n:] for r in hnf_rows(aug, n + d) if not any(r[:n]))
 
 
 def gale_dual(c: ToricConfig) -> ToricConfig:
@@ -178,7 +142,7 @@ def is_gale_dual_pair(a: ToricConfig, b: ToricConfig) -> bool:
         raise DimensionMismatchError(f"configurations have d={a.d} and d={b.d}")
     if a.n + b.n != a.d:
         return False
-    return _row_hnf(b.rows, b.d) == kernel_lattice(a)
+    return hnf_rows(b.rows, b.d) == kernel_lattice(a)
 
 
 @dataclass(frozen=True)
@@ -202,7 +166,7 @@ def duality_report(c: ToricConfig) -> DualityReport:
     n, d = c.n, c.d
     index = 1
     if n:
-        h = _row_hnf([list(col) for col in c.columns], n)
+        h = hnf_rows(c.columns, n)
         for row in h:
             for x in row:
                 if x:

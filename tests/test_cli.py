@@ -283,6 +283,11 @@ def test_gale_command(tmp_path, capsys):
     code, _, err = run(capsys, "gale", str(bad))
     assert code == 1 and "rank" in err
 
+    no_columns = tmp_path / "n2d0.json"
+    no_columns.write_text(json.dumps({"n": 2, "columns": []}))
+    code, out, err = run(capsys, "gale", str(no_columns))
+    assert (code, out, err) == (1, "", "error: need n <= d, got n=2, d=0\n")
+
 
 def test_check_suite(capsys):
     code, text, _ = run(capsys, "check-suite")

@@ -184,6 +184,30 @@ def test_enumerate_deterministic():
     assert any(d == 2 for d in deltas)
 
 
+def u1_chain(n):
+    """n U(1) gauge nodes in a line, with a U(1) flavor at each end: the
+    T[SU(n+1)] quiver, whose Coulomb branch has (n+1)^2 - 1 moment maps."""
+    nodes = [QuiverNode(f"g{i}", NodeKind.GAUGE, U(1)) for i in range(n)]
+    nodes += [QuiverNode("fa", NodeKind.FLAVOR, U(1)),
+              QuiverNode("fb", NodeKind.FLAVOR, U(1))]
+    edges = [("fa", "g0"), (f"g{n - 1}", "fb")]
+    edges += [(f"g{i}", f"g{i + 1}") for i in range(n - 1)]
+    return Quiver(nodes, edges)
+
+
+def test_long_chain_does_not_recurse():
+    # 1500 nodes is past Python's default recursion limit of 1000: the
+    # spanning-tree search and the charge scan must not recurse per node.
+    q = u1_chain(1500)
+    prob = _Problem(q)
+    assert prob.preorder == list(range(1500))
+    assert prob.parent == [-1] + list(range(1499))
+    assert [c.charges for c in enumerate_charges(q, Fraction(1, 2))] == [
+        ((0,),) * 1500]
+    s = coulomb_hilbert_series(HSRequest(q, 2))
+    assert s.text() == f"1 + {1501 ** 2 - 1}*t^2"
+
+
 # ---------------------------------------------------------------------------
 # Hilbert series
 

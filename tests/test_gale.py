@@ -155,3 +155,16 @@ def test_json_round_trip():
     assert config_from_json(obj).rows == c.rows
     empty = ToricConfig([], d=3)
     assert config_from_json(config_to_json(empty)).d == 3
+
+
+def test_declared_height_of_no_columns():
+    # An n x 0 matrix with n > 0 has n > d, like any other such input.
+    with pytest.raises(RankDeficientError, match="got n=2, d=0"):
+        config_from_json({"n": 2, "columns": []})
+    with pytest.raises(RankDeficientError):
+        ToricConfig.from_columns([], n=1)
+    for obj in ({"n": 0, "columns": []}, {"columns": []}):
+        c = config_from_json(obj)
+        assert (c.n, c.d, kernel_lattice(c)) == (0, 0, ())
+    c = config_from_json({"n": 0, "columns": [[], []]})
+    assert kernel_lattice(c) == ((1, 0), (0, 1))
