@@ -45,7 +45,11 @@ def hnf_rows(rows: Iterable[Sequence[int]], width: int) -> Matrix:
         raise GaleError("ragged matrix")
     pivot_row = 0
     for col in range(width):
-        pr = next((r for r in range(pivot_row, len(mat)) if mat[r][col]), None)
+        pr = None
+        for r in range(pivot_row, len(mat)):
+            if mat[r][col]:
+                pr = r
+                break
         if pr is None:
             continue
         mat[pivot_row], mat[pr] = mat[pr], mat[pivot_row]

@@ -186,7 +186,8 @@ def test_enumerate_deterministic():
 
 def u1_chain(n):
     """n U(1) gauge nodes in a line, with a U(1) flavor at each end: the
-    T[SU(n+1)] quiver, whose Coulomb branch has (n+1)^2 - 1 moment maps."""
+    mirror of U(1) with n+1 flavors, whose Coulomb branch (the minimal
+    nilpotent orbit of sl(n+1)) has (n+1)^2 - 1 moment maps."""
     nodes = [QuiverNode(f"g{i}", NodeKind.GAUGE, U(1)) for i in range(n)]
     nodes += [QuiverNode("fa", NodeKind.FLAVOR, U(1)),
               QuiverNode("fb", NodeKind.FLAVOR, U(1))]
