@@ -26,11 +26,11 @@ max |entry| == b, 4*Delta is at least b times its minimum c4 over shell 1
 (see ``_proven_box``).  c4 is read off box 1's exact minimum-cost tables
 over the quiver's spanning forest, with no search: the least 4*Delta of
 any charge through each nonzero candidate of each node.  Only a bad
-theory (c4 <= 0) runs the depth-first search of box 1, with cutoff 0,
-to name the offending charge; ``enumerate_charges`` lists the charges of
-box B by the same search.  The search runs once per assignment of the
-cycle cutset (below), over the spanning forest, pruned with that
-assignment's tables.
+theory (c4 <= 0) lists the charges of box 1 with cutoff 0, to name the
+offending charge; ``enumerate_charges`` lists the charges of box B.
+Both lists come from the same tree pass as the Hilbert series (below),
+with dressing 1 and one packed digit per charge entry, so that each
+charge is one monomial.
 
 Every matter term, on a tree edge, an edge that closes a cycle or a
 flavor edge, comes from one kernel, the edge table, and 4*Delta of a
@@ -52,11 +52,12 @@ grows with the table cells times the order rather than with the number
 of charges.  A candidate through which no charge is within the cutoff is
 dead: no message sums over it and its dressing degrees are never
 computed; a live candidate's are computed once per group and charge.  A
-second lane with dressing 1 counts the charges.  Refined topological
-charges ride along as digits of one packed integer.  Edges that close a
-cycle (every affine A_n quiver has one) are handled by conditioning on
-the charges of their early endpoints, a cycle cutset, and running the
-same pass once per assignment.
+second lane with dressing 1 counts the charges.  Linear functionals of a
+node's charge ride along as digits of one packed integer: the refined
+topological charges, or every entry of every charge when the charges
+are listed.  Edges that close a cycle (every affine A_n quiver has one)
+are handled by conditioning on the charges of their early endpoints, a
+cycle cutset, and running the same pass once per assignment.
 """
 
 from __future__ import annotations
@@ -443,56 +444,6 @@ def _delta4(prob: _Problem, vec: Sequence[Charge]) -> int:
     return sum(_min_tables(prob, loc, tab)[2].values())
 
 
-def _scan_box(prob: _Problem, b: int, thr4: int) -> dict:
-    """``{charge: 4*Delta}`` for the charges with max |entry| <= b and
-    4*Delta <= thr4: for each assignment of the cycle cutset, a
-    depth-first search over the spanning forest pruned with that
-    assignment's exact minimum-cost tables.  The search keeps one
-    candidate iterator per preorder position on a stack, not one Python
-    frame per node, so long quivers do not hit the recursion limit."""
-    n = len(prob.nodes)
-    if n == 0:
-        return {(): 0}
-    cands = _candidates(prob, b)
-    local4, etab = _box_tables(prob, cands)
-    found: dict = {}
-    choice = [0] * n
-    selected: list = [None] * n
-    pre = prob.preorder
-    last = n - 1
-
-    def level(k: int, lb: int):
-        """The candidates of node ``pre[k]`` whose lower bound stays within
-        ``thr4``, given the choices at the earlier preorder positions."""
-        v = pre[k]
-        p = prob.parent[v]
-        base = lb - (best[v][choice[p]] if p >= 0 else root_min[v])
-        erow = tab[v][choice[p]] if p >= 0 else None
-        sc = sub_cost[v]
-        for iv, cv in enumerate(lab[v]):
-            nl = base + sc[iv] + (erow[iv] if erow is not None else 0)
-            if nl <= thr4:
-                yield iv, cv, nl
-
-    for loc, tab, lab in _cutset_assignments(prob, cands, local4, etab, cands):
-        sub_cost, best, root_min = _min_tables(prob, loc, tab)
-        stack = [level(0, sum(root_min.values()))]
-        while stack:
-            k = len(stack) - 1
-            v = pre[k]
-            for iv, cv, nl in stack[-1]:
-                selected[v] = cv
-                if k == last:
-                    found[tuple(selected)] = nl
-                else:
-                    choice[v] = iv
-                    stack.append(level(k + 1, nl))
-                    break
-            else:
-                stack.pop()
-    return found
-
-
 def _proven_box(prob: _Problem, thr4: int, max_bound: int) -> int:
     """The proven box bound B: every charge with 4*Delta <= thr4 has
     max |entry| <= B.
@@ -510,9 +461,10 @@ def _proven_box(prob: _Problem, thr4: int, max_bound: int) -> int:
     ``tot[v][iv]`` of box 1's tables over the nonzero candidates iv of
     every node v, under every assignment of the cycle cutset.  Box 1 holds
     a nonzero charge with 4*Delta <= 0 exactly when c4 <= 0, a bad theory,
-    named by the first nonzero charge that a cutoff-0 ``_scan_box`` of
-    box 1 finds; otherwise every charge with 4*Delta <= thr4 lies in the
-    box B = thr4 // c4 (B = 0 when box 1 holds no nonzero charge).
+    named by the nonzero charge of box 1 with the least 4*Delta, ties going
+    to the first in the order of ``enumerate_charges``; otherwise every
+    charge with 4*Delta <= thr4 lies in the box B = thr4 // c4 (B = 0 when
+    box 1 holds no nonzero charge).
     """
     if thr4 < 0:
         raise ValueError("the dimension cutoff must be nonnegative")
@@ -527,8 +479,8 @@ def _proven_box(prob: _Problem, thr4: int, max_bound: int) -> int:
         least.extend(chain.from_iterable(map(compress, tot, nz)))
     c4 = min(least, default=None)
     if c4 is not None and c4 <= 0:
-        vec, d4 = next((vec, d4) for vec, d4 in _scan_box(prob, 1, 0).items()
-                       if any(chain.from_iterable(vec)))
+        d4, vec = min((d4, vec) for vec, d4 in _box_charges(prob, 1, 0).items()
+                      if any(chain.from_iterable(vec)))
         raise BadTheoryError(
             f"nonzero magnetic charge {vec} has 2*Delta = {d4 // 2} <= 0; "
             "the monopole sum diverges")
@@ -540,6 +492,19 @@ def _proven_box(prob: _Problem, thr4: int, max_bound: int) -> int:
     return bound
 
 
+def _box_charges(prob: _Problem, b: int, thr4: int) -> dict:
+    """``{charge: 4*Delta}`` for the charges with max |entry| <= b and
+    4*Delta <= thr4: the box sum without dressing, in which each entry of
+    every charge is one balanced digit of base 2b + 1.  Node v's entries
+    form the digit d(m) = sum_i m_v[i] * (2b + 1)^i, so each charge is one
+    key of coefficient 1, and each node's digit names its charge."""
+    cands = _candidates(prob, b)
+    powers = [tuple((2 * b + 1) ** i for i in range(nd.rank)) for nd in prob.nodes]
+    names = [{sum(map(mul, w, c)): c for c in cl} for w, cl in zip(powers, cands)]
+    terms, _ = _monopole_sum(prob, b, thr4, list(enumerate(powers)), dressed=False)
+    return {tuple(map(dict.__getitem__, names, digits)): d4 for d4, digits in terms}
+
+
 def enumerate_charges(q: Quiver, delta_max, *,
                       max_bound: int = DEFAULT_MAX_BOUND) -> list:
     """All dominant charges with Delta(m) <= delta_max, shell by shell of
@@ -549,7 +514,7 @@ def enumerate_charges(q: Quiver, delta_max, *,
         raise ValueError("delta_max must be a quarter-integer")
     prob = _Problem(q)
     bound = _proven_box(prob, int(thr4), max_bound)
-    found = _scan_box(prob, bound, int(thr4))
+    found = _box_charges(prob, bound, int(thr4))
     ids = tuple(nd.id for nd in prob.nodes)
     keyed = sorted((max(map(abs, chain.from_iterable(vec)), default=0), vec)
                    for vec in found)
@@ -705,18 +670,23 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
             {k + s0: c for k, c in finalc.items()})
 
 
-def _monopole_sum(prob: _Problem, b: int, thr4: int, refined: list):
-    """Sum t^(2 Delta) P(m, t) times the monomial of the topological charges
-    of the ``refined`` node ids over box b, and count the charges, both up
-    to 4*Delta = thr4.
+def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list,
+                  dressed: bool = True):
+    """Sum t^(2 Delta) P(m, t) times prod_j y_j^(d_j(m)) over box b, and
+    count the charges, both up to 4*Delta = thr4; without ``dressed``,
+    P(m, t) is 1.  Each digit ``(v, w)`` is a linear functional
+    d(m) = <w, m_v> of node v's charge.
 
-    Returns ``{t-exponent: {Laurent key: coefficient}}``, with ``refined``
-    sorted so that the keys are canonical, and ``{4*Delta: charge count}``.
+    Returns ``{(4*Delta, digit values): coefficient}`` and
+    ``{4*Delta: charge count}``.
 
-    Monomials pack into one integer: the j-th refined node holds a
-    balanced digit of base 2*rank*b + 1 below the exponent, so multiplying
-    monomials adds keys.  Edges outside the spanning forest are handled by
-    conditioning on their early endpoints: for each assignment of that
+    Monomials pack into one integer: since |d(m)| <= h = b * sum |w|,
+    digit j is a balanced digit of base 2h + 1 below the exponent, so
+    multiplying monomials adds keys.  The refined series gives each
+    refined U(r) node one digit, its topological charge (w = (1, ..., 1));
+    ``_box_charges`` gives each node one, whose own digits of base 2b + 1
+    are the node's entries.  Edges outside the spanning forest are handled
+    by conditioning on their early endpoints: for each assignment of that
     cutset, the pinned nodes keep one candidate, each such edge's cost
     joins the local term of its late endpoint, and the tree pass runs as
     is.  The tree pass asks ``dress`` for the dressing degrees of its live
@@ -725,19 +695,23 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, refined: list):
     nodes = prob.nodes
     cands = _candidates(prob, b)
     local4, etab = _box_tables(prob, cands)
-    bases = [2 * nodes[prob.index[nid]].rank * b + 1 for nid in refined]
-    place, width = {}, 1
-    for nid, base in zip(refined, bases):
-        place[prob.index[nid]] = width
-        width *= base
+    places: list = [[] for _ in nodes]
+    radix = []  # (place, base, h) of each digit
+    width = 1
+    for v, w in digits:
+        h = b * sum(map(abs, w))
+        places[v].append((width, w))
+        radix.append((width, 2 * h + 1, h))
+        width *= 2 * h + 1
     degrees: dict = {}
 
     def dress(v: int, c: Charge) -> tuple:
         nd = nodes[v]
         key = nd.group, nd.fixed, c
         if key not in degrees:
-            degrees[key] = () if nd.fixed else tuple(dressing_degrees(nd.group, c))
-        return degrees[key], sum(c) * place.get(v, 0)
+            degrees[key] = (tuple(dressing_degrees(nd.group, c))
+                            if dressed and not nd.fixed else ())
+        return degrees[key], sum(place * sum(map(mul, w, c)) for place, w in places[v])
 
     main: Counter = Counter()
     count: Counter = Counter()
@@ -746,18 +720,13 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, refined: list):
         main.update(terms)
         count.update(counts)
 
+    # Adding half the width turns each balanced digit d into d + h >= 0.
     half = width // 2
-    rows: dict = {}
+    out: dict = {}
     for k, coeff in main.items():
-        x = (k + half) // width
-        rest, mono = k - x * width, []
-        for nid, base in zip(refined, bases):
-            digit = (rest + base // 2) % base - base // 2
-            if digit:
-                mono.append((nid, digit))
-            rest = (rest - digit) // base
-        rows.setdefault(x // 2, {})[tuple(mono)] = coeff
-    return rows, count
+        x, rest = divmod(k + half, width)
+        out[x, tuple(rest // place % base - h for place, base, h in radix)] = coeff
+    return out, count
 
 
 def compute_hilbert_series(request: HSRequest) -> HSResult:
@@ -786,7 +755,12 @@ def compute_hilbert_series(request: HSRequest) -> HSResult:
     thr4 = 2 * request.order
     bound = _proven_box(prob, thr4, request.max_bound)
     refined = sorted(request.refined)
-    rows, counts = _monopole_sum(prob, bound, thr4, refined)
+    digits = [(prob.index[nid], (1,) * q.node(nid).group.rank) for nid in refined]
+    terms, counts = _monopole_sum(prob, bound, thr4, digits)
+    rows: dict = {}
+    for (x, tops), coeff in terms.items():
+        rows.setdefault(x // 2, {})[
+            tuple((nid, s) for nid, s in zip(refined, tops) if s)] = coeff
     series = TruncatedSeries(request.order,
                              {e: Laurent(row) for e, row in rows.items()},
                              frozenset(refined))

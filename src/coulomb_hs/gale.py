@@ -208,6 +208,8 @@ def config_from_json(obj: dict) -> ToricConfig:
     for key in ("n", "d"):
         if key in obj and type(obj[key]) is not int:
             raise GaleError(f"{key}: expected an integer, got {obj[key]!r}")
+        if obj.get(key, 0) < 0:
+            raise GaleError(f"{key}: expected a nonnegative integer, got {obj[key]}")
     return ToricConfig.from_columns(columns, obj.get("n"), obj.get("d"))
 
 

@@ -166,19 +166,20 @@ def _normalize(c: Coefficient) -> Coefficient:
     return c
 
 
+def _unmixed(a: Coefficient, b: Coefficient) -> None:
+    """A rational and a refined coefficient never meet in one operation."""
+    if isinstance(a, Fraction) or isinstance(b, Fraction):
+        if isinstance(a, Laurent) or isinstance(b, Laurent):
+            raise SeriesError("cannot mix rational and refined coefficients")
+
+
 def _cadd(a: Coefficient, b: Coefficient) -> Coefficient:
-    if isinstance(a, Laurent) and isinstance(b, Fraction):
-        raise SeriesError("cannot mix rational and refined coefficients")
-    if isinstance(b, Laurent) and isinstance(a, Fraction):
-        raise SeriesError("cannot mix rational and refined coefficients")
+    _unmixed(a, b)
     return a + b
 
 
 def _cmul(a: Coefficient, b: Coefficient) -> Coefficient:
-    if isinstance(a, Laurent) and isinstance(b, Fraction):
-        raise SeriesError("cannot mix rational and refined coefficients")
-    if isinstance(b, Laurent) and isinstance(a, Fraction):
-        raise SeriesError("cannot mix rational and refined coefficients")
+    _unmixed(a, b)
     return a * b
 
 

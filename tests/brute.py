@@ -1,15 +1,16 @@
 """Brute-force reference for the monopole formula, for tests only.
 
 Built from ``liedata`` and the quiver data model alone, with its own
-matter weights, so it shares no code with the engine's pruned search or
-its quarter-unit kernels:
+matter weights, so it shares no code with the engine's tree pass or its
+quarter-unit kernels:
 
     Delta(m) = -sum |alpha(m)| over positive roots of every gauge node
                + 1/2 * sum over edges (with multiplicity) of
                  sum weight * |rho(m)| over the edge's matter weights
 
 and the Hilbert series is the unpruned sum of t^(2 Delta(m)) P(m, t) over
-every dominant charge in a box.  Also the Weyl orbits and positive-root
+every dominant charge in a box (``hs_ref``), whose charges with their
+4*Delta ``charges_ref`` lists.  Also the Weyl orbits and positive-root
 counts that the Lie-data tests check against.
 """
 
@@ -129,31 +130,23 @@ def shell_min_ref(q, b: int, pair_weight=PAIR_WEIGHT):
                default=None)
 
 
-def hs_ref(q, order: int, bound: int, refined=None) -> list:
-    """Coefficients of t^0..t^order, summed over every dominant charge with
-    max |entry| <= bound.
+def charges_ref(q, order: int, bound: int) -> dict:
+    """{charge: 4*Delta} for the dominant charges with max |entry| <= bound
+    and 2*Delta <= order, each charge a tuple over ``q.gauge_nodes``.
 
-    With a set of ``refined`` gauge node ids, each coefficient is instead a
-    map from the tuple of their topological charges (the sum of the node's
-    charge entries, ids in sorted order) to the count of terms carrying it.
-    """
+    Delta is as in delta_ref, with node groups and edge endpoints resolved
+    once and each term (in quarter units) cached by the charges it depends
+    on: that makes a box affordable without changing what is summed."""
     gauge = q.gauge_nodes
     slot = {n.id: k for k, n in enumerate(gauge)}
-    tops = [slot[i] for i in sorted(refined or ())]
     cands = [dominant_charges(n.group, bound) for n in gauge]
-    # Delta as in delta_ref, with node groups and edge endpoints resolved
-    # once and each term (in quarter units) and each node's dressing
-    # degrees cached by the charges they depend on: that makes the box sum
-    # affordable without changing what is summed.
     root = [{c: 4 * root_term(n.group, c) for c in cl} for n, cl in zip(gauge, cands)]
-    degrees = [{c: dressing_degrees(n.group, c) for c in cl}
-               for n, cl in zip(gauge, cands)]
     ends = []
     for a, b in q.edges:  # a repeated edge is listed once per multiplicity
         na, nb = q.node(a), q.node(b)
         ends.append((na.group, slot.get(a), (0,) * na.group.rank,
                      nb.group, slot.get(b), (0,) * nb.group.rank, {}))
-    acc = [Counter() for _ in range(order + 1)]
+    out = {}
     for combo in product(*cands):
         d4 = sum(r[c] for r, c in zip(root, combo))
         for ga, ia, za, gb, ib, zb, cache in ends:
@@ -163,14 +156,38 @@ def hs_ref(q, order: int, bound: int, refined=None) -> list:
             if m is None:
                 m = cache[ca, cb] = quarter_units(matter_term(ga, ca, gb, cb))
             d4 += m
-        if d4 > 2 * order:
-            continue
+        if d4 <= 2 * order:
+            out[combo] = d4
+    return out
+
+
+def hs_ref(q, order: int, bound: int, refined=None) -> list:
+    """Coefficients of t^0..t^order, summed over every dominant charge with
+    max |entry| <= bound.
+
+    With a set of ``refined`` gauge node ids, each coefficient is instead a
+    map from the tuple of their topological charges (the sum of the node's
+    charge entries, ids in sorted order) to the count of terms carrying it.
+    """
+    return series_ref(q, order, charges_ref(q, order, bound), refined)
+
+
+def series_ref(q, order: int, charges: dict, refined=None) -> list:
+    """``hs_ref`` summed over the ``charges_ref`` dict ``charges``."""
+    gauge = q.gauge_nodes
+    slot = {n.id: k for k, n in enumerate(gauge)}
+    tops = [slot[i] for i in sorted(refined or ())]
+    degrees = [{} for _ in gauge]  # each node's dressing degrees, by charge
+    acc = [Counter() for _ in range(order + 1)]
+    for combo, d4 in charges.items():
         assert d4 % 2 == 0, "half-odd t-grading"
         te = d4 // 2
         top = tuple(sum(combo[k]) for k in tops)
         dress = [0] * (order + 1)
         dress[0] = 1
-        for deg, c in zip(degrees, combo):
+        for n, deg, c in zip(gauge, degrees, combo):
+            if c not in deg:
+                deg[c] = dressing_degrees(n.group, c)
             for d in deg[c]:
                 for e in range(2 * d, order + 1):
                     dress[e] += dress[e - 2 * d]

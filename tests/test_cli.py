@@ -247,6 +247,8 @@ def one_gauge_node(n):
      "n: expected an integer, got True"),
     ("gale", {"columns": [[1, 0], [0, 1]], "d": 2.0},
      "d: expected an integer, got 2.0"),
+    ("gale", {"columns": [], "n": -1}, "n: expected a nonnegative integer, got -1"),
+    ("gale", {"columns": [], "d": -2}, "d: expected a nonnegative integer, got -2"),
     ("hs", {**one_gauge_node(1), "nodes": [
         {"id": 5, "kind": "gauge", "group": {"family": "U", "n": 1}}]},
      "nodes[0].id: expected a string, got 5"),
@@ -255,8 +257,8 @@ def one_gauge_node(n):
     ("hs", {**one_gauge_node(1), "edges": [["g", None]]},
      "edges[0][1]: expected a string, got None"),
 ], ids=["nodes-int", "edges-int", "group-n-float", "group-n-bool", "columns-int",
-        "column-int", "entry-float", "n-bool", "d-float", "id-int", "edge-end-int",
-        "edge-end-null"])
+        "column-int", "entry-float", "n-bool", "d-float", "n-negative", "d-negative",
+        "id-int", "edge-end-int", "edge-end-null"])
 def test_malformed_input_file_exits_1(tmp_path, capsys, command, obj, message):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))

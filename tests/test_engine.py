@@ -20,13 +20,13 @@ from coulomb_hs.engine import (
     refined_implosion_integral,
     symmetry_dimension,
     _Problem,
+    _box_charges,
     _box_tables,
     _candidates,
     _cutset_assignments,
     _edge_table,
     _min_tables,
     _proven_box,
-    _scan_box,
     _totals,
     _tree_pass,
 )
@@ -156,6 +156,10 @@ def test_enumerate_charges_examples():
     assert [c.charges for c in got] == [((0,),)]
     with pytest.raises(BadTheoryError):
         enumerate_charges(build_bouquet_quiver(3), 1)
+    # With no gauge node the one charge is the empty one.
+    lone_flavor = Quiver([QuiverNode("f", NodeKind.FLAVOR, U(3))], [])
+    for q in (Quiver([], []), lone_flavor):
+        assert enumerate_charges(q, 0) == enumerate_charges(q, 2) == [QuiverCharge((), ())]
 
 
 def test_enumerate_charge_api():
@@ -277,7 +281,7 @@ def boxes_past_bound(req):
     prob = _Problem(q)
     b = compute_hilbert_series(req).stats.bound_reached
     thr4 = 2 * req.order
-    return _scan_box(prob, b + 2, thr4), _scan_box(prob, b, thr4)
+    return _box_charges(prob, b + 2, thr4), _box_charges(prob, b, thr4)
 
 
 def test_hs_stability_under_larger_bound():
@@ -845,7 +849,7 @@ def test_shared_tables_are_never_mutated():
             sub_cost, best, root_min = _min_tables(prob, loc, tab)
             _totals(prob, tab, sub_cost, best, root_min)
             _tree_pass(prob, 12, loc, lab, tab, 1, dress)
-        _scan_box(prob, 2, 12)
+        _box_charges(prob, 2, 12)
         assert (cands, local4, etab) == before, q
 
 
@@ -877,9 +881,9 @@ def test_dressing_is_priced_on_demand(monkeypatch):
 
 
 def test_bad_theory_message_names_the_charge():
-    # The first nonzero charge of box 1 with 2*Delta <= 0 in the search
-    # order, as this engine named it before c4 came from the tables: a
-    # tree, and a triangle whose third edge the cutset conditions on.
+    # The nonzero charge of box 1 with the least 2*Delta, ties going to the
+    # first in the order of enumerate_charges: on a tree, and on a
+    # triangle whose third edge the cutset conditions on.
     tree = Quiver([QuiverNode("g", NodeKind.GAUGE, U(2)),
                    QuiverNode("f", NodeKind.FLAVOR, U(1))], [("g", "f")])
     cycle = Quiver([QuiverNode("a", NodeKind.GAUGE, U(1)),
@@ -887,8 +891,8 @@ def test_bad_theory_message_names_the_charge():
                     QuiverNode("c", NodeKind.GAUGE, U(1)),
                     QuiverNode("f", NodeKind.FLAVOR, U(1))],
                    [("a", "b"), ("b", "c"), ("c", "a"), ("a", "f")])
-    for q, charge, two_delta in ((tree, "((1, 0),)", -1),
-                                 (cycle, "((0,), (1, 0), (0,))", 0)):
+    for q, charge, two_delta in ((tree, "((1, -1),)", -2),
+                                 (cycle, "((0,), (0, -1), (0,))", 0)):
         message = (f"nonzero magnetic charge {charge} has 2*Delta = {two_delta} "
                    "<= 0; the monopole sum diverges")
         for order in (0, 4):

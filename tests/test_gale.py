@@ -5,6 +5,7 @@ import pytest
 
 from coulomb_hs.gale import (
     DimensionMismatchError,
+    GaleError,
     RankDeficientError,
     ToricConfig,
     config_from_json,
@@ -163,6 +164,11 @@ def test_declared_height_of_no_columns():
         config_from_json({"n": 2, "columns": []})
     with pytest.raises(RankDeficientError):
         ToricConfig.from_columns([], n=1)
+    # A negative declared shape is rejected by name, not by a count mismatch.
+    for key, value in (("n", -1), ("d", -2)):
+        with pytest.raises(GaleError,
+                           match=f"^{key}: expected a nonnegative integer, got {value}$"):
+            config_from_json({key: value, "columns": []})
     for obj in ({"n": 0, "columns": []}, {"columns": []}):
         c = config_from_json(obj)
         assert (c.n, c.d, kernel_lattice(c)) == (0, 0, ())

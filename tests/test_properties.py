@@ -14,6 +14,8 @@ from coulomb_hs.engine import (
     HSRequest,
     compute_hilbert_series,
     enumerate_charges,
+    _Problem,
+    _box_charges,
 )
 from coulomb_hs.quiver import (
     Family,
@@ -27,7 +29,7 @@ from coulomb_hs.quiver import (
     ungauge,
 )
 
-from brute import hs_ref, shell_min_ref, topological_counts
+from brute import charges_ref, series_ref, shell_min_ref, topological_counts
 
 
 @st.composite
@@ -62,7 +64,7 @@ def unitary_quivers(draw, cycles=0, forest=False):
     if detect_decoupled_u1(q):  # a lone U(2) with no flavor
         q = Quiver(q.nodes + (QuiverNode("f", NodeKind.FLAVOR, U(4)),),
                    q.edges + (("u0", "f"),))
-    if forest:  # three nodes at most keep hs_ref fast
+    if forest:  # three nodes at most keep the brute-force box fast
         k = draw(st.integers(1, 3 - n))
         q = Quiver(q.nodes + tuple(QuiverNode(f"w{i}", NodeKind.GAUGE, U(1))
                                    for i in range(k))
@@ -117,10 +119,18 @@ def test_engine_matches_brute_force(case, order):
     bound = result.stats.bound_reached
     assert bound == (0 if c is None else 2 * order // int(4 * c))
     ids = sorted(refined)
-    want = hs_ref(q, order, bound + 1, refined=ids or None)
+    charges = charges_ref(q, order, bound + 1)
+    want = series_ref(q, order, charges, refined=ids or None)
     got = [result.series.coefficient(k) for k in range(order + 1)]
     if ids:
         got = [topological_counts(x, ids) for x in got]
     assert got == want
-    assert result.stats.charge_count == len(
-        enumerate_charges(q, Fraction(order, 2)))
+    # The charges and their 4*Delta, as the tree pass lists them, against
+    # the unpruned box one past the proven one.
+    prob = _Problem(q)
+    found = _box_charges(prob, bound, 2 * order)
+    slots = [prob.index[nd.id] for nd in q.gauge_nodes]
+    assert {tuple(vec[v] for v in slots): d4 for vec, d4 in found.items()} == charges
+    listed = enumerate_charges(q, Fraction(order, 2))
+    assert sorted(c.charges for c in listed) == sorted(found)
+    assert result.stats.charge_count == len(listed)

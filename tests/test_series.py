@@ -10,6 +10,7 @@ from coulomb_hs.series import (
     NonUnitConstantTermError,
     NonzeroConstantTermError,
     OrderExceededError,
+    SeriesError,
     TruncatedSeries,
     UnknownFugacityError,
     expand_inverse,
@@ -144,6 +145,17 @@ def test_fugacity_context_rules():
         sa + sb
     free = S(3, {0: 2})
     assert (sa * free).fugacities == frozenset({"a"})
+
+
+def test_rational_and_refined_coefficients_do_not_mix():
+    half = TruncatedSeries(2, {0: Fraction(1, 2)})
+    x = Laurent.monomial({"x": 1})
+    refined = TruncatedSeries(2, {0: x}, frozenset({"x"}))
+    for op in (lambda: half + refined, lambda: refined + half,
+               lambda: half * refined, lambda: refined * half,
+               lambda: refined.scale(Fraction(1, 2)), lambda: half.scale(x)):
+        with pytest.raises(SeriesError, match="cannot mix rational and refined"):
+            op()
 
 
 def test_substitute_ones():
