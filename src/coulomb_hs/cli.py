@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .engine import (
@@ -62,19 +61,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_COMPUTE = 2
 EXIT_CHECK_FAILED = 3
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record emitted with every series computation."""
-
-    command: str
-    input_hash: str
-    order: int
-    charge_bound_reached: int
-    charge_count: int
-    wall_time_s: float
-    tool_version: str
 
 
 def _hash_payload(payload) -> str:
@@ -196,9 +182,10 @@ def cmd_hs(args) -> int:
                     max_bound=args.max_bound)
     result = compute_hilbert_series(req)
     series = result.series
-    manifest = RunManifest(
-        command="hs",
-        input_hash=_hash_payload({
+    # The reproducibility record emitted with every series computation.
+    manifest = {
+        "command": "hs",
+        "input_hash": _hash_payload({
             "quiver": quiver_to_json(q),
             "order": args.order,
             "refined": sorted(refined),
@@ -207,13 +194,13 @@ def cmd_hs(args) -> int:
             # O(2)), hashed as before it was fixed so input hashes hold.
             "conventions": ["1", False],
         }),
-        order=args.order,
-        charge_bound_reached=result.stats.bound_reached,
-        charge_count=result.stats.charge_count,
-        wall_time_s=round(result.stats.wall_time_s, 6),
-        tool_version=__version__,
-    )
-    payload = {"series": series_to_json(series), "manifest": asdict(manifest)}
+        "order": args.order,
+        "charge_bound_reached": result.stats.bound_reached,
+        "charge_count": result.stats.charge_count,
+        "wall_time_s": round(result.stats.wall_time_s, 6),
+        "tool_version": __version__,
+    }
+    payload = {"series": series_to_json(series), "manifest": manifest}
     if args.pl:
         pl = plethystic_log(series)
         payload["plethystic_log"] = series_to_json(pl)
@@ -223,7 +210,7 @@ def cmd_hs(args) -> int:
     print(series.text())
     if args.pl:
         print("PL:", pl.text())
-    print("manifest:", json.dumps(asdict(manifest), sort_keys=True))
+    print("manifest:", json.dumps(manifest, sort_keys=True))
     if args.output:
         _emit(payload, args.output)
     return EXIT_OK
@@ -275,12 +262,12 @@ def cmd_gale(args) -> int:
     c = load_config(args.matrix)
     dual = gale_dual(c)
     rep = duality_report(c)
-    data = {"dual": config_to_json(dual), "report": asdict(rep)}
+    data = {"dual": config_to_json(dual), "report": rep._asdict()}
     if args.json:
         _emit(data, args.output)
         return EXIT_OK
     print("dual columns:", " ".join(str(list(col)) for col in dual.columns) or "(empty)")
-    for k, v in asdict(rep).items():
+    for k, v in rep._asdict().items():
         print(f"  {k}: {v}")
     return EXIT_OK
 
@@ -407,24 +394,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _bouquet_size(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
-    return n
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than ``lo``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        return n
+
+    return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="coulomb-hs",
-        description="Exact Coulomb-branch Hilbert series via the monopole formula")
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", help="write a quiver JSON file")
+def _add_generate(g):
     g.add_argument("kind", choices=["nilpotent", "bouquet", "partial", "dn"])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--partition", help="comma-separated parts (partial only)")
@@ -437,13 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--output")
     g.set_defaults(func=cmd_generate)
 
-    r = sub.add_parser("report", help="balance / symmetry / dimension report")
+
+def _add_report(r):
     r.add_argument("quiver")
     r.add_argument("--json", action="store_true")
     r.add_argument("-o", "--output")
     r.set_defaults(func=cmd_report)
 
-    h = sub.add_parser("hs", help="compute the Coulomb-branch Hilbert series")
+
+def _add_hs(h):
     h.add_argument("quiver")
     h.add_argument("--order", type=int, default=8)
     h.add_argument("--ungauge", help="U(1) gauge node to pin at charge 0")
@@ -459,33 +446,66 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("-o", "--output")
     h.set_defaults(func=cmd_hs)
 
-    ic = sub.add_parser("implosion-check",
-                        help="bouquet quiver consistency checks")
-    ic.add_argument("--n", type=_bouquet_size, required=True,
+
+def _add_implosion_check(ic):
+    ic.add_argument("--n", type=_int_at_least(2), required=True,
                     help="number of bouquet leaves (at least 2)")
     ic.add_argument("--order", type=int, default=8)
-    ic.add_argument("--prefactor-exponent", type=int, default=None,
+    ic.add_argument("--prefactor-exponent", type=_int_at_least(0), default=None,
                     help="override the (1-t^2) prefactor exponent "
                          "(negative-control testing; default n-1)")
     ic.set_defaults(func=cmd_implosion_check)
 
-    ga = sub.add_parser("gale", help="Gale-dual configuration and report")
+
+def _add_gale(ga):
     ga.add_argument("matrix")
     ga.add_argument("--json", action="store_true")
     ga.add_argument("-o", "--output")
     ga.set_defaults(func=cmd_gale)
 
-    cs = sub.add_parser("check-suite", help="run every built-in check")
+
+def _add_check_suite(cs):
     cs.add_argument("--full", action="store_true",
                     help="include the slower bouquet(5) and D_4 checks")
     cs.add_argument("--json", action="store_true")
     cs.add_argument("-o", "--output")
     cs.set_defaults(func=cmd_check_suite)
+
+
+# Subcommand -> (help line, function adding its arguments), in help order.
+_COMMANDS = {
+    "generate": ("write a quiver JSON file", _add_generate),
+    "report": ("balance / symmetry / dimension report", _add_report),
+    "hs": ("compute the Coulomb-branch Hilbert series", _add_hs),
+    "implosion-check": ("bouquet quiver consistency checks", _add_implosion_check),
+    "gale": ("Gale-dual configuration and report", _add_gale),
+    "check-suite": ("run every built-in check", _add_check_suite),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; given a subcommand, only its parser is
+    built, which parses that subcommand exactly as the full parser does."""
+    ap = _Parser(
+        prog="coulomb-hs",
+        description="Exact Coulomb-branch Hilbert series via the monopole formula")
+    ap.add_argument("--version", action="version", version=__version__)
+    # With one subcommand built, the metavar keeps every name in the
+    # top-level usage that errors such as unrecognized arguments print.
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
+    for name in [command] if command else _COMMANDS:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # Build one subcommand's parser when argv names it; --help, --version
+    # and unknown commands need them all.
+    ap = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = ap.parse_args(argv)
     try:
         return args.func(args)

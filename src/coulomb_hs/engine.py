@@ -63,13 +63,12 @@ cycle cutset, and running the same pass once per assignment.
 from __future__ import annotations
 
 import time
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, compress, product
 from math import comb
 from operator import add, mul, sub
-from typing import Mapping, Sequence
 
 from .liedata import (
     Charge,
@@ -110,12 +109,11 @@ class UnsupportedEdgeError(EngineError):
 DEFAULT_MAX_BOUND = 64  # largest charge box the search may scan
 
 
-@dataclass(frozen=True, order=True)
-class QuiverCharge:
-    """Dominant magnetic charge per gauge node (fixed nodes pinned to 0)."""
+class QuiverCharge(namedtuple("QuiverCharge", "node_ids charges")):
+    """Dominant magnetic charge per gauge node (fixed nodes pinned to 0).
+    Charges sort by ``(node_ids, charges)``."""
 
-    node_ids: tuple
-    charges: tuple
+    __slots__ = ()
 
     def charge_of(self, node_id: str) -> Charge:
         return self.charges[self.node_ids.index(node_id)]
@@ -124,26 +122,13 @@ class QuiverCharge:
         return dict(zip(self.node_ids, self.charges))
 
 
-@dataclass(frozen=True)
-class HSRequest:
-    quiver: Quiver
-    order: int
-    refined: frozenset = frozenset()
-    ungauge: str | None = None
-    max_bound: int = DEFAULT_MAX_BOUND
+HSRequest = namedtuple("HSRequest", "quiver order refined ungauge max_bound",
+                       defaults=(frozenset(), None, DEFAULT_MAX_BOUND))
 
+# bound_reached is the proven charge box: max |entry| of any charge.
+EngineStats = namedtuple("EngineStats", "charge_count bound_reached wall_time_s")
 
-@dataclass(frozen=True)
-class EngineStats:
-    charge_count: int
-    bound_reached: int  # the proven charge box: max |entry| of any charge
-    wall_time_s: float
-
-
-@dataclass(frozen=True)
-class HSResult:
-    series: TruncatedSeries
-    stats: EngineStats
+HSResult = namedtuple("HSResult", "series stats")
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +795,9 @@ def refined_implosion_integral(n: int, order: int, *,
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if prefactor_exponent is not None and prefactor_exponent < 0:
+        raise ValueError(
+            f"prefactor_exponent must be >= 0, got {prefactor_exponent}")
     if n == 1:
         return TruncatedSeries.one(order)
     q = build_bouquet_quiver(n)
@@ -823,20 +811,11 @@ def refined_implosion_integral(n: int, order: int, *,
     return s
 
 
-@dataclass(frozen=True)
-class ContributionCheck:
-    """Expected low-order structure of the ungauged bouquet series."""
-
-    n: int
-    order: int
-    t2_coefficient: int
-    t2_generic_expected: int
-    t2_matches_generic: bool
-    enhanced_dimension: int | None
-    t_power: int
-    t_power_coefficient: int
-    bouquet_monopole_count: int
-    bouquet_monopole_expected: int
+# Expected low-order structure of the ungauged bouquet series.
+ContributionCheck = namedtuple(
+    "ContributionCheck", "n order t2_coefficient t2_generic_expected t2_matches_generic "
+    "enhanced_dimension t_power t_power_coefficient bouquet_monopole_count "
+    "bouquet_monopole_expected")
 
 
 _ENHANCED_T2 = {2: 10, 3: 28}  # Sp(2) and SO(8) enhancements

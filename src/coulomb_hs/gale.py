@@ -18,8 +18,8 @@ kernel of U is the tail of the augmented reduction HNF([U^T | I_d]).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 
 class GaleError(ValueError):
@@ -70,14 +70,12 @@ def hnf_rows(rows: Iterable[Sequence[int]], width: int) -> Matrix:
     return tuple(tuple(r) for r in mat[:pivot_row])
 
 
-@dataclass(frozen=True)
 class ToricConfig:
     """Integer vector configuration: an n x d matrix (stored by rows) whose
     d columns are the defining vectors.  n = 0 (empty configuration in an
-    ambient Z^d) is allowed."""
+    ambient Z^d) is allowed.  Immutable; equal when rows and d are equal."""
 
-    rows: Matrix
-    d: int
+    __slots__ = ("rows", "d")
 
     def __init__(self, rows: Iterable[Sequence[int]], d: int | None = None):
         rows = tuple(tuple(int(x) for x in r) for r in rows)
@@ -96,6 +94,25 @@ class ToricConfig:
             raise RankDeficientError(f"need n <= d, got n={self.n}, d={self.d}")
         if rows and len(hnf_rows(rows, self.d)) != len(rows):
             raise RankDeficientError("columns do not span full rank")
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return ToricConfig, (self.rows, self.d)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.d) == (other.rows, other.d)
+
+    def __hash__(self):
+        return hash((self.rows, self.d))
+
+    def __repr__(self):
+        return f"ToricConfig(rows={self.rows!r}, d={self.d!r})"
 
     @property
     def n(self) -> int:
@@ -149,17 +166,8 @@ def is_gale_dual_pair(a: ToricConfig, b: ToricConfig) -> bool:
     return hnf_rows(b.rows, b.d) == kernel_lattice(a)
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    n: int
-    d: int
-    dim_primal: int
-    dim_dual: int
-    fi_primal: int
-    fi_dual: int
-    isometry_rank_primal: int
-    isometry_rank_dual: int
-    has_torsion: bool
+DualityReport = namedtuple("DualityReport", "n d dim_primal dim_dual fi_primal fi_dual "
+                           "isometry_rank_primal isometry_rank_dual has_torsion")
 
 
 def duality_report(c: ToricConfig) -> DualityReport:

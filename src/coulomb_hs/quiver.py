@@ -10,10 +10,9 @@ fixed nodes are gauge U(1)s whose magnetic charge has been pinned to zero
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from enum import Enum
-from typing import Iterable, Sequence
 
 
 class QuiverError(ValueError):
@@ -76,18 +75,22 @@ class NodeKind(str, Enum):
     FIXED = "fixed"
 
 
-@dataclass(frozen=True)
-class GaugeGroup:
+class GaugeGroup(namedtuple("GaugeGroup", "family n")):
     """Classical compact group U(n), SO(n) or USp(n) (n even for USp)."""
 
-    family: Family
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise QuiverValidationError(f"group dimension must be >= 1, got {self.n}")
-        if self.family is Family.SYMPLECTIC and self.n % 2:
-            raise QuiverValidationError(f"USp({self.n}) needs even n")
+    def __new__(cls, family: Family, n: int):
+        if n < 1:
+            raise QuiverValidationError(f"group dimension must be >= 1, got {n}")
+        if family is Family.SYMPLECTIC and n % 2:
+            raise QuiverValidationError(f"USp({n}) needs even n")
+        return super().__new__(cls, family, n)
+
+    @classmethod
+    def _make(cls, iterable):
+        # The namedtuple's own _make (and so _replace) skips __new__.
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:
@@ -111,11 +114,7 @@ def USp(n: int) -> GaugeGroup:
     return GaugeGroup(Family.SYMPLECTIC, n)
 
 
-@dataclass(frozen=True)
-class QuiverNode:
-    id: str
-    kind: NodeKind
-    group: GaugeGroup
+QuiverNode = namedtuple("QuiverNode", "id kind group")
 
 
 def _edge_ok(a: QuiverNode, b: QuiverNode) -> bool:
@@ -231,14 +230,9 @@ def node_balance(q: Quiver, node_id: str) -> int:
     return (s - 2) // 2 - n
 
 
-@dataclass(frozen=True)
-class BalanceReport:
-    balances: dict
-    balanced_ids: frozenset
-    all_balanced: bool
-    minimally_unbalanced: bool
-    positively_balanced: bool
-    has_negative_below_minus_one: bool
+BalanceReport = namedtuple("BalanceReport", "balances balanced_ids all_balanced "
+                           "minimally_unbalanced positively_balanced "
+                           "has_negative_below_minus_one")
 
 
 def balance_report(q: Quiver) -> BalanceReport:
@@ -264,12 +258,11 @@ def balance_report(q: Quiver) -> BalanceReport:
 _E_DIMS = {6: 78, 7: 133, 8: 248}
 
 
-@dataclass(frozen=True)
-class DynkinComponent:
-    node_ids: frozenset
-    series: str | None   # "A", "D", "E" or None when unrecognized
-    rank: int | None
-    shape: str
+class DynkinComponent(namedtuple("DynkinComponent", "node_ids series rank shape")):
+    """A connected balanced subgraph; ``series`` is "A", "D" or "E", or None
+    with ``rank`` None when the shape is unrecognized."""
+
+    __slots__ = ()
 
     @property
     def recognized(self) -> bool:
@@ -369,12 +362,10 @@ def balanced_subquiver_classification(q: Quiver) -> list:
     return components
 
 
-@dataclass(frozen=True)
-class SymmetryPrediction:
-    factors: tuple            # recognized DynkinComponents
-    unrecognized: tuple       # flagged, excluded from the dimension total
-    abelian_rank: int
-    total_dimension: int
+# factors: the recognized DynkinComponents; unrecognized: the flagged ones,
+# excluded from the dimension total.
+SymmetryPrediction = namedtuple(
+    "SymmetryPrediction", "factors unrecognized abelian_rank total_dimension")
 
 
 def decoupled_u1_count(q: Quiver) -> int:

@@ -10,8 +10,8 @@ refined series.  There is no floating-point mode anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Union
 
 
 class SeriesError(ValueError):
@@ -154,7 +154,7 @@ class Laurent:
         return f"Laurent({self.text()})"
 
 
-Coefficient = Union[int, Fraction, Laurent]
+Coefficient = int | Fraction | Laurent
 
 
 def _normalize(c: Coefficient) -> Coefficient:

@@ -228,6 +228,20 @@ def test_implosion_check_pass_and_negative_control(capsys):
     assert code == 3 and "FAIL" in text
 
 
+def test_negative_prefactor_exponent_is_a_usage_error(capsys, monkeypatch):
+    import coulomb_hs.cli as cli
+
+    def integral(*args, **kwargs):
+        raise AssertionError("the refined integral ran")
+    monkeypatch.setattr(cli, "refined_implosion_integral", integral)
+    with pytest.raises(SystemExit) as exc:
+        main(["implosion-check", "--n", "6", "--order", "8",
+              "--prefactor-exponent", "-1"])
+    assert exc.value.code == 1
+    assert ("error: argument --prefactor-exponent: must be at least 0, got -1"
+            in capsys.readouterr().err)
+
+
 def one_gauge_node(n):
     return {"nodes": [{"id": "g", "kind": "gauge", "group": {"family": "U", "n": n}},
                       {"id": "f", "kind": "flavor", "group": {"family": "U", "n": 2}}],
@@ -364,3 +378,54 @@ def test_python_m_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "coulomb_hs", "--version"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout.strip()) == (0, coulomb_hs.__version__)
+
+
+# One sample command line per subcommand; parsing opens no file.
+PARSER_SAMPLES = {
+    "generate": ["generate", "dn", "--n", "3", "--flavor", "-o", "d3.json"],
+    "report": ["report", "b3.json", "--json"],
+    "hs": ["hs", "b3.json", "--order", "4", "--ungauge", "b1", "--refine", "b2,b3",
+           "--pl", "--max-bound", "5", "--json", "-o", "out.json"],
+    "implosion-check": ["implosion-check", "--n", "3", "--prefactor-exponent", "0"],
+    "gale": ["gale", "m.json", "--json"],
+    "check-suite": ["check-suite", "--full"],
+}
+
+
+def parse_output(capsys, parser, argv):
+    """(exit code or None, stdout, stderr, parsed namespace or None)."""
+    try:
+        ns, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, ns
+
+
+def test_one_subcommand_parser_parses_as_the_full_parser(capsys):
+    from coulomb_hs.cli import _COMMANDS, build_parser
+
+    assert list(PARSER_SAMPLES) == list(_COMMANDS)
+    for name, argv in PARSER_SAMPLES.items():
+        for args in (argv, [name, "--help"], argv + ["--bogus"], [name]):
+            one = parse_output(capsys, build_parser(name), args)
+            full = parse_output(capsys, build_parser(), args)
+            assert one == full, args
+        assert parse_output(capsys, build_parser(name), argv)[3]["command"] == name
+    with pytest.raises(SystemExit) as exc:
+        main(["--help", "hs"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert "{generate,report,hs,implosion-check,gale,check-suite}" in out
+    for name, (help_text, _) in _COMMANDS.items():
+        assert help_text in out, name
+
+
+def test_cli_import_skips_dataclasses_inspect_and_typing():
+    src = str(Path(coulomb_hs.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import coulomb_hs, coulomb_hs.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "[]", "")

@@ -392,6 +392,18 @@ def test_refined_integral_negative_control():
     assert wrong != nilcone_reference_hs(3, 6)
 
 
+def test_negative_prefactor_exponent_is_rejected_before_solving(monkeypatch):
+    import coulomb_hs.engine as engine
+
+    def solve(req):
+        raise AssertionError("solved before the arguments were checked")
+    monkeypatch.setattr(engine, "coulomb_hilbert_series", solve)
+    for n in (1, 6):
+        with pytest.raises(ValueError, match="prefactor_exponent must be >= 0, got -1"):
+            refined_implosion_integral(n, 8, prefactor_exponent=-1)
+    assert refined_implosion_integral(1, 4, prefactor_exponent=0) == TruncatedSeries.one(4)
+
+
 def test_contribution_check():
     c2 = hs_contribution_check(2)
     assert c2.t2_coefficient == 10 == c2.enhanced_dimension
