@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -385,9 +386,39 @@ def cmd_check_suite(args) -> int:
 # parser
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter at the width argparse would choose.  Given no
+    width, argparse imports shutil, which loads bz2, lzma and zlib, for
+    ``shutil.get_terminal_size().columns - 2``, and ``add_argument`` builds
+    a formatter per argument.  The same width is read here the way shutil
+    reads it: COLUMNS when that is a positive integer, else the width of
+    the terminal on ``sys.__stdout__``, else 80."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24,
+                 width=None, **kwargs):
+        if width is None:
+            try:
+                columns = int(os.environ["COLUMNS"])
+            except (KeyError, ValueError):
+                columns = 0
+            if columns <= 0:
+                try:
+                    columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+                except (AttributeError, ValueError, OSError):
+                    columns = 0
+            width = (columns or 80) - 2
+        super().__init__(prog, indent_increment=indent_increment,
+                         max_help_position=max_help_position, width=width,
+                         **kwargs)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with EXIT_VALIDATION, not argparse's 2 (which
-    here means a computational error); subparsers inherit this."""
+    here means a computational error); help is laid out by _HelpFormatter.
+    Subparsers inherit both."""
+
+    def __init__(self, *args, formatter_class=_HelpFormatter, **kwargs):
+        super().__init__(*args, formatter_class=formatter_class, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -720,6 +720,9 @@ def compute_hilbert_series(request: HSRequest) -> HSResult:
     q = request.quiver
     if request.ungauge is not None:
         q = ungauge(q, request.ungauge)
+    for name, value in (("order", request.order), ("max_bound", request.max_bound)):
+        if type(value) is not int:  # bool is not a bound either
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if request.order < 0:
         raise ValueError("truncation order must be >= 0")
     if request.max_bound < 0:

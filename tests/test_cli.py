@@ -429,3 +429,97 @@ def test_cli_import_skips_dataclasses_inspect_and_typing():
     done = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "[]", "")
+
+
+def test_cold_hs_run_skips_shutil(tmp_path):
+    # Given no width, argparse's formatter imports shutil, and with it bz2,
+    # lzma and zlib, to read the terminal width; the CLI's formatter reads
+    # that width without it.
+    b3 = tmp_path / "b3.json"
+    assert main(["generate", "bouquet", "--n", "3", "-o", str(b3)]) == 0
+    src = str(Path(coulomb_hs.__file__).resolve().parents[1])
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "from coulomb_hs.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = main(['hs', sys.argv[2], '--order', '2', '--ungauge', 'b1', '--json'])",
+        "print(code, sorted({'shutil', 'bz2', 'lzma'} & set(sys.modules)))",
+    ])
+    done = subprocess.run([sys.executable, "-S", "-c", code, src, str(b3)],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "0 []", "")
+
+
+# Runs every help and usage-error command line of HELP_ARGVS through main(),
+# first as the CLI builds its parsers, then with argparse's own formatter,
+# and writes both lists of (argv, exit code, stdout, stderr) as JSON.
+HELP_CHILD = """
+import argparse, contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from coulomb_hs import cli
+
+def outputs():
+    rows = []
+    for argv in json.loads(sys.argv[2]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        rows.append([argv, code, out.getvalue(), err.getvalue()])
+    return rows
+
+ours = outputs()
+cli._Parser.__init__.__kwdefaults__["formatter_class"] = argparse.HelpFormatter
+with open(sys.argv[3], "w", encoding="utf-8") as fh:
+    json.dump([ours, outputs()], fh)
+"""
+
+HELP_ARGVS = ([["--help"]] + [[name, "--help"] for name in PARSER_SAMPLES]
+              + [["hs", "x", "--order", "y"]])
+
+
+def help_outputs(tmp_path, columns=None, stdout=subprocess.DEVNULL):
+    """The CLI's and argparse's outputs for HELP_ARGVS, in a child with
+    COLUMNS set to ``columns`` (unset when None) and the given stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in ("COLUMNS", "LINES")}
+    if columns is not None:
+        env["COLUMNS"] = columns
+    path = tmp_path / "help.json"
+    src = str(Path(coulomb_hs.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", HELP_CHILD, src, json.dumps(HELP_ARGVS),
+                    str(path)], stdout=stdout, env=env, check=True, timeout=60)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("columns", [None, "0", "abc", "40", "200"])
+def test_help_and_usage_match_argparse_width(tmp_path, columns):
+    ours, reference = help_outputs(tmp_path, columns)
+    assert [row[1] for row in ours] == [0] * (len(HELP_ARGVS) - 1) + [1]
+    for mine, theirs in zip(ours, reference):
+        assert mine == theirs, mine[0]
+
+
+def test_help_on_a_terminal_matches_argparse_width(tmp_path):
+    pty = pytest.importorskip("pty")
+    import fcntl
+    import struct
+    import termios
+
+    seen = {}
+    # Python 3.10's shutil keeps a terminal's 0 columns, where later ones
+    # (and the CLI) fall back to 80.
+    for cols in (50, 120) + ((0,) if sys.version_info >= (3, 11) else ()):
+        main_fd, child_fd = pty.openpty()
+        try:
+            fcntl.ioctl(child_fd, termios.TIOCSWINSZ, struct.pack("HHHH", 24, cols, 0, 0))
+            ours, reference = help_outputs(tmp_path, stdout=child_fd)
+        finally:
+            os.close(child_fd)
+            os.close(main_fd)
+        assert ours == reference, cols
+        seen[cols] = ours
+    # The terminal's width reached the formatter.
+    assert seen[50] != seen[120]

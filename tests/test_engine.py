@@ -238,6 +238,16 @@ def test_hs_bouquet2():
     assert s == flat
 
 
+@pytest.mark.parametrize("field, value", [
+    ("order", True), ("order", 2.0), ("order", "2"),
+    ("max_bound", False), ("max_bound", 5.0),
+])
+def test_hs_rejects_non_integer_order_and_max_bound(field, value):
+    req = HSRequest(u1_with_flavors(2), 2)._replace(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        compute_hilbert_series(req)
+
+
 def test_hs_requires_ungauge():
     with pytest.raises(DecoupledU1UnresolvedError, match="ungauge"):
         coulomb_hilbert_series(HSRequest(build_bouquet_quiver(3), 2))
