@@ -87,7 +87,7 @@ from .quiver import (
     decoupled_u1_count,
     ungauge,
 )
-from .series import Laurent, TruncatedSeries, one_minus_power
+from .series import Laurent, TruncatedSeries, check_order, one_minus_power
 
 
 class EngineError(QuiverError):
@@ -530,8 +530,7 @@ def _dressing_coeffs(degrees: tuple, order: int) -> tuple:
 def dressing_factor(q: Quiver, charge, order: int) -> TruncatedSeries:
     """P(m,t): product over residual Casimir degrees d of 1/(1 - t^(2d));
     fixed nodes contribute factor 1."""
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
+    check_order(order)
     prob = _Problem(q)
     vec = prob.coerce_charge(charge)
     degrees: list = []
@@ -765,8 +764,6 @@ def symmetry_dimension(s: TruncatedSeries) -> int:
     c = s.coefficient(2)
     if isinstance(c, Laurent):
         raise EngineError("symmetry dimension needs an unrefined series")
-    if isinstance(c, Fraction):
-        c = int(c)
     return c
 
 

@@ -2,16 +2,16 @@
 
 Every Hilbert series in this package is an exact truncated series: a sparse
 map from t-exponent to coefficient, cut off inclusively at a fixed order.
-Coefficients are Python integers (arbitrary precision), exact
-``fractions.Fraction`` values (these appear only inside plethystic
-logarithms), or :class:`Laurent` multinomials in named fugacities for
-refined series.  There is no floating-point mode anywhere.
+Coefficients are Python integers (arbitrary precision) or :class:`Laurent`
+multinomials in named fugacities for refined series; anything else is
+rejected.  The plethystic logarithm and exponential of an integer series are
+integer series, so they stay in integers too.  There is no floating-point or
+rational mode anywhere.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 
 
 class SeriesError(ValueError):
@@ -154,33 +154,26 @@ class Laurent:
         return f"Laurent({self.text()})"
 
 
-Coefficient = int | Fraction | Laurent
+Coefficient = int | Laurent
 
 
-def _normalize(c: Coefficient) -> Coefficient:
+def check_order(order) -> None:
+    """A truncation order is a nonnegative int."""
+    if type(order) is not int:  # bool is not an order either
+        raise SeriesError(f"truncation order must be an integer, got {order!r}")
+    if order < 0:
+        raise SeriesError("truncation order must be >= 0")
+
+
+def _normalize(c) -> Coefficient:
     if isinstance(c, Laurent):
         i = c.as_int()
-        return i if i is not None else c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+        if i is None:
+            return c
+        c = i
+    if type(c) is not int:  # bool is not a coefficient either
+        raise SeriesError(f"coefficients must be int or Laurent, got {c!r}")
     return c
-
-
-def _unmixed(a: Coefficient, b: Coefficient) -> None:
-    """A rational and a refined coefficient never meet in one operation."""
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        if isinstance(a, Laurent) or isinstance(b, Laurent):
-            raise SeriesError("cannot mix rational and refined coefficients")
-
-
-def _cadd(a: Coefficient, b: Coefficient) -> Coefficient:
-    _unmixed(a, b)
-    return a + b
-
-
-def _cmul(a: Coefficient, b: Coefficient) -> Coefficient:
-    _unmixed(a, b)
-    return a * b
 
 
 class TruncatedSeries:
@@ -195,8 +188,7 @@ class TruncatedSeries:
 
     def __init__(self, order: int, coeffs: Mapping[int, Coefficient] | None = None,
                  fugacities: frozenset = frozenset()):
-        if order < 0:
-            raise SeriesError("truncation order must be >= 0")
+        check_order(order)
         clean: dict = {}
         for e, c in (coeffs or {}).items():
             if not 0 <= e <= order:
@@ -230,7 +222,7 @@ class TruncatedSeries:
         return a | b
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = TruncatedSeries(self.order, {0: other})
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -239,7 +231,7 @@ class TruncatedSeries:
         out = {e: c for e, c in self.coeffs.items() if e <= order}
         for e, c in other.coeffs.items():
             if e <= order:
-                out[e] = _cadd(out.get(e, 0), c)
+                out[e] = out.get(e, 0) + c
         return TruncatedSeries(order, out, ctx)
 
     __radd__ = __add__
@@ -249,7 +241,7 @@ class TruncatedSeries:
                                self.fugacities)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = TruncatedSeries(self.order, {0: other})
         return self + (-other)
 
@@ -257,7 +249,7 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -271,7 +263,7 @@ class TruncatedSeries:
                 e = ea + eb
                 if e > order:
                     continue
-                out[e] = _cadd(out.get(e, 0), _cmul(ca, cb))
+                out[e] = out.get(e, 0) + ca * cb
         return TruncatedSeries(order, out, ctx)
 
     __rmul__ = __mul__
@@ -286,22 +278,7 @@ class TruncatedSeries:
 
     def scale(self, c: Coefficient) -> "TruncatedSeries":
         return TruncatedSeries(self.order,
-                               {e: _cmul(v, c) for e, v in self.coeffs.items()},
-                               self.fugacities)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        order = min(order, self.order)
-        return TruncatedSeries(order,
-                               {e: c for e, c in self.coeffs.items() if e <= order},
-                               self.fugacities)
-
-    def scale_exponents(self, k: int) -> "TruncatedSeries":
-        """Substitute t -> t^k, keeping the original truncation order."""
-        if k < 1:
-            raise SeriesError("exponent scale must be >= 1")
-        return TruncatedSeries(self.order,
-                               {e * k: c for e, c in self.coeffs.items()
-                                if e * k <= self.order},
+                               {e: v * c for e, v in self.coeffs.items()},
                                self.fugacities)
 
     def constant_term(self, name: str) -> "TruncatedSeries":
@@ -362,6 +339,7 @@ def expand_inverse(d: int, order: int) -> TruncatedSeries:
     """Geometric expansion of 1/(1 - t^d) up to the truncation order."""
     if d < 1:
         raise SeriesError("pole degree must be >= 1")
+    check_order(order)
     return TruncatedSeries(order, {j: 1 for j in range(0, order + 1, d)})
 
 
@@ -373,70 +351,64 @@ def one_minus_power(d: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, coeffs)
 
 
-def _mobius(k: int) -> int:
-    if k == 1:
-        return 1
-    mu, p = 1, 2
-    while p * p <= k:
-        if k % p == 0:
-            k //= p
-            if k % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    if k > 1:
-        mu = -mu
-    return mu
+def _unrefined(s: TruncatedSeries, what: str) -> None:
+    if s.fugacities or any(isinstance(c, Laurent) for c in s.coeffs.values()):
+        raise SeriesError(f"{what} of refined series is unsupported")
 
 
 def plethystic_log(s: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
-    """PL[s](t) = sum_{k>=1} mu(k)/k * log s(t^k), exact rationals.
+    """PL[s] = sum_{n>=1} a_n t^n, where s = prod_{n>=1} (1 - t^n)^(-a_n).
 
     Positive terms count generators of the graded ring, negative terms count
     relations (and alternating higher syzygies).
+
+    The logarithmic derivative of the product is t s'/s = sum_m b_m t^m with
+    b_m = sum_{n | m} n a_n, so the coefficients c of s obey
+    m c_m = sum_{j=1..m} b_j c_{m-j}.  That gives each b_m from c, and then
+    a_m = (b_m - sum_{n | m, n < m} n a_n) / m.  The division is exact: an
+    integer series with constant term 1 is such a product with integer a_n
+    (divide out (1 - t^m)^(-a_m) degree by degree), so PL is integral.
     """
-    if s.fugacities:
-        raise SeriesError("plethystic logarithm of refined series is unsupported")
+    _unrefined(s, "plethystic logarithm")
     if s.coefficient(0) != 1:
         raise NonUnitConstantTermError("PL needs constant term 1")
     K = s.order if order is None else min(order, s.order)
-    x = (s - 1).truncate(K)
-    # log(1 + x) with x of valuation >= 1: terminates at power K.
-    log_s = TruncatedSeries.zero(K)
-    power = TruncatedSeries.one(K)
-    for j in range(1, K + 1):
-        power = power * x
-        if not power.coeffs:
-            break
-        log_s = log_s + power.scale(Fraction((-1) ** (j + 1), j))
-    out = TruncatedSeries.zero(K)
-    for k in range(1, K + 1):
-        mu = _mobius(k)
-        if mu:
-            out = out + log_s.scale_exponents(k).scale(Fraction(mu, k))
-    return out
+    check_order(K)
+    c = [s.coeffs.get(e, 0) for e in range(K + 1)]
+    b = [0] * (K + 1)  # b[m] holds the proper divisors' share until step m
+    out = {}
+    for m in range(1, K + 1):
+        bm = m * c[m] - sum(b[j] * c[m - j] for j in range(1, m))
+        a = (bm - b[m]) // m
+        b[m] = bm
+        if a:
+            out[m] = a
+            for k in range(2 * m, K + 1, m):
+                b[k] += m * a
+    return TruncatedSeries(K, out)
 
 
 def plethystic_exp(s: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
-    """PE[s](t) = exp(sum_{k>=1} s(t^k)/k); inverse transform of PL."""
-    if s.fugacities:
-        raise SeriesError("plethystic exponential of refined series is unsupported")
+    """PE[sum_n a_n t^n] = prod_{n>=1} (1 - t^n)^(-a_n); inverse transform of PL.
+
+    Runs the recursion of :func:`plethystic_log` the other way: with
+    b_m = sum_{n | m} n a_n, c_m = (sum_{j=1..m} b_j c_{m-j}) / m, an exact
+    division since a product of integer powers is an integer series.
+    """
+    _unrefined(s, "plethystic exponential")
     if s.coefficient(0) != 0:
         raise NonzeroConstantTermError("PE needs constant term 0")
     K = s.order if order is None else min(order, s.order)
-    arg = TruncatedSeries.zero(K)
-    for k in range(1, K + 1):
-        arg = arg + s.scale_exponents(k).scale(Fraction(1, k))
-    out = TruncatedSeries.one(K)
-    power = TruncatedSeries.one(K)
-    fact = 1
-    for j in range(1, K + 1):
-        power = power * arg
-        if not power.coeffs:
-            break
-        fact *= j
-        out = out + power.scale(Fraction(1, fact))
-    return out
+    check_order(K)
+    b = [0] * (K + 1)
+    for n, a in s.coeffs.items():
+        if n <= K:
+            for m in range(n, K + 1, n):
+                b[m] += n * a
+    c = [1] + [0] * K
+    for m in range(1, K + 1):
+        c[m] = sum(b[j] * c[m - j] for j in range(1, m + 1)) // m
+    return TruncatedSeries(K, dict(enumerate(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +418,11 @@ def plethystic_exp(s: TruncatedSeries, order: int | None = None) -> TruncatedSer
 def _encode_coeff(c: Coefficient):
     if isinstance(c, int):
         return str(c)
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
     return [[{n: e for n, e in key}, str(v)] for key, v in sorted(c.terms.items())]
 
 
 def _decode_coeff(obj) -> Coefficient:
     if isinstance(obj, str):
-        if "/" in obj:
-            num, den = obj.split("/")
-            return Fraction(int(num), int(den))
         return int(obj)
     terms = {}
     for expvec, v in obj:

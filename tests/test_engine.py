@@ -145,6 +145,20 @@ def test_dressing_rejects_negative_order():
         dressing_factor(q, {"g": (0,)}, -1)
 
 
+@pytest.mark.parametrize("order", [True, 2.0, 2.5])
+def test_non_integer_orders_are_rejected(order):
+    q = build_linear_nilpotent_quiver(2)
+    builders = [lambda: TruncatedSeries(order, {0: 1}),
+                lambda: nilcone_reference_hs(3, order),
+                lambda: dressing_factor(q, {"g1": (0,)}, order),
+                lambda: dressing_factor(q, {"g1": (1,)}, order),
+                lambda: expand_inverse(1, order),
+                lambda: one_minus_power(1, order)]
+    for build in builders:
+        with pytest.raises(ValueError, match="truncation order must be an integer"):
+            build()
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
