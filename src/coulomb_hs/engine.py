@@ -58,6 +58,18 @@ topological charges, or every entry of every charge when the charges
 are listed.  Edges that close a cycle (every affine A_n quiver has one)
 are handled by conditioning on the charges of their early endpoints, a
 cycle cutset, and running the same pass once per assignment.
+
+Each component of the forest is rooted at its first node, except that
+the refined series roots a component with no cycle at its widest
+refined node (the largest rank; ties go to the first id in sorted
+order).  The root's digit enters only the final sum, as one shift per
+root candidate, while any other node's digit rides in every product at
+each ancestor and in every message, once per parent candidate: on
+refined bouquet(3) at K = 12 this cuts the message terms from 62 570 to
+17 336.  A component with a cycle keeps its first node, which heads the
+cutset, since a root with more candidates would multiply the passes.
+The same edge type met from its other end reuses the table already
+built, transposed.
 """
 
 from __future__ import annotations
@@ -162,7 +174,7 @@ class _EEdge:
 
 
 class _Problem:
-    def __init__(self, quiver: Quiver):
+    def __init__(self, quiver: Quiver, preferred: Sequence[str] = ()):
         self.quiver = quiver
         self.nodes = [_ENode(n) for n in quiver.nodes if n.kind is not NodeKind.FLAVOR]
         self.index = {nd.id: i for i, nd in enumerate(self.nodes)}
@@ -181,14 +193,32 @@ class _Problem:
                 raise UnsupportedEdgeError(
                     f"edge {a!r}-{b!r}: orthosymplectic edge multiplicity "
                     f"{mult} is not supported")
-        self._build_tree()
+        self._build_tree([self.index[nid] for nid in preferred])
 
-    def _build_tree(self):
+    def _build_tree(self, preferred: list):
+        """Spanning forest by depth-first search.  Each component is rooted
+        at its first node, except that a component with no edge outside its
+        spanning tree is rooted at the first of the ``preferred`` nodes it
+        holds.  A cyclic component keeps its first node, which heads its
+        cycle cutset."""
         n = len(self.nodes)
         adj: list = [[] for _ in range(n)]
         for ei, e in enumerate(self.edges):
             adj[e.a].append((e.b, ei))
             adj[e.b].append((e.a, ei))
+        self._search(adj, range(n))
+        if preferred:
+            top = [-1] * n  # the root of each node's component
+            for v in self.preorder:
+                top[v] = v if self.parent[v] < 0 else top[self.parent[v]]
+            cyclic = {top[v] for v, late in enumerate(self.nontree) if late}
+            starts = [v for v in preferred if top[v] not in cyclic]
+            if starts:
+                self._search(adj, starts + list(range(n)))
+
+    def _search(self, adj: list, starts):
+        """One depth-first tree from each of ``starts`` not yet reached."""
+        n = len(self.nodes)
         visited = [False] * n
         self.parent = [-1] * n
         self.parent_edge = [-1] * n
@@ -198,7 +228,7 @@ class _Problem:
         tree_edge = [False] * len(self.edges)
         # Depth-first, with a stack of adjacency iterators in place of
         # recursion, so that a long chain of nodes cannot exhaust the stack.
-        for s in range(n):
+        for s in starts:
             if visited[s]:
                 continue
             visited[s] = True
@@ -310,15 +340,23 @@ def _table_memo(prob: _Problem):
     the kernel reads, the edge's kind (orthosymplectic with the SO side's
     orientation and parity, or unitary with its multiplicity) and the two
     lists, by identity; the memo holds the lists, so no identity is
-    reused while it lives.  A shared table is never mutated: every
-    consumer builds new lists."""
+    reused while it lives.  The same edge type seen from its other end
+    is the transpose, which costs one pass over the cells rather than a
+    sum over pairs of entries per cell.  A shared table is never mutated:
+    every consumer builds new lists."""
     memo: dict = {}
 
+    def kind(e: _EEdge, p_so: bool) -> tuple:
+        return (True, p_so, e.so_odd) if e.ortho else (False, e.mult)
+
     def table(e: _EEdge, p: int, cands_p: list, cands_v: list) -> list:
-        kind = (True, (p == e.a) == e.so_first, e.so_odd) if e.ortho else (False, e.mult)
-        key = kind, id(cands_p), id(cands_v)
+        p_so = (p == e.a) == e.so_first
+        key = kind(e, p_so), id(cands_p), id(cands_v)
         if key not in memo:
-            memo[key] = _edge_table(prob, e, p, cands_p, cands_v), cands_p, cands_v
+            flip = kind(e, not p_so), id(cands_v), id(cands_p)
+            tab = ([list(col) for col in zip(*memo[flip][0])] if flip in memo
+                   else _edge_table(prob, e, p, cands_p, cands_v))
+            memo[key] = tab, cands_p, cands_v
         return memo[key][0]
     return table
 
@@ -738,10 +776,11 @@ def compute_hilbert_series(request: HSRequest) -> HSResult:
             "diagonal U(1) that acts trivially, and the monopole sum "
             "diverges; one U(1) per such component must be ungauged "
             "(--ungauge <U(1) node id> pins one node)")
-    prob = _Problem(q)
+    refined = sorted(request.refined)
+    # Widest digit first: a refined node's digit has h = b * rank.
+    prob = _Problem(q, sorted(refined, key=lambda nid: -q.node(nid).group.rank))
     thr4 = 2 * request.order
     bound = _proven_box(prob, thr4, request.max_bound)
-    refined = sorted(request.refined)
     digits = [(prob.index[nid], (1,) * q.node(nid).group.rank) for nid in refined]
     terms, counts = _monopole_sum(prob, bound, thr4, digits)
     rows: dict = {}
@@ -792,6 +831,14 @@ def refined_implosion_integral(n: int, order: int, *,
     fugacity each, multiplies the refined series by (1 - t^2)^(n-1) and
     extracts the constant term in every fugacity.  The result matches the
     nilpotent-cone closed form ``nilcone_reference_hs(n, order)``.
+
+    That match is the T[SU(n)] chain check and no more.  On any quiver,
+    refining r U(1) nodes, multiplying by (1 - t^2)^r and taking the
+    constant terms equals ungauging those nodes: the constant term in z_v
+    keeps the charges with m_v = 0, at which a U(1) dresses by
+    1/(1 - t^2).  Ungauging every leaf leaves the chain with a U(n)
+    flavor, whose Coulomb branch is the nilpotent cone; the bouquet's own
+    Coulomb branch is not tested here.
     """
     if n < 1:
         raise ValueError("need n >= 1")

@@ -53,7 +53,13 @@ class Laurent:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[ExpKey, int] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        clean: dict = {}
+        for k, v in (terms or {}).items():
+            if type(v) is not int:  # bool is not a coefficient either
+                raise SeriesError(f"Laurent coefficients must be int, got {v!r}")
+            if v:
+                clean[k] = v
+        self.terms = clean
 
     @staticmethod
     def monomial(exponents: Mapping[str, int], coeff: int = 1) -> "Laurent":
@@ -191,6 +197,8 @@ class TruncatedSeries:
         check_order(order)
         clean: dict = {}
         for e, c in (coeffs or {}).items():
+            if type(e) is not int:  # nor is bool
+                raise SeriesError(f"exponents must be int, got {e!r}")
             if not 0 <= e <= order:
                 raise OrderExceededError(f"exponent {e} outside 0..{order}")
             c = _normalize(c)

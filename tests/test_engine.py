@@ -411,6 +411,25 @@ def test_refined_integral_matches_nilcone():
     assert refined_implosion_integral(1, 6) == TruncatedSeries.one(6)
 
 
+def test_constant_terms_of_refined_u1s_ungauge_them():
+    # Refining r U(1) nodes, multiplying by (1 - t^2)^r and taking the
+    # constant terms is ungauging them: on a partial implosion's leg ends,
+    # and on the bouquet, where it makes the integral the chain check.
+    q = build_partial_implosion_quiver(4, [2, 1, 1])
+    ends = ["l1_1", "l2_1", "l3_1"]
+    s = coulomb_hilbert_series(HSRequest(q, 6, refined=frozenset(ends[1:]), ungauge=ends[0]))
+    s = s * one_minus_power(2, 6) ** 2
+    for name in ends[1:]:
+        s = s.constant_term(name)
+    pinned = q
+    for name in ends[1:]:
+        pinned = ungauge(pinned, name)
+    assert s == coulomb_hilbert_series(HSRequest(pinned, 6, ungauge=ends[0]))
+    for n in (3, 4):
+        assert refined_implosion_integral(n, 6) == coulomb_hilbert_series(
+            HSRequest(build_linear_nilpotent_quiver(n), 6))
+
+
 def test_refined_integral_negative_control():
     wrong = refined_implosion_integral(3, 6, prefactor_exponent=5)
     assert wrong != nilcone_reference_hs(3, 6)
@@ -751,6 +770,76 @@ def test_refined_hs_matches_unpruned_box_sum():
         assert got == want, q
 
 
+def affine_a3_square():
+    """Four U(1) nodes in a cycle, with "a0" ungauged."""
+    nodes = [QuiverNode(f"a{i}", NodeKind.GAUGE, U(1)) for i in range(4)]
+    return ungauge(Quiver(nodes, [(f"a{i}", f"a{(i + 1) % 4}") for i in range(4)]), "a0")
+
+
+def test_tree_is_rooted_at_its_first_preferred_node():
+    # bouquet(3) beside a triangle: the tree component is rooted at the
+    # first preferred node it holds, the cyclic one at its first node with
+    # the same spanning tree and cutset as without a preference.
+    bouquet, triangle = ungauge(build_bouquet_quiver(3), "b1"), affine_a2_triangle()
+    q = Quiver(bouquet.nodes + triangle.nodes, bouquet.edges + triangle.edges)
+    plain, prob = _Problem(q), _Problem(q, ["c", "b3", "b2"])
+    assert [plain.nodes[r].id for r in plain.roots] == ["g1", "a"]
+    assert [prob.nodes[r].id for r in prob.roots] == ["b3", "a"]
+    b3, g2 = prob.index["b3"], prob.index["g2"]
+    assert prob.parent[g2] == b3 and prob.children[b3] == [g2]
+    assert sorted(prob.preorder) == list(range(len(prob.nodes)))
+    cycle = [prob.index[i] for i in "abc"]
+    for attr in ("parent", "parent_edge", "children", "nontree"):
+        mine, theirs = getattr(prob, attr), getattr(plain, attr)
+        assert [mine[v] for v in cycle] == [theirs[v] for v in cycle], attr
+
+
+def test_refined_sum_prefers_the_widest_refined_node(monkeypatch):
+    # Largest rank first, since a digit's width grows with the rank; ties
+    # keep sorted order.  An unrefined sum has no preference.
+    import coulomb_hs.engine as engine
+    seen = []
+
+    class Recorded(_Problem):
+        def __init__(self, quiver, preferred=()):
+            seen.append(list(preferred))
+            super().__init__(quiver, preferred)
+    monkeypatch.setattr(engine, "_Problem", Recorded)
+    for q, refined, want in ((build_linear_nilpotent_quiver(3), {"g1", "g2"}, ["g2", "g1"]),
+                             (ungauge(build_bouquet_quiver(3), "b1"), {"b3", "b2"},
+                              ["b2", "b3"]),
+                             (build_linear_nilpotent_quiver(3), set(), [])):
+        seen.clear()
+        compute_hilbert_series(HSRequest(q, 2, refined=frozenset(refined)))
+        assert seen == [want]
+
+
+def test_refined_series_is_independent_of_node_order():
+    q = build_bouquet_quiver(3)
+    refined = frozenset({"b2", "b3"})
+    want = compute_hilbert_series(HSRequest(q, 8, refined=refined, ungauge="b1"))
+    nodes = list(q.nodes)
+    for k in range(1, len(nodes)):
+        rotated = Quiver(nodes[k:] + nodes[:k], q.edges)
+        got = compute_hilbert_series(HSRequest(rotated, 8, refined=refined, ungauge="b1"))
+        assert got.series == want.series, k
+        assert got.stats.charge_count == want.stats.charge_count, k
+
+
+def test_refined_cycle_matches_unpruned_box_sum():
+    # A refined node on a cycle: the component keeps its first node as the
+    # root, which heads the cutset, so the refined digits pass through the
+    # messages.  The box is one past the proven one.
+    q = affine_a3_square()
+    order = 8
+    for refined in (("a2",), ("a1",), ("a1", "a3")):
+        result = compute_hilbert_series(HSRequest(q, order, refined=frozenset(refined)))
+        want = hs_ref(q, order, result.stats.bound_reached + 1, refined=refined)
+        got = [topological_counts(result.series.coefficient(k), refined)
+               for k in range(order + 1)]
+        assert got == want, refined
+
+
 def k4_two_node_cutset():
     """K4 of U(1) nodes with "d" ungauged: the spanning tree is the path
     a-b-c-d, and the three other edges close cycles at a, a and b, so the
@@ -866,6 +955,32 @@ def test_edge_tables_are_shared_per_edge_type():
         fresh = _edge_table(prob, prob.edges[prob.parent_edge[v]], p,
                             list(cands[p]), list(cands[v]))
         assert etab[v] == fresh and etab[v] is not fresh
+
+
+def test_reversed_edge_type_reuses_its_table_transposed(monkeypatch):
+    # An edge type met from its other end takes the transpose of the table
+    # already built: SO(3)-USp(2)-SO(3) rooted at an end, and bouquet(3)
+    # rooted at the leaf b2, whose U(2) node is the parent of two U(1)s.
+    import coulomb_hs.engine as engine
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return _edge_table(*args)
+    monkeypatch.setattr(engine, "_edge_table", counted)
+    chain_q = Quiver([QuiverNode("s", NodeKind.GAUGE, SO(3)),
+                      QuiverNode("p", NodeKind.GAUGE, USp(2)),
+                      QuiverNode("t", NodeKind.GAUGE, SO(3))], [("s", "p"), ("p", "t")])
+    for prob, tables in ((_Problem(chain_q), 1),
+                         (_Problem(ungauge(build_bouquet_quiver(3), "b1"), ["b2"]), 2)):
+        cands = _candidates(prob, 2)
+        built.clear()
+        _, etab = _box_tables(prob, cands)
+        assert len(built) == tables
+        for v, p in enumerate(prob.parent):
+            if p >= 0:
+                assert etab[v] == _edge_table(prob, prob.edges[prob.parent_edge[v]], p,
+                                              cands[p], cands[v])
 
 
 def test_shared_tables_are_never_mutated():

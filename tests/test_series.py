@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -162,10 +163,24 @@ def test_fugacity_context_rules():
     assert (sa * free).fugacities == frozenset({"a"})
 
 
-@pytest.mark.parametrize("c", [Fraction(1, 3), 0.5, True, Laurent({(): Fraction(1, 3)})])
+@pytest.mark.parametrize("c", [Fraction(1, 3), 0.5, True, Decimal("0.5")])
 def test_coefficients_other_than_int_or_laurent_are_rejected(c):
     with pytest.raises(SeriesError, match="coefficients must be int or Laurent"):
         S(2, {1: c})
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(2), 0.5, True])
+def test_laurent_terms_other_than_int_are_rejected(c):
+    # A rational term never gets as far as a series coefficient.
+    for key in ((), (("x", 1),)):
+        with pytest.raises(SeriesError, match="Laurent coefficients must be int"):
+            Laurent({key: c})
+
+
+@pytest.mark.parametrize("e", [1.5, 1.0, True, Fraction(1)])
+def test_exponents_other_than_int_are_rejected(e):
+    with pytest.raises(SeriesError, match="exponents must be int"):
+        S(4, {e: 1})
 
 
 def test_plethystics_reject_laurent_coefficients_without_fugacities():
