@@ -37,9 +37,11 @@ flavor edge, comes from one kernel, the edge table, and 4*Delta of a
 single charge (``delta``) is the same pipeline with one candidate per
 node.  Each edge table is built row by row: its cost is a sum over pairs
 of entries, so one row per parent entry value is added along a prefix
-trie of the parent's candidates, one row addition per trie node.  Nodes
-of one type share one candidate list, and edges of one type between the
-same two lists share one table, which nothing mutates.
+trie of the parent's candidates, one row addition per trie node.  Those
+rows come from the same walk over the child's candidates, one column
+addition per trie node, transposed once.  Nodes of one type share one
+candidate list, and edges of one type between the same two lists share
+one table per box, which nothing mutates.
 
 The Hilbert series visits no charge.  4*Delta is a sum of node terms and
 tree-edge terms and P(m,t) a product of node factors, so the sum
@@ -51,7 +53,10 @@ any charge through that parent candidate, which is exact, so the work
 grows with the table cells times the order rather than with the number
 of charges.  A candidate through which no charge is within the cutoff is
 dead: no message sums over it and its dressing degrees are never
-computed; a live candidate's are computed once per group and charge.  A
+computed; a live candidate's are computed once per group and charge.
+Those least totals are computed top-down from the live parent
+candidates alone, since no charge through a dead parent candidate can
+make its child live.  A
 second lane with dressing 1 counts the charges.  Linear functionals of a
 node's charge ride along as digits of one packed integer: the refined
 topological charges, or every entry of every charge when the charges
@@ -80,7 +85,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, compress, product
 from math import comb
-from operator import add, mul, sub
+from operator import add, mul
 
 from .liedata import (
     Charge,
@@ -303,8 +308,10 @@ def _edge_table(prob: _Problem, e: _EEdge, p: int, cands_p: list,
     ``iv``, plus 2|y| per USp entry when the SO side is odd.  So each value
     x of a parent entry gets one row ``part[x][iv]``, the sum over the
     child's entries (with 2|x| when the parent is that USp side), and the
-    parent candidates are walked in their descending-lex order as a prefix
-    trie: one row addition per trie node."""
+    parent candidates are walked as a prefix trie: one row addition per
+    trie node.  The rows ``part`` come from the same walk over the child's
+    candidates, adding one column ``[h(x, y) for x in xs]`` per trie node,
+    and are transposed once."""
     if e.ortho:
         def h(x, y):
             return 2 * (abs(x + y) + abs(x - y))
@@ -314,24 +321,28 @@ def _edge_table(prob: _Problem, e: _EEdge, p: int, cands_p: list,
         def h(x, y):
             return 2 * e.mult * abs(x - y)
         odd_p = odd_v = 0
-    ys = {y for c in cands_v for y in c}
-    part = {}
-    for x in {x for c in cands_p for x in c}:
-        hx = {y: h(x, y) for y in ys}
-        part[x] = [sum(map(hx.__getitem__, c)) + odd_p * abs(x) for c in cands_v]
-    base = [odd_v * sum(map(abs, c)) for c in cands_v]
-    tab: list = []
+    xs = list({x for c in cands_p for x in c})
+    hcol = {y: [h(x, y) for x in xs] for y in {y for c in cands_v for y in c}}
+    part = dict(zip(xs, zip(*_trie_sums(cands_v, [odd_p * abs(x) for x in xs], hcol))))
+    return _trie_sums(cands_p, [odd_v * sum(map(abs, c)) for c in cands_v], part)
+
+
+def _trie_sums(cands: list, base: list, part) -> list:
+    """For each candidate c, ``base`` plus ``part[x]`` for every entry x of
+    c, elementwise, walking the candidates as a prefix trie: one vector
+    addition per trie node."""
+    out: list = []
     rows, prev = [base], ()  # rows[k]: base plus the parts of prev[:k]
-    for c in cands_p:
+    for c in cands:
         k = 0
         while k < len(prev) and c[k] == prev[k]:
             k += 1
         del rows[k + 1:]
         for x in c[k:]:
             rows.append(list(map(add, rows[-1], part[x])))
-        tab.append(rows[-1])
+        out.append(rows[-1])
         prev = c
-    return tab
+    return out
 
 
 def _table_memo(prob: _Problem):
@@ -374,12 +385,15 @@ def _candidates(prob: _Problem, b: int) -> list:
 
 
 def _box_tables(prob: _Problem, cands: list):
-    """The node terms ``local4`` of the candidates ``cands`` and the table
-    ``etab[v]`` of the tree edge from each non-root node v to its parent.
+    """The node terms ``local4`` of the candidates ``cands``, the table
+    ``etab[v]`` of the tree edge from each non-root node v to its parent,
+    and ``cuts``: ``(v, u, table)`` for each edge outside the spanning
+    forest, from its early endpoint u to its late endpoint v.
 
     A node term is the root term, -4 <2*rho, c> (exact, since every
     candidate is dominant), plus one column of the flavor edges' tables.
-    One table is built per edge type and pair of candidate lists."""
+    One table is built per edge type and pair of candidate lists, whether
+    the edge is a flavor, tree or cycle-closing edge."""
     table = _table_memo(prob)
     zeros: dict = {}
     local4 = []
@@ -392,7 +406,9 @@ def _box_tables(prob: _Problem, cands: list):
         local4.append(loc)
     etab = [None if p < 0 else table(prob.edges[prob.parent_edge[v]], p, cands[p], cands[v])
             for v, p in enumerate(prob.parent)]
-    return local4, etab
+    cuts = [(v, u, table(prob.edges[ei], u, cands[u], cands[v]))
+            for v in range(len(prob.nodes)) for u, ei in prob.nontree[v]]
+    return local4, etab, cuts
 
 
 def _min_tables(prob: _Problem, local4: list, etab: list):
@@ -417,34 +433,40 @@ def _min_tables(prob: _Problem, local4: list, etab: list):
 
 
 def _totals(prob: _Problem, etab: list, sub_cost: list, best: list,
-            root_min: dict) -> list:
+            root_min: dict, thr4: int | None = None) -> list:
     """Top-down from ``_min_tables``: ``tot[v][iv]`` is the least 4*Delta of
-    any charge with node v at candidate iv."""
+    any charge with node v at candidate iv.
+
+    Given a cutoff ``thr4`` at least ``sum(root_min.values())``, node v
+    reads only the rows of live parent candidates, ``tot[p][ip] <= thr4``:
+    every term through ip is at least ``tot[p][ip]``, since the edge cost
+    plus ``sub_cost[v][iv]`` is at least ``best[v][ip]``.  ``tot`` is then
+    exact where it is at most ``thr4`` and above ``thr4`` elsewhere."""
     s0 = sum(root_min.values())
     tot: list = [None] * len(prob.nodes)
     for v in prob.preorder:
         p = prob.parent[v]
         if p < 0:
             tot[v] = [s - root_min[v] + s0 for s in sub_cost[v]]
-        else:
-            rel = list(map(sub, tot[p], best[v]))
-            tot[v] = [min(map(add, rel, col)) + s
-                      for col, s in zip(zip(*etab[v]), sub_cost[v])]
+            continue
+        tab, bv = etab[v], best[v]
+        keep = [ip for ip, t in enumerate(tot[p]) if thr4 is None or t <= thr4]
+        rel = [tot[p][ip] - bv[ip] for ip in keep]
+        tot[v] = [min(map(add, rel, col)) + s
+                  for col, s in zip(zip(*[tab[ip] for ip in keep]), sub_cost[v])]
     return tot
 
 
-def _cutset_assignments(prob: _Problem, cands: list, local4: list, etab: list,
+def _cutset_assignments(prob: _Problem, local4: list, etab: list, cuts: list,
                         labels: list):
     """Condition on the charges of the cycle cutset: for each assignment of
     the early endpoints of the edges outside the spanning forest, yield the
     node terms, tree-edge tables and per-candidate ``labels`` with each
-    pinned node kept at its one candidate and each such edge's cost added
-    to the node term of its late endpoint.  A forest has one assignment."""
-    table = _table_memo(prob)
-    cuts = [(v, u, table(prob.edges[ei], u, cands[u], cands[v]))
-            for v in range(len(prob.nodes)) for u, ei in prob.nontree[v]]
+    pinned node kept at its one candidate and each such edge's cost (from
+    ``cuts``, as ``_box_tables`` gives them) added to the node term of its
+    late endpoint.  A forest has one assignment."""
     cutset = sorted({u for _, u, _ in cuts})
-    for pins in product(*(range(len(cands[u])) for u in cutset)):
+    for pins in product(*(range(len(local4[u])) for u in cutset)):
         pin = dict(zip(cutset, pins))
         loc, lab, tab = list(local4), list(labels), list(etab)
         for v, u, cost in cuts:
@@ -462,8 +484,7 @@ def _delta4(prob: _Problem, vec: Sequence[Charge]) -> int:
     """4*Delta of one charge: the box tables with one candidate per node,
     under their one cutset assignment, summed over the spanning forest."""
     cands = [[c] for c in vec]
-    local4, etab = _box_tables(prob, cands)
-    (loc, tab, _), = _cutset_assignments(prob, cands, local4, etab, cands)
+    (loc, tab, _), = _cutset_assignments(prob, *_box_tables(prob, cands), cands)
     return sum(_min_tables(prob, loc, tab)[2].values())
 
 
@@ -494,10 +515,9 @@ def _proven_box(prob: _Problem, thr4: int, max_bound: int) -> int:
     if max_bound < 0:
         raise ValueError("max_bound must be >= 0")
     cands = _candidates(prob, 1)
-    local4, etab = _box_tables(prob, cands)
     nonzero = [[any(c) for c in cl] for cl in cands]
     least: list = []
-    for loc, tab, nz in _cutset_assignments(prob, cands, local4, etab, nonzero):
+    for loc, tab, nz in _cutset_assignments(prob, *_box_tables(prob, cands), nonzero):
         tot = _totals(prob, tab, *_min_tables(prob, loc, tab))
         least.extend(chain.from_iterable(map(compress, tot, nz)))
     c4 = min(least, default=None)
@@ -628,9 +648,11 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
     slack ``etab[v][ip][iv] + sub_cost[v][iv] - best[v][ip] >= 0`` per node,
     so the messages carry X - S; the result is shifted back to X.
     ``tot[v][iv]`` is the least 4*Delta of any charge with node v at
-    candidate iv; a term whose parent sits at ip can add at most
-    ``thr4 - tot[p][ip]`` on top of the rest of the charge, so cutting each
-    message there drops nothing at or below the cutoff.
+    candidate iv, read from the rows of live parent candidates only, so
+    exact where it is at most ``thr4`` and above ``thr4`` elsewhere; a term
+    whose parent sits at ip can add at most ``thr4 - tot[p][ip]`` on top of
+    the rest of the charge, so cutting each message there drops nothing at
+    or below the cutoff.
 
     Only the live candidates of a node, those with ``tot[v][iv] <= thr4``,
     are priced: ``dress(v, c)`` gives the dressing degrees and packed
@@ -643,7 +665,7 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
     s0 = sum(root_min.values())
     if s0 > thr4:
         return {}, {}
-    tot = _totals(prob, etab, sub_cost, best, root_min)
+    tot = _totals(prob, etab, sub_cost, best, root_min, thr4)
 
     half = width // 2
     dressings: dict = {}
@@ -716,7 +738,6 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list,
     charge) for the whole sum."""
     nodes = prob.nodes
     cands = _candidates(prob, b)
-    local4, etab = _box_tables(prob, cands)
     places: list = [[] for _ in nodes]
     radix = []  # (place, base, h) of each digit
     width = 1
@@ -737,7 +758,7 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list,
 
     main: Counter = Counter()
     count: Counter = Counter()
-    for loc, tab, lab in _cutset_assignments(prob, cands, local4, etab, cands):
+    for loc, tab, lab in _cutset_assignments(prob, *_box_tables(prob, cands), cands):
         terms, counts = _tree_pass(prob, thr4, loc, lab, tab, width, dress)
         main.update(terms)
         count.update(counts)
@@ -828,8 +849,10 @@ def refined_implosion_integral(n: int, order: int, *,
     """Residue integral over the bouquet fugacities.
 
     Ungauges the first bouquet U(1), refines the remaining n-1 with one
-    fugacity each, multiplies the refined series by (1 - t^2)^(n-1) and
-    extracts the constant term in every fugacity.  The result matches the
+    fugacity each, extracts the constant term in every fugacity and
+    multiplies the resulting integer series by (1 - t^2)^(n-1).  That
+    factor carries no fugacity, so this is the constant term of the
+    product, at the same truncation.  The result matches the
     nilpotent-cone closed form ``nilcone_reference_hs(n, order)``.
 
     That match is the T[SU(n)] chain check and no more.  On any quiver,
@@ -851,11 +874,10 @@ def refined_implosion_integral(n: int, order: int, *,
     leaves = bouquet_leaf_ids(n)
     req = HSRequest(q, order, refined=frozenset(leaves[1:]), ungauge=leaves[0])
     s = coulomb_hilbert_series(req)
-    exponent = (n - 1) if prefactor_exponent is None else prefactor_exponent
-    s = s * (one_minus_power(2, order) ** exponent)
     for name in sorted(req.refined):
         s = s.constant_term(name)
-    return s
+    exponent = (n - 1) if prefactor_exponent is None else prefactor_exponent
+    return s * (one_minus_power(2, order) ** exponent)
 
 
 # Expected low-order structure of the ungauged bouquet series.

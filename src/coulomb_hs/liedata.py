@@ -85,6 +85,26 @@ def weyl_vector(g: GaugeGroup) -> tuple:
     return tuple(range(2 * r - 2, -1, -2))
 
 
+def _residual_blocks(g: GaugeGroup, m: Charge) -> tuple:
+    """The residual stabilizer of a dominant charge m as ``(n0, sizes)``:
+    the SO(n0) or USp(n0) block on the zero entries (n0 = 0 if none, and
+    for U(N)), and the k of each U(k) factor, in descending order.  A
+    dominant charge keeps equal entries (off the unitary family, equal
+    |entries|, zeros last) adjacent, so each factor is one run."""
+    unitary = g.family is Family.UNITARY
+    sizes: list = []
+    prev = None
+    for x in (m if unitary else map(abs, m)):
+        if x == prev:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+            prev = x
+    if unitary or prev != 0:
+        return 0, sizes
+    return 2 * sizes.pop() + g.n % 2, sizes
+
+
 def residual_stabilizer(g: GaugeGroup, m: Charge) -> list:
     """Subgroup of g left unbroken by the magnetic charge m.
 
@@ -93,40 +113,22 @@ def residual_stabilizer(g: GaugeGroup, m: Charge) -> list:
     nonzero values (absolute values for SO(even), whose Weyl group flips
     signs only in pairs)."""
     validate_charge(g, m)
-    m = tuple(m)
-    if g.family is Family.UNITARY:
-        groups: dict = {}
-        for x in m:
-            groups[x] = groups.get(x, 0) + 1
-        return [GaugeGroup(Family.UNITARY, k)
-                for _, k in sorted(groups.items(), reverse=True)]
-    zeros = sum(1 for x in m if x == 0)
-    nonzero: dict = {}
-    for x in m:
-        if x:
-            a = abs(x)
-            nonzero[a] = nonzero.get(a, 0) + 1
-    out = []
-    if zeros:
-        if g.family is Family.SYMPLECTIC:
-            out.append(GaugeGroup(Family.SYMPLECTIC, 2 * zeros))
-        elif g.n % 2:
-            out.append(GaugeGroup(Family.ORTHOGONAL, 2 * zeros + 1))
-        else:
-            out.append(GaugeGroup(Family.ORTHOGONAL, 2 * zeros))
-    elif g.family is Family.ORTHOGONAL and g.n % 2:
-        pass  # SO(1) is trivial, contributes nothing
-    out.extend(GaugeGroup(Family.UNITARY, k)
-               for _, k in sorted(nonzero.items(), reverse=True))
+    n0, sizes = _residual_blocks(g, m)
+    out = [GaugeGroup(g.family, n0)] if n0 else []
+    out.extend(GaugeGroup(Family.UNITARY, k) for k in sizes)
     return out
 
 
 def casimir_degrees(g: GaugeGroup) -> tuple:
     """Degrees of the generators of the adjoint invariant ring."""
-    r = g.rank
-    if g.family is Family.UNITARY:
-        return tuple(range(1, r + 1))
-    if g.family is Family.SYMPLECTIC or g.n % 2:
+    return _casimir_degrees(g.family, g.n)
+
+
+def _casimir_degrees(family: Family, n: int) -> tuple:
+    if family is Family.UNITARY:
+        return tuple(range(1, n + 1))
+    r = n // 2
+    if family is Family.SYMPLECTIC or n % 2:
         return tuple(range(2, 2 * r + 1, 2))
     if r == 1:  # SO(2) is a torus
         return (1,)
@@ -135,10 +137,12 @@ def casimir_degrees(g: GaugeGroup) -> tuple:
 
 def dressing_degrees(g: GaugeGroup, m: Charge) -> list:
     """Casimir degrees of the residual stabilizer, ready for the dressing
-    factor."""
-    out: list = []
-    for piece in residual_stabilizer(g, m):
-        out.extend(casimir_degrees(piece))
+    factor: the zero block's, then 1..k per U(k) factor."""
+    validate_charge(g, m)
+    n0, sizes = _residual_blocks(g, m)
+    out = list(_casimir_degrees(g.family, n0)) if n0 else []
+    for k in sizes:
+        out.extend(range(1, k + 1))
     return out
 
 

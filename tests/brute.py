@@ -11,15 +11,16 @@ quarter-unit kernels:
 and the Hilbert series is the unpruned sum of t^(2 Delta(m)) P(m, t) over
 every dominant charge in a box (``hs_ref``), whose charges with their
 4*Delta ``charges_ref`` lists.  Also the Weyl orbits and positive-root
-counts that the Lie-data tests check against.
+counts that the Lie-data tests check against, and the dressing degrees
+by way of the residual stabilizer's groups (``dressing_degrees_ref``).
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
-from coulomb_hs.liedata import dominant_charges, dressing_degrees, positive_root_values
-from coulomb_hs.quiver import Family, NodeKind
+from coulomb_hs.liedata import casimir_degrees, dominant_charges, positive_root_values
+from coulomb_hs.quiver import Family, GaugeGroup, NodeKind
 
 # The pair weight of the orthosymplectic half-hypermultiplet that the
 # monopole formula uses; 1/2 is the rejected alternative, kept here as
@@ -52,6 +53,23 @@ def weyl_orbit(g, m) -> set:
                     continue  # D-series flips signs in pairs only
             orbit.add(tuple(f * x for f, x in zip(flips, p)))
     return orbit
+
+
+def dressing_degrees_ref(g, m) -> list:
+    """Casimir degrees of the residual stabilizer of the dominant charge m,
+    group by group: U(N) keeps one U(k) per distinct entry, and an
+    orthosymplectic group an SO/USp block on its zero entries (none for
+    SO(1)) and one U(k) per distinct nonzero |entry|, in descending order
+    of the value."""
+    if g.family is Family.UNITARY:
+        pieces = [GaugeGroup(Family.UNITARY, k)
+                  for _, k in sorted(Counter(m).items(), reverse=True)]
+    else:
+        zeros = list(m).count(0)
+        pieces = [GaugeGroup(g.family, 2 * zeros + g.n % 2)] if zeros else []
+        pieces += [GaugeGroup(Family.UNITARY, k) for _, k in
+                   sorted(Counter(abs(x) for x in m if x).items(), reverse=True)]
+    return [d for piece in pieces for d in casimir_degrees(piece)]
 
 
 def matter_weight_values(ga, ma, gb, mb, pair_weight=PAIR_WEIGHT) -> list:
@@ -187,7 +205,7 @@ def series_ref(q, order: int, charges: dict, refined=None) -> list:
         dress[0] = 1
         for n, deg, c in zip(gauge, degrees, combo):
             if c not in deg:
-                deg[c] = dressing_degrees(n.group, c)
+                deg[c] = dressing_degrees_ref(n.group, c)
             for d in deg[c]:
                 for e in range(2 * d, order + 1):
                     dress[e] += dress[e - 2 * d]

@@ -10,6 +10,7 @@ from coulomb_hs.engine import (
     ConvergenceNotReachedError,
     HSRequest,
     QuiverCharge,
+    bouquet_leaf_ids,
     compute_hilbert_series,
     coulomb_hilbert_series,
     delta,
@@ -428,6 +429,21 @@ def test_constant_terms_of_refined_u1s_ungauge_them():
     for n in (3, 4):
         assert refined_implosion_integral(n, 6) == coulomb_hilbert_series(
             HSRequest(build_linear_nilpotent_quiver(n), 6))
+
+
+def test_refined_integral_takes_constant_terms_before_the_prefactor():
+    # (1 - t^2)^e carries no fugacity, so the constant terms of the refined
+    # series times it are the constant terms times it, at one truncation.
+    for n, order in ((2, 8), (3, 8)):
+        leaves = bouquet_leaf_ids(n)
+        refined = coulomb_hilbert_series(HSRequest(
+            build_bouquet_quiver(n), order, refined=frozenset(leaves[1:]),
+            ungauge=leaves[0]))
+        for e in (0, n - 1, n + 1):
+            s = refined * one_minus_power(2, order) ** e
+            for name in leaves[1:]:
+                s = s.constant_term(name)
+            assert refined_implosion_integral(n, order, prefactor_exponent=e) == s, (n, e)
 
 
 def test_refined_integral_negative_control():
@@ -946,7 +962,7 @@ def test_edge_tables_are_shared_per_edge_type():
     # does not change a cell.
     prob = _Problem(ungauge(build_bouquet_quiver(5), "b1"))
     cands = _candidates(prob, _proven_box(prob, 8, 64))
-    _, etab = _box_tables(prob, cands)
+    _, etab, _ = _box_tables(prob, cands)
     leaves = [prob.index[f"b{i}"] for i in range(2, 6)]
     assert len({id(cands[v]) for v in leaves}) == 1
     assert len({id(etab[v]) for v in leaves}) == 1
@@ -975,12 +991,51 @@ def test_reversed_edge_type_reuses_its_table_transposed(monkeypatch):
                          (_Problem(ungauge(build_bouquet_quiver(3), "b1"), ["b2"]), 2)):
         cands = _candidates(prob, 2)
         built.clear()
-        _, etab = _box_tables(prob, cands)
+        _, etab, _ = _box_tables(prob, cands)
         assert len(built) == tables
         for v, p in enumerate(prob.parent):
             if p >= 0:
                 assert etab[v] == _edge_table(prob, prob.edges[prob.parent_edge[v]], p,
                                               cands[p], cands[v])
+
+
+def test_cycle_edges_reuse_the_tree_tables(monkeypatch):
+    # One memo per box serves the tree edges and the edge that closes the
+    # cycle: on affine A3 the fixed-to-U(1) table of each box is built once.
+    import coulomb_hs.engine as engine
+    built = []
+
+    def counted(prob, e, p, cands_p, cands_v):
+        built.append((len(cands_p), len(cands_v)))
+        return _edge_table(prob, e, p, cands_p, cands_v)
+    monkeypatch.setattr(engine, "_edge_table", counted)
+    s = coulomb_hilbert_series(HSRequest(affine_a_cycle(4), 10))
+    assert built == [(1, 3), (3, 3), (1, 11), (11, 11)]
+    assert [s.coefficient(k) for k in range(11)] == minimal_orbit_series(*type_a(4), 10)
+
+
+def test_live_parent_totals_are_exact_up_to_the_cutoff():
+    # Read over live parents only, the totals equal the exact ones wherever
+    # those are at most the cutoff and exceed the cutoff elsewhere: on
+    # trees and under every cutset assignment of three cyclic quivers.
+    quivers = (ungauge(build_bouquet_quiver(4), "b1"), build_linear_nilpotent_quiver(4),
+               build_dn_implosion_quiver(3), affine_a2_triangle(), affine_a_cycle(4),
+               k4_two_node_cutset())
+    pruned = 0
+    for q in quivers:
+        prob = _Problem(q)
+        cands = _candidates(prob, 2)
+        for loc, tab, _ in _cutset_assignments(prob, *_box_tables(prob, cands), cands):
+            mins = _min_tables(prob, loc, tab)
+            exact = _totals(prob, tab, *mins)
+            s0 = sum(mins[2].values())
+            for thr4 in (s0, s0 + 2, s0 + 4, s0 + 8, max(map(max, exact))):
+                got = _totals(prob, tab, *mins, thr4)
+                for want_v, got_v in zip(exact, got):
+                    for want, t in zip(want_v, got_v):
+                        assert t == want if want <= thr4 else t > thr4, (q, thr4)
+                        pruned += t != want
+    assert pruned
 
 
 def test_shared_tables_are_never_mutated():
@@ -990,18 +1045,19 @@ def test_shared_tables_are_never_mutated():
     for q in (affine_a2_triangle(), k4_two_node_cutset()):
         prob = _Problem(q)
         cands = _candidates(prob, 2)
-        local4, etab = _box_tables(prob, cands)
-        before = copy.deepcopy((cands, local4, etab))
+        local4, etab, cuts = _box_tables(prob, cands)
+        before = copy.deepcopy((cands, local4, etab, cuts))
 
         def dress(v, c):
             nd = prob.nodes[v]
             return () if nd.fixed else tuple(dressing_degrees(nd.group, c)), 0
-        for loc, tab, lab in _cutset_assignments(prob, cands, local4, etab, cands):
+        for loc, tab, lab in _cutset_assignments(prob, local4, etab, cuts, cands):
             sub_cost, best, root_min = _min_tables(prob, loc, tab)
             _totals(prob, tab, sub_cost, best, root_min)
+            _totals(prob, tab, sub_cost, best, root_min, 12)
             _tree_pass(prob, 12, loc, lab, tab, 1, dress)
         _box_charges(prob, 2, 12)
-        assert (cands, local4, etab) == before, q
+        assert (cands, local4, etab, cuts) == before, q
 
 
 def test_dressing_is_priced_on_demand(monkeypatch):
@@ -1021,8 +1077,7 @@ def test_dressing_is_priced_on_demand(monkeypatch):
     thr4 = 8
     prob = _Problem(ungauge(q, "b1"))
     cands = _candidates(prob, result.stats.bound_reached)
-    local4, etab = _box_tables(prob, cands)
-    (loc, tab, lab), = _cutset_assignments(prob, cands, local4, etab, cands)
+    (loc, tab, lab), = _cutset_assignments(prob, *_box_tables(prob, cands), cands)
     tot = _totals(prob, tab, *_min_tables(prob, loc, tab))
     live = {(nd.group, c) for nd, cl, tv in zip(prob.nodes, lab, tot)
             for c, t in zip(cl, tv) if t <= thr4}

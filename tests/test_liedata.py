@@ -15,7 +15,8 @@ from coulomb_hs.liedata import (
 )
 from coulomb_hs.quiver import Family, GaugeGroup, SO, U, USp
 
-from brute import HALF_PAIR_WEIGHT, matter_weight_values, positive_root_count, weyl_orbit
+from brute import (HALF_PAIR_WEIGHT, dressing_degrees_ref, matter_weight_values,
+                   positive_root_count, weyl_orbit)
 
 
 SMALL_GROUPS = [U(1), U(2), U(3), USp(2), USp(4), USp(6),
@@ -315,6 +316,22 @@ def test_dressing_degrees_so2_is_a_torus():
     assert dressing_degrees(SO(2), (3,)) == [1]
     assert dressing_degrees(SO(2), (-3,)) == [1]
     assert dressing_degrees(USp(4), (1, 0)) in ([2, 1], [1, 2])
+
+
+def test_dressing_degrees_match_the_stabilizer_groups():
+    # The run count against the degrees of each residual group, built as a
+    # group: every dominant charge of box 3, in the same order.
+    groups = ([U(n) for n in range(1, 6)] + [SO(n) for n in range(2, 12)]
+              + [USp(n) for n in range(2, 11, 2)])
+    checked = 0
+    for g in groups:
+        for m in dominant_charges(g, 3):
+            assert dressing_degrees(g, m) == dressing_degrees_ref(g, m), (g, m)
+            checked += 1
+    assert checked == 1221
+    for g, m in ((U(2), (0, 1)), (SO(4), (-1, 1)), (USp(4), (1, -1)), (SO(3), (-1,))):
+        with pytest.raises(ChamberViolationError):
+            dressing_degrees(g, m)
 
 
 # ---------------------------------------------------------------------------
