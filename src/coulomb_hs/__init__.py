@@ -36,7 +36,6 @@ from .liedata import (
     ChamberViolationError,
     casimir_degrees,
     dominant_charges,
-    positive_root_values,
     residual_stabilizer,
     weyl_vector,
 )
@@ -65,7 +64,6 @@ from .quiver import (
     detect_decoupled_u1,
     expected_coulomb_dimension_real,
     gauge_group_rank,
-    higgs_quaternionic_dimension,
     node_balance,
     predict_global_symmetry,
     quiver_from_json,

@@ -56,13 +56,15 @@ dead: no message sums over it and its dressing degrees are never
 computed; a live candidate's are computed once per group and charge.
 Those least totals are computed top-down from the live parent
 candidates alone, since no charge through a dead parent candidate can
-make its child live.  A
-second lane with dressing 1 counts the charges.  Linear functionals of a
-node's charge ride along as digits of one packed integer: the refined
-topological charges, or every entry of every charge when the charges
-are listed.  Edges that close a cycle (every affine A_n quiver has one)
-are handled by conditioning on the charges of their early endpoints, a
-cycle cutset, and running the same pass once per assignment.
+make its child live.  A second lane with dressing 1 counts the charges;
+it runs only where the count is read (``compute_hilbert_series``), not
+for the series alone (``coulomb_hilbert_series``) or the charge lists.
+Linear functionals of a node's charge ride along as digits of one packed
+integer: the refined topological charges, or every entry of every charge
+when the charges are listed.  Edges that close a cycle (every affine A_n
+quiver has one) are handled by conditioning on the charges of their
+early endpoints, a cycle cutset, and running the same pass once per
+assignment.
 
 Each component of the forest is rooted at its first node, except that
 the refined series roots a component with no cycle at its widest
@@ -71,10 +73,13 @@ order).  The root's digit enters only the final sum, as one shift per
 root candidate, while any other node's digit rides in every product at
 each ancestor and in every message, once per parent candidate: on
 refined bouquet(3) at K = 12 this cuts the message terms from 62 570 to
-17 336.  A component with a cycle keeps its first node, which heads the
-cutset, since a root with more candidates would multiply the passes.
-The same edge type met from its other end reuses the table already
-built, transposed.
+17 336.  Each node multiplies its children's messages digit-free first,
+in ascending order of the digits in the child's subtree, so each later
+factor meets a product still narrow in the digits: 8 274 product term
+pairs on that run instead of 11 886.  A component with a cycle keeps
+its first node, which heads the cutset, since a root with more
+candidates would multiply the passes.  The same edge type met from its
+other end reuses the table already built, transposed.
 """
 
 from __future__ import annotations
@@ -544,7 +549,8 @@ def _box_charges(prob: _Problem, b: int, thr4: int) -> dict:
     cands = _candidates(prob, b)
     powers = [tuple((2 * b + 1) ** i for i in range(nd.rank)) for nd in prob.nodes]
     names = [{sum(map(mul, w, c)): c for c in cl} for w, cl in zip(powers, cands)]
-    terms, _ = _monopole_sum(prob, b, thr4, list(enumerate(powers)), dressed=False)
+    terms, _ = _monopole_sum(prob, b, thr4, list(enumerate(powers)),
+                             dressed=False, counted=False)
     return {tuple(map(dict.__getitem__, names, digits)): d4 for d4, digits in terms}
 
 
@@ -615,10 +621,12 @@ def _poly_mul(a: dict, b: dict, top: int) -> dict:
     return out
 
 
-def _message(fm: list, fc: list, slack: list, cap: int, width: int):
+def _message(fm: list, fc: list, slack: list, cap: int, width: int,
+             counted: bool):
     """The sums of ``x^slack[iv] * f[iv]`` over the candidates iv with slack
-    at most ``cap``, for the main lane ``fm`` and the count lane ``fc``, cut
-    at ``cap``."""
+    at most ``cap``, for the main lane ``fm`` and, when ``counted``, the
+    count lane ``fc``, cut at ``cap``; without ``counted`` the count lane
+    comes back empty."""
     out: dict = {}
     outc: dict = {}
     top = cap * width + width // 2
@@ -630,19 +638,22 @@ def _message(fm: list, fc: list, slack: list, cap: int, width: int):
                 if k <= lim:
                     k += shift
                     out[k] = out.get(k, 0) + c
-            lim = cap - s
-            for k, c in fc[iv].items():
-                if k <= lim:
-                    k += s
-                    outc[k] = outc.get(k, 0) + c
+            if counted:
+                lim = cap - s
+                for k, c in fc[iv].items():
+                    if k <= lim:
+                        k += s
+                        outc[k] = outc.get(k, 0) + c
     return out, outc
 
 
 def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
-               etab: list, width: int, dress):
+               etab: list, width: int, dress, kids: list, counted: bool):
     """The monopole sum over one spanning forest, as packed polynomials in x
     with x^(4*Delta) = t^(2*Delta): the main lane keyed ``X * width + mono``
-    and the count lane, with dressing 1 and no monomial, keyed ``X``.
+    and, when ``counted``, the count lane, with dressing 1 and no monomial,
+    keyed ``X`` (else empty).  Node v multiplies its children's messages
+    in the order ``kids[v]``, a permutation of ``prob.children[v]``.
 
     Every exponent is the least total S = sum of the root minima plus a
     slack ``etab[v][ip][iv] + sub_cost[v][iv] - best[v][ip] >= 0`` per node,
@@ -660,7 +671,7 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
     children alone.  A dead child never passes a message's cap:
     ``tot[p][ip]`` plus its slack is at least ``tot[v][iv] > thr4``."""
     n = len(prob.nodes)
-    parent, children = prob.parent, prob.children
+    parent = prob.parent
     sub_cost, best, root_min = _min_tables(prob, local4, etab)
     s0 = sum(root_min.values())
     if s0 > thr4:
@@ -688,16 +699,17 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
                     for j, c in enumerate(_dressing_coeffs(degrees, cap // 2)) if c}
             pc = {0: 1}
             top = cap * width + half
-            for c in children[v]:
+            for c in kids[v]:
                 pm = _poly_mul(pm, msg[c][iv], top)
-                pc = _poly_mul(pc, msgc[c][iv], cap)
+                if counted:
+                    pc = _poly_mul(pc, msgc[c][iv], cap)
             fm.append(pm)
             fc.append(pc)
         sc = [sub_cost[v][iv] for iv in live]
         p = parent[v]
         if p < 0:
             out, outc = _message(fm, fc, [s - root_min[v] for s in sc],
-                                 thr4 - s0, width)
+                                 thr4 - s0, width, counted)
             final = _poly_mul(final, out, (thr4 - s0) * width + half)
             finalc = _poly_mul(finalc, outc, thr4 - s0)
             continue
@@ -707,22 +719,23 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
                 bv = best[v][ip]
                 msg[v][ip], msgc[v][ip] = _message(
                     fm, fc, [row[iv] + s - bv for iv, s in zip(live, sc)],
-                    thr4 - tot[p][ip], width)
-        for c in children[v]:
+                    thr4 - tot[p][ip], width, counted)
+        for c in kids[v]:
             msg[c] = msgc[c] = None
     return ({k + s0 * width: c for k, c in final.items()},
             {k + s0: c for k, c in finalc.items()})
 
 
-def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list,
-                  dressed: bool = True):
-    """Sum t^(2 Delta) P(m, t) times prod_j y_j^(d_j(m)) over box b, and
-    count the charges, both up to 4*Delta = thr4; without ``dressed``,
-    P(m, t) is 1.  Each digit ``(v, w)`` is a linear functional
-    d(m) = <w, m_v> of node v's charge.
+def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list, *,
+                  dressed: bool, counted: bool):
+    """Sum t^(2 Delta) P(m, t) times prod_j y_j^(d_j(m)) over box b up to
+    4*Delta = thr4, and, when ``counted``, count the charges; without
+    ``dressed``, P(m, t) is 1.  Each digit ``(v, w)`` is a linear
+    functional d(m) = <w, m_v> of node v's charge.
 
     Returns ``{(4*Delta, digit values): coefficient}`` and
-    ``{4*Delta: charge count}``.
+    ``{4*Delta: charge count}``, or None in place of the count when it is
+    not ``counted``.
 
     Monomials pack into one integer: since |d(m)| <= h = b * sum |w|,
     digit j is a balanced digit of base 2h + 1 below the exponent, so
@@ -735,7 +748,9 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list,
     joins the local term of its late endpoint, and the tree pass runs as
     is.  The tree pass asks ``dress`` for the dressing degrees of its live
     candidates only, and ``dress`` computes them once per (group, fixed,
-    charge) for the whole sum."""
+    charge) for the whole sum.  Each node multiplies its children's
+    messages fewest digits in the subtree first, by a stable sort, so a
+    sum without digits keeps the forest's order."""
     nodes = prob.nodes
     cands = _candidates(prob, b)
     places: list = [[] for _ in nodes]
@@ -746,6 +761,10 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list,
         places[v].append((width, w))
         radix.append((width, 2 * h + 1, h))
         width *= 2 * h + 1
+    spread = list(map(len, places))  # the digits in each node's subtree
+    for v in reversed(prob.preorder):
+        spread[v] += sum(spread[c] for c in prob.children[v])
+    kids = [sorted(cs, key=spread.__getitem__) for cs in prob.children]
     degrees: dict = {}
 
     def dress(v: int, c: Charge) -> tuple:
@@ -759,7 +778,8 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list,
     main: Counter = Counter()
     count: Counter = Counter()
     for loc, tab, lab in _cutset_assignments(prob, *_box_tables(prob, cands), cands):
-        terms, counts = _tree_pass(prob, thr4, loc, lab, tab, width, dress)
+        terms, counts = _tree_pass(prob, thr4, loc, lab, tab, width, dress,
+                                   kids, counted)
         main.update(terms)
         count.update(counts)
 
@@ -769,12 +789,26 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list,
     for k, coeff in main.items():
         x, rest = divmod(k + half, width)
         out[x, tuple(rest // place % base - h for place, base, h in radix)] = coeff
-    return out, count
+    return out, count if counted else None
 
 
 def compute_hilbert_series(request: HSRequest) -> HSResult:
     """Run the monopole sum; returns the series plus reproducibility stats."""
     t0 = time.perf_counter()
+    series, bound, counts = _hilbert_series(request, counted=True)
+    stats = EngineStats(sum(counts.values()), bound, time.perf_counter() - t0)
+    return HSResult(series, stats)
+
+
+def coulomb_hilbert_series(request: HSRequest) -> TruncatedSeries:
+    """The series of ``compute_hilbert_series`` alone.  No charge count is
+    computed: the sum runs without its count lane."""
+    return _hilbert_series(request, counted=False)[0]
+
+
+def _hilbert_series(request: HSRequest, counted: bool):
+    """The series, the proven charge box and, when ``counted``, the charge
+    counts ``{4*Delta: count}`` (else None)."""
     q = request.quiver
     if request.ungauge is not None:
         q = ungauge(q, request.ungauge)
@@ -803,7 +837,8 @@ def compute_hilbert_series(request: HSRequest) -> HSResult:
     thr4 = 2 * request.order
     bound = _proven_box(prob, thr4, request.max_bound)
     digits = [(prob.index[nid], (1,) * q.node(nid).group.rank) for nid in refined]
-    terms, counts = _monopole_sum(prob, bound, thr4, digits)
+    terms, counts = _monopole_sum(prob, bound, thr4, digits, dressed=True,
+                                  counted=counted)
     rows: dict = {}
     for (x, tops), coeff in terms.items():
         rows.setdefault(x // 2, {})[
@@ -811,12 +846,7 @@ def compute_hilbert_series(request: HSRequest) -> HSResult:
     series = TruncatedSeries(request.order,
                              {e: Laurent(row) for e, row in rows.items()},
                              frozenset(refined))
-    stats = EngineStats(sum(counts.values()), bound, time.perf_counter() - t0)
-    return HSResult(series, stats)
-
-
-def coulomb_hilbert_series(request: HSRequest) -> TruncatedSeries:
-    return compute_hilbert_series(request).series
+    return series, bound, counts
 
 
 def symmetry_dimension(s: TruncatedSeries) -> int:

@@ -1,6 +1,5 @@
 """Root-system data for U(n), SO(n) and USp(2m): dominant magnetic
-chambers, positive-root evaluation, the Weyl vector, residual stabilizers
-and Casimir degrees.
+chambers, the Weyl vector, residual stabilizers and Casimir degrees.
 
 Magnetic charges are integer tuples throughout (no spinor or coweight
 refinements).  Dominant chambers:
@@ -48,33 +47,14 @@ def validate_charge(g: GaugeGroup, m: Charge) -> None:
         raise ChamberViolationError(f"{g}: charge {m} is outside the dominant chamber")
 
 
-def positive_root_values(g: GaugeGroup, m: Charge) -> list:
-    """Multiset {|alpha(m)|} over the positive roots of g."""
-    validate_charge(g, m)
-    m = tuple(m)
-    r = g.rank
-    out: list = []
-    if g.family is Family.UNITARY:
-        out.extend(abs(m[i] - m[j]) for i in range(r) for j in range(i + 1, r))
-        return out
-    for i in range(r):
-        for j in range(i + 1, r):
-            out.append(abs(m[i] - m[j]))
-            out.append(abs(m[i] + m[j]))
-    if g.family is Family.SYMPLECTIC:
-        out.extend(abs(2 * x) for x in m)
-    elif g.n % 2:
-        out.extend(abs(x) for x in m)
-    return out
-
-
 def weyl_vector(g: GaugeGroup) -> tuple:
     """2*rho, twice the Weyl vector of g, in the charge coordinates.
 
     On the dominant chamber every positive root is nonnegative, so the sum
-    of ``positive_root_values(g, m)`` is the dot product <2*rho, m>.  For
-    SO(2r) the last entry's weight is 0: its roots m_i -+ m_r cancel in
-    it, which is why a negative last entry changes nothing."""
+    of |alpha(m)| over the positive roots alpha is the dot product
+    <2*rho, m>.  For SO(2r) the last entry's weight is 0: its roots
+    m_i -+ m_r cancel in it, which is why a negative last entry changes
+    nothing."""
     r = g.rank
     if g.family is Family.UNITARY:
         return tuple(range(r - 1, -r, -2))

@@ -55,10 +55,6 @@ class PartitionSumMismatchError(QuiverError):
     pass
 
 
-class UnsupportedFamilyError(QuiverError):
-    pass
-
-
 class DecoupledU1UnresolvedError(QuiverError):
     pass
 
@@ -442,26 +438,6 @@ def expected_coulomb_dimension_real(q: Quiver) -> int:
             "a diagonal U(1) decouples; ungauge one U(1) node per "
             "flavorless all-unitary component first")
     return 4 * gauge_group_rank(q)
-
-
-def higgs_quaternionic_dimension(q: Quiver, su_convention: bool = False) -> int:
-    """Hypermultiplet count minus gauge dimension (quaternionic units).
-
-    With ``su_convention`` the gauge dimension carries an overall
-    determinant-one condition (quotient by S(prod U(N_j)), i.e. one less
-    than sum N_j^2), matching the special-unitary quotient used for
-    implosions; the default is the plain unitary convention of the duals.
-    """
-    for n in q.nodes:
-        if n.group.family is not Family.UNITARY:
-            raise UnsupportedFamilyError(
-                f"node {n.id!r}: only unitary quivers supported")
-    hypers = sum(q.node(a).group.n * q.node(b).group.n for a, b in q.edges)
-    gauge_dim = sum(n.group.n ** 2 for n in q.nodes
-                    if n.kind in (NodeKind.GAUGE, NodeKind.FIXED))
-    if su_convention:
-        gauge_dim -= 1
-    return hypers - gauge_dim
 
 
 # ---------------------------------------------------------------------------

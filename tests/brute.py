@@ -11,15 +11,17 @@ quarter-unit kernels:
 and the Hilbert series is the unpruned sum of t^(2 Delta(m)) P(m, t) over
 every dominant charge in a box (``hs_ref``), whose charges with their
 4*Delta ``charges_ref`` lists.  Also the Weyl orbits and positive-root
-counts that the Lie-data tests check against, and the dressing degrees
-by way of the residual stabilizer's groups (``dressing_degrees_ref``).
+counts that the Lie-data tests check against, the positive roots
+evaluated one by one (``positive_root_values``), and the dressing
+degrees by way of the residual stabilizer's groups
+(``dressing_degrees_ref``).
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
-from coulomb_hs.liedata import casimir_degrees, dominant_charges, positive_root_values
+from coulomb_hs.liedata import casimir_degrees, dominant_charges, validate_charge
 from coulomb_hs.quiver import Family, GaugeGroup, NodeKind
 
 # The pair weight of the orthosymplectic half-hypermultiplet that the
@@ -27,6 +29,27 @@ from coulomb_hs.quiver import Family, GaugeGroup, NodeKind
 # evidence that it makes the D-type implosion quivers diverge.
 PAIR_WEIGHT = Fraction(1)
 HALF_PAIR_WEIGHT = Fraction(1, 2)
+
+
+def positive_root_values(g: GaugeGroup, m: tuple) -> list:
+    """Multiset {|alpha(m)|} over the positive roots of g, for a dominant
+    charge m."""
+    validate_charge(g, m)
+    m = tuple(m)
+    r = g.rank
+    out: list = []
+    if g.family is Family.UNITARY:
+        out.extend(abs(m[i] - m[j]) for i in range(r) for j in range(i + 1, r))
+        return out
+    for i in range(r):
+        for j in range(i + 1, r):
+            out.append(abs(m[i] - m[j]))
+            out.append(abs(m[i] + m[j]))
+    if g.family is Family.SYMPLECTIC:
+        out.extend(abs(2 * x) for x in m)
+    elif g.n % 2:
+        out.extend(abs(x) for x in m)
+    return out
 
 
 def positive_root_count(g) -> int:

@@ -24,7 +24,6 @@ from coulomb_hs.gale import (
     hnf_rows,
     is_gale_dual_pair,
 )
-from coulomb_hs.liedata import positive_root_values
 from coulomb_hs.quiver import (
     NodeKind,
     Quiver,
@@ -45,7 +44,7 @@ from coulomb_hs.quiver import (
 from coulomb_hs.series import expand_inverse, one_minus_power, plethystic_exp, \
     plethystic_log
 
-from brute import HALF_PAIR_WEIGHT, delta_ref, weyl_orbit
+from brute import HALF_PAIR_WEIGHT, delta_ref, positive_root_values, weyl_orbit
 from test_engine import boxes_past_bound
 
 

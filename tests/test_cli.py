@@ -242,6 +242,24 @@ def test_negative_prefactor_exponent_is_a_usage_error(capsys, monkeypatch):
             in capsys.readouterr().err)
 
 
+def test_refined_pl_is_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
+    # The plethystic logarithm of a refined series is unsupported, which
+    # the flags alone show; the flag check also comes before the refined
+    # ids are looked up in the quiver.
+    import coulomb_hs.cli as cli
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the refined series was solved")
+    qf = tmp_path / "b3.json"
+    run(capsys, "generate", "bouquet", "--n", "3", "-o", str(qf))
+    monkeypatch.setattr(cli, "compute_hilbert_series", solve)
+    for refine in ("b2", "b2,b3", "zz"):
+        code, text, err = run(capsys, "hs", str(qf), "--order", "4",
+                              "--ungauge", "b1", "--refine", refine, "--pl")
+        assert code == 1 and not text, refine
+        assert "error: plethystic logarithm of refined series is unsupported" in err
+
+
 def one_gauge_node(n):
     return {"nodes": [{"id": "g", "kind": "gauge", "group": {"family": "U", "n": n}},
                       {"id": "f", "kind": "flavor", "group": {"family": "U", "n": 2}}],

@@ -1055,7 +1055,7 @@ def test_shared_tables_are_never_mutated():
             sub_cost, best, root_min = _min_tables(prob, loc, tab)
             _totals(prob, tab, sub_cost, best, root_min)
             _totals(prob, tab, sub_cost, best, root_min, 12)
-            _tree_pass(prob, 12, loc, lab, tab, 1, dress)
+            _tree_pass(prob, 12, loc, lab, tab, 1, dress, prob.children, True)
         _box_charges(prob, 2, 12)
         assert (cands, local4, etab, cuts) == before, q
 
@@ -1084,6 +1084,54 @@ def test_dressing_is_priced_on_demand(monkeypatch):
     assert calls and set(calls) <= live
     assert len(calls) == len(set(calls))
     assert len(calls) < sum(map(len, cands))
+
+
+def test_count_lane_runs_only_where_the_count_is_read(monkeypatch):
+    # Only compute_hilbert_series reads the charge count, so the series
+    # alone and the charge list build no count-lane message term.
+    import coulomb_hs.engine as engine
+    terms = []
+    message = engine._message
+
+    def recorded(*args):
+        out, outc = message(*args)
+        terms.append(len(outc))
+        return out, outc
+    monkeypatch.setattr(engine, "_message", recorded)
+    q = build_bouquet_quiver(3)
+    req = HSRequest(q, 12, refined=frozenset({"b2", "b3"}), ungauge="b1")
+    series = coulomb_hilbert_series(req)
+    listed = enumerate_charges(ungauge(q, "b1"), 6)
+    assert terms and not any(terms)
+    result = compute_hilbert_series(req)
+    assert result.series == series
+    assert result.stats.charge_count == len(listed) == 17668
+    assert any(terms)
+
+
+def test_digit_free_messages_are_multiplied_first(monkeypatch):
+    # Refined bouquet(3) at K = 12: the U(2) node multiplies its refined
+    # child's message last, which costs 8274 term pairs against 11886 in
+    # forest order, and the forest's own child lists are left as built.
+    import coulomb_hs.engine as engine
+    pairs, built = [0], []
+    poly_mul = engine._poly_mul
+
+    def counted(a, b, top):
+        pairs[0] += len(a) * len(b)
+        return poly_mul(a, b, top)
+
+    class Recorded(_Problem):
+        def __init__(self, quiver, preferred=()):
+            super().__init__(quiver, preferred)
+            built.append((self, copy.deepcopy(self.children)))
+    monkeypatch.setattr(engine, "_poly_mul", counted)
+    monkeypatch.setattr(engine, "_Problem", Recorded)
+    result = compute_hilbert_series(HSRequest(
+        build_bouquet_quiver(3), 12, refined=frozenset({"b2", "b3"}), ungauge="b1"))
+    assert result.stats.charge_count == 17668
+    assert pairs[0] < 11886
+    assert built and all(prob.children == before for prob, before in built)
 
 
 def test_bad_theory_message_names_the_charge():

@@ -8,7 +8,6 @@ from coulomb_hs.liedata import (
     casimir_degrees,
     dominant_charges,
     dressing_degrees,
-    positive_root_values,
     residual_stabilizer,
     validate_charge,
     weyl_vector,
@@ -16,7 +15,7 @@ from coulomb_hs.liedata import (
 from coulomb_hs.quiver import Family, GaugeGroup, SO, U, USp
 
 from brute import (HALF_PAIR_WEIGHT, dressing_degrees_ref, matter_weight_values,
-                   positive_root_count, weyl_orbit)
+                   positive_root_count, positive_root_values, weyl_orbit)
 
 
 SMALL_GROUPS = [U(1), U(2), U(3), USp(2), USp(4), USp(6),

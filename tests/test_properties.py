@@ -13,6 +13,7 @@ from coulomb_hs.engine import (
     BadTheoryError,
     HSRequest,
     compute_hilbert_series,
+    coulomb_hilbert_series,
     enumerate_charges,
     _Problem,
     _box_charges,
@@ -116,6 +117,7 @@ def test_engine_matches_brute_force(case, order):
             compute_hilbert_series(req)
         return
     result = compute_hilbert_series(req)
+    assert coulomb_hilbert_series(req) == result.series
     bound = result.stats.bound_reached
     assert bound == (0 if c is None else 2 * order // int(4 * c))
     ids = sorted(refined)

@@ -21,7 +21,6 @@ from coulomb_hs.quiver import (
     U,
     USp,
     UnknownNodeError,
-    UnsupportedFamilyError,
     balance_report,
     balanced_subquiver_classification,
     bouquet_replace,
@@ -33,7 +32,6 @@ from coulomb_hs.quiver import (
     detect_decoupled_u1,
     expected_coulomb_dimension_real,
     gauge_group_rank,
-    higgs_quaternionic_dimension,
     node_balance,
     predict_global_symmetry,
     quiver_from_json,
@@ -306,18 +304,6 @@ def test_dimension_bookkeeping_families():
         assert expected_coulomb_dimension_real(uq) == 2 * (n * n + n - 2)
     for n in range(2, 9):
         assert 4 * gauge_group_rank(build_dn_implosion_quiver(n)) == 4 * n * n
-
-
-def test_higgs_quaternionic_dimension():
-    assert higgs_quaternionic_dimension(build_bouquet_quiver(3), su_convention=True) == 1
-    assert higgs_quaternionic_dimension(build_bouquet_quiver(5), su_convention=True) == 6
-    for n in range(3, 9):
-        got = higgs_quaternionic_dimension(build_bouquet_quiver(n), su_convention=True)
-        assert got == (n - 1) * (n - 2) // 2
-    single = u1_with_flavors(1)
-    assert higgs_quaternionic_dimension(single) == 0
-    with pytest.raises(UnsupportedFamilyError):
-        higgs_quaternionic_dimension(build_dn_implosion_quiver(3))
 
 
 # ---------------------------------------------------------------------------
