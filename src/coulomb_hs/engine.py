@@ -66,20 +66,31 @@ quiver has one) are handled by conditioning on the charges of their
 early endpoints, a cycle cutset, and running the same pass once per
 assignment.
 
+The residual group of every charge of a U(n) or SO(2) gauge node holds
+the node's center, a U(1) whose Casimir of degree 1 gives P(m,t) the same
+factor 1/(1 - t^2) at every charge.  So the tree pass dresses each node
+without its center, a U(1) node with dressing 1, and the packed sum is
+multiplied once by (1 - t^2)^(-u), u the number of such nodes; the
+messages' cuts stay exact, as that factor has no negative power of t.
+The refined bouquet integral takes the terms whose refined digits are
+all 0, the constant term in every fugacity, straight from the packed
+sum, and applies the center factor to that integer series alone.
+
 Each component of the forest is rooted at its first node, except that
 the refined series roots a component with no cycle at its widest
 refined node (the largest rank; ties go to the first id in sorted
 order).  The root's digit enters only the final sum, as one shift per
 root candidate, while any other node's digit rides in every product at
-each ancestor and in every message, once per parent candidate: on
-refined bouquet(3) at K = 12 this cuts the message terms from 62 570 to
-17 336.  Each node multiplies its children's messages digit-free first,
-in ascending order of the digits in the child's subtree, so each later
-factor meets a product still narrow in the digits: 8 274 product term
-pairs on that run instead of 11 886.  A component with a cycle keeps
-its first node, which heads the cutset, since a root with more
-candidates would multiply the passes.  The same edge type met from its
-other end reuses the table already built, transposed.
+each ancestor and in every message, once per parent candidate: for the
+series of refined bouquet(3) at K = 12 this cuts the message terms from
+53 522 to 11 473.  Each node multiplies its children's messages
+digit-free first, in ascending order of the digits in the child's
+subtree, so each later factor meets a product still narrow in the
+digits: 3 138 product term pairs on that run instead of 6 171.  A
+component with a cycle keeps its first node, which heads the cutset,
+since a root with more candidates would multiply the passes.  The same
+edge type met from its other end reuses the table already built,
+transposed.
 """
 
 from __future__ import annotations
@@ -103,6 +114,7 @@ from .quiver import (
     DecoupledU1UnresolvedError,
     Family,
     NodeKind,
+    SO,
     Quiver,
     QuiverError,
     build_bouquet_quiver,
@@ -158,13 +170,17 @@ HSResult = namedtuple("HSResult", "series stats")
 
 
 class _ENode:
-    __slots__ = ("id", "group", "rank", "fixed", "flavor")
+    __slots__ = ("id", "group", "rank", "fixed", "center", "flavor")
 
     def __init__(self, node):
         self.id = node.id
         self.group = node.group
         self.rank = node.group.rank
         self.fixed = node.kind is NodeKind.FIXED
+        # A U(n) or SO(2) gauge node's center, a U(1) in the residual group
+        # of every charge, dresses each charge by 1/(1 - t^2).
+        self.center = not self.fixed and (
+            node.group.family is Family.UNITARY or node.group == SO(2))
         self.flavor = []  # _EEdge to each flavor node, which sits at charge 0
 
 
@@ -730,7 +746,10 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list, *,
                   dressed: bool, counted: bool):
     """Sum t^(2 Delta) P(m, t) times prod_j y_j^(d_j(m)) over box b up to
     4*Delta = thr4, and, when ``counted``, count the charges; without
-    ``dressed``, P(m, t) is 1.  Each digit ``(v, w)`` is a linear
+    ``dressed``, P(m, t) is 1.  With ``dressed``, P(m, t) leaves out the
+    factor 1/(1 - t^2) of each center (``_ENode.center``), which is the
+    same at every charge: the caller multiplies the sum by (1 - t^2)^(-u)
+    once, u the number of centers.  Each digit ``(v, w)`` is a linear
     functional d(m) = <w, m_v> of node v's charge.
 
     Returns ``{(4*Delta, digit values): coefficient}`` and
@@ -771,8 +790,12 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list, *,
         nd = nodes[v]
         key = nd.group, nd.fixed, c
         if key not in degrees:
-            degrees[key] = (tuple(dressing_degrees(nd.group, c))
-                            if dressed and not nd.fixed else ())
+            degs = []
+            if dressed and not nd.fixed:
+                degs = dressing_degrees(nd.group, c)
+                if nd.center:
+                    degs.remove(1)
+            degrees[key] = tuple(degs)
         return degrees[key], sum(place * sum(map(mul, w, c)) for place, w in places[v])
 
     main: Counter = Counter()
@@ -809,6 +832,23 @@ def coulomb_hilbert_series(request: HSRequest) -> TruncatedSeries:
 def _hilbert_series(request: HSRequest, counted: bool):
     """The series, the proven charge box and, when ``counted``, the charge
     counts ``{4*Delta: count}`` (else None)."""
+    terms, centers, refined, bound, counts = _packed_sum(request, counted)
+    rows: dict = {}
+    for (e, tops), coeff in _times_one_minus_t2(terms, -centers, request.order).items():
+        rows.setdefault(e, {})[
+            tuple((nid, s) for nid, s in zip(refined, tops) if s)] = coeff
+    series = TruncatedSeries(request.order,
+                             {e: Laurent(row) for e, row in rows.items()},
+                             frozenset(refined))
+    return series, bound, counts
+
+
+def _packed_sum(request: HSRequest, counted: bool):
+    """Check ``request`` and run its monopole sum with every center left
+    undressed.  Returns ``{(t-exponent, refined digits): coefficient}``,
+    the number u of centers, whose series is that sum times
+    (1 - t^2)^(-u), the refined ids in digit order, the proven charge box
+    and the charge counts of ``_hilbert_series``."""
     q = request.quiver
     if request.ungauge is not None:
         q = ungauge(q, request.ungauge)
@@ -839,14 +879,25 @@ def _hilbert_series(request: HSRequest, counted: bool):
     digits = [(prob.index[nid], (1,) * q.node(nid).group.rank) for nid in refined]
     terms, counts = _monopole_sum(prob, bound, thr4, digits, dressed=True,
                                   counted=counted)
-    rows: dict = {}
-    for (x, tops), coeff in terms.items():
-        rows.setdefault(x // 2, {})[
-            tuple((nid, s) for nid, s in zip(refined, tops) if s)] = coeff
-    series = TruncatedSeries(request.order,
-                             {e: Laurent(row) for e, row in rows.items()},
-                             frozenset(refined))
-    return series, bound, counts
+    centers = sum(nd.center for nd in prob.nodes)
+    return ({(x // 2, tops): c for (x, tops), c in terms.items()}, centers,
+            refined, bound, counts)
+
+
+def _times_one_minus_t2(terms: dict, k: int, order: int) -> dict:
+    """``terms``, keyed ``(t-exponent, rest)``, times (1 - t^2)^k for any
+    integer k, cut at ``order``.  The factor's coefficient of t^(2j) is
+    (-1)^j binom(k, j), which is binom(j - k - 1, j) when k < 0: the
+    integer c_j = c_(j-1) * (j - 1 - k) / j, with c_0 = 1."""
+    factor = [1]
+    for j in range(1, order // 2 + 1):
+        factor.append(factor[-1] * (j - 1 - k) // j)
+    out: dict = {}
+    for (e, rest), c in terms.items():
+        for j in range((order - e) // 2 + 1):
+            key = e + 2 * j, rest
+            out[key] = out.get(key, 0) + c * factor[j]
+    return out
 
 
 def symmetry_dimension(s: TruncatedSeries) -> int:
@@ -885,6 +936,12 @@ def refined_implosion_integral(n: int, order: int, *,
     product, at the same truncation.  The result matches the
     nilpotent-cone closed form ``nilcone_reference_hs(n, order)``.
 
+    The constant terms are the digit-0 slice of the packed sum: its terms
+    whose refined digits are all 0.  They are read off before the sum is
+    dressed by its u centers, and the integer series they form is
+    multiplied by (1 - t^2)^(e - u), where e = n - 1 unless
+    ``prefactor_exponent`` gives it; no Laurent coefficient is built.
+
     That match is the T[SU(n)] chain check and no more.  On any quiver,
     refining r U(1) nodes, multiplying by (1 - t^2)^r and taking the
     constant terms equals ungauging those nodes: the constant term in z_v
@@ -900,14 +957,14 @@ def refined_implosion_integral(n: int, order: int, *,
             f"prefactor_exponent must be >= 0, got {prefactor_exponent}")
     if n == 1:
         return TruncatedSeries.one(order)
-    q = build_bouquet_quiver(n)
     leaves = bouquet_leaf_ids(n)
-    req = HSRequest(q, order, refined=frozenset(leaves[1:]), ungauge=leaves[0])
-    s = coulomb_hilbert_series(req)
-    for name in sorted(req.refined):
-        s = s.constant_term(name)
+    req = HSRequest(build_bouquet_quiver(n), order, refined=frozenset(leaves[1:]),
+                    ungauge=leaves[0])
+    terms, centers, _, _, _ = _packed_sum(req, counted=False)
     exponent = (n - 1) if prefactor_exponent is None else prefactor_exponent
-    return s * (one_minus_power(2, order) ** exponent)
+    const = {key: c for key, c in terms.items() if not any(key[1])}
+    return TruncatedSeries(order, {
+        e: c for (e, _), c in _times_one_minus_t2(const, exponent - centers, order).items()})
 
 
 # Expected low-order structure of the ungauged bouquet series.

@@ -4,14 +4,10 @@ criterion prints one pass line (run with ``pytest -s`` to see them)."""
 
 import random
 import time
-from fractions import Fraction
 
 from coulomb_hs.engine import (
     HSRequest,
-    compute_hilbert_series,
     coulomb_hilbert_series,
-    delta,
-    hs_contribution_check,
     nilcone_reference_hs,
     refined_implosion_integral,
     symmetry_dimension,

@@ -47,7 +47,7 @@ from coulomb_hs.quiver import (
     build_partial_implosion_quiver,
     ungauge,
 )
-from coulomb_hs.series import Laurent, TruncatedSeries, expand_inverse, one_minus_power
+from coulomb_hs.series import TruncatedSeries, expand_inverse, one_minus_power
 
 from brute import (HALF_PAIR_WEIGHT, delta_ref, hs_ref, matter_term, quarter_units,
                    shell_min_ref, topological_counts)
@@ -457,6 +457,7 @@ def test_negative_prefactor_exponent_is_rejected_before_solving(monkeypatch):
     def solve(req):
         raise AssertionError("solved before the arguments were checked")
     monkeypatch.setattr(engine, "coulomb_hilbert_series", solve)
+    monkeypatch.setattr(engine, "_packed_sum", solve)
     for n in (1, 6):
         with pytest.raises(ValueError, match="prefactor_exponent must be >= 0, got -1"):
             refined_implosion_integral(n, 8, prefactor_exponent=-1)
@@ -1132,6 +1133,46 @@ def test_digit_free_messages_are_multiplied_first(monkeypatch):
     assert result.stats.charge_count == 17668
     assert pairs[0] < 11886
     assert built and all(prob.children == before for prob, before in built)
+
+
+def test_centers_are_dressed_outside_the_tree_pass(monkeypatch):
+    # Refined bouquet(3) at K = 12: every U(1) candidate is priced with no
+    # dressing degree, as its center's 1/(1 - t^2) multiplies the sum once,
+    # and the tree pass costs fewer term pairs than the 7224 of dressing
+    # each center at every charge.
+    import coulomb_hs.engine as engine
+    pairs, priced = [0], []
+    poly_mul, tree_pass = engine._poly_mul, engine._tree_pass
+
+    def counted(a, b, top):
+        pairs[0] += len(a) * len(b)
+        return poly_mul(a, b, top)
+
+    def recorded(prob, thr4, local4, cands, etab, width, dress, *rest):
+        def dress_recorded(v, c):
+            out = dress(v, c)
+            priced.append((prob.nodes[v].group, out[0]))
+            return out
+        return tree_pass(prob, thr4, local4, cands, etab, width, dress_recorded, *rest)
+    monkeypatch.setattr(engine, "_poly_mul", counted)
+    monkeypatch.setattr(engine, "_tree_pass", recorded)
+    assert refined_implosion_integral(3, 12) == nilcone_reference_hs(3, 12)
+    leaves = [degrees for g, degrees in priced if g == U(1)]
+    assert leaves and not any(leaves)
+    assert pairs[0] < 7224
+
+
+def test_refined_integral_reads_constant_terms_off_the_packed_sum(monkeypatch):
+    # The integral keeps the terms whose refined digits are all 0: no
+    # Laurent coefficient is built and no constant term is taken.
+    import coulomb_hs.engine as engine
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the integral went through Laurent coefficients")
+    monkeypatch.setattr(engine, "Laurent", refuse)
+    monkeypatch.setattr(TruncatedSeries, "constant_term", refuse)
+    for n in (2, 3, 4):
+        assert refined_implosion_integral(n, 8) == nilcone_reference_hs(n, 8), n
 
 
 def test_bad_theory_message_names_the_charge():

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -12,7 +11,7 @@ from coulomb_hs.liedata import (
     validate_charge,
     weyl_vector,
 )
-from coulomb_hs.quiver import Family, GaugeGroup, SO, U, USp
+from coulomb_hs.quiver import Family, SO, U, USp
 
 from brute import (HALF_PAIR_WEIGHT, dressing_degrees_ref, matter_weight_values,
                    positive_root_count, positive_root_values, weyl_orbit)
@@ -327,6 +326,10 @@ def test_dressing_degrees_match_the_stabilizer_groups():
         for m in dominant_charges(g, 3):
             assert dressing_degrees(g, m) == dressing_degrees_ref(g, m), (g, m)
             checked += 1
+            # The center of U(n) and SO(2) is in every residual group: the
+            # engine dresses it once, outside the sum over charges.
+            if g.family is Family.UNITARY or g == SO(2):
+                assert 1 in dressing_degrees(g, m), (g, m)
     assert checked == 1221
     for g, m in ((U(2), (0, 1)), (SO(4), (-1, 1)), (USp(4), (1, -1)), (SO(3), (-1,))):
         with pytest.raises(ChamberViolationError):

@@ -5,9 +5,7 @@ import pytest
 from coulomb_hs.quiver import (
     DecoupledU1UnresolvedError,
     DimensionMismatchError,
-    Family,
     FlavorNodeHasNoBalanceError,
-    GaugeGroup,
     MultiplyAttachedFlavorError,
     NodeKind,
     NonIntegralBalanceError,
