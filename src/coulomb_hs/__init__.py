@@ -5,8 +5,6 @@ hypertoric Gale duality."""
 from .engine import (
     BadTheoryError,
     ContributionCheck,
-    ConvergenceNotReachedError,
-    DEFAULT_MAX_BOUND,
     EngineError,
     EngineStats,
     HSRequest,

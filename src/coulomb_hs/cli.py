@@ -20,7 +20,6 @@ import sys
 
 from . import __version__
 from .engine import (
-    DEFAULT_MAX_BOUND,
     EngineError,
     HSRequest,
     compute_hilbert_series,
@@ -182,8 +181,7 @@ def cmd_hs(args) -> int:
     refined = frozenset(s for s in (args.refine or "").split(",") if s)
     if args.pl and refined:  # known before the solve, so fail before it
         raise SeriesError("plethystic logarithm of refined series is unsupported")
-    req = HSRequest(q, args.order, refined=refined, ungauge=args.ungauge,
-                    max_bound=args.max_bound)
+    req = HSRequest(q, args.order, refined=refined, ungauge=args.ungauge)
     result = compute_hilbert_series(req)
     series = result.series
     # The reproducibility record emitted with every series computation.
@@ -473,10 +471,6 @@ def _add_hs(h):
     h.add_argument("--pl", action="store_true",
                    help="also print the plethystic logarithm "
                         "(not with --refine)")
-    h.add_argument("--max-bound", type=int, default=DEFAULT_MAX_BOUND,
-                   help="largest charge box (max |entry|) the search may "
-                        "scan; exit 2 when the proven box is larger "
-                        f"(default {DEFAULT_MAX_BOUND})")
     h.add_argument("--json", action="store_true")
     h.add_argument("-o", "--output")
     h.set_defaults(func=cmd_hs)

@@ -132,15 +132,8 @@ class BadTheoryError(EngineError):
     """A nonzero charge with Delta <= 0 was found; the sum cannot converge."""
 
 
-class ConvergenceNotReachedError(EngineError):
-    pass
-
-
 class UnsupportedEdgeError(EngineError):
     pass
-
-
-DEFAULT_MAX_BOUND = 64  # largest charge box the search may scan
 
 
 class QuiverCharge(namedtuple("QuiverCharge", "node_ids charges")):
@@ -156,8 +149,8 @@ class QuiverCharge(namedtuple("QuiverCharge", "node_ids charges")):
         return dict(zip(self.node_ids, self.charges))
 
 
-HSRequest = namedtuple("HSRequest", "quiver order refined ungauge max_bound",
-                       defaults=(frozenset(), None, DEFAULT_MAX_BOUND))
+HSRequest = namedtuple("HSRequest", "quiver order refined ungauge",
+                       defaults=(frozenset(), None))
 
 # bound_reached is the proven charge box: max |entry| of any charge.
 EngineStats = namedtuple("EngineStats", "charge_count bound_reached wall_time_s")
@@ -509,7 +502,7 @@ def _delta4(prob: _Problem, vec: Sequence[Charge]) -> int:
     return sum(_min_tables(prob, loc, tab)[2].values())
 
 
-def _proven_box(prob: _Problem, thr4: int, max_bound: int) -> int:
+def _proven_box(prob: _Problem, thr4: int) -> int:
     """The proven box bound B: every charge with 4*Delta <= thr4 has
     max |entry| <= B.
 
@@ -529,12 +522,10 @@ def _proven_box(prob: _Problem, thr4: int, max_bound: int) -> int:
     named by the nonzero charge of box 1 with the least 4*Delta, ties going
     to the first in the order of ``enumerate_charges``; otherwise every
     charge with 4*Delta <= thr4 lies in the box B = thr4 // c4 (B = 0 when
-    box 1 holds no nonzero charge).
+    box 1 holds no nonzero charge).  Delta is a half-integer, so a positive
+    c4 is at least 2 and B <= thr4 // 2: at order K, thr4 = 2K and the box
+    is at most K.
     """
-    if thr4 < 0:
-        raise ValueError("the dimension cutoff must be nonnegative")
-    if max_bound < 0:
-        raise ValueError("max_bound must be >= 0")
     cands = _candidates(prob, 1)
     nonzero = [[any(c) for c in cl] for cl in cands]
     least: list = []
@@ -548,12 +539,7 @@ def _proven_box(prob: _Problem, thr4: int, max_bound: int) -> int:
         raise BadTheoryError(
             f"nonzero magnetic charge {vec} has 2*Delta = {d4 // 2} <= 0; "
             "the monopole sum diverges")
-    bound = 0 if c4 is None else thr4 // c4
-    if bound > max_bound:
-        raise ConvergenceNotReachedError(
-            f"the proven charge box is {bound}, above max_bound {max_bound}; "
-            "raise max_bound")
-    return bound
+    return 0 if c4 is None else thr4 // c4
 
 
 def _box_charges(prob: _Problem, b: int, thr4: int) -> dict:
@@ -570,15 +556,17 @@ def _box_charges(prob: _Problem, b: int, thr4: int) -> dict:
     return {tuple(map(dict.__getitem__, names, digits)): d4 for d4, digits in terms}
 
 
-def enumerate_charges(q: Quiver, delta_max, *,
-                      max_bound: int = DEFAULT_MAX_BOUND) -> list:
-    """All dominant charges with Delta(m) <= delta_max, shell by shell of
-    equal max |entry| and sorted within each shell."""
-    thr4 = Fraction(delta_max) * 4
+def enumerate_charges(q: Quiver, delta_max) -> list:
+    """All dominant charges with Delta(m) <= delta_max, an int or Fraction,
+    shell by shell of equal max |entry| and sorted within each shell."""
+    if type(delta_max) not in (int, Fraction) or delta_max < 0:  # nor bool
+        raise ValueError(
+            f"delta_max must be a nonnegative int or Fraction, got {delta_max!r}")
+    thr4 = delta_max * 4
     if thr4.denominator != 1:
         raise ValueError("delta_max must be a quarter-integer")
     prob = _Problem(q)
-    bound = _proven_box(prob, int(thr4), max_bound)
+    bound = _proven_box(prob, int(thr4))
     found = _box_charges(prob, bound, int(thr4))
     ids = tuple(nd.id for nd in prob.nodes)
     keyed = sorted((max(map(abs, chain.from_iterable(vec)), default=0), vec)
@@ -852,13 +840,7 @@ def _packed_sum(request: HSRequest, counted: bool):
     q = request.quiver
     if request.ungauge is not None:
         q = ungauge(q, request.ungauge)
-    for name, value in (("order", request.order), ("max_bound", request.max_bound)):
-        if type(value) is not int:  # bool is not a bound either
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if request.order < 0:
-        raise ValueError("truncation order must be >= 0")
-    if request.max_bound < 0:
-        raise ValueError("max_bound must be >= 0")
+    check_order(request.order)
     for nid in request.refined:
         node = q.node(nid)
         if node.kind is not NodeKind.GAUGE or node.group.family is not Family.UNITARY:
@@ -875,7 +857,7 @@ def _packed_sum(request: HSRequest, counted: bool):
     # Widest digit first: a refined node's digit has h = b * rank.
     prob = _Problem(q, sorted(refined, key=lambda nid: -q.node(nid).group.rank))
     thr4 = 2 * request.order
-    bound = _proven_box(prob, thr4, request.max_bound)
+    bound = _proven_box(prob, thr4)
     digits = [(prob.index[nid], (1,) * q.node(nid).group.rank) for nid in refined]
     terms, counts = _monopole_sum(prob, bound, thr4, digits, dressed=True,
                                   counted=counted)

@@ -318,7 +318,7 @@ class TruncatedSeries:
     def __repr__(self):
         return f"TruncatedSeries({self.text()!r}, order={self.order})"
 
-    def text(self, var: str = "t") -> str:
+    def text(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -334,7 +334,7 @@ class TruncatedSeries:
             if e == 0:
                 term = cs
             else:
-                te = var if e == 1 else f"{var}^{e}"
+                te = "t" if e == 1 else f"t^{e}"
                 term = te if cs == "1" else f"{cs}*{te}"
             if not parts:
                 parts.append(f"-{term}" if neg else term)
@@ -364,7 +364,7 @@ def _unrefined(s: TruncatedSeries, what: str) -> None:
         raise SeriesError(f"{what} of refined series is unsupported")
 
 
-def plethystic_log(s: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
+def plethystic_log(s: TruncatedSeries) -> TruncatedSeries:
     """PL[s] = sum_{n>=1} a_n t^n, where s = prod_{n>=1} (1 - t^n)^(-a_n).
 
     Positive terms count generators of the graded ring, negative terms count
@@ -380,8 +380,7 @@ def plethystic_log(s: TruncatedSeries, order: int | None = None) -> TruncatedSer
     _unrefined(s, "plethystic logarithm")
     if s.coefficient(0) != 1:
         raise NonUnitConstantTermError("PL needs constant term 1")
-    K = s.order if order is None else min(order, s.order)
-    check_order(K)
+    K = s.order
     c = [s.coeffs.get(e, 0) for e in range(K + 1)]
     b = [0] * (K + 1)  # b[m] holds the proper divisors' share until step m
     out = {}
@@ -396,7 +395,7 @@ def plethystic_log(s: TruncatedSeries, order: int | None = None) -> TruncatedSer
     return TruncatedSeries(K, out)
 
 
-def plethystic_exp(s: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
+def plethystic_exp(s: TruncatedSeries) -> TruncatedSeries:
     """PE[sum_n a_n t^n] = prod_{n>=1} (1 - t^n)^(-a_n); inverse transform of PL.
 
     Runs the recursion of :func:`plethystic_log` the other way: with
@@ -406,13 +405,11 @@ def plethystic_exp(s: TruncatedSeries, order: int | None = None) -> TruncatedSer
     _unrefined(s, "plethystic exponential")
     if s.coefficient(0) != 0:
         raise NonzeroConstantTermError("PE needs constant term 0")
-    K = s.order if order is None else min(order, s.order)
-    check_order(K)
+    K = s.order
     b = [0] * (K + 1)
     for n, a in s.coeffs.items():
-        if n <= K:
-            for m in range(n, K + 1, n):
-                b[m] += n * a
+        for m in range(n, K + 1, n):
+            b[m] += n * a
     c = [1] + [0] * K
     for m in range(1, K + 1):
         c[m] = sum(b[j] * c[m - j] for j in range(1, m + 1)) // m
@@ -429,13 +426,16 @@ def _encode_coeff(c: Coefficient):
     return [[{n: e for n, e in key}, str(v)] for key, v in sorted(c.terms.items())]
 
 
-def _decode_coeff(obj) -> Coefficient:
+def _decode_coeff(obj, where: str) -> Coefficient:
     if isinstance(obj, str):
         return int(obj)
+    if not isinstance(obj, list):
+        raise SeriesError(f"{where}: expected a string or a list of terms, got {obj!r}")
     terms = {}
     for expvec, v in obj:
-        key = tuple(sorted((n, int(e)) for n, e in expvec.items() if int(e)))
-        terms[key] = int(v)
+        if any(type(e) is not int for e in expvec.values()) or not isinstance(v, str):
+            raise SeriesError(f"{where}: malformed term {[expvec, v]!r}")
+        terms[tuple(sorted((n, e) for n, e in expvec.items() if e))] = int(v)
     return Laurent(terms)
 
 
@@ -448,6 +448,7 @@ def series_to_json(s: TruncatedSeries) -> dict:
 
 
 def series_from_json(obj: dict) -> TruncatedSeries:
-    coeffs = {int(e): _decode_coeff(c) for e, c in obj.get("coeffs", {}).items()}
-    return TruncatedSeries(int(obj["order"]), coeffs,
-                           frozenset(obj.get("fugacities", ())))
+    """Inverse of :func:`series_to_json`; no value is rounded or coerced."""
+    coeffs = {int(e): _decode_coeff(c, f"coeffs[{e!r}]")
+              for e, c in obj.get("coeffs", {}).items()}
+    return TruncatedSeries(obj["order"], coeffs, frozenset(obj.get("fugacities", ())))

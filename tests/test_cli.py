@@ -360,7 +360,6 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (("--order", "-1"), "truncation order must be >= 0"),
     (("--refine", "zz"), "no node 'zz'"),
-    (("--max-bound", "-1"), "max_bound must be >= 0"),
 ])
 def test_bad_hs_flags_exit_1_before_the_decoupled_u1_test(tmp_path, capsys,
                                                           flags, message):
@@ -372,21 +371,16 @@ def test_bad_hs_flags_exit_1_before_the_decoupled_u1_test(tmp_path, capsys,
     assert code == 1 and message in err
 
 
-def test_negative_max_bound_is_validation_error(tmp_path, capsys):
-    qf = tmp_path / "b3.json"
-    run(capsys, "generate", "bouquet", "--n", "3", "-o", str(qf))
-    code, _, err = run(capsys, "hs", str(qf), "--order", "2", "--ungauge", "b1",
-                       "--max-bound", "-1")
-    assert code == 1 and "max_bound" in err
-
-
-def test_max_bound_below_proven_box_exits_2(tmp_path, capsys):
+def test_max_bound_flag_is_rejected(tmp_path, capsys):
+    # The proven box never exceeds the order, so hs takes no box limit.
     qf = tmp_path / "b3.json"
     run(capsys, "generate", "bouquet", "--n", "3", "-o", str(qf))
     argv = ("hs", str(qf), "--order", "4", "--ungauge", "b1", "--json")
-    code, _, err = run(capsys, *argv, "--max-bound", "1")
-    assert code == 2 and "box is 2" in err
-    code, out, _ = run(capsys, *argv, "--max-bound", "2")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-bound", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --max-bound 5" in capsys.readouterr().err
+    code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["manifest"]["charge_bound_reached"] == 2
 
 
@@ -403,7 +397,7 @@ PARSER_SAMPLES = {
     "generate": ["generate", "dn", "--n", "3", "--flavor", "-o", "d3.json"],
     "report": ["report", "b3.json", "--json"],
     "hs": ["hs", "b3.json", "--order", "4", "--ungauge", "b1", "--refine", "b2,b3",
-           "--pl", "--max-bound", "5", "--json", "-o", "out.json"],
+           "--pl", "--json", "-o", "out.json"],
     "implosion-check": ["implosion-check", "--n", "3", "--prefactor-exponent", "0"],
     "gale": ["gale", "m.json", "--json"],
     "check-suite": ["check-suite", "--full"],

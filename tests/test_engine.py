@@ -7,7 +7,6 @@ import pytest
 
 from coulomb_hs.engine import (
     BadTheoryError,
-    ConvergenceNotReachedError,
     HSRequest,
     QuiverCharge,
     bouquet_leaf_ids,
@@ -167,6 +166,7 @@ def test_non_integer_orders_are_rejected(order):
 def test_enumerate_charges_examples():
     got = enumerate_charges(u1_with_flavors(2), 1)
     assert [c.charges for c in got] == [((0,),), ((-1,),), ((1,),)]
+    assert enumerate_charges(u1_with_flavors(2), Fraction(5, 4)) == got
     got = enumerate_charges(u1_with_flavors(2), 0)
     assert [c.charges for c in got] == [((0,),)]
     with pytest.raises(BadTheoryError):
@@ -187,11 +187,21 @@ def test_enumerate_charge_api():
 
 def test_enumerate_convergence_guard():
     # Delta >= |m| here, so Delta <= 9 needs the box 9.
-    with pytest.raises(ConvergenceNotReachedError, match="box is 9"):
-        enumerate_charges(u1_with_flavors(2), 9, max_bound=3)
-    assert len(enumerate_charges(u1_with_flavors(2), 9, max_bound=9)) == 19
-    with pytest.raises(ValueError, match="max_bound"):
-        enumerate_charges(u1_with_flavors(2), 1, max_bound=-1)
+    assert len(enumerate_charges(u1_with_flavors(2), 9)) == 19
+
+
+def test_enumerate_box_is_not_capped():
+    # Delta = |m| on U(1) with a U(2) flavor, so Delta <= 70 needs the box 70.
+    assert len(enumerate_charges(build_linear_nilpotent_quiver(2), 70)) == 141
+
+
+@pytest.mark.parametrize("delta_max", [True, "1", 1.0, -1, Fraction(-1, 2),
+                                       Fraction(1, 3)],
+                         ids=["bool", "str", "float", "negative", "negative-fraction",
+                              "third"])
+def test_enumerate_rejects_bad_delta_max(delta_max):
+    with pytest.raises(ValueError, match="delta_max"):
+        enumerate_charges(u1_with_flavors(2), delta_max)
 
 
 def test_enumerate_deterministic():
@@ -238,6 +248,13 @@ def test_hs_abelian_closed_forms():
         assert s == abelian_closed_form(d, 20)
 
 
+def test_hs_box_grows_with_the_order():
+    # The proven box is at most the order; here it is half of it.
+    result = compute_hilbert_series(HSRequest(build_linear_nilpotent_quiver(2), 200))
+    assert result.series == abelian_closed_form(2, 200)
+    assert result.stats.bound_reached == 100
+
+
 def test_hs_no_gauge_nodes():
     lone_flavor = Quiver([QuiverNode("f", NodeKind.FLAVOR, U(3))], [])
     assert coulomb_hilbert_series(HSRequest(lone_flavor, 5)) == TruncatedSeries.one(5)
@@ -255,7 +272,6 @@ def test_hs_bouquet2():
 
 @pytest.mark.parametrize("field, value", [
     ("order", True), ("order", 2.0), ("order", "2"),
-    ("max_bound", False), ("max_bound", 5.0),
 ])
 def test_hs_rejects_non_integer_order_and_max_bound(field, value):
     req = HSRequest(u1_with_flavors(2), 2)._replace(**{field: value})
@@ -962,7 +978,7 @@ def test_edge_tables_are_shared_per_edge_type():
     # one candidate list, so their tree edges share one table; sharing
     # does not change a cell.
     prob = _Problem(ungauge(build_bouquet_quiver(5), "b1"))
-    cands = _candidates(prob, _proven_box(prob, 8, 64))
+    cands = _candidates(prob, _proven_box(prob, 8))
     _, etab, _ = _box_tables(prob, cands)
     leaves = [prob.index[f"b{i}"] for i in range(2, 6)]
     assert len({id(cands[v]) for v in leaves}) == 1

@@ -120,6 +120,7 @@ def test_engine_matches_brute_force(case, order):
     assert coulomb_hilbert_series(req) == result.series
     bound = result.stats.bound_reached
     assert bound == (0 if c is None else 2 * order // int(4 * c))
+    assert bound <= order  # a positive 4*Delta is at least 2
     ids = sorted(refined)
     charges = charges_ref(q, order, bound + 1)
     want = series_ref(q, order, charges, refined=ids or None)

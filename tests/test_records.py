@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from coulomb_hs import (
-    DEFAULT_MAX_BOUND,
     Family,
     GaugeGroup,
     HSRequest,
@@ -83,8 +82,7 @@ def test_records_keep_their_contract():
 
     q = build_bouquet_quiver(3)
     req = HSRequest(q, 4)
-    assert (req.refined, req.ungauge, req.max_bound) == (frozenset(), None,
-                                                         DEFAULT_MAX_BOUND)
+    assert (req.refined, req.ungauge) == (frozenset(), None)
 
     c = ToricConfig([[1, 0, 1], [0, 1, 1]])
     assert c == ToricConfig([[1, 0, 1], [0, 1, 1]], d=3)

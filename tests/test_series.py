@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -217,6 +218,26 @@ def test_json_round_trip_refined():
     back = series_from_json(series_to_json(s))
     assert back == s
     assert back.fugacities == s.fugacities
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"order": 2.5}, "truncation order must be an integer, got 2.5"),
+    ({"order": True}, "truncation order must be an integer, got True"),
+    ({"order": 2, "coeffs": {"0": 1}},
+     "coeffs['0']: expected a string or a list of terms, got 1"),
+    ({"order": 2, "coeffs": {"1": [[{"z": 1.5}, "1"]]}, "fugacities": ["z"]},
+     "coeffs['1']: malformed term [{'z': 1.5}, '1']"),
+    ({"order": 2, "coeffs": {"1": [[{"z": True}, "1"]]}, "fugacities": ["z"]},
+     "coeffs['1']: malformed term [{'z': True}, '1']"),
+    ({"order": 2, "coeffs": {"1": [[{"z": 1}, 2]]}, "fugacities": ["z"]},
+     "coeffs['1']: malformed term [{'z': 1}, 2]"),
+], ids=["float-order", "bool-order", "int-coefficient", "float-exponent",
+        "bool-exponent", "int-term-coefficient"])
+def test_json_rejects_malformed_series(obj, message):
+    # Nothing is rounded or coerced: a bad field is named, not read as
+    # something else.
+    with pytest.raises(SeriesError, match=re.escape(message)):
+        series_from_json(obj)
 
 
 def test_text_rendering():
