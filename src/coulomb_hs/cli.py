@@ -34,13 +34,17 @@ from .gale import (
     config_to_json,
     duality_report,
     gale_dual,
+    hnf_rows,
     is_gale_dual_pair,
     load_config,
 )
 from .quiver import (
     DecoupledU1UnresolvedError,
     NodeKind,
+    Quiver,
     QuiverError,
+    QuiverNode,
+    U,
     balance_report,
     balanced_subquiver_classification,
     build_bouquet_quiver,
@@ -51,11 +55,19 @@ from .quiver import (
     expected_coulomb_dimension_real,
     gauge_group_rank,
     load_quiver,
+    node_balance,
     predict_global_symmetry,
     quiver_to_json,
     ungauge,
 )
-from .series import SeriesError, plethystic_log, series_to_json
+from .series import (
+    SeriesError,
+    expand_inverse,
+    one_minus_power,
+    plethystic_exp,
+    plethystic_log,
+    series_to_json,
+)
 
 
 EXIT_OK = 0
@@ -69,13 +81,21 @@ def _hash_payload(payload) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _emit(obj, path: str | None):
-    text = json.dumps(obj, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _output(args, payload, text: str | None = None) -> None:
+    """Write a command's output by the CLI's one rule: stdout gets ``text``
+    unless --json is given; the JSON ``payload`` goes to -o when that is
+    given, and otherwise to stdout under --json.  ``generate`` has no text,
+    so its payload always goes out."""
+    if text is not None and not args.json:
+        print(text)
+        if not args.output:
+            return
+    blob = json.dumps(payload, indent=2) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(blob)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +103,10 @@ def _emit(obj, path: str | None):
 
 
 def cmd_generate(args) -> int:
+    if args.partition is not None and args.kind != "partial":
+        raise QuiverError("--partition is for partial only")
+    if args.flavor is not None and args.kind != "dn":
+        raise QuiverError(f"--{'flavor' if args.flavor else 'bouquet'} is for dn only")
     if args.kind == "nilpotent":
         q = build_linear_nilpotent_quiver(args.n)
     elif args.kind == "bouquet":
@@ -97,8 +121,8 @@ def cmd_generate(args) -> int:
                               f"got {args.partition!r}") from None
         q = build_partial_implosion_quiver(args.n, parts)
     else:
-        q = build_dn_implosion_quiver(args.n, with_flavor=args.flavor)
-    _emit(quiver_to_json(q), args.output)
+        q = build_dn_implosion_quiver(args.n, with_flavor=bool(args.flavor))
+    _output(args, quiver_to_json(q))
     return EXIT_OK
 
 
@@ -113,14 +137,12 @@ def cmd_report(args) -> int:
     pred = predict_global_symmetry(q)
     decoupled = decoupled_u1_count(q)
     rank = gauge_group_rank(q)
+    expected_dim = 4 * (rank - decoupled)
+    dim_note = None
     if decoupled:
-        expected_dim = 4 * (rank - decoupled)
         dim_note = ("after removing the decoupled diagonal U(1)" if decoupled == 1
                     else f"after removing {decoupled} decoupled diagonal U(1)s, "
                     "one per flavorless all-unitary component")
-    else:
-        expected_dim = expected_coulomb_dimension_real(q)
-        dim_note = None
     data = {
         "nodes": len(q.nodes),
         "gauge_nodes": len(q.gauge_nodes),
@@ -145,9 +167,6 @@ def cmd_report(args) -> int:
     }
     if dim_note:
         data["expected_coulomb_dimension_note"] = dim_note
-    if args.json:
-        _emit(data, args.output)
-        return EXIT_OK
     lines = [
         f"nodes: {data['nodes']} ({data['gauge_nodes']} gauge, "
         f"{data['flavor_nodes']} flavor, {data['fixed_nodes']} fixed); "
@@ -168,7 +187,7 @@ def cmd_report(args) -> int:
         + (f" ({dim_note})" if dim_note else ""),
         f"decoupled diagonal U(1): {'yes' if decoupled else 'no'}",
     ]
-    print("\n".join(lines))
+    _output(args, data, "\n".join(lines))
     return EXIT_OK
 
 
@@ -203,18 +222,13 @@ def cmd_hs(args) -> int:
         "tool_version": __version__,
     }
     payload = {"series": series_to_json(series), "manifest": manifest}
+    lines = [series.text()]
     if args.pl:
         pl = plethystic_log(series)
         payload["plethystic_log"] = series_to_json(pl)
-    if args.json:
-        _emit(payload, args.output)
-        return EXIT_OK
-    print(series.text())
-    if args.pl:
-        print("PL:", pl.text())
-    print("manifest:", json.dumps(manifest, sort_keys=True))
-    if args.output:
-        _emit(payload, args.output)
+        lines.append(f"PL: {pl.text()}")
+    lines.append(f"manifest: {json.dumps(manifest, sort_keys=True)}")
+    _output(args, payload, "\n".join(lines))
     return EXIT_OK
 
 
@@ -222,38 +236,37 @@ def cmd_hs(args) -> int:
 # implosion-check
 
 
+def _row(name, expected, computed) -> tuple:
+    """A check row ``(name, expected, computed, passed)``, compared as text;
+    a series is compared by its text, which is canonical at a fixed order."""
+    expected, computed = str(expected), str(computed)
+    return name, expected, computed, expected == computed
+
+
+def _check_table(rows) -> str:
+    return "\n".join(
+        f"{'PASS' if passed else 'FAIL'}  {name}\n"
+        f"      expected: {expected}\n      computed: {computed}"
+        for name, expected, computed, passed in rows)
+
+
 def cmd_implosion_check(args) -> int:
     n, order = args.n, args.order
-    rows = []
     integral = refined_implosion_integral(
         n, order, prefactor_exponent=args.prefactor_exponent)
-    reference = nilcone_reference_hs(n, order)
-    rows.append(("refined integral equals nilpotent-cone closed form",
-                 reference.text(), integral.text(), integral == reference))
     check = hs_contribution_check(n)
-    if check.enhanced_dimension is not None:
-        rows.append((f"t^2 coefficient (enhanced symmetry for n={n})",
-                     str(check.enhanced_dimension), str(check.t2_coefficient),
-                     check.t2_coefficient == check.enhanced_dimension))
-    else:
-        rows.append(("t^2 coefficient equals n^2+n-2",
-                     str(check.t2_generic_expected), str(check.t2_coefficient),
-                     check.t2_matches_generic))
-    rows.append((f"2n bouquet monopoles at order t^{check.t_power}",
-                 str(check.bouquet_monopole_expected),
-                 str(check.bouquet_monopole_count),
-                 check.bouquet_monopole_count == check.bouquet_monopole_expected))
-    ok = _print_check_table(rows)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _print_check_table(rows) -> bool:
-    ok = True
-    for name, expected, computed, passed in rows:
-        ok &= passed
-        status = "PASS" if passed else "FAIL"
-        print(f"{status}  {name}\n      expected: {expected}\n      computed: {computed}")
-    return ok
+    enhanced = check.enhanced_dimension
+    rows = [
+        _row("refined integral equals nilpotent-cone closed form",
+             nilcone_reference_hs(n, order).text(), integral.text()),
+        _row(f"t^2 coefficient (enhanced symmetry for n={n})" if enhanced
+             else "t^2 coefficient equals n^2+n-2",
+             enhanced or check.t2_generic_expected, check.t2_coefficient),
+        _row(f"2n bouquet monopoles at order t^{check.t_power}",
+             check.bouquet_monopole_expected, check.bouquet_monopole_count),
+    ]
+    print(_check_table(rows))
+    return EXIT_OK if all(r[3] for r in rows) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +278,10 @@ def cmd_gale(args) -> int:
     dual = gale_dual(c)
     rep = duality_report(c)
     data = {"dual": config_to_json(dual), "report": rep._asdict()}
-    if args.json:
-        _emit(data, args.output)
-        return EXIT_OK
-    print("dual columns:", " ".join(str(list(col)) for col in dual.columns) or "(empty)")
-    for k, v in rep._asdict().items():
-        print(f"  {k}: {v}")
+    lines = ["dual columns: "
+             + (" ".join(str(list(col)) for col in dual.columns) or "(empty)")]
+    lines += [f"  {k}: {v}" for k, v in data["report"].items()]
+    _output(args, data, "\n".join(lines))
     return EXIT_OK
 
 
@@ -279,108 +290,92 @@ def cmd_gale(args) -> int:
 
 
 def _suite_rows(full: bool):
-    from .series import expand_inverse, one_minus_power, plethystic_exp
-
-    rows = []
-
-    def add(name, expected, computed):
-        rows.append((name, str(expected), str(computed), str(expected) == str(computed)))
-
     # U(1) with d flavors vs closed form
-    from .quiver import Quiver, QuiverNode, U
-
     for d in range(1, 6):
         q = Quiver([QuiverNode("g", NodeKind.GAUGE, U(1)),
                     QuiverNode("f", NodeKind.FLAVOR, U(d))], [("g", "f")])
         s = coulomb_hilbert_series(HSRequest(q, 20))
         ref = one_minus_power(2 * d, 20) * expand_inverse(2, 20) \
             * expand_inverse(d, 20) * expand_inverse(d, 20)
-        add(f"U(1) with {d} flavors matches closed form to t^20",
-            ref.text(), s.text())
+        yield _row(f"U(1) with {d} flavors matches closed form to t^20",
+                   ref.text(), s.text())
 
     # nilpotent cone
     for n in (2, 3):
         q = build_linear_nilpotent_quiver(n)
         s = coulomb_hilbert_series(HSRequest(q, 10))
-        add(f"nilpotent-cone quiver n={n} matches closed form to t^10",
-            nilcone_reference_hs(n, 10).text(), s.text())
+        yield _row(f"nilpotent-cone quiver n={n} matches closed form to t^10",
+                   nilcone_reference_hs(n, 10).text(), s.text())
 
     # bouquet coefficients
     s = coulomb_hilbert_series(
         HSRequest(build_bouquet_quiver(2), 2, ungauge="b1"))
-    add("ungauged bouquet(2): t coefficient", 4, s.coefficient(1))
-    add("ungauged bouquet(2): t^2 coefficient", 10, s.coefficient(2))
+    yield _row("ungauged bouquet(2): t coefficient", 4, s.coefficient(1))
+    yield _row("ungauged bouquet(2): t^2 coefficient", 10, s.coefficient(2))
     s = coulomb_hilbert_series(
         HSRequest(build_bouquet_quiver(3), 4, ungauge="b1"))
-    add("ungauged bouquet(3): t^2 coefficient", 28, s.coefficient(2))
-    add("ungauged bouquet(4): t^2 coefficient", 18,
-        hs_contribution_check(4).t2_coefficient)
+    yield _row("ungauged bouquet(3): t^2 coefficient", 28, s.coefficient(2))
+    yield _row("ungauged bouquet(4): t^2 coefficient", 18,
+               hs_contribution_check(4).t2_coefficient)
     if full:
-        add("ungauged bouquet(5): t^2 coefficient", 28,
-            hs_contribution_check(5).t2_coefficient)
+        yield _row("ungauged bouquet(5): t^2 coefficient", 28,
+                   hs_contribution_check(5).t2_coefficient)
 
     # refined integrals
     for n in (2, 3):
-        add(f"refined bouquet({n}) integral equals nilpotent cone to t^8",
-            nilcone_reference_hs(n, 8).text(),
-            refined_implosion_integral(n, 8).text())
+        yield _row(f"refined bouquet({n}) integral equals nilpotent cone to t^8",
+                   nilcone_reference_hs(n, 8).text(),
+                   refined_implosion_integral(n, 8).text())
 
     # orthosymplectic
     s = coulomb_hilbert_series(HSRequest(build_dn_implosion_quiver(3), 2))
-    add("D-type bouquet n=3: t^2 coefficient", 18, s.coefficient(2))
+    yield _row("D-type bouquet n=3: t^2 coefficient", 18, s.coefficient(2))
     if full:
         s = coulomb_hilbert_series(HSRequest(build_dn_implosion_quiver(4), 2))
-        add("D-type bouquet n=4: t^2 coefficient", 32, s.coefficient(2))
+        yield _row("D-type bouquet n=4: t^2 coefficient", 32, s.coefficient(2))
 
     # dimension bookkeeping
     ok = all(
         expected_coulomb_dimension_real(ungauge(build_bouquet_quiver(n), "b1"))
         == 2 * (n * n + n - 2) for n in range(2, 11))
-    add("4*rank = 2(n^2+n-2) for ungauged bouquet, n=2..10", True, ok)
+    yield _row("4*rank = 2(n^2+n-2) for ungauged bouquet, n=2..10", True, ok)
     ok = all(4 * gauge_group_rank(build_dn_implosion_quiver(n)) == 4 * n * n
              for n in range(2, 9))
-    add("4*rank = 4n^2 for D-type bouquet, n=2..8", True, ok)
+    yield _row("4*rank = 4n^2 for D-type bouquet, n=2..8", True, ok)
 
     # balance suite
     ok = all(balance_report(build_linear_nilpotent_quiver(n)).all_balanced
              for n in range(2, 13))
-    add("nilpotent-cone chains all balanced, n=2..12", True, ok)
-    from .quiver import node_balance
-
+    yield _row("nilpotent-cone chains all balanced, n=2..12", True, ok)
     ok = all(node_balance(build_bouquet_quiver(n), "b1") == n - 3
              for n in range(2, 11))
-    add("bouquet U(1) balance = n-3", True, ok)
+    yield _row("bouquet U(1) balance = n-3", True, ok)
     ok = all(balance_report(build_dn_implosion_quiver(n, with_flavor=True)).all_balanced
              for n in range(2, 9))
-    add("D-type chains (flavor variant) all balanced, n=2..8", True, ok)
+    yield _row("D-type chains (flavor variant) all balanced, n=2..8", True, ok)
     ok = all(predict_global_symmetry(build_bouquet_quiver(n)).total_dimension
              == n * n + n - 2 for n in range(4, 9))
-    add("predicted symmetry dimension = n^2+n-2 for bouquet, n=4..8", True, ok)
+    yield _row("predicted symmetry dimension = n^2+n-2 for bouquet, n=4..8", True, ok)
 
     # plethystic round trip on a golden series
     s = coulomb_hilbert_series(HSRequest(build_linear_nilpotent_quiver(3), 10))
-    add("PE[PL[...]] round trip on the n=3 nilpotent cone series",
-        s.text(), plethystic_exp(plethystic_log(s)).text())
+    yield _row("PE[PL[...]] round trip on the n=3 nilpotent cone series",
+               s.text(), plethystic_exp(plethystic_log(s)).text())
 
     # Gale sample
-    from .gale import hnf_rows
-
     c = ToricConfig([[1, 0, 1, 2, 3], [0, 1, 1, 1, 1]])
-    add("Gale involution on a 2x5 configuration",
-        hnf_rows(c.rows, c.d), gale_dual(gale_dual(c)).rows)
-    add("Gale pair check", True, is_gale_dual_pair(c, gale_dual(c)))
-    return rows
+    yield _row("Gale involution on a 2x5 configuration",
+               hnf_rows(c.rows, c.d), gale_dual(gale_dual(c)).rows)
+    yield _row("Gale pair check", True, is_gale_dual_pair(c, gale_dual(c)))
 
 
 def cmd_check_suite(args) -> int:
-    rows = _suite_rows(args.full)
-    ok = _print_check_table(rows)
-    digest = _hash_payload([[r[0], r[1], r[2], r[3]] for r in rows])
-    print(f"suite: {sum(1 for r in rows if r[3])}/{len(rows)} passed; "
-          f"manifest hash {digest}")
-    if args.json:
-        _emit({"rows": [list(r) for r in rows], "hash": digest}, args.output)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    rows = list(_suite_rows(args.full))
+    digest = _hash_payload(rows)
+    _output(args, {"rows": rows, "hash": digest},
+            f"{_check_table(rows)}\nsuite: {sum(r[3] for r in rows)}/{len(rows)} "
+            f"passed; manifest hash {digest}")
+    return EXIT_OK if all(r[3] for r in rows) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +436,12 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _add_output(p):
+    """The --json / -o pair of report, hs, gale and check-suite (see _output)."""
+    p.add_argument("--json", action="store_true")
+    p.add_argument("-o", "--output")
+
+
 def _add_generate(g):
     g.add_argument("kind", choices=["nilpotent", "bouquet", "partial", "dn"])
     g.add_argument("--n", type=int, required=True)
@@ -450,15 +451,14 @@ def _add_generate(g):
                      help="dn: bouquet of SO(2) leaves (default)")
     var.add_argument("--flavor", dest="flavor", action="store_true",
                      help="dn: SO(2n) flavor node instead of the bouquet")
-    g.set_defaults(flavor=False)
+    g.set_defaults(flavor=None)  # None: neither flag given
     g.add_argument("-o", "--output")
     g.set_defaults(func=cmd_generate)
 
 
 def _add_report(r):
     r.add_argument("quiver")
-    r.add_argument("--json", action="store_true")
-    r.add_argument("-o", "--output")
+    _add_output(r)
     r.set_defaults(func=cmd_report)
 
 
@@ -471,8 +471,7 @@ def _add_hs(h):
     h.add_argument("--pl", action="store_true",
                    help="also print the plethystic logarithm "
                         "(not with --refine)")
-    h.add_argument("--json", action="store_true")
-    h.add_argument("-o", "--output")
+    _add_output(h)
     h.set_defaults(func=cmd_hs)
 
 
@@ -488,16 +487,14 @@ def _add_implosion_check(ic):
 
 def _add_gale(ga):
     ga.add_argument("matrix")
-    ga.add_argument("--json", action="store_true")
-    ga.add_argument("-o", "--output")
+    _add_output(ga)
     ga.set_defaults(func=cmd_gale)
 
 
 def _add_check_suite(cs):
     cs.add_argument("--full", action="store_true",
                     help="include the slower bouquet(5) and D_4 checks")
-    cs.add_argument("--json", action="store_true")
-    cs.add_argument("-o", "--output")
+    _add_output(cs)
     cs.set_defaults(func=cmd_check_suite)
 
 

@@ -426,16 +426,27 @@ def _encode_coeff(c: Coefficient):
     return [[{n: e for n, e in key}, str(v)] for key, v in sorted(c.terms.items())]
 
 
+def _decode_int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SeriesError(f"{where}: expected an integer, got {text!r}") from None
+
+
 def _decode_coeff(obj, where: str) -> Coefficient:
     if isinstance(obj, str):
-        return int(obj)
+        return _decode_int(obj, where)
     if not isinstance(obj, list):
         raise SeriesError(f"{where}: expected a string or a list of terms, got {obj!r}")
     terms = {}
-    for expvec, v in obj:
-        if any(type(e) is not int for e in expvec.values()) or not isinstance(v, str):
-            raise SeriesError(f"{where}: malformed term {[expvec, v]!r}")
-        terms[tuple(sorted((n, e) for n, e in expvec.items() if e))] = int(v)
+    for term in obj:
+        if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], dict)
+                and all(type(e) is int for e in term[0].values())
+                and isinstance(term[1], str)):
+            raise SeriesError(f"{where}: malformed term {term!r}")
+        expvec, v = term
+        key = tuple(sorted((n, e) for n, e in expvec.items() if e))
+        terms[key] = _decode_int(v, where)
     return Laurent(terms)
 
 
@@ -449,6 +460,14 @@ def series_to_json(s: TruncatedSeries) -> dict:
 
 def series_from_json(obj: dict) -> TruncatedSeries:
     """Inverse of :func:`series_to_json`; no value is rounded or coerced."""
-    coeffs = {int(e): _decode_coeff(c, f"coeffs[{e!r}]")
-              for e, c in obj.get("coeffs", {}).items()}
-    return TruncatedSeries(obj["order"], coeffs, frozenset(obj.get("fugacities", ())))
+    if not isinstance(obj, dict) or "order" not in obj:
+        raise SeriesError("series JSON must be an object with 'order'")
+    coeffs = obj.get("coeffs", {})
+    if not isinstance(coeffs, dict):
+        raise SeriesError(f"coeffs: expected an object, got {coeffs!r}")
+    coeffs = {_decode_int(e, "coeffs key"): _decode_coeff(c, f"coeffs[{e!r}]")
+              for e, c in coeffs.items()}
+    names = obj.get("fugacities", [])
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise SeriesError(f"fugacities: expected a list of strings, got {names!r}")
+    return TruncatedSeries(obj["order"], coeffs, frozenset(names))

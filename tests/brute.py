@@ -1,8 +1,8 @@
 """Brute-force reference for the monopole formula, for tests only.
 
-Built from ``liedata`` and the quiver data model alone, with its own
-matter weights, so it shares no code with the engine's tree pass or its
-quarter-unit kernels:
+Built from ``liedata``, the quiver data model and ``series`` arithmetic
+alone, with its own matter weights, so it shares no code with the
+engine's tree pass or its quarter-unit kernels:
 
     Delta(m) = -sum |alpha(m)| over positive roots of every gauge node
                + 1/2 * sum over edges (with multiplicity) of
@@ -14,7 +14,8 @@ every dominant charge in a box (``hs_ref``), whose charges with their
 counts that the Lie-data tests check against, the positive roots
 evaluated one by one (``positive_root_values``), and the dressing
 degrees by way of the residual stabilizer's groups
-(``dressing_degrees_ref``).
+(``dressing_degrees_ref``), and Kostant's refined Hilbert series of the
+nilpotent cone (``kostant_nilcone_series``).
 """
 
 from collections import Counter
@@ -23,6 +24,7 @@ from itertools import permutations, product
 
 from coulomb_hs.liedata import casimir_degrees, dominant_charges, validate_charge
 from coulomb_hs.quiver import Family, GaugeGroup, NodeKind
+from coulomb_hs.series import Laurent, TruncatedSeries, expand_inverse, one_minus_power
 
 # The pair weight of the orthosymplectic half-hypermultiplet that the
 # monopole formula uses; 1/2 is the rejected alternative, kept here as
@@ -249,3 +251,25 @@ def topological_counts(c, ids) -> dict:
         assert 0 not in exps.values() and set(exps) <= set(ids), key
         out[tuple(exps.get(i, 0) for i in ids)] = v
     return {k: v for k, v in out.items() if v}
+
+
+def kostant_nilcone_series(n: int, order: int) -> TruncatedSeries:
+    """The nilpotent cone of sl(n) refined by its Cartan torus, to t^order:
+
+        prod_{i=2..n} (1 - t^(2i)) * PE[(n - 1 + sum_alpha z^alpha) t^2]
+
+    over the roots alpha = e_i - e_j (i != j) of sl(n), with z_i the
+    fugacity of gauge node g{i} of ``build_linear_nilpotent_quiver(n)``, so
+    that alpha is z_i ... z_{j-1} for i < j and its inverse for i > j."""
+    s = TruncatedSeries(order, {0: 1}, frozenset(f"g{i}" for i in range(1, n)))
+    for i in range(2, n + 1):
+        s = s * one_minus_power(2 * i, order)
+    for _ in range(n - 1):  # the Cartan part, PE[(n - 1) t^2]
+        s = s * expand_inverse(2, order)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for sign in (1, -1):  # PE[z^alpha t^2] = sum_k z^(k alpha) t^(2k)
+                s = s * TruncatedSeries(order, {
+                    2 * k: Laurent.monomial({f"g{m}": sign * k for m in range(i, j)})
+                    for k in range(order // 2 + 1)})
+    return s

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from coulomb_hs.quiver import (
     quiver_from_json,
 )
 from coulomb_hs.series import (
+    TruncatedSeries,
     expand_inverse,
     one_minus_power,
     series_from_json,
@@ -73,6 +75,23 @@ def test_generate_partial(tmp_path, capsys):
         assert code == 1
         assert err == ("error: --partition: parts must be comma-separated "
                        f"integers, got {bad!r}\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("nilpotent", "--n", "3", "--partition", "2,1"), "--partition"),
+    (("dn", "--n", "3", "--partition", "2,1"), "--partition"),
+    (("bouquet", "--n", "2", "--flavor"), "--flavor"),
+    (("bouquet", "--n", "2", "--bouquet"), "--bouquet"),
+    (("partial", "--n", "4", "--partition", "2,2", "--flavor"), "--flavor"),
+], ids=["partition-nilpotent", "partition-dn", "flavor-bouquet", "bouquet-bouquet",
+        "flavor-partial"])
+def test_generate_rejects_a_flag_of_another_kind(tmp_path, capsys, argv, flag):
+    # A flag that the chosen kind would ignore is a usage error, not a no-op.
+    out = tmp_path / "q.json"
+    code, stdout, err = run(capsys, "generate", *argv, "-o", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: {flag} is for ")
+    assert not out.exists()
 
 
 def test_report_text_and_json(tmp_path, capsys):
@@ -331,6 +350,69 @@ def test_check_suite(capsys):
     code, text2, _ = run(capsys, "check-suite")
     hash2 = [l for l in text2.splitlines() if "manifest hash" in l][0]
     assert hash1 == hash2
+
+
+def output_argv(tmp_path, command):
+    """A quick run of each command that takes --json and -o."""
+    if command == "gale":
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 1, "d": 2, "columns": [[1], [1]]}))
+        return ["gale", str(path)]
+    if command == "check-suite":
+        return ["check-suite"]
+    path = tmp_path / "b3.json"
+    main(["generate", "bouquet", "--n", "3", "-o", str(path)])
+    if command == "report":
+        return ["report", str(path)]
+    return ["hs", str(path), "--order", "2", "--ungauge", "b1"]
+
+
+def without_wall_time(text):
+    # The one field that differs between reruns, in hs's text and JSON.
+    return re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": 0', text)
+
+
+@pytest.mark.parametrize("flags, stdout_is", [
+    ((), "text"), (("--json",), "json"), (("-o",), "text"), (("--json", "-o"), "empty"),
+], ids=["plain", "json", "o", "json-o"])
+@pytest.mark.parametrize("command", ["report", "hs", "gale", "check-suite"])
+def test_one_output_rule(tmp_path, capsys, command, flags, stdout_is):
+    # stdout gets the text unless --json is given; the JSON payload goes to
+    # -o when that is given, and otherwise to stdout under --json.
+    argv = output_argv(tmp_path, command)
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, *argv, *flags,
+                            *([str(out)] if "-o" in flags else []))
+    assert (code, err) == (0, "")
+    if stdout_is == "text":
+        assert without_wall_time(stdout) == without_wall_time(run(capsys, *argv)[1])
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(stdout)
+    elif stdout_is == "empty":
+        assert stdout == ""
+    if stdout_is == "json" or "-o" in flags:
+        payload = json.loads(without_wall_time(run(capsys, *argv, "--json")[1]))
+        written = stdout if stdout_is == "json" else out.read_text()
+        assert json.loads(without_wall_time(written)) == payload
+    if "-o" not in flags:
+        assert not out.exists()
+
+
+def test_a_failed_check_exits_3(capsys, monkeypatch):
+    import coulomb_hs.cli as cli
+
+    monkeypatch.setattr(cli, "nilcone_reference_hs",
+                        lambda n, order: TruncatedSeries.one(order))
+    code, text, _ = run(capsys, "check-suite")
+    assert code == 3
+    assert "FAIL  nilpotent-cone quiver n=2 matches closed form to t^10" in text
+    code, text, _ = run(capsys, "check-suite", "--json")
+    assert code == 3
+    assert any(row[-1] is False for row in json.loads(text)["rows"])
+    code, text, _ = run(capsys, "implosion-check", "--n", "3", "--order", "6")
+    assert code == 3
+    assert text.startswith("FAIL  refined integral equals nilpotent-cone closed form")
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

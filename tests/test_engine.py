@@ -48,8 +48,8 @@ from coulomb_hs.quiver import (
 )
 from coulomb_hs.series import TruncatedSeries, expand_inverse, one_minus_power
 
-from brute import (HALF_PAIR_WEIGHT, delta_ref, hs_ref, matter_term, quarter_units,
-                   shell_min_ref, topological_counts)
+from brute import (HALF_PAIR_WEIGHT, delta_ref, hs_ref, kostant_nilcone_series,
+                   matter_term, quarter_units, shell_min_ref, topological_counts)
 
 
 def u1_with_flavors(d):
@@ -426,6 +426,18 @@ def test_refined_integral_matches_nilcone():
         got = refined_implosion_integral(n, 8)
         assert got == nilcone_reference_hs(n, 8)
     assert refined_implosion_integral(1, 6) == TruncatedSeries.one(6)
+
+
+@pytest.mark.parametrize("n, order", [(2, 16), (3, 12), (4, 8), (5, 6)])
+def test_refined_nilpotent_cone_matches_kostant(n, order):
+    # Every gauge node refined: the topological fugacities are the Cartan
+    # torus of sl(n), and the series is the adjoint character at t^2 cut
+    # by the n - 1 Casimir relations, term by Laurent term.
+    q = build_linear_nilpotent_quiver(n)
+    got = coulomb_hilbert_series(HSRequest(
+        q, order, refined=frozenset(node.id for node in q.gauge_nodes)))
+    assert got == kostant_nilcone_series(n, order)
+    assert got.fugacities == frozenset(node.id for node in q.gauge_nodes)
 
 
 def test_constant_terms_of_refined_u1s_ungauge_them():

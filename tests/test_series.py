@@ -231,8 +231,20 @@ def test_json_round_trip_refined():
      "coeffs['1']: malformed term [{'z': True}, '1']"),
     ({"order": 2, "coeffs": {"1": [[{"z": 1}, 2]]}, "fugacities": ["z"]},
      "coeffs['1']: malformed term [{'z': 1}, 2]"),
+    ([], "series JSON must be an object with 'order'"),
+    ({"coeffs": {}}, "series JSON must be an object with 'order'"),
+    ({"order": 2, "coeffs": []}, "coeffs: expected an object, got []"),
+    ({"order": 2, "coeffs": {"x": "1"}}, "coeffs key: expected an integer, got 'x'"),
+    ({"order": 2, "coeffs": {"1": [[1, "1"]]}}, "coeffs['1']: malformed term [1, '1']"),
+    ({"order": 2, "coeffs": {"1": [[{"z": 1}]]}},
+     "coeffs['1']: malformed term [{'z': 1}]"),
+    ({"order": 2, "fugacities": 5}, "fugacities: expected a list of strings, got 5"),
+    ({"order": 2, "fugacities": "z"},
+     "fugacities: expected a list of strings, got 'z'"),
 ], ids=["float-order", "bool-order", "int-coefficient", "float-exponent",
-        "bool-exponent", "int-term-coefficient"])
+        "bool-exponent", "int-term-coefficient", "not-an-object", "no-order",
+        "coeffs-list", "exponent-key-text", "exponent-map-int", "one-element-term",
+        "fugacities-int", "fugacities-text"])
 def test_json_rejects_malformed_series(obj, message):
     # Nothing is rounded or coerced: a bad field is named, not read as
     # something else.
