@@ -28,16 +28,6 @@ from .engine import (
     nilcone_reference_hs,
     refined_implosion_integral,
 )
-from .gale import (
-    GaleError,
-    ToricConfig,
-    config_to_json,
-    duality_report,
-    gale_dual,
-    hnf_rows,
-    is_gale_dual_pair,
-    load_config,
-)
 from .quiver import (
     DecoupledU1UnresolvedError,
     NodeKind,
@@ -45,18 +35,12 @@ from .quiver import (
     QuiverError,
     QuiverNode,
     U,
-    balance_report,
-    balanced_subquiver_classification,
     build_bouquet_quiver,
     build_dn_implosion_quiver,
     build_linear_nilpotent_quiver,
     build_partial_implosion_quiver,
     decoupled_u1_count,
-    expected_coulomb_dimension_real,
-    gauge_group_rank,
     load_quiver,
-    node_balance,
-    predict_global_symmetry,
     quiver_to_json,
     ungauge,
 )
@@ -131,6 +115,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .balance import (balance_report, balanced_subquiver_classification,
+                          gauge_group_rank, predict_global_symmetry)
+
     q = load_quiver(args.quiver)
     rep = balance_report(q)
     components = balanced_subquiver_classification(q)
@@ -274,6 +261,8 @@ def cmd_implosion_check(args) -> int:
 
 
 def cmd_gale(args) -> int:
+    from .gale import config_to_json, duality_report, gale_dual, load_config
+
     c = load_config(args.matrix)
     dual = gale_dual(c)
     rep = duality_report(c)
@@ -290,6 +279,11 @@ def cmd_gale(args) -> int:
 
 
 def _suite_rows(full: bool):
+    # Loaded here, not at start-up: hs and implosion-check use neither.
+    from .balance import (balance_report, expected_coulomb_dimension_real,
+                          gauge_group_rank, node_balance, predict_global_symmetry)
+    from .gale import ToricConfig, gale_dual, hnf_rows, is_gale_dual_pair
+
     # U(1) with d flavors vs closed form
     for d in range(1, 6):
         q = Quiver([QuiverNode("g", NodeKind.GAUGE, U(1)),
@@ -538,7 +532,7 @@ def main(argv=None) -> int:
     except (DecoupledU1UnresolvedError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except (QuiverError, GaleError, ValueError, OSError) as exc:
+    except (QuiverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

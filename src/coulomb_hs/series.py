@@ -427,13 +427,17 @@ def _encode_coeff(c: Coefficient):
 
 
 def _decode_int(text: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise SeriesError(f"{where}: expected an integer, got {text!r}") from None
+    """An integer written as ``-?[0-9]+`` in ASCII; ``int`` alone would also
+    read spaces, underscores, a plus sign and non-ASCII digits."""
+    if not isinstance(text, str):
+        raise SeriesError(f"{where}: expected a string, got {text!r}")
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise SeriesError(f"{where}: expected an integer, got {text!r}")
+    return int(text)
 
 
-def _decode_coeff(obj, where: str) -> Coefficient:
+def _decode_coeff(obj, where: str, names: frozenset) -> Coefficient:
     if isinstance(obj, str):
         return _decode_int(obj, where)
     if not isinstance(obj, list):
@@ -445,6 +449,10 @@ def _decode_coeff(obj, where: str) -> Coefficient:
                 and isinstance(term[1], str)):
             raise SeriesError(f"{where}: malformed term {term!r}")
         expvec, v = term
+        for n in expvec:
+            if n not in names:
+                raise SeriesError(f"{where}: fugacity {n!r} is not listed under "
+                                  "'fugacities'")
         key = tuple(sorted((n, e) for n, e in expvec.items() if e))
         terms[key] = _decode_int(v, where)
     return Laurent(terms)
@@ -465,9 +473,10 @@ def series_from_json(obj: dict) -> TruncatedSeries:
     coeffs = obj.get("coeffs", {})
     if not isinstance(coeffs, dict):
         raise SeriesError(f"coeffs: expected an object, got {coeffs!r}")
-    coeffs = {_decode_int(e, "coeffs key"): _decode_coeff(c, f"coeffs[{e!r}]")
-              for e, c in coeffs.items()}
     names = obj.get("fugacities", [])
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise SeriesError(f"fugacities: expected a list of strings, got {names!r}")
-    return TruncatedSeries(obj["order"], coeffs, frozenset(names))
+    names = frozenset(names)
+    coeffs = {_decode_int(e, "coeffs key"): _decode_coeff(c, f"coeffs[{e!r}]", names)
+              for e, c in coeffs.items()}
+    return TruncatedSeries(obj["order"], coeffs, names)

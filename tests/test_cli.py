@@ -516,10 +516,13 @@ def test_one_subcommand_parser_parses_as_the_full_parser(capsys):
 
 
 def test_cli_import_skips_dataclasses_inspect_and_typing():
+    # Nor does it load Gale duality or the balance bookkeeping, which only
+    # gale, report and check-suite use.
     src = str(Path(coulomb_hs.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import coulomb_hs, coulomb_hs.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'coulomb_hs.gale', "
+            "'coulomb_hs.balance'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "[]", "")
@@ -528,21 +531,25 @@ def test_cli_import_skips_dataclasses_inspect_and_typing():
 def test_cold_hs_run_skips_shutil(tmp_path):
     # Given no width, argparse's formatter imports shutil, and with it bz2,
     # lzma and zlib, to read the terminal width; the CLI's formatter reads
-    # that width without it.
+    # that width without it.  Neither a cold hs run nor a cold
+    # implosion-check run loads Gale duality or the balance bookkeeping.
     b3 = tmp_path / "b3.json"
     assert main(["generate", "bouquet", "--n", "3", "-o", str(b3)]) == 0
     src = str(Path(coulomb_hs.__file__).resolve().parents[1])
     code = "\n".join([
-        "import contextlib, io, sys",
+        "import contextlib, io, json, sys",
         "sys.path.insert(0, sys.argv[1])",
         "from coulomb_hs.cli import main",
         "with contextlib.redirect_stdout(io.StringIO()):",
-        "    code = main(['hs', sys.argv[2], '--order', '2', '--ungauge', 'b1', '--json'])",
-        "print(code, sorted({'shutil', 'bz2', 'lzma'} & set(sys.modules)))",
+        "    code = main(json.loads(sys.argv[2]))",
+        "print(code, sorted({'shutil', 'bz2', 'lzma', 'coulomb_hs.gale',",
+        "                    'coulomb_hs.balance'} & set(sys.modules)))",
     ])
-    done = subprocess.run([sys.executable, "-S", "-c", code, src, str(b3)],
-                          capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "0 []", "")
+    for argv in (["hs", str(b3), "--order", "2", "--ungauge", "b1", "--json"],
+                 ["implosion-check", "--n", "2", "--order", "4"]):
+        done = subprocess.run([sys.executable, "-S", "-c", code, src, json.dumps(argv)],
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "0 []", ""), argv
 
 
 # Runs every help and usage-error command line of HELP_ARGVS through main(),

@@ -241,10 +241,35 @@ def test_json_round_trip_refined():
     ({"order": 2, "fugacities": 5}, "fugacities: expected a list of strings, got 5"),
     ({"order": 2, "fugacities": "z"},
      "fugacities: expected a list of strings, got 'z'"),
+    # Integer text is -?[0-9]+ in ASCII, though int() reads more.
+    ({"order": 2, "coeffs": {" 1": "1_0"}}, "coeffs key: expected an integer, got ' 1'"),
+    ({"order": 2, "coeffs": {"+1": "1"}}, "coeffs key: expected an integer, got '+1'"),
+    ({"order": 2, "coeffs": {"1\n": "1"}}, "coeffs key: expected an integer, got '1\\n'"),
+    ({"order": 2, "coeffs": {"\uff12": "1"}},
+     "coeffs key: expected an integer, got '\uff12'"),
+    ({"order": 2, "coeffs": {1: "1"}}, "coeffs key: expected a string, got 1"),
+    ({"order": 2, "coeffs": {"1": "1_0"}}, "coeffs['1']: expected an integer, got '1_0'"),
+    ({"order": 2, "coeffs": {"1": "+1"}}, "coeffs['1']: expected an integer, got '+1'"),
+    ({"order": 2, "coeffs": {"1": " 1"}}, "coeffs['1']: expected an integer, got ' 1'"),
+    ({"order": 2, "coeffs": {"1": "\uff12"}},
+     "coeffs['1']: expected an integer, got '\uff12'"),
+    ({"order": 2, "coeffs": {"1": "-"}}, "coeffs['1']: expected an integer, got '-'"),
+    ({"order": 2, "coeffs": {"1": "--1"}}, "coeffs['1']: expected an integer, got '--1'"),
+    ({"order": 2, "coeffs": {"1": [[{"z": 1}, "1_0"]]}, "fugacities": ["z"]},
+     "coeffs['1']: expected an integer, got '1_0'"),
+    # Every fugacity a term names is declared.
+    ({"order": 2, "coeffs": {"1": [[{"z": 1}, "1"]]}},
+     "coeffs['1']: fugacity 'z' is not listed under 'fugacities'"),
+    ({"order": 2, "coeffs": {"1": [[{"z": 1, "w": -1}, "1"]]}, "fugacities": ["z"]},
+     "coeffs['1']: fugacity 'w' is not listed under 'fugacities'"),
 ], ids=["float-order", "bool-order", "int-coefficient", "float-exponent",
         "bool-exponent", "int-term-coefficient", "not-an-object", "no-order",
         "coeffs-list", "exponent-key-text", "exponent-map-int", "one-element-term",
-        "fugacities-int", "fugacities-text"])
+        "fugacities-int", "fugacities-text", "key-space", "key-plus", "key-newline",
+        "key-fullwidth", "key-int", "coefficient-underscore", "coefficient-plus",
+        "coefficient-space", "coefficient-fullwidth", "coefficient-minus-only",
+        "coefficient-double-minus", "term-coefficient-underscore",
+        "undeclared-fugacity", "one-undeclared-fugacity"])
 def test_json_rejects_malformed_series(obj, message):
     # Nothing is rounded or coerced: a bad field is named, not read as
     # something else.
