@@ -15,10 +15,10 @@ __version__ = "0.1.0"
 # Exported name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys([
-        "BadTheoryError", "ContributionCheck", "EngineError", "EngineStats",
-        "HSRequest", "HSResult", "QuiverCharge", "compute_hilbert_series",
+        "BadTheoryError", "EngineError", "EngineStats", "HSRequest",
+        "HSResult", "QuiverCharge", "compute_hilbert_series",
         "coulomb_hilbert_series", "delta", "dressing_factor",
-        "enumerate_charges", "hs_contribution_check", "nilcone_reference_hs",
+        "enumerate_charges", "nilcone_reference_hs",
         "refined_implosion_integral", "symmetry_dimension"], "engine"),
     **dict.fromkeys([
         "DualityReport", "GaleError", "RankDeficientError", "ToricConfig",

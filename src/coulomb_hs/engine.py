@@ -906,9 +906,7 @@ def bouquet_leaf_ids(n: int) -> list:
     return [f"b{i}" for i in range(1, n + 1)]
 
 
-def refined_implosion_integral(n: int, order: int, *,
-                               prefactor_exponent: int | None = None,
-                               ) -> TruncatedSeries:
+def refined_implosion_integral(n: int, order: int) -> TruncatedSeries:
     """Residue integral over the bouquet fugacities.
 
     Ungauges the first bouquet U(1), refines the remaining n-1 with one
@@ -921,8 +919,8 @@ def refined_implosion_integral(n: int, order: int, *,
     The constant terms are the digit-0 slice of the packed sum: its terms
     whose refined digits are all 0.  They are read off before the sum is
     dressed by its u centers, and the integer series they form is
-    multiplied by (1 - t^2)^(e - u), where e = n - 1 unless
-    ``prefactor_exponent`` gives it; no Laurent coefficient is built.
+    multiplied by (1 - t^2)^((n - 1) - u); no Laurent coefficient is
+    built.
 
     That match is the T[SU(n)] chain check and no more.  On any quiver,
     refining r U(1) nodes, multiplying by (1 - t^2)^r and taking the
@@ -934,66 +932,13 @@ def refined_implosion_integral(n: int, order: int, *,
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if prefactor_exponent is not None and prefactor_exponent < 0:
-        raise ValueError(
-            f"prefactor_exponent must be >= 0, got {prefactor_exponent}")
     if n == 1:
         return TruncatedSeries.one(order)
     leaves = bouquet_leaf_ids(n)
     req = HSRequest(build_bouquet_quiver(n), order, refined=frozenset(leaves[1:]),
                     ungauge=leaves[0])
     terms, centers, _, _, _ = _packed_sum(req, counted=False)
-    exponent = (n - 1) if prefactor_exponent is None else prefactor_exponent
     const = {key: c for key, c in terms.items() if not any(key[1])}
     return TruncatedSeries(order, {
-        e: c for (e, _), c in _times_one_minus_t2(const, exponent - centers, order).items()})
+        e: c for (e, _), c in _times_one_minus_t2(const, n - 1 - centers, order).items()})
 
-
-# Expected low-order structure of the ungauged bouquet series.
-ContributionCheck = namedtuple(
-    "ContributionCheck", "n order t2_coefficient t2_generic_expected t2_matches_generic "
-    "enhanced_dimension t_power t_power_coefficient bouquet_monopole_count "
-    "bouquet_monopole_expected")
-
-
-_ENHANCED_T2 = {2: 10, 3: 28}  # Sp(2) and SO(8) enhancements
-
-
-def hs_contribution_check(n: int) -> ContributionCheck:
-    """Check the t^2 coefficient (n^2 + n - 2 for n >= 4, with documented
-    enhancements at n = 2, 3) and count the 2n basic bouquet monopoles at
-    order t^(n-1)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    order = max(2, n - 1)
-    q = build_bouquet_quiver(n)
-    leaves = bouquet_leaf_ids(n)
-    req = HSRequest(q, order, ungauge=leaves[0])
-    s = coulomb_hilbert_series(req)
-    t2 = int(s.coefficient(2))
-    ungauged = ungauge(q, leaves[0])
-    prob = _Problem(ungauged)
-    target4 = 2 * (n - 1)  # 4*Delta for 2*Delta = n - 1
-    count = 0
-    for sign in (1, -1):
-        for leaf in leaves[1:]:
-            vec = [(0,) * nd.rank for nd in prob.nodes]
-            vec[prob.index[leaf]] = (sign,)
-            if _delta4(prob, vec) == target4:
-                count += 1
-        vec = [(0,) * nd.rank if nd.fixed else (sign,) * nd.rank
-               for nd in prob.nodes]
-        if _delta4(prob, vec) == target4:
-            count += 1
-    return ContributionCheck(
-        n=n,
-        order=order,
-        t2_coefficient=t2,
-        t2_generic_expected=n * n + n - 2,
-        t2_matches_generic=(t2 == n * n + n - 2),
-        enhanced_dimension=_ENHANCED_T2.get(n),
-        t_power=n - 1,
-        t_power_coefficient=int(s.coefficient(n - 1)),
-        bouquet_monopole_count=count,
-        bouquet_monopole_expected=2 * n,
-    )

@@ -242,23 +242,21 @@ def test_ortho_convention_flags(tmp_path, capsys):
 def test_implosion_check_pass_and_negative_control(capsys):
     code, text, _ = run(capsys, "implosion-check", "--n", "2", "--order", "8")
     assert code == 0 and "FAIL" not in text
-    code, text, _ = run(capsys, "implosion-check", "--n", "3", "--order", "6",
-                        "--prefactor-exponent", "5")
-    assert code == 3 and "FAIL" in text
 
 
-def test_negative_prefactor_exponent_is_a_usage_error(capsys, monkeypatch):
-    import coulomb_hs.cli as cli
+def test_implosion_check_solves_no_order_above_its_own(capsys, monkeypatch):
+    # The t^2 row needs the bouquet only to t^2, whatever n is.
+    import coulomb_hs.engine as engine
 
-    def integral(*args, **kwargs):
-        raise AssertionError("the refined integral ran")
-    monkeypatch.setattr(cli, "refined_implosion_integral", integral)
-    with pytest.raises(SystemExit) as exc:
-        main(["implosion-check", "--n", "6", "--order", "8",
-              "--prefactor-exponent", "-1"])
-    assert exc.value.code == 1
-    assert ("error: argument --prefactor-exponent: must be at least 0, got -1"
-            in capsys.readouterr().err)
+    orders = []
+    packed_sum = engine._packed_sum
+
+    def recording(request, counted):
+        orders.append(request.order)
+        return packed_sum(request, counted)
+    monkeypatch.setattr(engine, "_packed_sum", recording)
+    code, _, _ = run(capsys, "implosion-check", "--n", "8", "--order", "2")
+    assert code == 0 and orders and max(orders) == 2
 
 
 def test_refined_pl_is_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
@@ -422,6 +420,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                  ["hs", str(qf), "--order", "x"],
                  ["implosion-check", "--n", "3", "--so2-as-o2"],
                  ["implosion-check", "--n", "3", "--ortho-pair-weight", "1/2"],
+                 ["implosion-check", "--n", "3", "--prefactor-exponent", "5"],
                  ["no-such-command"],
                  []):
         with pytest.raises(SystemExit) as exc:
@@ -480,7 +479,7 @@ PARSER_SAMPLES = {
     "report": ["report", "b3.json", "--json"],
     "hs": ["hs", "b3.json", "--order", "4", "--ungauge", "b1", "--refine", "b2,b3",
            "--pl", "--json", "-o", "out.json"],
-    "implosion-check": ["implosion-check", "--n", "3", "--prefactor-exponent", "0"],
+    "implosion-check": ["implosion-check", "--n", "3", "--order", "6"],
     "gale": ["gale", "m.json", "--json"],
     "check-suite": ["check-suite", "--full"],
 }

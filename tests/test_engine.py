@@ -15,7 +15,6 @@ from coulomb_hs.engine import (
     delta,
     dressing_factor,
     enumerate_charges,
-    hs_contribution_check,
     nilcone_reference_hs,
     refined_implosion_integral,
     symmetry_dimension,
@@ -418,7 +417,7 @@ def test_dn_flavor_chain_gives_so2n_nilpotent_cone():
 
 
 # ---------------------------------------------------------------------------
-# refined integral and contribution checks
+# refined integral and the ungauged bouquet's low orders
 
 
 def test_refined_integral_matches_nilcone():
@@ -459,53 +458,59 @@ def test_constant_terms_of_refined_u1s_ungauge_them():
             HSRequest(build_linear_nilpotent_quiver(n), 6))
 
 
+def bouquet_constant_terms(n, order, e):
+    """The constant terms of the refined bouquet(n) series, leaf b1
+    ungauged, times (1 - t^2)^e."""
+    leaves = bouquet_leaf_ids(n)
+    s = coulomb_hilbert_series(HSRequest(
+        build_bouquet_quiver(n), order, refined=frozenset(leaves[1:]),
+        ungauge=leaves[0])) * one_minus_power(2, order) ** e
+    for name in leaves[1:]:
+        s = s.constant_term(name)
+    return s
+
+
 def test_refined_integral_takes_constant_terms_before_the_prefactor():
-    # (1 - t^2)^e carries no fugacity, so the constant terms of the refined
-    # series times it are the constant terms times it, at one truncation.
+    # (1 - t^2)^(n-1) carries no fugacity, so the constant terms of the
+    # refined series times it are the constant terms times it, at one
+    # truncation.
     for n, order in ((2, 8), (3, 8)):
-        leaves = bouquet_leaf_ids(n)
-        refined = coulomb_hilbert_series(HSRequest(
-            build_bouquet_quiver(n), order, refined=frozenset(leaves[1:]),
-            ungauge=leaves[0]))
-        for e in (0, n - 1, n + 1):
-            s = refined * one_minus_power(2, order) ** e
-            for name in leaves[1:]:
-                s = s.constant_term(name)
-            assert refined_implosion_integral(n, order, prefactor_exponent=e) == s, (n, e)
+        assert refined_implosion_integral(n, order) == \
+            bouquet_constant_terms(n, order, n - 1), n
 
 
 def test_refined_integral_negative_control():
-    wrong = refined_implosion_integral(3, 6, prefactor_exponent=5)
-    assert wrong != nilcone_reference_hs(3, 6)
+    assert bouquet_constant_terms(3, 6, 4) != nilcone_reference_hs(3, 6)
 
 
-def test_negative_prefactor_exponent_is_rejected_before_solving(monkeypatch):
+def test_refined_integral_of_one_leaf_solves_nothing(monkeypatch):
     import coulomb_hs.engine as engine
 
-    def solve(req):
-        raise AssertionError("solved before the arguments were checked")
-    monkeypatch.setattr(engine, "coulomb_hilbert_series", solve)
+    def solve(req, counted):
+        raise AssertionError("solved")
     monkeypatch.setattr(engine, "_packed_sum", solve)
-    for n in (1, 6):
-        with pytest.raises(ValueError, match="prefactor_exponent must be >= 0, got -1"):
-            refined_implosion_integral(n, 8, prefactor_exponent=-1)
-    assert refined_implosion_integral(1, 4, prefactor_exponent=0) == TruncatedSeries.one(4)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        refined_implosion_integral(0, 4)
+    assert refined_implosion_integral(1, 4) == TruncatedSeries.one(4)
 
 
-def test_contribution_check():
-    c2 = hs_contribution_check(2)
-    assert c2.t2_coefficient == 10 == c2.enhanced_dimension
-    assert c2.t_power == 1 and c2.t_power_coefficient == 4
-    assert c2.bouquet_monopole_count == 4 == c2.bouquet_monopole_expected
-
-    c3 = hs_contribution_check(3)
-    assert c3.t2_coefficient == 28 == c3.enhanced_dimension
-    assert c3.bouquet_monopole_count == 6
-
-    c4 = hs_contribution_check(4)
-    assert c4.t2_matches_generic and c4.t2_coefficient == 18
-    assert c4.enhanced_dimension is None
-    assert c4.bouquet_monopole_count == 8
+def test_ungauged_bouquet_t2_and_basic_monopoles():
+    # t^2 is the dimension of the implosion's symmetry: n^2+n-2, enhanced to
+    # Sp(2) and SO(8) at n = 2, 3.  The 2n basic monopoles (leaf b_i at +-1
+    # for i >= 2, every gauge node at +-(1, ..., 1)) have Delta = (n-1)/2.
+    for n, t2 in (2, 10), (3, 28), (4, 18), (5, 28), (6, 40):
+        s = coulomb_hilbert_series(HSRequest(build_bouquet_quiver(n), 2, ungauge="b1"))
+        assert s.coefficient(2) == t2, n
+        if n == 2:
+            assert s.coefficient(1) == 4
+        q = ungauge(build_bouquet_quiver(n), "b1")
+        ranks = {node.id: node.group.rank for node in q.gauge_nodes}
+        zero = {nid: (0,) * r for nid, r in ranks.items()}
+        basic = [{**zero, leaf: (sign,)} for leaf in bouquet_leaf_ids(n)[1:]
+                 for sign in (1, -1)]
+        basic += [{nid: (sign,) * r for nid, r in ranks.items()} for sign in (1, -1)]
+        assert len(basic) == 2 * n
+        assert all(delta(q, m) == Fraction(n - 1, 2) for m in basic), n
 
 
 def test_unitary_edge_multiplicity():

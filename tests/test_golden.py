@@ -58,7 +58,7 @@ def test_hs_json_payload(tmp_path, capsys, generate, argv, digest):
 def test_implosion_check_stdout(capsys):
     out = stdout_of(capsys, "implosion-check", "--n", "3", "--order", "12")
     assert sha256(out) == \
-        "c2c8b385e305d49104a461f24b966ba20269ee9aafc4d6c86896d9833186d56d"
+        "32f6cce6a8633e31b157d3c8b53318aa23dfde5309e8c059d2f9bdc8159dd390"
 
 
 @pytest.mark.parametrize("quiver, delta_max, count, digest", [
