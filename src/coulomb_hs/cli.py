@@ -24,8 +24,8 @@ from .engine import (
     HSRequest,
     compute_hilbert_series,
     coulomb_hilbert_series,
+    implosion_series,
     nilcone_reference_hs,
-    refined_implosion_integral,
 )
 from .quiver import (
     DecoupledU1UnresolvedError,
@@ -239,22 +239,16 @@ def _check_table(rows) -> str:
 _ENHANCED_T2 = {2: 10, 3: 28}  # Sp(2) and SO(8) enhancements
 
 
-def _ungauged_bouquet(n: int):
-    """The bouquet(n) series with leaf b1 ungauged, to t^2."""
-    return coulomb_hilbert_series(
-        HSRequest(build_bouquet_quiver(n), 2, ungauge="b1"))
-
-
 def cmd_implosion_check(args) -> int:
     n, order = args.n, args.order
-    integral = refined_implosion_integral(n, order)
+    integral, bouquet = implosion_series(n, order)
     enhanced = _ENHANCED_T2.get(n)
     rows = [
         _row("refined integral equals nilpotent-cone closed form",
              nilcone_reference_hs(n, order).text(), integral.text()),
         _row(f"t^2 coefficient (enhanced symmetry for n={n})" if enhanced
              else "t^2 coefficient equals n^2+n-2",
-             enhanced or n * n + n - 2, _ungauged_bouquet(n).coefficient(2)),
+             enhanced or n * n + n - 2, bouquet.coefficient(2)),
     ]
     print(_check_table(rows))
     return EXIT_OK if all(r[3] for r in rows) else EXIT_CHECK_FAILED
@@ -305,20 +299,19 @@ def _suite_rows(full: bool):
         yield _row(f"nilpotent-cone quiver n={n} matches closed form to t^10",
                    nilcone_reference_hs(n, 10).text(), s.text())
 
-    # bouquet coefficients
-    s = _ungauged_bouquet(2)
+    # bouquet coefficients and refined integrals: one sum per bouquet
+    solved = {n: implosion_series(n, 8 if n <= 3 else 2)
+              for n in range(2, 6 if full else 5)}
+    s = solved[2][1]
     yield _row("ungauged bouquet(2): t coefficient", 4, s.coefficient(1))
     yield _row("ungauged bouquet(2): t^2 coefficient", 10, s.coefficient(2))
     for n, t2 in (3, 28), (4, 18), (5, 28):
-        if n < 5 or full:
+        if n in solved:
             yield _row(f"ungauged bouquet({n}): t^2 coefficient", t2,
-                       _ungauged_bouquet(n).coefficient(2))
-
-    # refined integrals
+                       solved[n][1].coefficient(2))
     for n in (2, 3):
         yield _row(f"refined bouquet({n}) integral equals nilpotent cone to t^8",
-                   nilcone_reference_hs(n, 8).text(),
-                   refined_implosion_integral(n, 8).text())
+                   nilcone_reference_hs(n, 8).text(), solved[n][0].text())
 
     # orthosymplectic
     s = coulomb_hilbert_series(HSRequest(build_dn_implosion_quiver(3), 2))

@@ -74,7 +74,10 @@ multiplied once by (1 - t^2)^(-u), u the number of such nodes; the
 messages' cuts stay exact, as that factor has no negative power of t.
 The refined bouquet integral takes the terms whose refined digits are
 all 0, the constant term in every fugacity, straight from the packed
-sum, and applies the center factor to that integer series alone.
+sum, and applies the center factor to that integer series alone.  The
+same sum over every digit, every fugacity set to 1, is the ungauged
+bouquet's own unrefined series, so ``implosion_series`` gives both from
+one sum, run to at least t^2 for the bouquet's t^2 row.
 
 Each component of the forest is rooted at its first node, except that
 the refined series roots a component with no cycle at its widest
@@ -934,11 +937,32 @@ def refined_implosion_integral(n: int, order: int) -> TruncatedSeries:
         raise ValueError("need n >= 1")
     if n == 1:
         return TruncatedSeries.one(order)
+    return implosion_series(n, order)[0]
+
+
+def implosion_series(n: int, order: int) -> tuple:
+    """``(integral, bouquet)`` of bouquet(n), n >= 2, from one packed sum.
+
+    The sum runs at order max(order, 2), with leaf b1 ungauged and the
+    other n-1 leaves refined.  ``integral`` is
+    ``refined_implosion_integral(n, order)``, its digit-0 slice.
+    ``bouquet`` is the sum over every digit times (1 - t^2)^(-u), u the
+    number of centers: every fugacity set to 1, which is the unrefined
+    series of the ungauged bouquet to max(order, 2), its t^2 row included.
+    """
+    check_order(order)  # before max(order, 2) can hide a bad one
+    top = max(order, 2)
     leaves = bouquet_leaf_ids(n)
-    req = HSRequest(build_bouquet_quiver(n), order, refined=frozenset(leaves[1:]),
+    req = HSRequest(build_bouquet_quiver(n), top, refined=frozenset(leaves[1:]),
                     ungauge=leaves[0])
     terms, centers, _, _, _ = _packed_sum(req, counted=False)
     const = {key: c for key, c in terms.items() if not any(key[1])}
-    return TruncatedSeries(order, {
-        e: c for (e, _), c in _times_one_minus_t2(const, n - 1 - centers, order).items()})
+    total = [0] * (top + 1)
+    for (e, _), c in terms.items():
+        total[e] += c
 
+    def series(part: dict, k: int, cut: int) -> TruncatedSeries:
+        return TruncatedSeries(cut, {
+            e: c for (e, _), c in _times_one_minus_t2(part, k, cut).items()})
+    return (series(const, n - 1 - centers, order),
+            series({(e, ()): c for e, c in enumerate(total) if c}, -centers, top))

@@ -245,18 +245,20 @@ def test_implosion_check_pass_and_negative_control(capsys):
 
 
 def test_implosion_check_solves_no_order_above_its_own(capsys, monkeypatch):
-    # The t^2 row needs the bouquet only to t^2, whatever n is.
+    # One refined sum per run, to the order asked or to t^2 if that is
+    # higher: the t^2 row reads the bouquet off the integral's sum.
     import coulomb_hs.engine as engine
 
-    orders = []
     packed_sum = engine._packed_sum
 
     def recording(request, counted):
         orders.append(request.order)
         return packed_sum(request, counted)
     monkeypatch.setattr(engine, "_packed_sum", recording)
-    code, _, _ = run(capsys, "implosion-check", "--n", "8", "--order", "2")
-    assert code == 0 and orders and max(orders) == 2
+    for n, order, solved in ("8", "2", [2]), ("3", "12", [12]), ("3", "0", [2]):
+        orders = []
+        code, _, _ = run(capsys, "implosion-check", "--n", n, "--order", order)
+        assert (code, orders) == (0, solved), (n, order)
 
 
 def test_refined_pl_is_rejected_before_the_solve(tmp_path, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from coulomb_hs.engine import (
     delta,
     dressing_factor,
     enumerate_charges,
+    implosion_series,
     nilcone_reference_hs,
     refined_implosion_integral,
     symmetry_dimension,
@@ -45,7 +46,7 @@ from coulomb_hs.quiver import (
     build_partial_implosion_quiver,
     ungauge,
 )
-from coulomb_hs.series import TruncatedSeries, expand_inverse, one_minus_power
+from coulomb_hs.series import SeriesError, TruncatedSeries, expand_inverse, one_minus_power
 
 from brute import (HALF_PAIR_WEIGHT, delta_ref, hs_ref, kostant_nilcone_series,
                    matter_term, quarter_units, shell_min_ref, topological_counts)
@@ -339,6 +340,17 @@ def test_hs_refined_to_one_matches_unrefined():
     plain = coulomb_hilbert_series(HSRequest(q, 4, ungauge="b1"))
     assert refined.substitute_ones() == plain
     assert refined.fugacities == frozenset({"b2", "b3"})
+    # One refined sum gives the implosion check both series: its sum over
+    # every digit is the unrefined bouquet, run to at least t^2, and its
+    # digit-0 slice the integral.
+    for n, order in (2, 8), (3, 6), (4, 4), (3, 1), (3, 0):
+        integral, bouquet = implosion_series(n, order)
+        assert bouquet == coulomb_hilbert_series(HSRequest(
+            build_bouquet_quiver(n), max(order, 2), ungauge="b1")), (n, order)
+        assert integral == nilcone_reference_hs(n, order), (n, order)
+    for bad in -1, True:
+        with pytest.raises(SeriesError):
+            implosion_series(3, bad)
 
 
 def test_hs_refined_validation():

@@ -35,6 +35,13 @@ def test_check_suite_full_manifest_hash(capsys):
         "e9d5bb8dd367390b30a258881963380ce4e3b09fd415b72dfcd3aca4fde7e6c4")
 
 
+def test_check_suite_default_manifest_hash(capsys):
+    out = stdout_of(capsys, "check-suite")
+    assert out.splitlines()[-1] == (
+        "suite: 23/23 passed; manifest hash "
+        "ea4f66a9838052269214a145d31664c6107096ec47e842e5c22b62a58e3f2435")
+
+
 @pytest.mark.parametrize("generate, argv, digest", [
     (("bouquet", "--n", "5"), ("--ungauge", "b1", "--order", "4", "--pl"),
      "4bd15c9af7e09eb40075dc98c81e1221bf747d894aabb4802138e767d17f7b7c"),
@@ -55,10 +62,15 @@ def test_hs_json_payload(tmp_path, capsys, generate, argv, digest):
     assert sha256(json.dumps(payload, sort_keys=True)) == digest
 
 
-def test_implosion_check_stdout(capsys):
-    out = stdout_of(capsys, "implosion-check", "--n", "3", "--order", "12")
-    assert sha256(out) == \
-        "32f6cce6a8633e31b157d3c8b53318aa23dfde5309e8c059d2f9bdc8159dd390"
+@pytest.mark.parametrize("n, order, digest", [
+    ("3", "12", "32f6cce6a8633e31b157d3c8b53318aa23dfde5309e8c059d2f9bdc8159dd390"),
+    ("3", "0", "2fc670ce362c609a85b4b005f75acac29e51914d73bb0690790ecd0e3ee02794"),
+    ("5", "2", "e9d3f35bd73b04214a0c8d4ea953bf91220e4ff96bce79a747e17722e65db4ce"),
+    ("2", "8", "01bc0a7d3473bfa85e8ac2ca5a4c1cfa7dfdefd4d8c500dc93c14e5a328a30c9"),
+], ids=["n3-K12", "n3-K0", "n5-K2", "n2-K8"])
+def test_implosion_check_stdout(capsys, n, order, digest):
+    out = stdout_of(capsys, "implosion-check", "--n", n, "--order", order)
+    assert sha256(out) == digest
 
 
 @pytest.mark.parametrize("quiver, delta_max, count, digest", [
