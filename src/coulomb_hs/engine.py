@@ -59,12 +59,12 @@ candidates alone, since no charge through a dead parent candidate can
 make its child live.  A second lane with dressing 1 counts the charges;
 it runs only where the count is read (``compute_hilbert_series``), not
 for the series alone (``coulomb_hilbert_series``) or the charge lists.
-Linear functionals of a node's charge ride along as digits of one packed
-integer: the refined topological charges, or every entry of every charge
-when the charges are listed.  Edges that close a cycle (every affine A_n
-quiver has one) are handled by conditioning on the charges of their
-early endpoints, a cycle cutset, and running the same pass once per
-assignment.
+Integer functions of a node's charge ride along as digits of one packed
+integer: the refined topological charges, a 0/1 mark per refined leaf for
+the bouquet integral, or each charge read as one number when the charges
+are listed.  Edges that close a cycle (every affine A_n quiver has one)
+are handled by conditioning on the charges of their early endpoints, a
+cycle cutset, and running the same pass once per assignment.
 
 The residual group of every charge of a U(n) or SO(2) gauge node holds
 the node's center, a U(1) whose Casimir of degree 1 gives P(m,t) the same
@@ -72,12 +72,14 @@ factor 1/(1 - t^2) at every charge.  So the tree pass dresses each node
 without its center, a U(1) node with dressing 1, and the packed sum is
 multiplied once by (1 - t^2)^(-u), u the number of such nodes; the
 messages' cuts stay exact, as that factor has no negative power of t.
-The refined bouquet integral takes the terms whose refined digits are
-all 0, the constant term in every fugacity, straight from the packed
-sum, and applies the center factor to that integer series alone.  The
-same sum over every digit, every fugacity set to 1, is the ungauged
-bouquet's own unrefined series, so ``implosion_series`` gives both from
-one sum, run to at least t^2 for the bouquet's t^2 row.
+The refined bouquet integral needs only the constant term in every
+fugacity, the charges at which every refined leaf has topological charge
+0, so each leaf's digit is a 0/1 mark, 1 where that charge is nonzero.
+The terms whose marks are all 0 are that constant term, read straight
+from the packed sum, and the center factor applies to that integer
+series alone.  The same sum over every digit, every fugacity set to 1,
+is the ungauged bouquet's own unrefined series, so ``implosion_series``
+gives both from one sum, run to at least t^2 for the bouquet's t^2 row.
 
 Each component of the forest is rooted at its first node, except that
 the refined series roots a component with no cycle at its widest
@@ -89,7 +91,9 @@ series of refined bouquet(3) at K = 12 this cuts the message terms from
 53 522 to 11 473.  Each node multiplies its children's messages
 digit-free first, in ascending order of the digits in the child's
 subtree, so each later factor meets a product still narrow in the
-digits: 3 138 product term pairs on that run instead of 6 171.  A
+digits: 3 138 product term pairs on that run instead of 6 171.  The
+integral's marks are narrower still, base 3 per leaf against 13 at
+K = 12: 4 058 message terms and 1 799 product term pairs.  A
 component with a cycle keeps its first node, which heads the cutset,
 since a root with more candidates would multiply the passes.  The same
 edge type met from its other end reuses the table already built,
@@ -551,11 +555,13 @@ def _box_charges(prob: _Problem, b: int, thr4: int) -> dict:
     every charge is one balanced digit of base 2b + 1.  Node v's entries
     form the digit d(m) = sum_i m_v[i] * (2b + 1)^i, so each charge is one
     key of coefficient 1, and each node's digit names its charge."""
-    cands = _candidates(prob, b)
-    powers = [tuple((2 * b + 1) ** i for i in range(nd.rank)) for nd in prob.nodes]
-    names = [{sum(map(mul, w, c)): c for c in cl} for w, cl in zip(powers, cands)]
-    terms, _ = _monopole_sum(prob, b, thr4, list(enumerate(powers)),
-                             dressed=False, counted=False)
+    base = 2 * b + 1
+
+    def number(c: Charge) -> int:
+        return sum(x * base ** i for i, x in enumerate(c))
+    names = [{number(c): c for c in cl} for cl in _candidates(prob, b)]
+    digits = [(v, number) for v in range(len(names))]
+    terms, _ = _monopole_sum(prob, b, thr4, digits, dressed=False, counted=False)
     return {tuple(map(dict.__getitem__, names, digits)): d4 for d4, digits in terms}
 
 
@@ -740,23 +746,24 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list, *,
     ``dressed``, P(m, t) is 1.  With ``dressed``, P(m, t) leaves out the
     factor 1/(1 - t^2) of each center (``_ENode.center``), which is the
     same at every charge: the caller multiplies the sum by (1 - t^2)^(-u)
-    once, u the number of centers.  Each digit ``(v, w)`` is a linear
-    functional d(m) = <w, m_v> of node v's charge.
+    once, u the number of centers.  Each digit ``(v, f)`` is an integer
+    function d(m) = f(m_v) of node v's charge.
 
     Returns ``{(4*Delta, digit values): coefficient}`` and
     ``{4*Delta: charge count}``, or None in place of the count when it is
     not ``counted``.
 
-    Monomials pack into one integer: since |d(m)| <= h = b * sum |w|,
-    digit j is a balanced digit of base 2h + 1 below the exponent, so
-    multiplying monomials adds keys.  The refined series gives each
-    refined U(r) node one digit, its topological charge (w = (1, ..., 1));
-    ``_box_charges`` gives each node one, whose own digits of base 2b + 1
-    are the node's entries.  Edges outside the spanning forest are handled
-    by conditioning on their early endpoints: for each assignment of that
-    cutset, the pinned nodes keep one candidate, each such edge's cost
-    joins the local term of its late endpoint, and the tree pass runs as
-    is.  The tree pass asks ``dress`` for the dressing degrees of its live
+    Monomials pack into one integer: h is the largest |f(c)| over node v's
+    candidates c in box b, so digit j is a balanced digit of base 2h + 1
+    below the exponent, and multiplying monomials adds keys.  The refined
+    series gives each refined U(r) node one digit, its topological charge
+    (h = b * r); the bouquet integral gives each refined leaf a 0/1 mark
+    (h = 1); ``_box_charges`` gives each node one, whose own digits of
+    base 2b + 1 are the node's entries (h = 0 at a fixed node).  Edges
+    outside the spanning forest are handled by conditioning on their
+    early endpoints: for each assignment of that cutset, the pinned nodes
+    keep one candidate, each such edge's cost joins the local term of its
+    late endpoint, and the tree pass runs as is.  The tree pass asks ``dress`` for the dressing degrees of its live
     candidates only, and ``dress`` computes them once per (group, fixed,
     charge) for the whole sum.  Each node multiplies its children's
     messages fewest digits in the subtree first, by a stable sort, so a
@@ -766,9 +773,9 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list, *,
     places: list = [[] for _ in nodes]
     radix = []  # (place, base, h) of each digit
     width = 1
-    for v, w in digits:
-        h = b * sum(map(abs, w))
-        places[v].append((width, w))
+    for v, f in digits:
+        h = max(abs(f(c)) for c in cands[v])
+        places[v].append((width, f))
         radix.append((width, 2 * h + 1, h))
         width *= 2 * h + 1
     spread = list(map(len, places))  # the digits in each node's subtree
@@ -787,7 +794,7 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list, *,
                 if nd.center:
                     degs.remove(1)
             degrees[key] = tuple(degs)
-        return degrees[key], sum(place * sum(map(mul, w, c)) for place, w in places[v])
+        return degrees[key], sum(place * f(c) for place, f in places[v])
 
     main: Counter = Counter()
     count: Counter = Counter()
@@ -834,12 +841,13 @@ def _hilbert_series(request: HSRequest, counted: bool):
     return series, bound, counts
 
 
-def _packed_sum(request: HSRequest, counted: bool):
+def _packed_sum(request: HSRequest, counted: bool, digit=sum):
     """Check ``request`` and run its monopole sum with every center left
     undressed.  Returns ``{(t-exponent, refined digits): coefficient}``,
     the number u of centers, whose series is that sum times
     (1 - t^2)^(-u), the refined ids in digit order, the proven charge box
-    and the charge counts of ``_hilbert_series``."""
+    and the charge counts of ``_hilbert_series``.  A refined node's digit
+    is ``digit`` of its charge, by default its topological charge."""
     q = request.quiver
     if request.ungauge is not None:
         q = ungauge(q, request.ungauge)
@@ -857,11 +865,11 @@ def _packed_sum(request: HSRequest, counted: bool):
             "diverges; one U(1) per such component must be ungauged "
             "(--ungauge <U(1) node id> pins one node)")
     refined = sorted(request.refined)
-    # Widest digit first: a refined node's digit has h = b * rank.
+    # Widest digit first: a topological charge has h = b * rank.
     prob = _Problem(q, sorted(refined, key=lambda nid: -q.node(nid).group.rank))
     thr4 = 2 * request.order
     bound = _proven_box(prob, thr4)
-    digits = [(prob.index[nid], (1,) * q.node(nid).group.rank) for nid in refined]
+    digits = [(prob.index[nid], digit) for nid in refined]
     terms, counts = _monopole_sum(prob, bound, thr4, digits, dressed=True,
                                   counted=counted)
     centers = sum(nd.center for nd in prob.nodes)
@@ -909,6 +917,11 @@ def bouquet_leaf_ids(n: int) -> list:
     return [f"b{i}" for i in range(1, n + 1)]
 
 
+def _check_leaf_count(n) -> None:
+    if type(n) is not int:  # nor bool
+        raise ValueError(f"n must be an int, got {n!r}")
+
+
 def refined_implosion_integral(n: int, order: int) -> TruncatedSeries:
     """Residue integral over the bouquet fugacities.
 
@@ -919,11 +932,13 @@ def refined_implosion_integral(n: int, order: int) -> TruncatedSeries:
     product, at the same truncation.  The result matches the
     nilpotent-cone closed form ``nilcone_reference_hs(n, order)``.
 
-    The constant terms are the digit-0 slice of the packed sum: its terms
-    whose refined digits are all 0.  They are read off before the sum is
+    The constant terms are the digit-0 slice of the packed sum: each
+    refined leaf's digit is a 0/1 mark, 1 where its topological charge is
+    nonzero, so the terms whose digits are all 0 are the charges at which
+    every refined leaf has charge 0.  They are read off before the sum is
     dressed by its u centers, and the integer series they form is
     multiplied by (1 - t^2)^((n - 1) - u); no Laurent coefficient is
-    built.
+    built.  ``n`` must be an int, else ``ValueError``.
 
     That match is the T[SU(n)] chain check and no more.  On any quiver,
     refining r U(1) nodes, multiplying by (1 - t^2)^r and taking the
@@ -933,6 +948,7 @@ def refined_implosion_integral(n: int, order: int) -> TruncatedSeries:
     flavor, whose Coulomb branch is the nilpotent cone; the bouquet's own
     Coulomb branch is not tested here.
     """
+    _check_leaf_count(n)
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
@@ -944,18 +960,22 @@ def implosion_series(n: int, order: int) -> tuple:
     """``(integral, bouquet)`` of bouquet(n), n >= 2, from one packed sum.
 
     The sum runs at order max(order, 2), with leaf b1 ungauged and the
-    other n-1 leaves refined.  ``integral`` is
+    other n-1 leaves refined, each through one 0/1 digit: 1 where its
+    topological charge is nonzero.  ``integral`` is
     ``refined_implosion_integral(n, order)``, its digit-0 slice.
     ``bouquet`` is the sum over every digit times (1 - t^2)^(-u), u the
     number of centers: every fugacity set to 1, which is the unrefined
     series of the ungauged bouquet to max(order, 2), its t^2 row included.
+    ``n`` must be an int, else ``ValueError``.
     """
+    _check_leaf_count(n)
     check_order(order)  # before max(order, 2) can hide a bad one
     top = max(order, 2)
     leaves = bouquet_leaf_ids(n)
     req = HSRequest(build_bouquet_quiver(n), top, refined=frozenset(leaves[1:]),
                     ungauge=leaves[0])
-    terms, centers, _, _, _ = _packed_sum(req, counted=False)
+    terms, centers, _, _, _ = _packed_sum(req, counted=False,
+                                          digit=lambda c: int(sum(c) != 0))
     const = {key: c for key, c in terms.items() if not any(key[1])}
     total = [0] * (top + 1)
     for (e, _), c in terms.items():

@@ -251,9 +251,9 @@ def test_implosion_check_solves_no_order_above_its_own(capsys, monkeypatch):
 
     packed_sum = engine._packed_sum
 
-    def recording(request, counted):
+    def recording(request, counted, *args, **kwargs):
         orders.append(request.order)
-        return packed_sum(request, counted)
+        return packed_sum(request, counted, *args, **kwargs)
     monkeypatch.setattr(engine, "_packed_sum", recording)
     for n, order, solved in ("8", "2", [2]), ("3", "12", [12]), ("3", "0", [2]):
         orders = []

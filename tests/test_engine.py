@@ -1207,6 +1207,42 @@ def test_centers_are_dressed_outside_the_tree_pass(monkeypatch):
     assert pairs[0] < 7224
 
 
+def test_integral_marks_each_leaf_with_one_zero_one_digit(monkeypatch):
+    # Bouquet(3) at K = 12 lies in box 6: each leaf's topological charge
+    # would be a digit of base 13 (width 169), but the integral and the t^2
+    # row need only whether it is 0, a digit of base 3 (width 9), which also
+    # cuts the tree pass below the 3138 term pairs of the topological digits.
+    import coulomb_hs.engine as engine
+    pairs, passes = [0], []
+    poly_mul, tree_pass = engine._poly_mul, engine._tree_pass
+
+    def counted(a, b, top):
+        pairs[0] += len(a) * len(b)
+        return poly_mul(a, b, top)
+
+    def recorded(prob, thr4, local4, cands, etab, width, *rest):
+        terms, counts = tree_pass(prob, thr4, local4, cands, etab, width, *rest)
+        passes.append((width, terms))
+        return terms, counts
+    monkeypatch.setattr(engine, "_poly_mul", counted)
+    monkeypatch.setattr(engine, "_tree_pass", recorded)
+    integral, bouquet = implosion_series(3, 12)
+    assert integral == nilcone_reference_hs(3, 12)
+    assert bouquet.coefficient(2) == 28
+    assert [width for width, _ in passes] == [9]
+    # Each key is X * 9 plus two balanced digits of base 3.
+    (_, terms), = passes
+    assert {(k + 4) % 9 // 3 ** j % 3 - 1 for k in terms for j in (0, 1)} == {0, 1}
+    assert pairs[0] < 3138
+
+
+def test_implosion_leaf_count_must_be_an_int():
+    for bad in True, 2.0:
+        for f in refined_implosion_integral, implosion_series:
+            with pytest.raises(ValueError, match=r"^n must be an int, got "):
+                f(bad, 4)
+
+
 def test_refined_integral_reads_constant_terms_off_the_packed_sum(monkeypatch):
     # The integral keeps the terms whose refined digits are all 0: no
     # Laurent coefficient is built and no constant term is taken.
