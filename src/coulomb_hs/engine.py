@@ -62,9 +62,12 @@ for the series alone (``coulomb_hilbert_series``) or the charge lists.
 Integer functions of a node's charge ride along as digits of one packed
 integer: the refined topological charges, a 0/1 mark per refined leaf for
 the bouquet integral, or each charge read as one number when the charges
-are listed.  Edges that close a cycle (every affine A_n quiver has one)
-are handled by conditioning on the charges of their early endpoints, a
-cycle cutset, and running the same pass once per assignment.
+are listed.  A fixed node sits at charge 0, so its edges are flavor
+edges of its gauge neighbours and it is a root of its own with one
+candidate: a fixed node on a cycle opens it.  Edges that close a cycle
+among gauge nodes are handled by conditioning on the charges of their
+early endpoints, a cycle cutset, and running the same pass once per
+assignment.
 
 The residual group of every charge of a U(n) or SO(2) gauge node holds
 the node's center, a U(1) whose Casimir of degree 1 gives P(m,t) the same
@@ -87,13 +90,14 @@ refined node (the largest rank; ties go to the first id in sorted
 order).  The root's digit enters only the final sum, as one shift per
 root candidate, while any other node's digit rides in every product at
 each ancestor and in every message, once per parent candidate: for the
-series of refined bouquet(3) at K = 12 this cuts the message terms from
-53 522 to 11 473.  Each node multiplies its children's messages
-digit-free first, in ascending order of the digits in the child's
-subtree, so each later factor meets a product still narrow in the
-digits: 3 138 product term pairs on that run instead of 6 171.  The
-integral's marks are narrower still, base 3 per leaf against 13 at
-K = 12: 4 058 message terms and 1 799 product term pairs.  A
+series of refined bouquet(3) at K = 12, counted without the count lane,
+this cuts the message terms from 53 453 to 11 404.  Each node multiplies
+its children's messages digit-free first, in ascending order of the
+digits in the child's subtree, so each later factor meets a product
+still narrow in the digits: 2 964 product term pairs on that run
+instead of 5 997.  The integral's marks are narrower still, base 3 per
+leaf against 13 at K = 12: 3 989 message terms and 1 625 product term
+pairs.  A
 component with a cycle keeps its first node, which heads the cutset,
 since a root with more candidates would multiply the passes.  The same
 edge type met from its other end reuses the table already built,
@@ -112,6 +116,7 @@ from operator import add, mul
 
 from .liedata import (
     Charge,
+    dominant_charge_count,
     dominant_charges,
     dressing_degrees,
     validate_charge,
@@ -181,13 +186,13 @@ class _ENode:
         # of every charge, dresses each charge by 1/(1 - t^2).
         self.center = not self.fixed and (
             node.group.family is Family.UNITARY or node.group == SO(2))
-        self.flavor = []  # _EEdge to each flavor node, which sits at charge 0
+        self.flavor = []  # _EEdge to each flavor or fixed node, at charge 0
 
 
 class _EEdge:
     """Hypermultiplet on the edge between node ``a`` and node ``b``.
 
-    ``b`` is -1 for a flavor node, whose charge is always ``zero``."""
+    ``b`` is -1 for a flavor or fixed node, whose charge is always ``zero``."""
 
     __slots__ = ("a", "b", "mult", "ortho", "so_first", "so_odd", "zero")
 
@@ -207,14 +212,15 @@ class _Problem:
         self.edges: list = []
         for (a, b), mult in sorted(Counter(quiver.edges).items()):
             na, nb = quiver.node(a), quiver.node(b)
-            if na.kind is NodeKind.FLAVOR:
+            if na.kind is not NodeKind.GAUGE:
                 na, nb = nb, na
-            if nb.kind is NodeKind.FLAVOR:
-                e = _EEdge(self.index[na.id], -1, mult, na.group, nb.group)
-                self.nodes[e.a].flavor.append(e)
-            else:
+            if nb.kind is NodeKind.GAUGE:
                 e = _EEdge(self.index[a], self.index[b], mult, na.group, nb.group)
                 self.edges.append(e)
+            else:  # a fixed node is a flavor; between two, the edge costs 0
+                e = _EEdge(self.index.get(na.id, -1), -1, mult, na.group, nb.group)
+                if na.kind is NodeKind.GAUGE:
+                    self.nodes[e.a].flavor.append(e)
             if e.ortho and mult > 1:
                 raise UnsupportedEdgeError(
                     f"edge {a!r}-{b!r}: orthosymplectic edge multiplicity "
@@ -393,10 +399,23 @@ def _table_memo(prob: _Problem):
     return table
 
 
+# The most table cells one box may need, at about 20 bytes each: above
+# the largest run on record, nilcone(5) at order 30 with 2.6e8 cells.
+MAX_TABLE_CELLS = 300_000_000
+
+
 def _candidates(prob: _Problem, b: int) -> list:
     """Each node's dominant charges with max |entry| <= b; a fixed node has
     only charge 0.  Nodes of one type (group, fixed) share one list, which
-    no consumer mutates."""
+    no consumer mutates.  Before any is built, ``EngineError`` ends a box
+    of more than ``MAX_TABLE_CELLS`` table cells, counted in closed form:
+    one per candidate (its node term) and one per pair of candidates of
+    each edge between gauge nodes, so the lists are bounded too."""
+    sizes = [1 if nd.fixed else dominant_charge_count(nd.group, b) for nd in prob.nodes]
+    cells = sum(sizes) + sum(sizes[e.a] * sizes[e.b] for e in prob.edges)
+    if cells > MAX_TABLE_CELLS:
+        raise EngineError(f"box {b} needs {cells} table cells, more than the "
+                          f"{MAX_TABLE_CELLS} allowed")
     shared: dict = {}
     for nd in prob.nodes:
         if (nd.group, nd.fixed) not in shared:

@@ -14,6 +14,7 @@ refinements).  Dominant chambers:
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import comb
 
 from .quiver import Family, GaugeGroup, QuiverError
 
@@ -147,3 +148,16 @@ def dominant_charges(g: GaugeGroup, bound: int) -> list:
             out.append(t[:-1] + (-t[-1],))
     out.sort(reverse=True)
     return out
+
+
+def dominant_charge_count(g: GaugeGroup, bound: int) -> int:
+    """``len(dominant_charges(g, bound))`` in closed form: the multisets of
+    r entries from 2*bound + 1 values for U(r), from bound + 1 values for
+    USp(2r) and SO(2r+1), and for SO(2r), SO(2) included, those plus the
+    ones with a positive last entry, whose sign flips."""
+    r = g.rank
+    if g.family is Family.UNITARY:
+        return comb(2 * bound + r, r)
+    if g.family is Family.SYMPLECTIC or g.n % 2:
+        return comb(bound + r, r)
+    return comb(bound + r, r) + comb(bound + r - 1, r)

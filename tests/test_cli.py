@@ -261,6 +261,21 @@ def test_implosion_check_solves_no_order_above_its_own(capsys, monkeypatch):
         assert (code, orders) == (0, solved), (n, order)
 
 
+def test_a_box_past_the_table_cell_limit_exits_2_at_once(capsys, monkeypatch):
+    # bouquet(90)'s box 1 would need 304 664 442 table cells, just past
+    # MAX_TABLE_CELLS (3e8): the run ends with exit 2 naming the count
+    # before any candidate list is built.
+    import coulomb_hs.engine as engine
+
+    def dominant_charges(*args):
+        raise AssertionError("a candidate list was built")
+    monkeypatch.setattr(engine, "dominant_charges", dominant_charges)
+    assert engine.MAX_TABLE_CELLS == 300_000_000
+    code, text, err = run(capsys, "implosion-check", "--n", "90", "--order", "0")
+    assert (code, text) == (2, "")
+    assert "box 1 needs 304664442 table cells, more than the 300000000 allowed" in err
+
+
 def test_refined_pl_is_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
     # The plethystic logarithm of a refined series is unsupported, which
     # the flags alone show; the flag check also comes before the refined

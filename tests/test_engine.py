@@ -2,11 +2,13 @@ import copy
 import random
 from fractions import Fraction
 from itertools import chain, product
+from operator import mul
 
 import pytest
 
 from coulomb_hs.engine import (
     BadTheoryError,
+    EngineError,
     HSRequest,
     QuiverCharge,
     bouquet_leaf_ids,
@@ -611,8 +613,9 @@ def affine_a2_triangle():
 
 
 def test_cycle_gives_sl3_minimal_orbit():
-    # The triangle is a non-tree graph; its Coulomb branch is the sl3
-    # minimal nilpotent orbit, HS = sum_k dim V(k theta) t^(2k) = sum (k+1)^3 t^(2k).
+    # The triangle is a non-tree graph, though the engine sees the pinned a
+    # as a flavor of b and c; its Coulomb branch is the sl3 minimal
+    # nilpotent orbit, HS = sum_k dim V(k theta) t^(2k) = sum (k+1)^3 t^(2k).
     s = coulomb_hilbert_series(HSRequest(affine_a2_triangle(), 8))
     assert [s.coefficient(k) for k in range(9)] == [1, 0, 8, 0, 27, 0, 64, 0, 125]
 
@@ -687,12 +690,29 @@ def type_e(n):
     return roots, [1] * n, theta
 
 
-def affine_a_cycle(n):
-    """n U(1) nodes in a cycle, with the first ungauged."""
+def affine_a_cycle(n, pin=0):
+    """n U(1) nodes u0..u(n-1) in a cycle, with node ``pin`` ungauged."""
     ids = [f"u{i}" for i in range(n)]
     nodes = [QuiverNode(i, NodeKind.GAUGE, U(1)) for i in ids]
     edges = [(ids[i], ids[(i + 1) % n]) for i in range(n)]
-    return ungauge(Quiver(nodes, edges), ids[0])
+    return ungauge(Quiver(nodes, edges), ids[pin])
+
+
+def flavored_ring(n):
+    """n U(1) nodes in a cycle with a U(1) flavor on u0 and nothing pinned,
+    so the cycle stays closed.  Its mirror is U(1) with n hypers of charge
+    1 and one of charge 0, so its Coulomb branch is the sl(n) minimal
+    orbit times C^2: HS = minimal orbit series / (1 - t)^2."""
+    ids = [f"u{i}" for i in range(n)]
+    nodes = [QuiverNode(i, NodeKind.GAUGE, U(1)) for i in ids]
+    nodes.append(QuiverNode("f", NodeKind.FLAVOR, U(1)))
+    return Quiver(nodes, [(ids[i], ids[(i + 1) % n]) for i in range(n)] + [("u0", "f")])
+
+
+def flavored_ring_series(n, order) -> list:
+    """The coefficients of ``flavored_ring(n)``'s series up to t^order."""
+    orbit = minimal_orbit_series(*type_a(n), order)
+    return [sum(orbit[j] * (k - j + 1) for j in range(k + 1)) for k in range(order + 1)]
 
 
 def affine_d4():
@@ -839,18 +859,21 @@ def affine_a3_square():
 
 
 def test_tree_is_rooted_at_its_first_preferred_node():
-    # bouquet(3) beside a triangle: the tree component is rooted at the
-    # first preferred node it holds, the cyclic one at its first node with
-    # the same spanning tree and cutset as without a preference.
-    bouquet, triangle = ungauge(build_bouquet_quiver(3), "b1"), affine_a2_triangle()
-    q = Quiver(bouquet.nodes + triangle.nodes, bouquet.edges + triangle.edges)
-    plain, prob = _Problem(q), _Problem(q, ["c", "b3", "b2"])
-    assert [plain.nodes[r].id for r in plain.roots] == ["g1", "a"]
-    assert [prob.nodes[r].id for r in prob.roots] == ["b3", "a"]
+    # bouquet(3) beside a ring with a flavor and nothing pinned: the tree
+    # component is rooted at the first preferred node it holds, the pinned
+    # b1 is a root of its own, and the ring, whose cycle stays closed, at
+    # its first node with the same spanning tree and cutset as without a
+    # preference.
+    bouquet, ring = ungauge(build_bouquet_quiver(3), "b1"), flavored_ring(3)
+    q = Quiver(bouquet.nodes + ring.nodes, bouquet.edges + ring.edges)
+    plain, prob = _Problem(q), _Problem(q, ["u2", "b3", "b2"])
+    assert [plain.nodes[r].id for r in plain.roots] == ["g1", "b1", "u0"]
+    assert [prob.nodes[r].id for r in prob.roots] == ["b3", "b1", "u0"]
     b3, g2 = prob.index["b3"], prob.index["g2"]
     assert prob.parent[g2] == b3 and prob.children[b3] == [g2]
     assert sorted(prob.preorder) == list(range(len(prob.nodes)))
-    cycle = [prob.index[i] for i in "abc"]
+    cycle = [prob.index[f"u{i}"] for i in range(3)]
+    assert any(prob.nontree[v] for v in cycle)
     for attr in ("parent", "parent_edge", "children", "nontree"):
         mine, theirs = getattr(prob, attr), getattr(plain, attr)
         assert [mine[v] for v in cycle] == [theirs[v] for v in cycle], attr
@@ -891,27 +914,32 @@ def test_refined_series_is_independent_of_node_order():
 def test_refined_cycle_matches_unpruned_box_sum():
     # A refined node on a cycle: the component keeps its first node as the
     # root, which heads the cutset, so the refined digits pass through the
-    # messages.  The box is one past the proven one.
-    q = affine_a3_square()
-    order = 8
-    for refined in (("a2",), ("a1",), ("a1", "a3")):
-        result = compute_hilbert_series(HSRequest(q, order, refined=frozenset(refined)))
-        want = hs_ref(q, order, result.stats.bound_reached + 1, refined=refined)
-        got = [topological_counts(result.series.coefficient(k), refined)
+    # messages.  On the square pinned at a0 the pinned node opens the
+    # cycle, so the same refinements run on a path.  The box is one past
+    # the proven one.
+    ring = flavored_ring(4)
+    assert any(_Problem(ring).nontree)
+    for q, order, ids in ((ring, 6, ("u2",)), (ring, 6, ("u1",)), (ring, 6, ("u1", "u3")),
+                          (affine_a3_square(), 8, ("a2",)), (affine_a3_square(), 8, ("a1",)),
+                          (affine_a3_square(), 8, ("a1", "a3"))):
+        result = compute_hilbert_series(HSRequest(q, order, refined=frozenset(ids)))
+        want = hs_ref(q, order, result.stats.bound_reached + 1, refined=ids)
+        got = [topological_counts(result.series.coefficient(k), ids)
                for k in range(order + 1)]
-        assert got == want, refined
+        assert got == want, ids
 
 
 def k4_two_node_cutset():
-    """K4 of U(1) nodes with "d" ungauged: the spanning tree is the path
-    a-b-c-d, and the three other edges close cycles at a, a and b, so the
-    sum conditions on the charges of two nodes.  A flavor on a tells a
-    from c."""
+    """K4 of U(1) nodes with a U(2) flavor on "a" and nothing pinned: the
+    spanning tree is the path a-b-c-d, and the three other edges close
+    cycles at a, a and b, so the sum conditions on the charges of two
+    nodes.  A pinned node would be a flavor and open the cycles through
+    it."""
     ids = "abcd"
     nodes = [QuiverNode(i, NodeKind.GAUGE, U(1)) for i in ids]
-    nodes.append(QuiverNode("f", NodeKind.FLAVOR, U(1)))
+    nodes.append(QuiverNode("f", NodeKind.FLAVOR, U(2)))
     edges = [(x, y) for k, x in enumerate(ids) for y in ids[k + 1:]] + [("a", "f")]
-    return ungauge(Quiver(nodes, edges), "d")
+    return Quiver(nodes, edges)
 
 
 def test_two_node_cutset_matches_unpruned_box_sum():
@@ -931,10 +959,12 @@ def test_two_node_cutset_matches_unpruned_box_sum():
 
 
 def test_cyclic_enumeration_matches_brute_force():
-    # The charge search runs once per cutset assignment: on a triangle and
-    # on the two-node cutset, its charges are exactly the dominant charges
-    # with Delta <= 3 in the box two past the proven one, shell by shell.
-    for q, count in ((affine_a2_triangle(), 37), (k4_two_node_cutset(), 21)):
+    # The charge search runs once per cutset assignment: on a ring with a
+    # flavor, on the two-node cutset and on a triangle opened by its pinned
+    # node, its charges are exactly the dominant charges with Delta <= 3 in
+    # the box two past the proven one, shell by shell.
+    for q, count in ((flavored_ring(3), 145), (k4_two_node_cutset(), 69),
+                     (affine_a2_triangle(), 37)):
         got = enumerate_charges(q, 3)
         bound = compute_hilbert_series(HSRequest(q, 6)).stats.bound_reached
         ids = [n.id for n in q.gauge_nodes]
@@ -952,10 +982,11 @@ def test_cyclic_enumeration_matches_brute_force():
 def test_edge_table_matches_reference():
     # The prefix-trie kernel against the matter term rebuilt from liedata
     # alone, cell by cell, with either endpoint as the parent: unitary
-    # edges of multiplicity 1 and 2, an edge to a fixed node, SO(2)-,
-    # SO(even)- and SO(odd)-USp edges, the edges of a cycle, including the
-    # one its cutset conditions on, and the flavor edges that make up the
-    # node terms: a doubled U(1) flavor and an SO(3) flavor on a USp node.
+    # edges of multiplicity 1 and 2, SO(2)-, SO(even)- and SO(odd)-USp
+    # edges, the edges of a cycle, including the one its cutset conditions
+    # on, and the flavor edges that make up the node terms: an edge to a
+    # fixed node, which is a flavor, a doubled U(1) flavor and an SO(3)
+    # flavor on a USp node.
     unitary = ungauge(Quiver(
         [QuiverNode("a", NodeKind.GAUGE, U(1)), QuiverNode("b", NodeKind.GAUGE, U(2)),
          QuiverNode("c", NodeKind.GAUGE, U(3)), QuiverNode("d", NodeKind.GAUGE, U(1)),
@@ -974,13 +1005,13 @@ def test_edge_table_matches_reference():
         prob = _Problem(q)
         groups = [nd.group for nd in prob.nodes]
         flavor = {prob.index[g]: q.node(f).group for edge in q.edges
-                  for g, f in (edge, edge[::-1]) if q.node(f).kind is NodeKind.FLAVOR}
+                  for g, f in (edge, edge[::-1]) if q.node(f).kind is not NodeKind.GAUGE}
+        assert not any(prob.nodes[v].fixed for e in prob.edges for v in (e.a, e.b))
         edges = [(e, groups[e.b]) for e in prob.edges]
         edges += [(f, flavor[v]) for v, nd in enumerate(prob.nodes) for f in nd.flavor]
         for e, gb in edges:
             ga = groups[e.a]
-            families.add((e.ortho, e.mult, e.b < 0 or prob.nodes[e.a].fixed
-                           or prob.nodes[e.b].fixed,
+            families.add((e.ortho, e.mult, e.b < 0,
                            e.ortho and (ga if e.so_first else gb).n))
         for b in range(4):
             cands = [[(0,) * nd.rank] if nd.fixed else dominant_charges(nd.group, b)
@@ -1000,6 +1031,7 @@ def test_edge_table_matches_reference():
     prob = _Problem(unitary)
     assert [(prob.nodes[u].id, prob.nodes[v].id)
             for v, late in enumerate(prob.nontree) for u, _ in late] == [("b", "d")]
+    assert [f.mult for f in prob.nodes[prob.index["b"]].flavor] == [1]  # the fixed a
 
 
 def test_edge_tables_are_shared_per_edge_type():
@@ -1047,7 +1079,9 @@ def test_reversed_edge_type_reuses_its_table_transposed(monkeypatch):
 
 def test_cycle_edges_reuse_the_tree_tables(monkeypatch):
     # One memo per box serves the tree edges and the edge that closes the
-    # cycle: on affine A3 the fixed-to-U(1) table of each box is built once.
+    # cycle: on a ring of four U(1)s with a flavor, the U(1)-U(1) table of
+    # each box is built once, after the flavor's column.  On affine A3 the
+    # pinned node is a flavor of its two neighbours, which share its column.
     import coulomb_hs.engine as engine
     built = []
 
@@ -1055,18 +1089,87 @@ def test_cycle_edges_reuse_the_tree_tables(monkeypatch):
         built.append((len(cands_p), len(cands_v)))
         return _edge_table(prob, e, p, cands_p, cands_v)
     monkeypatch.setattr(engine, "_edge_table", counted)
+    assert any(_Problem(flavored_ring(4)).nontree)
+    s = coulomb_hilbert_series(HSRequest(flavored_ring(4), 10))
+    assert built == [(3, 1), (3, 3), (21, 1), (21, 21)]
+    assert [s.coefficient(k) for k in range(11)] == flavored_ring_series(4, 10)
+    built.clear()
     s = coulomb_hilbert_series(HSRequest(affine_a_cycle(4), 10))
-    assert built == [(1, 3), (3, 3), (1, 11), (11, 11)]
+    assert built == [(3, 1), (3, 3), (11, 1), (11, 11)]
     assert [s.coefficient(k) for k in range(11)] == minimal_orbit_series(*type_a(4), 10)
+
+
+def test_pinned_node_opens_the_cycle_through_it(monkeypatch):
+    # A ring of six U(1)s pinned at u3: u3 is a flavor of u2 and u4, so the
+    # ring opens into a path with no cutset, and u3 is a root of its own
+    # with one candidate.  So one tree pass runs at K = 16, where the
+    # closed cycle ran one per candidate of its cutset node, 17, and the
+    # series is still the sl(6) minimal orbit's.
+    import coulomb_hs.engine as engine
+    q = affine_a_cycle(6, 3)
+    prob = _Problem(q)
+    u3 = prob.index["u3"]
+    assert not any(prob.nontree)
+    assert u3 in prob.roots and prob.children[u3] == [] and _candidates(prob, 2)[u3] == [(0,)]
+    passes = []
+    tree_pass = engine._tree_pass
+
+    def counted(*args):
+        passes.append(None)
+        return tree_pass(*args)
+    monkeypatch.setattr(engine, "_tree_pass", counted)
+    s = coulomb_hilbert_series(HSRequest(q, 16))
+    assert len(passes) == 1
+    assert [s.coefficient(k) for k in range(17)] == minimal_orbit_series(*type_a(6), 16)
+    assert coulomb_hilbert_series(HSRequest(affine_a_cycle(6), 16)) == s
+
+
+def test_pinned_leaf_sends_no_message(monkeypatch):
+    # implosion_series(3, 12) pins b1, which is then a flavor of the U(2)
+    # node rather than a child sending it one message per live candidate:
+    # 155 calls of _message in all, against 224 with b1 in the forest.
+    import coulomb_hs.engine as engine
+    calls = []
+    message = engine._message
+
+    def counted(*args):
+        calls.append(None)
+        return message(*args)
+    monkeypatch.setattr(engine, "_message", counted)
+    integral, _ = implosion_series(3, 12)
+    assert integral == nilcone_reference_hs(3, 12)
+    assert len(calls) == 155
+
+
+def test_table_cells_are_counted_before_any_list_is_built(monkeypatch):
+    # The guard counts one cell per candidate and one per pair of
+    # candidates of each edge between gauge nodes, from closed forms, and
+    # refuses a box past MAX_TABLE_CELLS before building a list.  The
+    # largest run on record, nilcone(5) at K = 30 (box 15), stays under it.
+    import coulomb_hs.engine as engine
+    from coulomb_hs.liedata import dominant_charge_count
+    prob = _Problem(ungauge(build_bouquet_quiver(4), "b1"))
+    cands = _candidates(prob, 2)
+    cells = sum(map(len, cands)) + sum(len(cands[e.a]) * len(cands[e.b]) for e in prob.edges)
+    monkeypatch.setattr(engine, "MAX_TABLE_CELLS", cells)
+    assert _candidates(prob, 2) == cands
+    monkeypatch.setattr(engine, "MAX_TABLE_CELLS", cells - 1)
+    monkeypatch.setattr(engine, "dominant_charges", None)  # no list is built
+    with pytest.raises(EngineError, match=f"box 2 needs {cells} table cells"):
+        _candidates(prob, 2)
+    monkeypatch.undo()
+    sizes = [dominant_charge_count(U(r), 15) for r in range(1, 5)]
+    assert sum(sizes) + sum(map(mul, sizes, sizes[1:])) < engine.MAX_TABLE_CELLS
 
 
 def test_live_parent_totals_are_exact_up_to_the_cutoff():
     # Read over live parents only, the totals equal the exact ones wherever
     # those are at most the cutoff and exceed the cutoff elsewhere: on
-    # trees and under every cutset assignment of three cyclic quivers.
+    # trees, including rings opened by their pinned node, and under every
+    # cutset assignment of three cyclic quivers.
     quivers = (ungauge(build_bouquet_quiver(4), "b1"), build_linear_nilpotent_quiver(4),
                build_dn_implosion_quiver(3), affine_a2_triangle(), affine_a_cycle(4),
-               k4_two_node_cutset())
+               flavored_ring(3), flavored_ring(4), k4_two_node_cutset())
     pruned = 0
     for q in quivers:
         prob = _Problem(q)
@@ -1088,7 +1191,7 @@ def test_shared_tables_are_never_mutated():
     # Repeated U(1) groups share candidate lists and edge tables, so no
     # consumer may change them in place: every stage of the sum and of
     # the search leaves box 2's lists and tables exactly as built.
-    for q in (affine_a2_triangle(), k4_two_node_cutset()):
+    for q in (affine_a2_triangle(), flavored_ring(3), k4_two_node_cutset()):
         prob = _Problem(q)
         cands = _candidates(prob, 2)
         local4, etab, cuts = _box_tables(prob, cands)

@@ -5,6 +5,7 @@ import pytest
 from coulomb_hs.liedata import (
     ChamberViolationError,
     casimir_degrees,
+    dominant_charge_count,
     dominant_charges,
     dressing_degrees,
     residual_stabilizer,
@@ -362,6 +363,17 @@ def test_dominant_charges_nesting_and_uniqueness():
             assert len(set(a)) == len(a)
             for m in a:
                 validate_charge(g, m)
+
+
+def test_dominant_charge_count_is_the_list_length():
+    # The closed forms the table-cell guard reads before any list is built:
+    # C(2b+r, r) for U(r), C(b+r, r) for USp(2r) and SO(2r+1), and
+    # C(b+r, r) + C(b+r-1, r) for SO(2r), SO(2) included.
+    groups = SMALL_GROUPS + [U(4), U(5), USp(8), SO(1), SO(8), SO(9), SO(10)]
+    for g in groups:
+        for b in range(5):
+            assert dominant_charge_count(g, b) == len(dominant_charges(g, b)), (g, b)
+    assert [dominant_charge_count(g, 1) for g in (U(3), USp(6), SO(7), SO(6))] == [10, 4, 4, 5]
 
 
 def test_dominant_charges_cover_weyl_orbits():

@@ -3,6 +3,7 @@ refined monomials) against the brute-force box sum on small random
 quivers."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -137,3 +138,44 @@ def test_engine_matches_brute_force(case, order):
     listed = enumerate_charges(q, Fraction(order, 2))
     assert sorted(c.charges for c in listed) == sorted(found)
     assert result.stats.charge_count == len(listed)
+
+
+def cell_weight(q, counts: dict) -> int:
+    """w(c), 2*Delta of the 0/1 charge that sets the top c_v entries of
+    each gauge node v to 1, from the counts alone: a node term
+    f_v c_v - 2 c_v (r_v - c_v), with every flavor or pinned neighbour
+    counted in f_v, plus c_u (r_v - c_v) + c_v (r_u - c_u) per edge
+    between gauge nodes, once per multiplicity."""
+    rank = {nd.id: nd.group.n for nd in q.gauge_nodes}
+    w = sum(-2 * c * (rank[v] - c) for v, c in counts.items())
+    for a, b in q.edges:
+        if a in rank and b in rank:
+            w += counts[a] * (rank[b] - counts[b]) + counts[b] * (rank[a] - counts[a])
+        elif a in rank or b in rank:
+            v, f = (a, b) if a in rank else (b, a)
+            w += q.node(f).group.n * counts[v]
+    return w
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(unitary_quivers(), unitary_quivers(cycles=1),
+                     unitary_quivers(cycles=2), unitary_quivers(forest=True)))
+def test_shell_one_minimum_is_twice_the_least_cell_weight(case):
+    # The proven box from a second side: on a unitary quiver, 4*Delta is
+    # linear on the cells of weak orderings of the entries around 0, so
+    # its least value c4 over shell 1 is at a 0/1 charge, c4 = 2 min w(c)
+    # over the nonzero count vectors c <= r.  A pinned node enters w as a
+    # flavor.  A bad theory has both sides <= 0.
+    q, _ = case
+    ids = [nd.id for nd in q.gauge_nodes]
+    least = min((cell_weight(q, dict(zip(ids, c)))
+                 for c in product(*(range(nd.group.n + 1) for nd in q.gauge_nodes))
+                 if any(c)), default=None)
+    c = shell_min_ref(q, 1)
+    if c is None:
+        assert least is None
+    elif c > 0:
+        assert 4 * c == 2 * least
+    else:
+        assert least <= 0
