@@ -8,15 +8,21 @@ at once).
 
 Exit codes: 0 success, 1 validation error, 2 computational error
 (divergent theory, unresolved decoupling, ...), 3 check failure.
+
+A well-formed command line is read without argparse, from the same
+declarations that build the argparse parser (``_parse``).  Help,
+--version, every usage error and any form the fast reading does not take
+(abbreviations, ``--opt=value``, ``--``, a value starting with "-") go
+through argparse, which alone prints messages.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
 import sys
+from functools import partial
+from types import SimpleNamespace
 
 from . import __version__
 from .engine import (
@@ -366,45 +372,10 @@ def cmd_check_suite(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's formatter at the width argparse would choose.  Given no
-    width, argparse imports shutil, which loads bz2, lzma and zlib, for
-    ``shutil.get_terminal_size().columns - 2``, and ``add_argument`` builds
-    a formatter per argument.  The same width is read here the way shutil
-    reads it: COLUMNS when that is a positive integer, else the width of
-    the terminal on ``sys.__stdout__``, else 80."""
-
-    def __init__(self, prog, indent_increment=2, max_help_position=24,
-                 width=None, **kwargs):
-        if width is None:
-            try:
-                columns = int(os.environ["COLUMNS"])
-            except (KeyError, ValueError):
-                columns = 0
-            if columns <= 0:
-                try:
-                    columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-                except (AttributeError, ValueError, OSError):
-                    columns = 0
-            width = (columns or 80) - 2
-        super().__init__(prog, indent_increment=indent_increment,
-                         max_help_position=max_help_position, width=width,
-                         **kwargs)
-
-
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit with EXIT_VALIDATION, not argparse's 2 (which
-    here means a computational error); help is laid out by _HelpFormatter.
-    Subparsers inherit both."""
-
-    def __init__(self, *args, formatter_class=_HelpFormatter, **kwargs):
-        super().__init__(*args, formatter_class=formatter_class, **kwargs)
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+#
+# Each subcommand's arguments are declared once, by its ``_add_*`` function,
+# through argparse's calls.  ``build_parser`` passes it an argparse subparser;
+# ``_parse`` passes it a ``_Declared``, which records the same calls.
 
 
 def _int_at_least(lo: int):
@@ -414,10 +385,13 @@ def _int_at_least(lo: int):
         try:
             n = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if n < lo:
-            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
-        return n
+            n = None
+        if n is not None and n >= lo:
+            return n
+        import argparse  # for the error alone: a good value loads nothing
+
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}" if n is None else f"must be at least {lo}, got {n}")
 
     return parse
 
@@ -491,31 +465,124 @@ _COMMANDS = {
     "check-suite": ("run every built-in check", _add_check_suite),
 }
 
+# The value an argument of each action takes when it is not given.
+_ACTION_DEFAULTS = {"store": None, "store_true": False, "store_false": True}
+_UNSET = object()
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; given a subcommand, only its parser is
-    built, which parses that subcommand exactly as the full parser does."""
-    ap = _Parser(
+
+class _Declared:
+    """The arguments of one subcommand, recorded from the argparse calls its
+    ``_add_*`` function makes, with argparse's rules for dest and defaults.
+    It takes positionals, options with the actions of _ACTION_DEFAULTS,
+    mutually exclusive groups and ``set_defaults``; any other declaration
+    raises here rather than be misread."""
+
+    def __init__(self):
+        self.arguments = []    # in declaration order
+        self.positionals = []
+        self.options = {}      # option string -> its argument
+        self.defaults = {}     # from set_defaults
+
+    def add_argument(self, *names, dest=None, action="store", type=None, choices=None,
+                     required=False, default=_UNSET, help=None, group=None):
+        positional = not names[0].startswith("-")
+        if dest is None:
+            dest = names[0] if positional else next(
+                (s for s in names if s.startswith("--")), names[0]
+            ).lstrip("-").replace("-", "_")
+        implied = _ACTION_DEFAULTS[action]  # a KeyError for any other action
+        if default is _UNSET:
+            default = self.defaults.get(dest, implied)
+        arg = SimpleNamespace(dest=dest, action=action, type=type, choices=choices,
+                              required=required or positional, default=default,
+                              group=group)
+        self.arguments.append(arg)
+        if positional:
+            self.positionals.append(arg)
+        else:
+            self.options.update(dict.fromkeys(names, arg))
+
+    def add_mutually_exclusive_group(self):
+        return SimpleNamespace(add_argument=partial(self.add_argument, group=object()))
+
+    def set_defaults(self, **defaults):
+        self.defaults.update(defaults)
+        for arg in self.arguments:
+            arg.default = defaults.get(arg.dest, arg.default)
+
+
+def _parse(argv):
+    """The namespace argparse gives for ``argv``, read from the declarations
+    without argparse; or None for any argv not in the plainest well-formed
+    shape: a subcommand, then its positionals and exact option strings, each
+    value a token of its own that does not start with "-".  Help, --version,
+    abbreviations, ``--opt=value``, ``--`` and every usage error are among
+    the None cases, and argparse parses them."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    declared = _Declared()
+    _COMMANDS[argv[0]][1](declared)
+    tokens, positionals = iter(argv[1:]), iter(declared.positionals)
+    values, chosen = {}, {}  # chosen: group -> the argument given from it
+    for token in tokens:
+        if token.startswith("-"):
+            arg = declared.options.get(token)
+            if arg is None:
+                return None
+            if arg.group is not None and chosen.setdefault(arg.group, arg) is not arg:
+                return None  # two arguments of one mutually exclusive group
+            if arg.action == "store":
+                token = next(tokens, "-")
+                if token.startswith("-"):  # none, or one argparse may not take
+                    return None
+        else:
+            arg = next(positionals, None)
+            if arg is None:
+                return None
+        if arg.action == "store":
+            try:
+                value = token if arg.type is None else arg.type(token)
+            except Exception:  # argparse reports it, or raises it again
+                return None
+            if arg.choices is not None and value not in arg.choices:
+                return None
+        else:
+            value = arg.action == "store_true"
+        values[arg.dest] = value  # a repeated option: the last one wins
+    if any(arg.required and arg.dest not in values for arg in declared.arguments):
+        return None
+    # As argparse: the first argument of a dest sets its default, which
+    # set_defaults has already updated, so set_defaults adds only new keys.
+    defaults = {arg.dest: arg.default for arg in reversed(declared.arguments)}
+    return SimpleNamespace(**{"command": argv[0], **declared.defaults, **defaults, **values})
+
+
+def build_parser():
+    """The argparse parser, which ``main`` builds only for an argv that
+    ``_parse`` does not read."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Usage errors exit with EXIT_VALIDATION, not argparse's 2 (which
+        here means a computational error).  Subparsers inherit this."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+    ap = Parser(
         prog="coulomb-hs",
         description="Exact Coulomb-branch Hilbert series via the monopole formula")
     ap.add_argument("--version", action="version", version=__version__)
-    # With one subcommand built, the metavar keeps every name in the
-    # top-level usage that errors such as unrecognized arguments print.
-    sub = ap.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
-    for name in [command] if command else _COMMANDS:
-        help_text, add_arguments = _COMMANDS[name]
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Build one subcommand's parser when argv names it; --help, --version
-    # and unknown commands need them all.
-    ap = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = ap.parse_args(argv)
+    args = _parse(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DecoupledU1UnresolvedError, EngineError) as exc:

@@ -364,6 +364,21 @@ def quiver_to_json(q: Quiver) -> dict:
     }
 
 
+_GROUP_FORM = '{"family": ..., "n": ...}'
+_NODE_FORM = '{"id": ..., "kind": ..., "group": ' + _GROUP_FORM + "}"
+
+
+def _json_object(value, keys: tuple, form: str, path: str) -> dict:
+    """``value`` if it is a JSON object holding every key of ``keys``; the
+    error names ``path`` and the expected ``form``."""
+    if not isinstance(value, dict):
+        raise QuiverValidationError(f"{path}: expected an object {form}, got {value!r}")
+    for key in keys:
+        if key not in value:
+            raise QuiverValidationError(f'{path}: missing "{key}"; expected {form}')
+    return value
+
+
 def quiver_from_json(obj: dict) -> Quiver:
     if not isinstance(obj, dict) or "nodes" not in obj:
         raise QuiverValidationError("quiver JSON must be an object with 'nodes'")
@@ -372,13 +387,14 @@ def quiver_from_json(obj: dict) -> Quiver:
             raise QuiverValidationError(f"{key}: expected a list")
     nodes = []
     for i, spec in enumerate(obj["nodes"]):
+        spec = _json_object(spec, ("id", "kind", "group"), _NODE_FORM, f"nodes[{i}]")
+        group = _json_object(spec["group"], ("family", "n"), _GROUP_FORM,
+                             f"nodes[{i}].group")
+        node_id, n = spec["id"], group["n"]
         try:
-            kind = NodeKind(spec["kind"])
-            family = Family(spec["group"]["family"])
-            n = spec["group"]["n"]
-            node_id = spec["id"]
-        except (KeyError, ValueError, TypeError) as exc:
-            raise QuiverValidationError(f"nodes[{i}]: malformed node: {exc}") from None
+            kind, family = NodeKind(spec["kind"]), Family(group["family"])
+        except ValueError as exc:  # the message names the enum
+            raise QuiverValidationError(f"nodes[{i}]: {exc}") from None
         if not isinstance(node_id, str):
             raise QuiverValidationError(
                 f"nodes[{i}].id: expected a string, got {node_id!r}")

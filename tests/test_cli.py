@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -322,9 +325,26 @@ def one_gauge_node(n):
      "edges[0][0]: expected a string, got 5"),
     ("hs", {**one_gauge_node(1), "edges": [["g", None]]},
      "edges[0][1]: expected a string, got None"),
+    ("hs", {**one_gauge_node(1), "nodes": [5]},
+     'nodes[0]: expected an object {"id": ..., "kind": ..., '
+     '"group": {"family": ..., "n": ...}}, got 5'),
+    ("hs", {**one_gauge_node(1), "nodes": [
+        {"id": "g", "kind": "gauge", "group": "U(1)"}]},
+     """nodes[0].group: expected an object {"family": ..., "n": ...}, got 'U(1)'"""),
+    ("hs", {**one_gauge_node(1), "nodes": [
+        {"id": "g", "kind": "gauge", "group": {"family": "U"}}]},
+     'nodes[0].group: missing "n"; expected {"family": ..., "n": ...}'),
+    ("hs", {**one_gauge_node(1), "nodes": [
+        {"id": "g", "group": {"family": "U", "n": 1}}]},
+     'nodes[0]: missing "kind"; expected {"id": ..., "kind": ..., '
+     '"group": {"family": ..., "n": ...}}'),
+    ("hs", {**one_gauge_node(1), "nodes": [
+        {"id": "g", "kind": "gauge", "group": {"family": "SU", "n": 2}}]},
+     "nodes[0]: 'SU' is not a valid Family"),
 ], ids=["nodes-int", "edges-int", "group-n-float", "group-n-bool", "columns-int",
         "column-int", "entry-float", "n-bool", "d-float", "n-negative", "d-negative",
-        "id-int", "edge-end-int", "edge-end-null"])
+        "id-int", "edge-end-int", "edge-end-null", "node-int", "group-string",
+        "group-missing-n", "node-missing-kind", "family-unknown"])
 def test_malformed_input_file_exits_1(tmp_path, capsys, command, obj, message):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
@@ -502,26 +522,83 @@ PARSER_SAMPLES = {
 }
 
 
-def parse_output(capsys, parser, argv):
-    """(exit code or None, stdout, stderr, parsed namespace or None)."""
-    try:
-        ns, code = vars(parser.parse_args(argv)), None
-    except SystemExit as exc:
-        ns, code = None, exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err, ns
+def argparse_result(argv):
+    """(exit code or None, stdout, stderr, namespace dict or None) of the
+    argparse parser alone on ``argv``."""
+    from coulomb_hs.cli import build_parser
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns, code = vars(build_parser().parse_args(argv)), None
+        except SystemExit as exc:
+            ns, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), ns
 
 
-def test_one_subcommand_parser_parses_as_the_full_parser(capsys):
-    from coulomb_hs.cli import _COMMANDS, build_parser
+def assert_fast_parse_agrees(argv):
+    """The fast parse of ``argv`` is None or argparse's namespace; returns it."""
+    from coulomb_hs.cli import _parse
+
+    fast = _parse(argv)
+    if fast is not None:
+        code, out, err, ns = argparse_result(argv)
+        assert (code, out, err, vars(fast)) == (None, "", "", ns), argv
+    return fast
+
+
+def benchmark_argvs():
+    """The command line of each benchmark workload, with its quiver file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    workloads = runpy.run_path(str(path))["WORKLOADS"]
+    return {name: [a.format(quiver="q.json") for a in w.argv]
+            for name, w in workloads.items()}
+
+
+# Read by the fast parse, each with argparse's namespace.
+FAST_ARGVS = [
+    ["generate", "nilpotent", "--n", "3"],
+    ["generate", "dn", "--n", "3", "--bouquet"],
+    ["generate", "dn", "--n", "3", "--flavor", "--flavor"],
+    ["generate", "--n", "4", "partial", "--partition", "2,2"],
+    ["hs", "--order", "4", "q.json"],
+    ["hs", "q.json", "--order", "4", "--order", " +6", "-o", "a", "--output", "b"],
+    ["hs", "q.json", "--ungauge", "", "--pl", "--pl"],
+    ["implosion-check", "--n", "2"],
+    ["check-suite"],
+]
+
+# Left to argparse: help, --version, forms it accepts that the fast parse
+# does not read, and usage errors.
+ARGPARSE_ARGVS = [
+    [], ["--help"], ["-h"], ["--version"], ["hs", "--help"], ["hs", "q.json", "-h"],
+    ["no-such-command"], ["--version", "hs", "q.json"],
+    ["hs", "q.json", "--ord", "4"], ["hs", "q.json", "--order=4", "--ungauge=b1"],
+    ["hs", "q.json", "-oout.json"], ["hs", "q.json", "--order", "-1"],
+    ["hs", "--", "q.json"], ["hs", "-"], ["hs", "q.json", "-o", "-"],
+    ["hs", "q.json", "--order", "x"], ["hs", "q.json", "--order"],
+    ["hs", "q.json", "--ungauge", "--pl"],
+    ["implosion-check", "--n", "1"], ["implosion-check", "--n", "x"],
+    ["generate", "bogus", "--n", "3"], ["generate", "dn"],
+    ["generate", "dn", "--n", "3", "--flavor", "--bouquet"],
+    ["hs"], ["hs", "q.json", "extra"], ["hs", "q.json", "--max-bound", "5"],
+    ["hs", "q.json", "--full"],
+]
+
+
+def test_fast_parse_agrees_with_argparse(capsys):
+    from coulomb_hs.cli import _COMMANDS
 
     assert list(PARSER_SAMPLES) == list(_COMMANDS)
-    for name, argv in PARSER_SAMPLES.items():
-        for args in (argv, [name, "--help"], argv + ["--bogus"], [name]):
-            one = parse_output(capsys, build_parser(name), args)
-            full = parse_output(capsys, build_parser(), args)
-            assert one == full, args
-        assert parse_output(capsys, build_parser(name), argv)[3]["command"] == name
+    workloads = benchmark_argvs()
+    assert len(workloads) == 4
+    for argv in [*PARSER_SAMPLES.values(), *workloads.values(), *FAST_ARGVS]:
+        fast = assert_fast_parse_agrees(argv)
+        assert fast is not None and fast.command == argv[0], argv
+    for argv in ARGPARSE_ARGVS:
+        assert assert_fast_parse_agrees(argv) is None, argv
+    fast = assert_fast_parse_agrees(FAST_ARGVS[5])  # the last one wins
+    assert (fast.order, fast.output) == (6, "b")
     with pytest.raises(SystemExit) as exc:
         main(["--help", "hs"])
     out = capsys.readouterr().out
@@ -531,24 +608,84 @@ def test_one_subcommand_parser_parses_as_the_full_parser(capsys):
         assert help_text in out, name
 
 
+# Values good and bad for each kind of argument, and tokens the fast parse
+# leaves to argparse: abbreviations, "=" forms, help, "--" and strays.
+INT_VALUES = ["0", "1", "2", "3", "8", " 4", "-1", "x", "2.5"]
+TEXT_VALUES = ["b1", "b2,b3", "q.json", "", "-"]
+STRAY_PIECES = [["--ord", "4"], ["--order=4"], ["--n=3"], ["--ungauge=b1"],
+                ["-oout.json"], ["--fl"], ["--"], ["-h"], ["--help"], ["--version"],
+                ["--bogus"], ["extra"]]
+
+
+def argv_pieces(command):
+    """Pieces of a command line for ``command``: a list per required argument
+    of its pieces (each positional value, or the option with each value of
+    its kind), then one list of every piece, flags and strays included."""
+    from coulomb_hs.cli import _COMMANDS, _Declared
+
+    declared = _Declared()
+    _COMMANDS[command][1](declared)
+
+    def pieces(arg):
+        if any(arg is p for p in declared.positionals):
+            return [[v] for v in [*(arg.choices or ["q.json"]), "bogus"]]
+        options = [o for o, a in declared.options.items() if a is arg]
+        if arg.action != "store":
+            return [[o] for o in options]
+        return [[o, v] for o in options for v in (INT_VALUES if arg.type else TEXT_VALUES)]
+
+    by_argument = [pieces(arg) for arg in declared.arguments]
+    required = [p for arg, p in zip(declared.arguments, by_argument) if arg.required]
+    return required, [piece for p in by_argument for piece in p] + STRAY_PIECES
+
+
+def test_fast_parse_agrees_with_argparse_on_drawn_argv():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    from coulomb_hs.cli import _COMMANDS
+
+    def argvs(command):
+        # One piece for each required argument, a few more of any kind,
+        # in any order.
+        required, every = argv_pieces(command)
+        drawn = st.tuples(*map(st.sampled_from, required),
+                          st.lists(st.sampled_from(every), max_size=3))
+        return drawn.flatmap(lambda d: st.permutations([*d[:-1], *d[-1]])).map(
+            lambda pieces: [command, *(token for piece in pieces for token in piece)])
+
+    accepted = []
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(argv=st.sampled_from(list(_COMMANDS)).flatmap(argvs))
+    def check(argv):
+        accepted.append(assert_fast_parse_agrees(argv) is not None)
+
+    check()
+    # Enough drawn command lines are read (105 of 400) for the namespaces
+    # to be compared, not only the None cases.
+    assert sum(accepted) >= 60
+
+
 def test_cli_import_skips_dataclasses_inspect_and_typing():
     # Nor does it load Gale duality or the balance bookkeeping, which only
-    # gale, report and check-suite use.
+    # gale, report and check-suite use, or argparse, which only help,
+    # --version and usage errors use.
     src = str(Path(coulomb_hs.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import coulomb_hs, coulomb_hs.cli; "
             "print(sorted({'dataclasses', 'inspect', 'typing', 'coulomb_hs.gale', "
-            "'coulomb_hs.balance'} & set(sys.modules)))")
+            "'coulomb_hs.balance', 'argparse', 'gettext', 'locale'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "[]", "")
 
 
 def test_cold_hs_run_skips_shutil(tmp_path):
-    # Given no width, argparse's formatter imports shutil, and with it bz2,
-    # lzma and zlib, to read the terminal width; the CLI's formatter reads
-    # that width without it.  Neither a cold hs run nor a cold
-    # implosion-check run loads Gale duality or the balance bookkeeping.
+    # A well-formed command line is read without argparse, which would load
+    # gettext and locale, and shutil (with bz2, lzma and zlib) for help.
+    # Neither a cold hs run nor a cold implosion-check run loads Gale
+    # duality or the balance bookkeeping.
     b3 = tmp_path / "b3.json"
     assert main(["generate", "bouquet", "--n", "3", "-o", str(b3)]) == 0
     src = str(Path(coulomb_hs.__file__).resolve().parents[1])
@@ -559,7 +696,8 @@ def test_cold_hs_run_skips_shutil(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    code = main(json.loads(sys.argv[2]))",
         "print(code, sorted({'shutil', 'bz2', 'lzma', 'coulomb_hs.gale',",
-        "                    'coulomb_hs.balance'} & set(sys.modules)))",
+        "                    'coulomb_hs.balance', 'argparse', 'gettext', 'locale'}",
+        "                   & set(sys.modules)))",
     ])
     for argv in (["hs", str(b3), "--order", "2", "--ungauge", "b1", "--json"],
                  ["implosion-check", "--n", "2", "--order", "4"]):
@@ -568,11 +706,11 @@ def test_cold_hs_run_skips_shutil(tmp_path):
         assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "0 []", ""), argv
 
 
-# Runs every help and usage-error command line of HELP_ARGVS through main(),
-# first as the CLI builds its parsers, then with argparse's own formatter,
-# and writes both lists of (argv, exit code, stdout, stderr) as JSON.
+# Runs every command line of HELP_ARGVS through main(), first as it is,
+# then with the fast parse switched off so that argparse alone reads each
+# one, and writes both lists of (argv, exit code, stdout, stderr) as JSON.
 HELP_CHILD = """
-import argparse, contextlib, io, json, sys
+import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from coulomb_hs import cli
 
@@ -589,17 +727,22 @@ def outputs():
     return rows
 
 ours = outputs()
-cli._Parser.__init__.__kwdefaults__["formatter_class"] = argparse.HelpFormatter
+cli._parse = lambda argv: None
 with open(sys.argv[3], "w", encoding="utf-8") as fh:
     json.dump([ours, outputs()], fh)
 """
 
-HELP_ARGVS = ([["--help"]] + [[name, "--help"] for name in PARSER_SAMPLES]
-              + [["hs", "x", "--order", "y"]])
+# Help and --version (exit 0), then usage errors (exit 1).
+HELP_ARGVS = ([["--help"], ["--version"]] + [[name, "--help"] for name in PARSER_SAMPLES]
+              + [["hs", "x", "--order", "y"], ["hs"], [], ["no-such-command"],
+                 ["implosion-check", "--n", "1"],
+                 ["generate", "dn", "--n", "3", "--flavor", "--bouquet"],
+                 ["hs", "x", "--order", "4", "--max-bound", "5"]])
+HELP_CODES = [0] * (2 + len(PARSER_SAMPLES)) + [1] * 7
 
 
 def help_outputs(tmp_path, columns=None, stdout=subprocess.DEVNULL):
-    """The CLI's and argparse's outputs for HELP_ARGVS, in a child with
+    """main()'s and argparse's outputs for HELP_ARGVS, in a child with
     COLUMNS set to ``columns`` (unset when None) and the given stdout."""
     env = {k: v for k, v in os.environ.items() if k not in ("COLUMNS", "LINES")}
     if columns is not None:
@@ -613,8 +756,9 @@ def help_outputs(tmp_path, columns=None, stdout=subprocess.DEVNULL):
 
 @pytest.mark.parametrize("columns", [None, "0", "abc", "40", "200"])
 def test_help_and_usage_match_argparse_width(tmp_path, columns):
+    # Help, --version and usage errors are argparse's, at any help width.
     ours, reference = help_outputs(tmp_path, columns)
-    assert [row[1] for row in ours] == [0] * (len(HELP_ARGVS) - 1) + [1]
+    assert [row[1] for row in ours] == HELP_CODES
     for mine, theirs in zip(ours, reference):
         assert mine == theirs, mine[0]
 
@@ -626,9 +770,7 @@ def test_help_on_a_terminal_matches_argparse_width(tmp_path):
     import termios
 
     seen = {}
-    # Python 3.10's shutil keeps a terminal's 0 columns, where later ones
-    # (and the CLI) fall back to 80.
-    for cols in (50, 120) + ((0,) if sys.version_info >= (3, 11) else ()):
+    for cols in (0, 50, 120):
         main_fd, child_fd = pty.openpty()
         try:
             fcntl.ioctl(child_fd, termios.TIOCSWINSZ, struct.pack("HHHH", 24, cols, 0, 0))
