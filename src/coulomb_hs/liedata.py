@@ -120,6 +120,12 @@ def dressing_degrees(g: GaugeGroup, m: Charge) -> list:
     """Casimir degrees of the residual stabilizer, ready for the dressing
     factor: the zero block's, then 1..k per U(k) factor."""
     validate_charge(g, m)
+    return _dressing_degrees(g, m)
+
+
+def _dressing_degrees(g: GaugeGroup, m: Charge) -> list:
+    """``dressing_degrees`` of a charge known to be dominant, unvalidated:
+    the engine's charges all come from ``dominant_charges``."""
     n0, sizes = _residual_blocks(g, m)
     out = list(_casimir_degrees(g.family, n0)) if n0 else []
     for k in sizes:

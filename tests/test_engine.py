@@ -1141,6 +1141,57 @@ def test_pinned_leaf_sends_no_message(monkeypatch):
     assert len(calls) == 155
 
 
+def test_interchangeable_leaves_send_one_message(monkeypatch):
+    # At K = 4 the four gauged U(1) leaves of bouquet(5), b1 ungauged, fold
+    # into one: its cost row and message count once per leaf, so 35 calls
+    # of _message in all, against 65 unfolded; dn(4)'s SO(2) leaves, 25
+    # against 34.  A refined leaf carries a digit and stays apart: 43 calls
+    # with b2 refined, and 63 with all four, which is no fold.  The charges,
+    # and the series against the unfolded forest, do not change.
+    import coulomb_hs.engine as engine
+    calls = []
+    message = engine._message
+
+    def counted(*args):
+        calls.append(None)
+        return message(*args)
+    monkeypatch.setattr(engine, "_message", counted)
+    b5 = build_bouquet_quiver(5)
+    prob = _Problem(ungauge(b5, "b1"))
+    assert [[prob.nodes[v].id for v in vs] for vs in prob.twins] == [["b2", "b3", "b4", "b5"]]
+    cases = ((HSRequest(b5, 4, ungauge="b1"), 35, 245),
+             (HSRequest(build_dn_implosion_quiver(4), 4), 25, 318),
+             (HSRequest(b5, 4, frozenset({"b2"}), "b1"), 43, 245),
+             (HSRequest(b5, 4, frozenset(bouquet_leaf_ids(5)[1:]), "b1"), 63, 245))
+    folded = []
+    for req, want, count in cases:
+        calls.clear()
+        folded.append(compute_hilbert_series(req))
+        assert (len(calls), folded[-1].stats.charge_count) == (want, count), req
+    monkeypatch.setattr(_Problem, "forest",
+                        lambda self, marked=(): (self.preorder, self.children))
+    for (req, _, _), result in zip(cases, folded):
+        assert compute_hilbert_series(req).series == result.series, req
+
+
+def test_solve_validates_no_candidate(monkeypatch):
+    # Every candidate comes from dominant_charges, so the sum reads its
+    # dressing degrees unvalidated; the public dressing_degrees validates.
+    import coulomb_hs.engine as engine
+    import coulomb_hs.liedata as liedata
+    calls = []
+    validate = liedata.validate_charge
+
+    def counted(g, m):
+        calls.append(m)
+        return validate(g, m)
+    monkeypatch.setattr(liedata, "validate_charge", counted)
+    monkeypatch.setattr(engine, "validate_charge", counted)
+    result = compute_hilbert_series(HSRequest(build_bouquet_quiver(5), 4, ungauge="b1"))
+    assert result.series.coefficient(2) == 28 and calls == []
+    assert liedata.dressing_degrees(U(2), (1, 1)) == [1, 2] and calls == [(1, 1)]
+
+
 def test_table_cells_are_counted_before_any_list_is_built(monkeypatch):
     # The guard counts one cell per candidate and one per pair of
     # candidates of each edge between gauge nodes, from closed forms, and
@@ -1204,7 +1255,7 @@ def test_shared_tables_are_never_mutated():
             sub_cost, best, root_min = _min_tables(prob, loc, tab)
             _totals(prob, tab, sub_cost, best, root_min)
             _totals(prob, tab, sub_cost, best, root_min, 12)
-            _tree_pass(prob, 12, loc, lab, tab, 1, dress, prob.children, True)
+            _tree_pass(prob, 12, loc, lab, tab, 1, dress, prob.forest(), True)
         _box_charges(prob, 2, 12)
         assert (cands, local4, etab, cuts) == before, q
 
@@ -1218,7 +1269,7 @@ def test_dressing_is_priced_on_demand(monkeypatch):
     def counted(g, m):
         calls.append((g, m))
         return dressing_degrees(g, m)
-    monkeypatch.setattr(engine, "dressing_degrees", counted)
+    monkeypatch.setattr(engine, "_dressing_degrees", counted)
     q = build_bouquet_quiver(5)
     result = compute_hilbert_series(HSRequest(q, 4, ungauge="b1"))
     assert result.series.coefficient(2) == 28

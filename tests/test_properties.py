@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from coulomb_hs.engine import (
     BadTheoryError,
@@ -179,3 +179,96 @@ def test_shell_one_minimum_is_twice_the_least_cell_weight(case):
         assert 4 * c == 2 * least
     else:
         assert least <= 0
+
+
+def least_cell_weight(q):
+    """The least ``cell_weight`` over the nonzero count vectors: half the
+    c4 of the proven box, by the test above."""
+    ids = [nd.id for nd in q.gauge_nodes]
+    return min(cell_weight(q, dict(zip(ids, c)))
+               for c in product(*(range(nd.group.n + 1) for nd in q.gauge_nodes))
+               if any(c))
+
+
+@st.composite
+def twin_leaf_quivers(draw, cycle=False):
+    """A core path of one to three gauge nodes (u0 of rank 1 or 2, the rest
+    U(1)) with a flavor on u0, or with ``cycle`` a triangle of three, whose
+    cycle cutset u0 heads; hanging off a drawn core node, k = 2 or 3
+    copies of one U(1) leaf, each with the same edge multiplicity and the
+    same flavor.  On the triangle they hang off u0, or off u1 as copies of
+    its leaf u2, which closes the cycle and must stay apart.  Paired with
+    the copies and with a refined set that may hold one copy, which then
+    carries a digit and must not fold."""
+    n = 3 if cycle else draw(st.integers(1, 3))
+    ids = [f"u{i}" for i in range(n)]
+    nodes = [QuiverNode(i, NodeKind.GAUGE, U(draw(st.integers(1, 2)) if i == "u0" else 1))
+             for i in ids]
+    nodes.append(QuiverNode("f", NodeKind.FLAVOR, U(draw(st.integers(1, 2)))))
+    edges = [(ids[i - 1], ids[i]) for i in range(1, n)] + [("u0", "f")]
+    if cycle:
+        edges.append(("u0", "u2"))
+    parent = draw(st.sampled_from(ids[:2] if cycle else ids))
+    if cycle and parent == "u1":  # copies of u2, which must stay apart
+        mult, f = 1, 0
+    else:
+        mult, f = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    copies = [f"t{j}" for j in range(draw(st.integers(2, 3)))]
+    for t in copies:
+        nodes.append(QuiverNode(t, NodeKind.GAUGE, U(1)))
+        edges += [(parent, t)] * mult
+        if f:
+            nodes.append(QuiverNode(f"f{t}", NodeKind.FLAVOR, U(f)))
+            edges.append((t, f"f{t}"))
+    return Quiver(nodes, edges), copies, frozenset(copies[:draw(st.integers(0, 1))])
+
+
+def copies_beside_a_leaf(cycle: bool) -> tuple:
+    """The path u0-u1-u2 of U(1)s, closed into a triangle with ``cycle``,
+    with a U(1) flavor on u0 and two U(1) copies t0, t1 on u1.  On the
+    triangle they copy the leaf u2, which closes the cycle; on the path
+    they differ from it by a U(1) flavor each.  Only the copies fold."""
+    nodes = [QuiverNode(i, NodeKind.GAUGE, U(1)) for i in ("u0", "u1", "u2", "t0", "t1")]
+    nodes.append(QuiverNode("f", NodeKind.FLAVOR, U(1)))
+    edges = [("u0", "u1"), ("u1", "u2"), ("u1", "t0"), ("u1", "t1"), ("u0", "f")]
+    if cycle:
+        edges.append(("u0", "u2"))
+    else:
+        nodes += [QuiverNode(f"f{t}", NodeKind.FLAVOR, U(1)) for t in ("t0", "t1")]
+        edges += [("t0", "ft0"), ("t1", "ft1")]
+    return Quiver(nodes, edges), ["t0", "t1"], frozenset()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(twin_leaf_quivers(), twin_leaf_quivers(cycle=True)),
+       order=st.integers(0, 3))
+@example(case=copies_beside_a_leaf(cycle=True), order=3)
+@example(case=copies_beside_a_leaf(cycle=False), order=3)
+def test_copied_leaves_fold_without_changing_the_sum(case, order):
+    # The copies of a leaf fold into one, also under a cutset node, and a
+    # refined copy stays apart: the box is the closed form's, and the
+    # series and the charge count are the brute-force box sum's.
+    q, copies, refined = case
+    prob = _Problem(q)
+    marked = {prob.index[t] for t in refined}
+    kept, _ = prob.forest(marked)
+    cls, = [set(vs) for vs in prob.twins if prob.index[copies[-1]] in vs]
+    assert {prob.index[t] for t in copies} <= cls and marked <= set(kept)
+    assert len(cls - set(kept)) == len(cls - marked) - 1
+    req = HSRequest(q, order, refined=refined)
+    least = least_cell_weight(q)
+    if least <= 0:
+        with pytest.raises(BadTheoryError):
+            compute_hilbert_series(req)
+        return
+    result = compute_hilbert_series(req)
+    assert result.stats.bound_reached == order // least
+    ids = sorted(refined)
+    charges = charges_ref(q, order, result.stats.bound_reached)
+    want = series_ref(q, order, charges, refined=ids or None)
+    got = [result.series.coefficient(k) for k in range(order + 1)]
+    if ids:
+        got = [topological_counts(x, ids) for x in got]
+    assert got == want
+    assert result.stats.charge_count == len(charges)
