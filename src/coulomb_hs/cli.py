@@ -14,11 +14,16 @@ declarations that build the argparse parser (``_parse``).  Help,
 --version, every usage error and any form the fast reading does not take
 (abbreviations, ``--opt=value``, ``--``, a value starting with "-") go
 through argparse, which alone prints messages.
+
+A command runs with the cyclic garbage collector paused (``main``): the
+engine builds no reference cycles, which a test checks, so a collection
+during a solve would find nothing.  Library calls leave the collector
+alone.
 """
 
 from __future__ import annotations
 
-import hashlib
+import gc
 import json
 import sys
 from functools import partial
@@ -66,6 +71,8 @@ EXIT_CHECK_FAILED = 3
 
 
 def _hash_payload(payload) -> str:
+    import hashlib  # OpenSSL's start-up is paid only by commands that hash
+
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -583,6 +590,10 @@ def build_parser():
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv) or build_parser().parse_args(argv)
+    # The collector is paused for the command alone (see the module
+    # docstring); the caller's state comes back on every exit path.
+    paused = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (DecoupledU1UnresolvedError, EngineError) as exc:
@@ -591,6 +602,9 @@ def main(argv=None) -> int:
     except (QuiverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        if paused:
+            gc.enable()
 
 
 if __name__ == "__main__":

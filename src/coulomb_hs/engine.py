@@ -118,7 +118,6 @@ from __future__ import annotations
 import time
 from collections import Counter, namedtuple
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
 from itertools import chain, compress, product
 from math import comb
 from operator import add, mul
@@ -631,6 +630,8 @@ def _box_charges(prob: _Problem, b: int, thr4: int) -> dict:
 def enumerate_charges(q: Quiver, delta_max) -> list:
     """All dominant charges with Delta(m) <= delta_max, an int or Fraction,
     shell by shell of equal max |entry| and sorted within each shell."""
+    from fractions import Fraction
+
     if type(delta_max) not in (int, Fraction) or delta_max < 0:  # nor bool
         raise ValueError(
             f"delta_max must be a nonnegative int or Fraction, got {delta_max!r}")
@@ -653,6 +654,8 @@ def enumerate_charges(q: Quiver, delta_max) -> list:
 def delta(q: Quiver, charge) -> Fraction:
     """Conformal dimension of the bare monopole of charge m, always a
     half-integer."""
+    from fractions import Fraction
+
     prob = _Problem(q)
     return Fraction(_delta4(prob, prob.coerce_charge(charge)), 4)
 

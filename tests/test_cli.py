@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -295,6 +296,75 @@ def test_refined_pl_is_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
                               "--ungauge", "b1", "--refine", refine, "--pl")
         assert code == 1 and not text, refine
         assert "error: plethystic logarithm of refined series is unsupported" in err
+
+
+def test_a_command_runs_with_the_collector_paused(tmp_path, capsys, monkeypatch):
+    # Inside a command the cyclic collector is off, so the benchmark's four
+    # command lines make no collection at all.
+    import coulomb_hs.cli as cli
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return fn(*args, **kwargs)
+        return wrapped
+    seen = []
+    monkeypatch.setattr(cli, "compute_hilbert_series", recording(cli.compute_hilbert_series))
+    monkeypatch.setattr(cli, "implosion_series", recording(cli.implosion_series))
+    files = {}
+    for kind, flags in (("bouquet", ["--n", "5"]),
+                        ("partial", ["--n", "4", "--partition", "2,2"]),
+                        ("dn", ["--n", "5", "--flavor"])):
+        files[kind] = str(tmp_path / f"{kind}.json")
+        assert main(["generate", kind, *flags, "-o", files[kind]]) == 0
+    benchmark_argvs = (
+        ["hs", files["bouquet"], "--ungauge", "b1", "--order", "4", "--json", "--pl"],
+        ["hs", files["partial"], "--ungauge", "l1_1", "--order", "6", "--json", "--pl"],
+        ["implosion-check", "--n", "3", "--order", "12"],
+        ["hs", files["dn"], "--order", "6", "--json", "--pl"],
+    )
+
+    def count(phase, info):
+        starts.append(phase == "start")
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        for argv in benchmark_argvs:
+            starts = []
+            assert (main(argv), sum(starts)) == (0, 0), argv
+            capsys.readouterr()
+    finally:
+        gc.callbacks.remove(count)
+        if not enabled:
+            gc.disable()
+    assert seen == [False] * 4
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled):
+    # On every exit path: success, a validation error (exit 1), a
+    # computational error (exit 2) and argparse's SystemExit for --help;
+    # a caller that had paused the collector finds it still paused.
+    qf = tmp_path / "b3.json"
+    run(capsys, "generate", "bouquet", "--n", "3", "-o", str(qf))
+    cases = ((["hs", str(qf), "--order", "2", "--ungauge", "b1"], 0),
+             (["hs", str(qf), "--order", "2", "--ungauge", "b1", "--refine", "zz"], 1),
+             (["hs", str(qf), "--order", "2"], 2),
+             (["hs", "--help"], SystemExit))
+    before = gc.isenabled()
+    try:
+        for argv, outcome in cases:
+            (gc.enable if enabled else gc.disable)()
+            if outcome is SystemExit:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == outcome, argv
+            assert gc.isenabled() is enabled, argv
+            capsys.readouterr()
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 def one_gauge_node(n):
@@ -669,13 +739,15 @@ def test_fast_parse_agrees_with_argparse_on_drawn_argv():
 
 def test_cli_import_skips_dataclasses_inspect_and_typing():
     # Nor does it load Gale duality or the balance bookkeeping, which only
-    # gale, report and check-suite use, or argparse, which only help,
-    # --version and usage errors use.
+    # gale, report and check-suite use, argparse, which only help,
+    # --version and usage errors use, or fractions (with decimal), which
+    # only delta and enumerate_charges use.
     src = str(Path(coulomb_hs.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import coulomb_hs, coulomb_hs.cli; "
             "print(sorted({'dataclasses', 'inspect', 'typing', 'coulomb_hs.gale', "
-            "'coulomb_hs.balance', 'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+            "'coulomb_hs.balance', 'argparse', 'gettext', 'locale', 'fractions', "
+            "'decimal', '_hashlib'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "[]", "")
@@ -685,7 +757,8 @@ def test_cold_hs_run_skips_shutil(tmp_path):
     # A well-formed command line is read without argparse, which would load
     # gettext and locale, and shutil (with bz2, lzma and zlib) for help.
     # Neither a cold hs run nor a cold implosion-check run loads Gale
-    # duality or the balance bookkeeping.
+    # duality, the balance bookkeeping or fractions (with decimal); only hs,
+    # which hashes its input for the manifest, loads OpenSSL's _hashlib.
     b3 = tmp_path / "b3.json"
     assert main(["generate", "bouquet", "--n", "3", "-o", str(b3)]) == 0
     src = str(Path(coulomb_hs.__file__).resolve().parents[1])
@@ -696,14 +769,15 @@ def test_cold_hs_run_skips_shutil(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    code = main(json.loads(sys.argv[2]))",
         "print(code, sorted({'shutil', 'bz2', 'lzma', 'coulomb_hs.gale',",
-        "                    'coulomb_hs.balance', 'argparse', 'gettext', 'locale'}",
-        "                   & set(sys.modules)))",
+        "                    'coulomb_hs.balance', 'argparse', 'gettext', 'locale',",
+        "                    'fractions', 'decimal', '_hashlib'} & set(sys.modules)))",
     ])
-    for argv in (["hs", str(b3), "--order", "2", "--ungauge", "b1", "--json"],
-                 ["implosion-check", "--n", "2", "--order", "4"]):
+    for argv, loaded in (
+            (["hs", str(b3), "--order", "2", "--ungauge", "b1", "--json"], "['_hashlib']"),
+            (["implosion-check", "--n", "2", "--order", "4"], "[]")):
         done = subprocess.run([sys.executable, "-S", "-c", code, src, json.dumps(argv)],
                               capture_output=True, text=True, timeout=60)
-        assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "0 []", ""), argv
+        assert (done.returncode, done.stdout.strip(), done.stderr) == (0, f"0 {loaded}", ""), argv
 
 
 # Runs every command line of HELP_ARGVS through main(), first as it is,

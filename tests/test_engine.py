@@ -1,4 +1,5 @@
 import copy
+import gc
 import random
 from fractions import Fraction
 from itertools import chain, product
@@ -1459,3 +1460,45 @@ def test_compute_stats_reproducible():
     assert a.series == b.series
     assert a.stats.charge_count == b.stats.charge_count
     assert a.stats.bound_reached == b.stats.bound_reached
+
+
+# ---------------------------------------------------------------------------
+# reference cycles
+
+
+def test_monopole_sums_leave_no_cyclic_garbage():
+    # The CLI pauses the cyclic collector while a command runs, which is
+    # safe while the engine builds no reference cycles: with the collector
+    # off, no path below leaves anything for it to find.
+    e6 = ungauge(build_partial_implosion_quiver(4, [2, 2]), "l1_1")
+    diverging = Quiver([QuiverNode("g", NodeKind.GAUGE, U(2)),
+                        QuiverNode("f", NodeKind.FLAVOR, U(1))], [("g", "f")])
+
+    def bad_theory():
+        with pytest.raises(BadTheoryError):
+            compute_hilbert_series(HSRequest(diverging, 4))
+    paths = {
+        "dn(5) with its flavor": lambda: compute_hilbert_series(
+            HSRequest(build_dn_implosion_quiver(5, with_flavor=True), 4)),
+        "flavored 4-ring, the cutset path": lambda: compute_hilbert_series(
+            HSRequest(flavored_ring(4), 4)),
+        "ring pinned at u0": lambda: compute_hilbert_series(
+            HSRequest(affine_a_cycle(4), 4)),
+        "nilcone(5) refined at g1, g2": lambda: compute_hilbert_series(
+            HSRequest(build_linear_nilpotent_quiver(5), 4, refined=frozenset({"g1", "g2"}))),
+        "implosion_series(3, 8)": lambda: implosion_series(3, 8),
+        "enumerate_charges on pinned affine E6": lambda: enumerate_charges(e6, 2),
+        "BadTheoryError": bad_theory,
+        "coulomb_hilbert_series on bouquet(3)": lambda: coulomb_hilbert_series(
+            HSRequest(build_bouquet_quiver(3), 4, ungauge="b1")),
+    }
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, path in paths.items():
+            path()
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()

@@ -103,12 +103,51 @@ def orthosymplectic_chains(draw):
     return Quiver(nodes, edges), frozenset()
 
 
+def unitary_case(ranks, edges, flavors=(), pin=None, refined=()):
+    """One case of ``unitary_quivers``' shape, written out: U(r) nodes u0,
+    u1, ... joined by the index pairs of ``edges``, a U(f) flavor on u<i>
+    for each (i, f) in ``flavors``, u<pin> ungauged and the ``refined``
+    ids.  Hypothesis draws its cases from a digest of the test's source,
+    so a case that must be covered is an ``@example``."""
+    ids = [f"u{i}" for i in range(len(ranks))]
+    nodes = [QuiverNode(i, NodeKind.GAUGE, U(r)) for i, r in zip(ids, ranks)]
+    edges = [(ids[a], ids[b]) for a, b in edges]
+    for i, f in flavors:
+        nodes.append(QuiverNode(f"f{ids[i]}", NodeKind.FLAVOR, U(f)))
+        edges.append((ids[i], f"f{ids[i]}"))
+    q = Quiver(nodes, edges)
+    return (q if pin is None else ungauge(q, ids[pin])), frozenset(refined)
+
+
+# A U(2) on a 4-cycle with a flavor, which the cutset conditions on.
+FLAVORED_SQUARE = unitary_case([2, 1, 1, 1], [(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 2)])
+# A 4-cycle with two chords, so two edges close cycles.
+TWO_CHORDS = unitary_case([1, 1, 1, 1], [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)], [(0, 1)])
+# U(2) and U(1) joined by a doubled edge.
+DOUBLED_EDGE = unitary_case([2, 1], [(0, 1), (0, 1)], [(0, 1), (1, 1)])
+# A U(2) star with two refined nodes.
+REFINED_STAR = unitary_case([2, 1, 1], [(0, 1), (0, 2)], [(0, 1), (1, 1)],
+                            refined={"u0", "u1"})
+# u0 with a pinned u1, beside u2 with a flavor of its own.
+PINNED_FOREST = unitary_case([1, 1, 1], [(0, 1)], [(0, 1), (2, 2)], pin=1)
+# SO(3)-USp(2) with an odd SO flavor on the USp end.
+ODD_SO_CHAIN = (Quiver(
+    [QuiverNode("c0", NodeKind.GAUGE, SO(3)), QuiverNode("c1", NodeKind.GAUGE, USp(2)),
+     QuiverNode("f0", NodeKind.FLAVOR, USp(2)), QuiverNode("f1", NodeKind.FLAVOR, SO(5))],
+    [("c0", "c1"), ("c0", "f0"), ("c1", "f1")]), frozenset())
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=st.one_of(unitary_quivers(), unitary_quivers(cycles=1),
                      unitary_quivers(cycles=2), unitary_quivers(forest=True),
                      orthosymplectic_chains()),
        order=st.integers(0, 4))
+@example(case=FLAVORED_SQUARE, order=4)
+@example(case=TWO_CHORDS, order=4)
+@example(case=PINNED_FOREST, order=4)
+@example(case=ODD_SO_CHAIN, order=4)
+@example(case=REFINED_STAR, order=4)
 def test_engine_matches_brute_force(case, order):
     q, refined = case
     req = HSRequest(q, order, refined=refined)
@@ -161,6 +200,8 @@ def cell_weight(q, counts: dict) -> int:
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=st.one_of(unitary_quivers(), unitary_quivers(cycles=1),
                      unitary_quivers(cycles=2), unitary_quivers(forest=True)))
+@example(case=FLAVORED_SQUARE)
+@example(case=DOUBLED_EDGE)
 def test_shell_one_minimum_is_twice_the_least_cell_weight(case):
     # The proven box from a second side: on a unitary quiver, 4*Delta is
     # linear on the cells of weak orderings of the entries around 0, so
