@@ -60,14 +60,13 @@ make its child live.  A second lane with dressing 1 counts the charges;
 it runs only where the count is read (``compute_hilbert_series``), not
 for the series alone (``coulomb_hilbert_series``) or the charge lists.
 Integer functions of a node's charge ride along as digits of one packed
-integer: the refined topological charges, a 0/1 mark per refined leaf for
-the bouquet integral, or each charge read as one number when the charges
-are listed.  A fixed node sits at charge 0, so its edges are flavor
-edges of its gauge neighbours and it is a root of its own with one
-candidate: a fixed node on a cycle opens it.  Edges that close a cycle
-among gauge nodes are handled by conditioning on the charges of their
-early endpoints, a cycle cutset, and running the same pass once per
-assignment.
+integer: the refined topological charges, or each charge read as one
+number when the charges are listed.  A fixed node sits at charge 0, so
+its edges are flavor edges of its gauge neighbours and it is a root of
+its own with one candidate: a fixed node on a cycle opens it.  Edges that
+close a cycle among gauge nodes are handled by conditioning on the
+charges of their early endpoints, a cycle cutset, and running the same
+pass once per assignment.
 
 Leaves that cannot be told apart are priced once.  Gauge leaves of one
 parent with one group, one parent edge multiplicity and the same flavor
@@ -84,14 +83,6 @@ factor 1/(1 - t^2) at every charge.  So the tree pass dresses each node
 without its center, a U(1) node with dressing 1, and the packed sum is
 multiplied once by (1 - t^2)^(-u), u the number of such nodes; the
 messages' cuts stay exact, as that factor has no negative power of t.
-The refined bouquet integral needs only the constant term in every
-fugacity, the charges at which every refined leaf has topological charge
-0, so each leaf's digit is a 0/1 mark, 1 where that charge is nonzero.
-The terms whose marks are all 0 are that constant term, read straight
-from the packed sum, and the center factor applies to that integer
-series alone.  The same sum over every digit, every fugacity set to 1,
-is the ungauged bouquet's own unrefined series, so ``implosion_series``
-gives both from one sum, run to at least t^2 for the bouquet's t^2 row.
 
 Each component of the forest is rooted at its first node, except that
 the refined series roots a component with no cycle at its widest
@@ -104,13 +95,10 @@ this cuts the message terms from 53 453 to 11 404.  Each node multiplies
 its children's messages digit-free first, in ascending order of the
 digits in the child's subtree, so each later factor meets a product
 still narrow in the digits: 2 964 product term pairs on that run
-instead of 5 997.  The integral's marks are narrower still, base 3 per
-leaf against 13 at K = 12: 3 989 message terms and 1 625 product term
-pairs.  A
-component with a cycle keeps its first node, which heads the cutset,
-since a root with more candidates would multiply the passes.  The same
-edge type met from its other end reuses the table already built,
-transposed.
+instead of 5 997.  A component with a cycle keeps its first node, which
+heads the cutset, since a root with more candidates would multiply the
+passes.  The same edge type met from its other end reuses the table
+already built, transposed.
 """
 
 from __future__ import annotations
@@ -138,6 +126,7 @@ from .quiver import (
     Quiver,
     QuiverError,
     build_bouquet_quiver,
+    build_linear_nilpotent_quiver,
     decoupled_u1_count,
     ungauge,
 )
@@ -825,8 +814,7 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list, *,
     candidates c in box b, so digit j is a balanced digit of base 2h + 1
     below the exponent, and multiplying monomials adds keys.  The refined
     series gives each refined U(r) node one digit, its topological charge
-    (h = b * r); the bouquet integral gives each refined leaf a 0/1 mark
-    (h = 1); ``_box_charges`` gives each node one, whose own digits of
+    (h = b * r); ``_box_charges`` gives each node one, whose own digits of
     base 2b + 1 are the node's entries (h = 0 at a fixed node).  Edges
     outside the spanning forest are handled by conditioning on their
     early endpoints: for each assignment of that cutset, the pinned nodes
@@ -900,30 +888,17 @@ def coulomb_hilbert_series(request: HSRequest) -> TruncatedSeries:
 
 
 def _hilbert_series(request: HSRequest, counted: bool):
-    """The series, the proven charge box and, when ``counted``, the charge
-    counts ``{4*Delta: count}`` (else None)."""
-    terms, centers, refined, bound, counts = _packed_sum(request, counted)
-    rows: dict = {}
-    for (e, tops), coeff in _times_one_minus_t2(terms, -centers, request.order).items():
-        rows.setdefault(e, {})[
-            tuple((nid, s) for nid, s in zip(refined, tops) if s)] = coeff
-    series = TruncatedSeries(request.order,
-                             {e: Laurent(row) for e, row in rows.items()},
-                             frozenset(refined))
-    return series, bound, counts
-
-
-def _packed_sum(request: HSRequest, counted: bool, digit=sum):
-    """Check ``request`` and run its monopole sum with every center left
-    undressed.  Returns ``{(t-exponent, refined digits): coefficient}``,
-    the number u of centers, whose series is that sum times
-    (1 - t^2)^(-u), the refined ids in digit order, the proven charge box
-    and the charge counts of ``_hilbert_series``.  A refined node's digit
-    is ``digit`` of its charge, by default its topological charge."""
+    """Check ``request`` and run its monopole sum.  Returns the series, the
+    proven charge box and, when ``counted``, the charge counts
+    ``{4*Delta: count}`` (else None).  A refined node's digit is its
+    topological charge.  The sum leaves each of its u centers undressed,
+    so it is multiplied once by (1 - t^2)^(-u), whose coefficient of
+    t^(2j) is the integer c_j = c_(j-1) * (u - 1 + j) / j, with c_0 = 1."""
     q = request.quiver
     if request.ungauge is not None:
         q = ungauge(q, request.ungauge)
-    check_order(request.order)
+    order = request.order
+    check_order(order)
     for nid in request.refined:
         node = q.node(nid)
         if node.kind is not NodeKind.GAUGE or node.group.family is not Family.UNITARY:
@@ -939,30 +914,24 @@ def _packed_sum(request: HSRequest, counted: bool, digit=sum):
     refined = sorted(request.refined)
     # Widest digit first: a topological charge has h = b * rank.
     prob = _Problem(q, sorted(refined, key=lambda nid: -q.node(nid).group.rank))
-    thr4 = 2 * request.order
+    thr4 = 2 * order
     bound = _proven_box(prob, thr4)
-    digits = [(prob.index[nid], digit) for nid in refined]
+    digits = [(prob.index[nid], sum) for nid in refined]
     terms, counts = _monopole_sum(prob, bound, thr4, digits, dressed=True,
                                   counted=counted)
     centers = sum(nd.center for nd in prob.nodes)
-    return ({(x // 2, tops): c for (x, tops), c in terms.items()}, centers,
-            refined, bound, counts)
-
-
-def _times_one_minus_t2(terms: dict, k: int, order: int) -> dict:
-    """``terms``, keyed ``(t-exponent, rest)``, times (1 - t^2)^k for any
-    integer k, cut at ``order``.  The factor's coefficient of t^(2j) is
-    (-1)^j binom(k, j), which is binom(j - k - 1, j) when k < 0: the
-    integer c_j = c_(j-1) * (j - 1 - k) / j, with c_0 = 1."""
     factor = [1]
     for j in range(1, order // 2 + 1):
-        factor.append(factor[-1] * (j - 1 - k) // j)
-    out: dict = {}
-    for (e, rest), c in terms.items():
-        for j in range((order - e) // 2 + 1):
-            key = e + 2 * j, rest
-            out[key] = out.get(key, 0) + c * factor[j]
-    return out
+        factor.append(factor[-1] * (centers - 1 + j) // j)
+    rows: dict = {}
+    for (x, tops), coeff in terms.items():
+        mono = tuple((nid, s) for nid, s in zip(refined, tops) if s)
+        for j, e in enumerate(range(x // 2, order + 1, 2)):
+            row = rows.setdefault(e, {})
+            row[mono] = row.get(mono, 0) + coeff * factor[j]
+    series = TruncatedSeries(order, {e: Laurent(row) for e, row in rows.items()},
+                             frozenset(refined))
+    return series, bound, counts
 
 
 def symmetry_dimension(s: TruncatedSeries) -> int:
@@ -995,66 +964,38 @@ def _check_leaf_count(n) -> None:
 
 
 def refined_implosion_integral(n: int, order: int) -> TruncatedSeries:
-    """Residue integral over the bouquet fugacities.
+    """Residue integral over the bouquet fugacities: the refined series of
+    bouquet(n) with leaf b1 ungauged and the other n-1 leaves refined, times
+    (1 - t^2)^(n-1), constant term in every fugacity.  ``n`` must be an
+    int, else ``ValueError``.
 
-    Ungauges the first bouquet U(1), refines the remaining n-1 with one
-    fugacity each, extracts the constant term in every fugacity and
-    multiplies the resulting integer series by (1 - t^2)^(n-1).  That
-    factor carries no fugacity, so this is the constant term of the
-    product, at the same truncation.  The result matches the
-    nilpotent-cone closed form ``nilcone_reference_hs(n, order)``.
-
-    The constant terms are the digit-0 slice of the packed sum: each
-    refined leaf's digit is a 0/1 mark, 1 where its topological charge is
-    nonzero, so the terms whose digits are all 0 are the charges at which
-    every refined leaf has charge 0.  They are read off before the sum is
-    dressed by its u centers, and the integer series they form is
-    multiplied by (1 - t^2)^((n - 1) - u); no Laurent coefficient is
-    built.  ``n`` must be an int, else ``ValueError``.
-
-    That match is the T[SU(n)] chain check and no more.  On any quiver,
-    refining r U(1) nodes, multiplying by (1 - t^2)^r and taking the
-    constant terms equals ungauging those nodes: the constant term in z_v
-    keeps the charges with m_v = 0, at which a U(1) dresses by
+    That integral is the unrefined series of the T[SU(n)] chain
+    ``build_linear_nilpotent_quiver(n)``, and is computed as that series.
+    On any quiver, refining r U(1) nodes, multiplying by (1 - t^2)^r and
+    taking the constant terms equals ungauging those nodes: the constant
+    term in z_v keeps the charges with m_v = 0, at which a U(1) dresses by
     1/(1 - t^2).  Ungauging every leaf leaves the chain with a U(n)
-    flavor, whose Coulomb branch is the nilpotent cone; the bouquet's own
-    Coulomb branch is not tested here.
+    flavor, whose Coulomb branch is the nilpotent cone, so the result
+    matches ``nilcone_reference_hs(n, order)``: the T[SU(n)] chain check
+    and no more.  The bouquet's own Coulomb branch is not tested here.
     """
     _check_leaf_count(n)
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return TruncatedSeries.one(order)
-    return implosion_series(n, order)[0]
+    return coulomb_hilbert_series(HSRequest(build_linear_nilpotent_quiver(n), order))
 
 
 def implosion_series(n: int, order: int) -> tuple:
-    """``(integral, bouquet)`` of bouquet(n), n >= 2, from one packed sum.
-
-    The sum runs at order max(order, 2), with leaf b1 ungauged and the
-    other n-1 leaves refined, each through one 0/1 digit: 1 where its
-    topological charge is nonzero.  ``integral`` is
-    ``refined_implosion_integral(n, order)``, its digit-0 slice.
-    ``bouquet`` is the sum over every digit times (1 - t^2)^(-u), u the
-    number of centers: every fugacity set to 1, which is the unrefined
-    series of the ungauged bouquet to max(order, 2), its t^2 row included.
-    ``n`` must be an int, else ``ValueError``.
+    """``(integral, bouquet)``: ``refined_implosion_integral(n, order)`` and
+    the unrefined series of bouquet(n), leaf b1 ungauged, to t^2, the rows
+    that ``implosion-check`` reads.  The bouquet, the wider quiver, is
+    solved first, so a box too large for either is named by the
+    bouquet's.  ``n`` must be an int, else ``ValueError``.
     """
     _check_leaf_count(n)
-    check_order(order)  # before max(order, 2) can hide a bad one
-    top = max(order, 2)
-    leaves = bouquet_leaf_ids(n)
-    req = HSRequest(build_bouquet_quiver(n), top, refined=frozenset(leaves[1:]),
-                    ungauge=leaves[0])
-    terms, centers, _, _, _ = _packed_sum(req, counted=False,
-                                          digit=lambda c: int(sum(c) != 0))
-    const = {key: c for key, c in terms.items() if not any(key[1])}
-    total = [0] * (top + 1)
-    for (e, _), c in terms.items():
-        total[e] += c
-
-    def series(part: dict, k: int, cut: int) -> TruncatedSeries:
-        return TruncatedSeries(cut, {
-            e: c for (e, _), c in _times_one_minus_t2(part, k, cut).items()})
-    return (series(const, n - 1 - centers, order),
-            series({(e, ()): c for e, c in enumerate(total) if c}, -centers, top))
+    check_order(order)  # before the bouquet's solve, which runs at t^2
+    bouquet = coulomb_hilbert_series(HSRequest(
+        build_bouquet_quiver(n), 2, ungauge=bouquet_leaf_ids(n)[0]))
+    return refined_implosion_integral(n, order), bouquet

@@ -343,13 +343,12 @@ def test_hs_refined_to_one_matches_unrefined():
     plain = coulomb_hilbert_series(HSRequest(q, 4, ungauge="b1"))
     assert refined.substitute_ones() == plain
     assert refined.fugacities == frozenset({"b2", "b3"})
-    # One refined sum gives the implosion check both series: its sum over
-    # every digit is the unrefined bouquet, run to at least t^2, and its
-    # digit-0 slice the integral.
+    # The implosion check's two series: the unrefined bouquet to t^2, at
+    # any order, and the integral to the order asked.
     for n, order in (2, 8), (3, 6), (4, 4), (3, 1), (3, 0):
         integral, bouquet = implosion_series(n, order)
         assert bouquet == coulomb_hilbert_series(HSRequest(
-            build_bouquet_quiver(n), max(order, 2), ungauge="b1")), (n, order)
+            build_bouquet_quiver(n), 2, ungauge="b1")), (n, order)
         assert integral == nilcone_reference_hs(n, order), (n, order)
     for bad in -1, True:
         with pytest.raises(SeriesError):
@@ -489,9 +488,12 @@ def test_refined_integral_takes_constant_terms_before_the_prefactor():
     # (1 - t^2)^(n-1) carries no fugacity, so the constant terms of the
     # refined series times it are the constant terms times it, at one
     # truncation.
-    for n, order in ((2, 8), (3, 8)):
+    # The integral is computed as the chain's series, so this pins the
+    # refined bouquet's constant terms to it, at the implosion check's
+    # sizes too.
+    for n, order in ((2, 8), (3, 8), (3, 12), (4, 8)):
         assert refined_implosion_integral(n, order) == \
-            bouquet_constant_terms(n, order, n - 1), n
+            bouquet_constant_terms(n, order, n - 1), (n, order)
 
 
 def test_refined_integral_negative_control():
@@ -503,7 +505,7 @@ def test_refined_integral_of_one_leaf_solves_nothing(monkeypatch):
 
     def solve(req, counted):
         raise AssertionError("solved")
-    monkeypatch.setattr(engine, "_packed_sum", solve)
+    monkeypatch.setattr(engine, "_hilbert_series", solve)
     with pytest.raises(ValueError, match="need n >= 1"):
         refined_implosion_integral(0, 4)
     assert refined_implosion_integral(1, 4) == TruncatedSeries.one(4)
@@ -1126,9 +1128,10 @@ def test_pinned_node_opens_the_cycle_through_it(monkeypatch):
 
 
 def test_pinned_leaf_sends_no_message(monkeypatch):
-    # implosion_series(3, 12) pins b1, which is then a flavor of the U(2)
-    # node rather than a child sending it one message per live candidate:
-    # 155 calls of _message in all, against 224 with b1 in the forest.
+    # Refined bouquet(3) at K = 12 pins b1, which is then a flavor of the
+    # U(2) node rather than a child sending it one message per live
+    # candidate: 155 calls of _message in all, against 224 with b1 in the
+    # forest.
     import coulomb_hs.engine as engine
     calls = []
     message = engine._message
@@ -1137,9 +1140,11 @@ def test_pinned_leaf_sends_no_message(monkeypatch):
         calls.append(None)
         return message(*args)
     monkeypatch.setattr(engine, "_message", counted)
-    integral, _ = implosion_series(3, 12)
-    assert integral == nilcone_reference_hs(3, 12)
+    s = coulomb_hilbert_series(HSRequest(
+        build_bouquet_quiver(3), 12, refined=frozenset({"b2", "b3"}), ungauge="b1"))
     assert len(calls) == 155
+    s = s * one_minus_power(2, 12) ** 2
+    assert s.constant_term("b2").constant_term("b3") == nilcone_reference_hs(3, 12)
 
 
 def test_interchangeable_leaves_send_one_message(monkeypatch):
@@ -1338,7 +1343,7 @@ def test_digit_free_messages_are_multiplied_first(monkeypatch):
 def test_centers_are_dressed_outside_the_tree_pass(monkeypatch):
     # Refined bouquet(3) at K = 12: every U(1) candidate is priced with no
     # dressing degree, as its center's 1/(1 - t^2) multiplies the sum once,
-    # and the tree pass costs fewer term pairs than the 7224 of dressing
+    # and the tree pass costs 2964 term pairs against the 7029 of dressing
     # each center at every charge.
     import coulomb_hs.engine as engine
     pairs, priced = [0], []
@@ -1356,39 +1361,13 @@ def test_centers_are_dressed_outside_the_tree_pass(monkeypatch):
         return tree_pass(prob, thr4, local4, cands, etab, width, dress_recorded, *rest)
     monkeypatch.setattr(engine, "_poly_mul", counted)
     monkeypatch.setattr(engine, "_tree_pass", recorded)
-    assert refined_implosion_integral(3, 12) == nilcone_reference_hs(3, 12)
+    s = coulomb_hilbert_series(HSRequest(
+        build_bouquet_quiver(3), 12, refined=frozenset({"b2", "b3"}), ungauge="b1"))
     leaves = [degrees for g, degrees in priced if g == U(1)]
     assert leaves and not any(leaves)
-    assert pairs[0] < 7224
-
-
-def test_integral_marks_each_leaf_with_one_zero_one_digit(monkeypatch):
-    # Bouquet(3) at K = 12 lies in box 6: each leaf's topological charge
-    # would be a digit of base 13 (width 169), but the integral and the t^2
-    # row need only whether it is 0, a digit of base 3 (width 9), which also
-    # cuts the tree pass below the 3138 term pairs of the topological digits.
-    import coulomb_hs.engine as engine
-    pairs, passes = [0], []
-    poly_mul, tree_pass = engine._poly_mul, engine._tree_pass
-
-    def counted(a, b, top):
-        pairs[0] += len(a) * len(b)
-        return poly_mul(a, b, top)
-
-    def recorded(prob, thr4, local4, cands, etab, width, *rest):
-        terms, counts = tree_pass(prob, thr4, local4, cands, etab, width, *rest)
-        passes.append((width, terms))
-        return terms, counts
-    monkeypatch.setattr(engine, "_poly_mul", counted)
-    monkeypatch.setattr(engine, "_tree_pass", recorded)
-    integral, bouquet = implosion_series(3, 12)
-    assert integral == nilcone_reference_hs(3, 12)
-    assert bouquet.coefficient(2) == 28
-    assert [width for width, _ in passes] == [9]
-    # Each key is X * 9 plus two balanced digits of base 3.
-    (_, terms), = passes
-    assert {(k + 4) % 9 // 3 ** j % 3 - 1 for k in terms for j in (0, 1)} == {0, 1}
-    assert pairs[0] < 3138
+    assert pairs[0] < 7029
+    s = s * one_minus_power(2, 12) ** 2
+    assert s.constant_term("b2").constant_term("b3") == nilcone_reference_hs(3, 12)
 
 
 def test_implosion_leaf_count_must_be_an_int():
@@ -1396,19 +1375,6 @@ def test_implosion_leaf_count_must_be_an_int():
         for f in refined_implosion_integral, implosion_series:
             with pytest.raises(ValueError, match=r"^n must be an int, got "):
                 f(bad, 4)
-
-
-def test_refined_integral_reads_constant_terms_off_the_packed_sum(monkeypatch):
-    # The integral keeps the terms whose refined digits are all 0: no
-    # Laurent coefficient is built and no constant term is taken.
-    import coulomb_hs.engine as engine
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the integral went through Laurent coefficients")
-    monkeypatch.setattr(engine, "Laurent", refuse)
-    monkeypatch.setattr(TruncatedSeries, "constant_term", refuse)
-    for n in (2, 3, 4):
-        assert refined_implosion_integral(n, 8) == nilcone_reference_hs(n, 8), n
 
 
 def test_bad_theory_message_names_the_charge():
