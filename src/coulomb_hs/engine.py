@@ -99,6 +99,38 @@ instead of 5 997.  A component with a cycle keeps its first node, which
 heads the cutset, since a root with more candidates would multiply the
 passes.  The same edge type met from its other end reuses the table
 already built, transposed.
+
+The cell sum is a second exact route, for unrefined series of quivers
+whose gauge nodes are all unitary (a fixed node is a flavor; cycles and
+forests are allowed): the monopole formula (arXiv:1309.2657) summed cell
+by cell, in the form of the T[SU(N)] Hall-Littlewood sums
+(arXiv:1403.0585).  On a unitary quiver a cell is a weak ordering of
+every node's entries around 0, on which 4*Delta is linear and the
+dressing constant.  With r the vector of gauge ranks and every series
+cut at t^K,
+
+    HS = sum over s + z + n = r of G(s) D(z) G(n),
+    G(0) = 1,  G(c) = t^w(c) / (1 - t^w(c)) * sum over 0 != k <= c of D(k) G(c - k),
+    D(k) = prod over nodes v of prod_{d = 1..k_v} 1 / (1 - t^(2d)),
+
+where the count vector s counts each node's positive entries, n its
+negative ones and z its zeros, whose dressing D(z) includes the centers,
+and w(c) is 2*Delta of the 0/1 charge with c_v entries 1 at node v, read
+off the edge tables of the 0/1 charges.  D is separable, so the sum over
+k runs one node axis at a time: the states c are visited in
+lexicographic order, each axis keeps its partial sums, and G(c) joins
+every axis once it is known.  On one axis D_v(k) = D_v(k - 1) / (1 -
+t^(2k)), so its sum is a Horner scheme of divisions by 1 - t^(2k), each
+linear in K.  The count lane is the same recursion with D = 1.  The
+route runs when its estimated work, prod(r + 1) * sum(r + 1) * (K +
+1)^2 / 2, is below the tree pass's, box B's table cells times its tree
+passes times K plus a fixed set-up cost.  Box B is proven first either
+way, which names a bad theory.  ``MAX_TABLE_CELLS`` bounds the tree
+pass's tables and, for the cell sum, the about prod(r + 1) * sum(r + 1)
+* (K + 1) coefficients of the series it keeps; a solve past the cell
+sum's bound goes to the tree pass and its guard.  So nilcone(5) at K =
+40, whose tables would need 1.7e9 cells, runs on the cells in
+milliseconds.
 """
 
 from __future__ import annotations
@@ -107,7 +139,7 @@ import time
 from collections import Counter, namedtuple
 from collections.abc import Mapping, Sequence
 from itertools import chain, compress, product
-from math import comb
+from math import comb, prod
 from operator import add, mul
 
 from .liedata import (
@@ -425,20 +457,32 @@ def _table_memo(prob: _Problem):
     return table
 
 
-# The most table cells one box may need, at about 20 bytes each: above
-# the largest run on record, nilcone(5) at order 30 with 2.6e8 cells.
+# The most table cells one box of the tree pass may need, at about 20
+# bytes each.  It was set above nilcone(5) at order 30 (2.6e8 cells),
+# which the cell sum now takes, as it takes any box past the limit where
+# its own work is smaller.
 MAX_TABLE_CELLS = 300_000_000
 
 
-def _candidates(prob: _Problem, b: int) -> list:
+def _box_work(prob: _Problem, b: int) -> tuple:
+    """Box b's table cells and tree passes, in closed form: one cell per
+    candidate (its node term) and one per pair of candidates of each edge
+    between gauge nodes, and one pass per assignment of the cycle cutset
+    (``_cutset_assignments``)."""
+    sizes = [1 if nd.fixed else dominant_charge_count(nd.group, b) for nd in prob.nodes]
+    cutset = {u for late in prob.nontree for u, _ in late}
+    return (sum(sizes) + sum(sizes[e.a] * sizes[e.b] for e in prob.edges),
+            prod(sizes[u] for u in cutset))
+
+
+def _candidates(prob: _Problem, b: int, cells: int | None = None) -> list:
     """Each node's dominant charges with max |entry| <= b; a fixed node has
     only charge 0.  Nodes of one type (group, fixed) share one list, which
     no consumer mutates.  Before any is built, ``EngineError`` ends a box
-    of more than ``MAX_TABLE_CELLS`` table cells, counted in closed form:
-    one per candidate (its node term) and one per pair of candidates of
-    each edge between gauge nodes, so the lists are bounded too."""
-    sizes = [1 if nd.fixed else dominant_charge_count(nd.group, b) for nd in prob.nodes]
-    cells = sum(sizes) + sum(sizes[e.a] * sizes[e.b] for e in prob.edges)
+    of more than ``MAX_TABLE_CELLS`` table cells (``_box_work``, unless the
+    caller has counted them), so the lists are bounded too."""
+    if cells is None:
+        cells = _box_work(prob, b)[0]
     if cells > MAX_TABLE_CELLS:
         raise EngineError(f"box {b} needs {cells} table cells, more than the "
                           f"{MAX_TABLE_CELLS} allowed")
@@ -610,9 +654,10 @@ def _box_charges(prob: _Problem, b: int, thr4: int) -> dict:
 
     def number(c: Charge) -> int:
         return sum(x * base ** i for i, x in enumerate(c))
-    names = [{number(c): c for c in cl} for cl in _candidates(prob, b)]
+    cands = _candidates(prob, b)
+    names = [{number(c): c for c in cl} for cl in cands]
     digits = [(v, number) for v in range(len(names))]
-    terms, _ = _monopole_sum(prob, b, thr4, digits, dressed=False, counted=False)
+    terms, _ = _monopole_sum(prob, cands, thr4, digits, dressed=False, counted=False)
     return {tuple(map(dict.__getitem__, names, digits)): d4 for d4, digits in terms}
 
 
@@ -796,15 +841,16 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
             {k + s0: c for k, c in finalc.items()})
 
 
-def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list, *,
+def _monopole_sum(prob: _Problem, cands: list, thr4: int, digits: list, *,
                   dressed: bool, counted: bool):
-    """Sum t^(2 Delta) P(m, t) times prod_j y_j^(d_j(m)) over box b up to
-    4*Delta = thr4, and, when ``counted``, count the charges; without
-    ``dressed``, P(m, t) is 1.  With ``dressed``, P(m, t) leaves out the
-    factor 1/(1 - t^2) of each center (``_ENode.center``), which is the
-    same at every charge: the caller multiplies the sum by (1 - t^2)^(-u)
-    once, u the number of centers.  Each digit ``(v, f)`` is an integer
-    function d(m) = f(m_v) of node v's charge.
+    """Sum t^(2 Delta) P(m, t) times prod_j y_j^(d_j(m)) over the
+    candidates ``cands`` of box b up to 4*Delta = thr4, and, when
+    ``counted``, count the charges; without ``dressed``, P(m, t) is 1.
+    With ``dressed``, P(m, t) leaves out the factor 1/(1 - t^2) of each
+    center (``_ENode.center``), which is the same at every charge: the
+    caller multiplies the sum by (1 - t^2)^(-u) once, u the number of
+    centers.  Each digit ``(v, f)`` is an integer function d(m) = f(m_v)
+    of node v's charge.
 
     Returns ``{(4*Delta, digit values): coefficient}`` and
     ``{4*Delta: charge count}``, or None in place of the count when it is
@@ -827,7 +873,6 @@ def _monopole_sum(prob: _Problem, b: int, thr4: int, digits: list, *,
     fewest digits in the subtree first, by a stable sort, so a sum without
     digits keeps the forest's order."""
     nodes = prob.nodes
-    cands = _candidates(prob, b)
     places: list = [[] for _ in nodes]
     radix = []  # (place, base, h) of each digit
     width = 1
@@ -890,10 +935,11 @@ def coulomb_hilbert_series(request: HSRequest) -> TruncatedSeries:
 def _hilbert_series(request: HSRequest, counted: bool):
     """Check ``request`` and run its monopole sum.  Returns the series, the
     proven charge box and, when ``counted``, the charge counts
-    ``{4*Delta: count}`` (else None).  A refined node's digit is its
-    topological charge.  The sum leaves each of its u centers undressed,
-    so it is multiplied once by (1 - t^2)^(-u), whose coefficient of
-    t^(2j) is the integer c_j = c_(j-1) * (u - 1 + j) / j, with c_0 = 1."""
+    ``{4*Delta: count}`` (else None).  An unrefined request on a quiver
+    whose gauge nodes are all unitary runs the cell sum when its
+    estimated work (``_cell_work``) is below the tree pass's: box B's
+    table cells times its tree passes times the order, plus
+    ``_TREE_SETUP_WORK``.  Every other request runs the tree pass."""
     q = request.quiver
     if request.ungauge is not None:
         q = ungauge(q, request.ungauge)
@@ -914,11 +960,28 @@ def _hilbert_series(request: HSRequest, counted: bool):
     refined = sorted(request.refined)
     # Widest digit first: a topological charge has h = b * rank.
     prob = _Problem(q, sorted(refined, key=lambda nid: -q.node(nid).group.rank))
-    thr4 = 2 * order
-    bound = _proven_box(prob, thr4)
+    bound = _proven_box(prob, 2 * order)
+    work = None if refined else _cell_work(prob, order)
+    cells, passes = (None, None) if work is None else _box_work(prob, bound)
+    if work is not None and work < cells * passes * order + _TREE_SETUP_WORK:
+        coeffs, counts = _cell_sum(prob, order, counted)
+    else:
+        coeffs, counts = _tree_sum(prob, order, bound, refined, counted, cells)
+    return TruncatedSeries(order, coeffs, frozenset(refined)), bound, counts
+
+
+def _tree_sum(prob: _Problem, order: int, bound: int, refined: list,
+              counted: bool, cells: int | None = None):
+    """The monopole sum over box ``bound`` by the tree pass: ``{exponent:
+    coefficient}``, each a ``Laurent`` in the topological charges of the
+    ``refined`` node ids if there are any and an int otherwise, and the
+    charge counts of ``_monopole_sum``.  A refined node's digit is its
+    topological charge.  The sum leaves each of its u centers undressed,
+    so it is multiplied once by (1 - t^2)^(-u), whose coefficient of
+    t^(2j) is the integer c_j = c_(j-1) * (u - 1 + j) / j, with c_0 = 1."""
     digits = [(prob.index[nid], sum) for nid in refined]
-    terms, counts = _monopole_sum(prob, bound, thr4, digits, dressed=True,
-                                  counted=counted)
+    terms, counts = _monopole_sum(prob, _candidates(prob, bound, cells), 2 * order,
+                                  digits, dressed=True, counted=counted)
     centers = sum(nd.center for nd in prob.nodes)
     factor = [1]
     for j in range(1, order // 2 + 1):
@@ -929,9 +992,96 @@ def _hilbert_series(request: HSRequest, counted: bool):
         for j, e in enumerate(range(x // 2, order + 1, 2)):
             row = rows.setdefault(e, {})
             row[mono] = row.get(mono, 0) + coeff * factor[j]
-    series = TruncatedSeries(order, {e: Laurent(row) for e, row in rows.items()},
-                             frozenset(refined))
-    return series, bound, counts
+    return {e: Laurent(row) if refined else row[()] for e, row in rows.items()}, counts
+
+
+# The tree pass's fixed cost in the routing estimates' units (table cells
+# times orders).  Timed on a grid of chains, bouquets, affine E6 and a
+# flavored ring at orders 2 to 40, every value from 2000 to 8000 sends
+# each solve to a route within 1.25 times the faster one.
+_TREE_SETUP_WORK = 4000
+
+
+def _cell_work(prob: _Problem, order: int) -> int | None:
+    """The cell sum's estimated work, its states times its axes times the
+    products of two series, prod(r + 1) * sum(r + 1) * (K + 1)^2 / 2 over
+    the gauge ranks r at order K; or None when a gauge node is not unitary
+    or when the series it keeps, about prod(r + 1) * sum(r + 1) * (K + 1)
+    coefficients, would pass ``MAX_TABLE_CELLS``."""
+    if any(not nd.fixed and nd.group.family is not Family.UNITARY for nd in prob.nodes):
+        return None
+    sizes = [nd.rank + 1 for nd in prob.nodes if not nd.fixed]
+    kept = prod(sizes) * sum(sizes) * (order + 1)
+    return None if kept > MAX_TABLE_CELLS else kept * (order + 1) // 2
+
+
+def _padd(a: list | None, b: list | None) -> list | None:
+    """The sum of two truncated series, None standing for 0."""
+    return b if a is None else a if b is None else list(map(add, a, b))
+
+
+def _cell_sum(prob: _Problem, order: int, counted: bool):
+    """The unrefined series of a quiver whose gauge nodes are all unitary
+    as a sum over count vectors (the module docstring's cell sum):
+    ``{exponent: coefficient}`` and, when ``counted``, the charge counts
+    ``{4*Delta: count}`` (else None), from the same recursion with D = 1.
+    Each w(c) is read off one ``_box_tables`` call over the 0/1 charges."""
+    ranks = [0 if nd.fixed else nd.rank for nd in prob.nodes]
+    shared: dict = {}  # one list per rank, as in _candidates
+    cands = [shared.setdefault((nd.rank, r), [(1,) * c + (0,) * (nd.rank - c)
+                                              for c in range(r + 1)])
+             for nd, r in zip(prob.nodes, ranks)]
+    local4, etab, cuts = _box_tables(prob, cands)
+    links = [(v, p, etab[v]) for v, p in enumerate(prob.parent) if p >= 0] + cuts
+    states = list(product(*[range(r + 1) for r in ranks]))  # in lexicographic order
+    weight = [(sum(map(list.__getitem__, local4, c))
+               + sum(tab[c[u]][c[v]] for v, u, tab in links)) // 2 for c in states]
+    # Each gauge node is an axis: (node, the index step of its unit vector).
+    axes = [(v, prod(r + 1 for r in ranks[v + 1:])) for v, r in enumerate(ranks) if r]
+    n, top = len(states), order + 1
+    # A series is a list of its order + 1 coefficients followed, when
+    # counted, by the count lane's, so that one pass runs both lanes.
+    lanes = range(0, top * (1 + counted), top)
+    one = [int(e % top == 0) for e in range(len(lanes) * top)]
+    gs = [None] * n  # G(c); None stands for 0
+    fs = [None] * n  # F(c), the sum of D(k) G(c - k) over k <= c
+    # parts[j][s]: G(c) plus the sums over k != 0 on the first j axes, at
+    # the state s = c; axis j sums over parts[j].
+    parts = [gs] + [[None] * n for _ in axes[1:]]
+    for s, c in enumerate(states):
+        q, qs = None, []  # the running sum of the axes' sums over k >= 1
+        for (v, step), h in zip(axes, parts):
+            acc = None  # D_v(k) = D_v(k - 1) / (1 - t^(2k)), by Horner
+            for k in range(c[v], 0, -1):
+                x = h[s - k * step]
+                if x is not None:
+                    acc = list(x) if acc is None else list(map(add, acc, x))
+                if acc is not None:
+                    for e in range(2 * k, top):
+                        acc[e] += acc[e - 2 * k]
+            q = _padd(q, acc)
+            qs.append(q)
+        w, g = weight[s], None if s else one
+        if s and w < top:  # G(c) = t^w / (1 - t^w) times q
+            g = []
+            for o in lanes:
+                g += [0] * w + q[o:o + top - w]
+                for e in range(o + 2 * w, o + top):
+                    g[e] += g[e - w]
+        gs[s], fs[s] = g, _padd(g, q)
+        for j in range(1, len(parts)):
+            parts[j][s] = _padd(g, qs[j - 1])
+    out = [0] * len(one)  # the sum of G(c) F(r - c) over c <= r
+    for g, f in zip(gs, reversed(fs)):
+        if g is None:
+            continue
+        for o in lanes:
+            for i, x in enumerate(g[o:o + top]):
+                if x:
+                    out[o + i:o + top] = map(add, out[o + i:o + top],
+                                             [x * y for y in f[o:o + top - i]])
+    return ({e: c for e, c in enumerate(out[:top]) if c},
+            {2 * e: c for e, c in enumerate(out[top:]) if c} if counted else None)
 
 
 def symmetry_dimension(s: TruncatedSeries) -> int:

@@ -280,6 +280,13 @@ def test_a_box_past_the_table_cell_limit_exits_2_at_once(capsys, monkeypatch):
     assert "box 1 needs 304664442 table cells, more than the 300000000 allowed" in err
 
 
+def test_a_chain_past_the_table_cell_limit_runs_on_the_cells(capsys):
+    # The T[SU(5)] chain at order 40 would need 1.7e9 table cells, past
+    # MAX_TABLE_CELLS; the cell sum solves it, so both rows pass.
+    code, text, err = run(capsys, "implosion-check", "--n", "5", "--order", "40")
+    assert (code, err, text.count("PASS"), text.count("FAIL")) == (0, "", 2, 0)
+
+
 def test_refined_pl_is_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
     # The plethystic logarithm of a refined series is unsupported, which
     # the flags alone show; the flag check also comes before the refined

@@ -22,16 +22,20 @@ from coulomb_hs.engine import (
     nilcone_reference_hs,
     refined_implosion_integral,
     symmetry_dimension,
+    MAX_TABLE_CELLS,
     _Problem,
     _box_charges,
     _box_tables,
+    _box_work,
     _candidates,
+    _cell_sum,
     _cutset_assignments,
     _edge_table,
     _min_tables,
     _proven_box,
     _totals,
     _tree_pass,
+    _tree_sum,
 )
 from coulomb_hs.liedata import dominant_charges, dressing_degrees
 from coulomb_hs.quiver import (
@@ -66,6 +70,19 @@ def u2_doubled_to_fixed_u1():
         [QuiverNode("a", NodeKind.GAUGE, U(1)), QuiverNode("g", NodeKind.GAUGE, U(2)),
          QuiverNode("f", NodeKind.FLAVOR, U(2))],
         [("a", "g"), ("a", "g"), ("g", "f")]), "a")
+
+
+def solve_on_tree(request, counted=True):
+    """An unrefined request solved on the tree pass, whatever route
+    ``coulomb_hilbert_series`` would take: the series, the proven box and
+    the charge counts (None unless ``counted``)."""
+    q = request.quiver
+    if request.ungauge is not None:
+        q = ungauge(q, request.ungauge)
+    prob = _Problem(q)
+    bound = _proven_box(prob, 2 * request.order)
+    coeffs, counts = _tree_sum(prob, request.order, bound, [], counted)
+    return TruncatedSeries(request.order, coeffs), bound, counts
 
 
 def abelian_closed_form(d, order):
@@ -1093,11 +1110,11 @@ def test_cycle_edges_reuse_the_tree_tables(monkeypatch):
         return _edge_table(prob, e, p, cands_p, cands_v)
     monkeypatch.setattr(engine, "_edge_table", counted)
     assert any(_Problem(flavored_ring(4)).nontree)
-    s = coulomb_hilbert_series(HSRequest(flavored_ring(4), 10))
+    s, _, _ = solve_on_tree(HSRequest(flavored_ring(4), 10), counted=False)
     assert built == [(3, 1), (3, 3), (21, 1), (21, 21)]
     assert [s.coefficient(k) for k in range(11)] == flavored_ring_series(4, 10)
     built.clear()
-    s = coulomb_hilbert_series(HSRequest(affine_a_cycle(4), 10))
+    s, _, _ = solve_on_tree(HSRequest(affine_a_cycle(4), 10), counted=False)
     assert built == [(3, 1), (3, 3), (11, 1), (11, 11)]
     assert [s.coefficient(k) for k in range(11)] == minimal_orbit_series(*type_a(4), 10)
 
@@ -1121,7 +1138,7 @@ def test_pinned_node_opens_the_cycle_through_it(monkeypatch):
         passes.append(None)
         return tree_pass(*args)
     monkeypatch.setattr(engine, "_tree_pass", counted)
-    s = coulomb_hilbert_series(HSRequest(q, 16))
+    s, _, _ = solve_on_tree(HSRequest(q, 16), counted=False)
     assert len(passes) == 1
     assert [s.coefficient(k) for k in range(17)] == minimal_orbit_series(*type_a(6), 16)
     assert coulomb_hilbert_series(HSRequest(affine_a_cycle(6), 16)) == s
@@ -1277,12 +1294,12 @@ def test_dressing_is_priced_on_demand(monkeypatch):
         return dressing_degrees(g, m)
     monkeypatch.setattr(engine, "_dressing_degrees", counted)
     q = build_bouquet_quiver(5)
-    result = compute_hilbert_series(HSRequest(q, 4, ungauge="b1"))
-    assert result.series.coefficient(2) == 28
+    series, bound, _ = solve_on_tree(HSRequest(q, 4, ungauge="b1"))
+    assert series.coefficient(2) == 28
 
     thr4 = 8
     prob = _Problem(ungauge(q, "b1"))
-    cands = _candidates(prob, result.stats.bound_reached)
+    cands = _candidates(prob, bound)
     (loc, tab, lab), = _cutset_assignments(prob, *_box_tables(prob, cands), cands)
     tot = _totals(prob, tab, *_min_tables(prob, loc, tab))
     live = {(nd.group, c) for nd, cl, tv in zip(prob.nodes, lab, tot)
@@ -1453,6 +1470,8 @@ def test_monopole_sums_leave_no_cyclic_garbage():
         "nilcone(5) refined at g1, g2": lambda: compute_hilbert_series(
             HSRequest(build_linear_nilpotent_quiver(5), 4, refined=frozenset({"g1", "g2"}))),
         "implosion_series(3, 8)": lambda: implosion_series(3, 8),
+        "nilcone(4) at K = 12, on the cells": lambda: compute_hilbert_series(
+            HSRequest(build_linear_nilpotent_quiver(4), 12)),
         "enumerate_charges on pinned affine E6": lambda: enumerate_charges(e6, 2),
         "BadTheoryError": bad_theory,
         "coulomb_hilbert_series on bouquet(3)": lambda: coulomb_hilbert_series(
@@ -1468,3 +1487,158 @@ def test_monopole_sums_leave_no_cyclic_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the cell sum
+
+
+def recorded_routes(monkeypatch):
+    """Wrap both routes of ``_hilbert_series``; the returned list names
+    each route as it runs."""
+    import coulomb_hs.engine as engine
+    routes = []
+    for name in ("_tree_sum", "_cell_sum"):
+        def wrapped(*args, _route=getattr(engine, name), _name=name):
+            routes.append(_name)
+            return _route(*args)
+        monkeypatch.setattr(engine, name, wrapped)
+    return routes
+
+
+def test_router_takes_the_cheaper_route(monkeypatch):
+    # The cells take the T[SU(n)] chain and the small rings, where they
+    # cost a fraction of the tables; the wide bouquets and affine E6 stay
+    # on the tree pass, and so does every refined request and every
+    # quiver with an orthosymplectic node.
+    import coulomb_hs.engine as engine
+    routes = recorded_routes(monkeypatch)
+    e6 = build_partial_implosion_quiver(4, [2, 2])
+    cases = (
+        (HSRequest(build_linear_nilpotent_quiver(3), 12), "_cell_sum"),
+        (HSRequest(build_linear_nilpotent_quiver(8), 2), "_tree_sum"),
+        (HSRequest(build_bouquet_quiver(3), 8, ungauge="b1"), "_cell_sum"),
+        (HSRequest(flavored_ring(4), 10), "_cell_sum"),
+        (HSRequest(build_bouquet_quiver(4), 2, ungauge="b1"), "_tree_sum"),
+        (HSRequest(build_bouquet_quiver(5), 4, ungauge="b1"), "_tree_sum"),
+        (HSRequest(e6, 6, ungauge="l1_1"), "_tree_sum"),
+        (HSRequest(build_linear_nilpotent_quiver(3), 12, frozenset({"g1"})), "_tree_sum"),
+        (HSRequest(build_bouquet_quiver(3), 12, frozenset({"b2", "b3"}), "b1"), "_tree_sum"),
+        (HSRequest(build_dn_implosion_quiver(5, with_flavor=True), 6), "_tree_sum"),
+    )
+    for req, route in cases:
+        routes.clear()
+        compute_hilbert_series(req)
+        assert routes == [route], req
+    # The router counts box B's cells once, and the tree pass reuses that
+    # count: two closed-form counts per gauge node, box 1's and box B's.
+    calls = []
+    count = engine.dominant_charge_count
+
+    def counted(g, b):
+        calls.append(b)
+        return count(g, b)
+    monkeypatch.setattr(engine, "dominant_charge_count", counted)
+    routes.clear()
+    compute_hilbert_series(HSRequest(build_bouquet_quiver(5), 4, ungauge="b1"))
+    assert routes == ["_tree_sum"] and sorted(calls) == [1] * 8 + [2] * 8
+
+
+def test_routes_agree_on_the_engine_quivers():
+    # Same series and same charge counts from both routes, on trees,
+    # cycles, pinned rings and a forest of two components.
+    forest = Quiver(
+        [QuiverNode("a", NodeKind.GAUGE, U(2)), QuiverNode("b", NodeKind.GAUGE, U(1)),
+         QuiverNode("c", NodeKind.GAUGE, U(1)), QuiverNode("f", NodeKind.FLAVOR, U(3)),
+         QuiverNode("h", NodeKind.FLAVOR, U(2))],
+        [("a", "b"), ("a", "f"), ("c", "h")])
+    cases = ((build_linear_nilpotent_quiver(4), 12), (ungauge(build_bouquet_quiver(4), "b1"), 8),
+             (flavored_ring(4), 8), (affine_a_cycle(5, 2), 10), (k4_two_node_cutset(), 8),
+             (affine_d4(), 8), (u2_doubled_to_fixed_u1(), 10), (forest, 8),
+             (ungauge(build_partial_implosion_quiver(4, [2, 2]), "l1_1"), 6))
+    for q, order in cases:
+        prob = _Problem(q)
+        bound = _proven_box(prob, 2 * order)
+        assert _cell_sum(prob, order, True) == _tree_sum(prob, order, bound, [], True), q
+        assert _cell_sum(prob, order, False)[1] is None
+
+
+@pytest.mark.parametrize("n, order", [(4, 40), (5, 30), (6, 16)])
+def test_cells_reach_the_nilpotent_cone_past_the_tables(n, order):
+    # Orders where the tree pass would need 1e8 table cells or more.
+    q = build_linear_nilpotent_quiver(n)
+    assert coulomb_hilbert_series(HSRequest(q, order)) == nilcone_reference_hs(n, order)
+
+
+def test_a_box_past_the_cell_limit_runs_on_the_cells():
+    # nilcone(5) at K = 40 would need 1.7e9 table cells, past
+    # MAX_TABLE_CELLS, so the tree pass would refuse it; the cell sum gives
+    # Kostant's series, prod_(i=2..5) (1 - t^(2i)) / (1 - t^2)^24.
+    q = build_linear_nilpotent_quiver(5)
+    prob = _Problem(q)
+    cells, passes = _box_work(prob, _proven_box(prob, 80))
+    assert cells > MAX_TABLE_CELLS and passes == 1
+    s = coulomb_hilbert_series(HSRequest(q, 40))
+    assert s == nilcone_reference_hs(5, 40)
+
+
+def test_a_cell_sum_past_the_cell_limit_falls_back_to_the_tree_guard(monkeypatch):
+    # The cell sum keeps about prod(r + 1) * sum(r + 1) * (K + 1) series
+    # coefficients, 68 880 for nilcone(5) at K = 40.  Past MAX_TABLE_CELLS
+    # the solve goes to the tree pass, whose guard ends it before any list
+    # is built, as before the cell sum existed.
+    import coulomb_hs.engine as engine
+    routes = recorded_routes(monkeypatch)
+    q = build_linear_nilpotent_quiver(5)
+    monkeypatch.setattr(engine, "MAX_TABLE_CELLS", 68_880)
+    assert coulomb_hilbert_series(HSRequest(q, 40)) == nilcone_reference_hs(5, 40)
+    assert routes == ["_cell_sum"]
+    routes.clear()
+    monkeypatch.setattr(engine, "MAX_TABLE_CELLS", 68_879)
+    with pytest.raises(EngineError, match="box 20 needs 1686112987 table cells"):
+        coulomb_hilbert_series(HSRequest(q, 40))
+    assert routes == ["_tree_sum"]
+
+
+def test_cell_route_keeps_the_error_messages(monkeypatch):
+    # A unitary quiver at an order the cells would take still fails with
+    # the tree route's messages, before either route runs: a bad theory
+    # named by its charge, and a decoupled U(1).
+    routes = recorded_routes(monkeypatch)
+    bad = Quiver([QuiverNode("g", NodeKind.GAUGE, U(2)),
+                  QuiverNode("f", NodeKind.FLAVOR, U(2))], [("g", "f")])
+    good = Quiver([QuiverNode("g", NodeKind.GAUGE, U(2)),
+                   QuiverNode("f", NodeKind.FLAVOR, U(4))], [("g", "f")])
+    compute_hilbert_series(HSRequest(good, 12))
+    assert routes == ["_cell_sum"]
+    routes.clear()
+    for solve in (compute_hilbert_series, coulomb_hilbert_series):
+        with pytest.raises(BadTheoryError) as err:
+            solve(HSRequest(bad, 12))
+        assert str(err.value) == ("nonzero magnetic charge ((0, -1),) has 2*Delta = 0 "
+                                  "<= 0; the monopole sum diverges")
+    chain = build_linear_nilpotent_quiver(3)
+    flavorless = Quiver([nd for nd in chain.nodes if nd.kind is NodeKind.GAUGE],
+                        [("g1", "g2")])
+    with pytest.raises(DecoupledU1UnresolvedError) as err:
+        coulomb_hilbert_series(HSRequest(flavorless, 12))
+    assert str(err.value) == (
+        "1 flavorless all-unitary component(s) each carry a diagonal U(1) that "
+        "acts trivially, and the monopole sum diverges; one U(1) per such "
+        "component must be ungauged (--ungauge <U(1) node id> pins one node)")
+    assert routes == []
+
+
+def test_unrefined_series_build_no_laurent(monkeypatch):
+    # Only a refined series has Laurent coefficients, on either route.
+    import coulomb_hs.engine as engine
+
+    def refused(*args):
+        raise AssertionError("a Laurent coefficient was built")
+    monkeypatch.setattr(engine, "Laurent", refused)
+    for req in (HSRequest(build_linear_nilpotent_quiver(3), 12),
+                HSRequest(build_bouquet_quiver(5), 4, ungauge="b1")):
+        assert compute_hilbert_series(req).series.coefficient(2) in (8, 28)
+    monkeypatch.undo()
+    refined = coulomb_hilbert_series(HSRequest(build_bouquet_quiver(3), 2, frozenset({"b2"}), "b1"))
+    assert refined.fugacities == {"b2"}

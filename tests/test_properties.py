@@ -18,6 +18,9 @@ from coulomb_hs.engine import (
     enumerate_charges,
     _Problem,
     _box_charges,
+    _cell_sum,
+    _proven_box,
+    _tree_sum,
 )
 from coulomb_hs.quiver import (
     Family,
@@ -130,6 +133,8 @@ REFINED_STAR = unitary_case([2, 1, 1], [(0, 1), (0, 2)], [(0, 1), (1, 1)],
                             refined={"u0", "u1"})
 # u0 with a pinned u1, beside u2 with a flavor of its own.
 PINNED_FOREST = unitary_case([1, 1, 1], [(0, 1)], [(0, 1), (2, 2)], pin=1)
+# U(1) with three flavors.
+SQED = unitary_case([1], [], [(0, 3)])
 # SO(3)-USp(2) with an odd SO flavor on the USp end.
 ODD_SO_CHAIN = (Quiver(
     [QuiverNode("c0", NodeKind.GAUGE, SO(3)), QuiverNode("c1", NodeKind.GAUGE, USp(2)),
@@ -177,6 +182,36 @@ def test_engine_matches_brute_force(case, order):
     listed = enumerate_charges(q, Fraction(order, 2))
     assert sorted(c.charges for c in listed) == sorted(found)
     assert result.stats.charge_count == len(listed)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(unitary_quivers(), unitary_quivers(cycles=1),
+                     unitary_quivers(cycles=2), unitary_quivers(forest=True)),
+       order=st.integers(0, 10))
+@example(case=FLAVORED_SQUARE, order=10)
+@example(case=DOUBLED_EDGE, order=10)
+@example(case=PINNED_FOREST, order=10)
+@example(case=SQED, order=10)
+def test_cell_sum_matches_the_tree_pass(case, order):
+    # Both routes of an unrefined solve, called directly, give one series
+    # and one charge count on trees, cycles, forests and pinned nodes; at
+    # low order the brute-force box sum over the proven box agrees.
+    q, _ = case
+    prob = _Problem(q)
+    c = shell_min_ref(q, 1)
+    if c is not None and c <= 0:
+        with pytest.raises(BadTheoryError):
+            _proven_box(prob, 2 * order)
+        return
+    bound = _proven_box(prob, 2 * order)
+    coeffs, counts = _cell_sum(prob, order, True)
+    assert (coeffs, counts) == _tree_sum(prob, order, bound, [], True)
+    assert _cell_sum(prob, order, False) == (coeffs, None)
+    if order <= 4:
+        charges = charges_ref(q, order, bound)
+        assert [coeffs.get(k, 0) for k in range(order + 1)] == series_ref(q, order, charges)
+        assert sum(counts.values()) == len(charges)
 
 
 def cell_weight(q, counts: dict) -> int:
