@@ -23,10 +23,12 @@ integer and the t-grading is never half-odd.
 Every charge below the dimension cutoff lies in one box of charges with
 max |entry| <= B, and B is proven: on the shell of charges with
 max |entry| == b, 4*Delta is at least b times its minimum c4 over shell 1
-(see ``_proven_box``).  c4 is read off box 1's exact minimum-cost tables
-over the quiver's spanning forest, with no search: the least 4*Delta of
-any charge through each nonzero candidate of each node.  Only a bad
-theory (c4 <= 0) lists the charges of box 1 with cutoff 0, to name the
+(see ``_proven_box``).  As 4*Delta(m) = 4*Delta(m+) + 4*Delta(m-), with
+m+ = max(m, 0) and m- = max(-m, 0) on unitary nodes, c4 is read off the
+exact minimum-cost tables of the 0/1 charges 1^c 0^(r - c) over the
+quiver's spanning forest, with no search, and the sums over box B keep
+only the unitary candidates of spread m_1 - m_r <= B.  Only a bad theory
+(c4 <= 0) lists the charges of box 1 with cutoff 0, to name the
 offending charge; ``enumerate_charges`` lists the charges of box B.
 Both lists come from the same tree pass as the Hilbert series (below),
 with dressing 1 and one packed digit per charge entry, so that each
@@ -138,7 +140,8 @@ from __future__ import annotations
 import time
 from collections import Counter, namedtuple
 from collections.abc import Mapping, Sequence
-from itertools import chain, compress, product
+from functools import cached_property
+from itertools import chain, product
 from math import comb, prod
 from operator import add, mul
 
@@ -347,6 +350,17 @@ class _Problem:
         return ([v for v in self.preorder if rep[v] == v],
                 [[rep[c] for c in cs] for cs in self.children])
 
+    @cached_property
+    def unit_tables(self) -> tuple:
+        """``(cands, _box_tables(self, cands))`` over the 0/1 charges
+        1^c 0^(r - c), c = 0..r, of each node (a fixed node has only 0),
+        one list per rank, built once for ``_proven_box`` and ``_cell_sum``."""
+        shared: dict = {}
+        cands = [shared.setdefault((nd.rank, nd.fixed), [
+            (1,) * c + (0,) * (nd.rank - c) for c in range(1 if nd.fixed else nd.rank + 1)])
+            for nd in self.nodes]
+        return cands, _box_tables(self, cands)
+
     def coerce_charge(self, charge) -> tuple:
         if isinstance(charge, QuiverCharge):
             charge = charge.as_dict()
@@ -468,29 +482,37 @@ def _box_work(prob: _Problem, b: int) -> tuple:
     """Box b's table cells and tree passes, in closed form: one cell per
     candidate (its node term) and one per pair of candidates of each edge
     between gauge nodes, and one pass per assignment of the cycle cutset
-    (``_cutset_assignments``)."""
+    (``_cutset_assignments``).  The whole box is counted, an upper bound
+    on what the sums over it build from the lists of ``_candidates``."""
     sizes = [1 if nd.fixed else dominant_charge_count(nd.group, b) for nd in prob.nodes]
     cutset = {u for late in prob.nontree for u, _ in late}
     return (sum(sizes) + sum(sizes[e.a] * sizes[e.b] for e in prob.edges),
             prod(sizes[u] for u in cutset))
 
 
-def _candidates(prob: _Problem, b: int, cells: int | None = None) -> list:
-    """Each node's dominant charges with max |entry| <= b; a fixed node has
-    only charge 0.  Nodes of one type (group, fixed) share one list, which
-    no consumer mutates.  Before any is built, ``EngineError`` ends a box
-    of more than ``MAX_TABLE_CELLS`` table cells (``_box_work``, unless the
-    caller has counted them), so the lists are bounded too."""
-    if cells is None:
-        cells = _box_work(prob, b)[0]
+def _check_cells(prob: _Problem, b: int) -> None:
+    """``EngineError`` for a box b of more than ``MAX_TABLE_CELLS`` table
+    cells (``_box_work``)."""
+    cells = _box_work(prob, b)[0]
     if cells > MAX_TABLE_CELLS:
         raise EngineError(f"box {b} needs {cells} table cells, more than the "
                           f"{MAX_TABLE_CELLS} allowed")
+
+
+def _candidates(prob: _Problem, b: int, spread: bool = False) -> list:
+    """Each node's dominant charges with max |entry| <= b; a fixed node has
+    only charge 0.  With ``spread``, for the proven box b of a good theory,
+    a unitary node keeps only the charges of spread c_1 - c_r <= b, since
+    no charge through another is within the cutoff (``_proven_box``).
+    Nodes of one type (group, fixed) share one list, which no consumer
+    mutates.  ``_check_cells`` counts the whole box before any is built,
+    so the lists are bounded too."""
+    _check_cells(prob, b)
     shared: dict = {}
     for nd in prob.nodes:
         if (nd.group, nd.fixed) not in shared:
             shared[nd.group, nd.fixed] = ([(0,) * nd.rank] if nd.fixed
-                                          else dominant_charges(nd.group, b))
+                                          else dominant_charges(nd.group, b, spread))
     return [shared[nd.group, nd.fixed] for nd in prob.nodes]
 
 
@@ -605,7 +627,7 @@ def _delta4(prob: _Problem, vec: Sequence[Charge]) -> int:
 
 def _proven_box(prob: _Problem, thr4: int) -> int:
     """The proven box bound B: every charge with 4*Delta <= thr4 has
-    max |entry| <= B.
+    max |entry| <= B and, at each unitary node, spread m_1 - m_r <= B.
 
     On the product of dominant chambers, 4*Delta is continuous, positively
     homogeneous of degree 1 and linear on every cell of the arrangement of
@@ -615,25 +637,33 @@ def _proven_box(prob: _Problem, thr4: int) -> int:
     solves independent equations x_i +- x_j = 0, x_i = 0, x_i = +-1, so its
     coordinates lie in {-1, 0, 1}.  Hence the minimum c4 of 4*Delta over
     the real unit shell is attained on integer shell 1, and by homogeneity
-    every charge on shell b has 4*Delta >= b*c4.  Every nonzero charge of
-    box 1 has some node at a nonzero candidate, so c4 is the least
-    ``tot[v][iv]`` of box 1's tables over the nonzero candidates iv of
-    every node v, under every assignment of the cycle cutset.  Box 1 holds
-    a nonzero charge with 4*Delta <= 0 exactly when c4 <= 0, a bad theory,
-    named by the nonzero charge of box 1 with the least 4*Delta, ties going
-    to the first in the order of ``enumerate_charges``; otherwise every
-    charge with 4*Delta <= thr4 lies in the box B = thr4 // c4 (B = 0 when
-    box 1 holds no nonzero charge).  Delta is a half-integer, so a positive
-    c4 is at least 2 and B <= thr4 // 2: at order K, thr4 = 2K and the box
-    is at most K.
+    every charge on shell b has 4*Delta >= b*c4.
+
+    A unitary term |a - b| (a flavor or fixed entry is 0) is |a+ - b+| +
+    |a- - b-|, and no SO or USp term sees the sign of one entry.  So with
+    m+ the charge max(m, 0) on the unitary nodes and |m| on the others and
+    m- the charge max(-m, 0) on the unitary nodes and 0 on the others, each
+    sorted into its chamber, 4*Delta(m) = 4*Delta(m+) + 4*Delta(m-), which
+    is at least c4 * (max m+ + max m-).  On shell 1, m+ and m- are 0/1
+    charges 1^c 0^(r - c), one of them nonzero, so c4 is the least
+    ``tot[v][iv]`` of their tables (``_Problem.unit_tables``) over the
+    nonzero candidates iv of every node v, under every assignment of the
+    cycle cutset.  Box 1 holds a nonzero charge with 4*Delta <= 0 exactly
+    when c4 <= 0, a bad theory, named by the nonzero charge of box 1 with
+    the least 4*Delta, ties going to the first in the order of
+    ``enumerate_charges``; otherwise every charge with 4*Delta <= thr4 has
+    max m+ + max m- <= B = thr4 // c4 (B = 0 when no node has a nonzero
+    charge).  Delta is a half-integer, so a positive c4 is at least 2 and
+    B <= thr4 // 2: at order K, thr4 = 2K and the box is at most K.
+    ``_check_cells`` counts box 1 first: that count bounds the 0/1 tables,
+    and a bad theory lists box 1.
     """
-    cands = _candidates(prob, 1)
-    nonzero = [[any(c) for c in cl] for cl in cands]
-    forest = prob.forest()
+    _check_cells(prob, 1)
+    cands, tables = prob.unit_tables
     least: list = []
-    for loc, tab, nz in _cutset_assignments(prob, *_box_tables(prob, cands), nonzero):
-        tot = _totals(prob, tab, *_min_tables(prob, loc, tab, forest))
-        least.extend(chain.from_iterable(compress(tot[v], nz[v]) for v in forest[0]))
+    for loc, tab, lab in _cutset_assignments(prob, *tables, cands):
+        tot = _totals(prob, tab, *_min_tables(prob, loc, tab))
+        least.extend(t for v in prob.preorder for t, c in zip(tot[v], lab[v]) if any(c))
     c4 = min(least, default=None)
     if c4 is not None and c4 <= 0:
         d4, vec = min((d4, vec) for vec, d4 in _box_charges(prob, 1, 0).items()
@@ -644,17 +674,18 @@ def _proven_box(prob: _Problem, thr4: int) -> int:
     return 0 if c4 is None else thr4 // c4
 
 
-def _box_charges(prob: _Problem, b: int, thr4: int) -> dict:
+def _box_charges(prob: _Problem, b: int, thr4: int, spread: bool = False) -> dict:
     """``{charge: 4*Delta}`` for the charges with max |entry| <= b and
-    4*Delta <= thr4: the box sum without dressing, in which each entry of
-    every charge is one balanced digit of base 2b + 1.  Node v's entries
-    form the digit d(m) = sum_i m_v[i] * (2b + 1)^i, so each charge is one
-    key of coefficient 1, and each node's digit names its charge."""
+    4*Delta <= thr4 (with ``spread``, see ``_candidates``): the box sum
+    without dressing, in which each entry of every charge is one balanced
+    digit of base 2b + 1.  Node v's entries form the digit d(m) = sum_i
+    m_v[i] * (2b + 1)^i, so each charge is one key of coefficient 1, and
+    each node's digit names its charge."""
     base = 2 * b + 1
 
     def number(c: Charge) -> int:
         return sum(x * base ** i for i, x in enumerate(c))
-    cands = _candidates(prob, b)
+    cands = _candidates(prob, b, spread=spread)
     names = [{number(c): c for c in cl} for cl in cands]
     digits = [(v, number) for v in range(len(names))]
     terms, _ = _monopole_sum(prob, cands, thr4, digits, dressed=False, counted=False)
@@ -674,7 +705,7 @@ def enumerate_charges(q: Quiver, delta_max) -> list:
         raise ValueError("delta_max must be a quarter-integer")
     prob = _Problem(q)
     bound = _proven_box(prob, int(thr4))
-    found = _box_charges(prob, bound, int(thr4))
+    found = _box_charges(prob, bound, int(thr4), spread=True)
     ids = tuple(nd.id for nd in prob.nodes)
     keyed = sorted((max(map(abs, chain.from_iterable(vec)), default=0), vec)
                    for vec in found)
@@ -962,16 +993,14 @@ def _hilbert_series(request: HSRequest, counted: bool):
     prob = _Problem(q, sorted(refined, key=lambda nid: -q.node(nid).group.rank))
     bound = _proven_box(prob, 2 * order)
     work = None if refined else _cell_work(prob, order)
-    cells, passes = (None, None) if work is None else _box_work(prob, bound)
-    if work is not None and work < cells * passes * order + _TREE_SETUP_WORK:
+    if work is not None and work < prod(_box_work(prob, bound)) * order + _TREE_SETUP_WORK:
         coeffs, counts = _cell_sum(prob, order, counted)
     else:
-        coeffs, counts = _tree_sum(prob, order, bound, refined, counted, cells)
+        coeffs, counts = _tree_sum(prob, order, bound, refined, counted)
     return TruncatedSeries(order, coeffs, frozenset(refined)), bound, counts
 
 
-def _tree_sum(prob: _Problem, order: int, bound: int, refined: list,
-              counted: bool, cells: int | None = None):
+def _tree_sum(prob: _Problem, order: int, bound: int, refined: list, counted: bool):
     """The monopole sum over box ``bound`` by the tree pass: ``{exponent:
     coefficient}``, each a ``Laurent`` in the topological charges of the
     ``refined`` node ids if there are any and an int otherwise, and the
@@ -980,7 +1009,7 @@ def _tree_sum(prob: _Problem, order: int, bound: int, refined: list,
     so it is multiplied once by (1 - t^2)^(-u), whose coefficient of
     t^(2j) is the integer c_j = c_(j-1) * (u - 1 + j) / j, with c_0 = 1."""
     digits = [(prob.index[nid], sum) for nid in refined]
-    terms, counts = _monopole_sum(prob, _candidates(prob, bound, cells), 2 * order,
+    terms, counts = _monopole_sum(prob, _candidates(prob, bound, spread=True), 2 * order,
                                   digits, dressed=True, counted=counted)
     centers = sum(nd.center for nd in prob.nodes)
     factor = [1]
@@ -1025,13 +1054,9 @@ def _cell_sum(prob: _Problem, order: int, counted: bool):
     as a sum over count vectors (the module docstring's cell sum):
     ``{exponent: coefficient}`` and, when ``counted``, the charge counts
     ``{4*Delta: count}`` (else None), from the same recursion with D = 1.
-    Each w(c) is read off one ``_box_tables`` call over the 0/1 charges."""
-    ranks = [0 if nd.fixed else nd.rank for nd in prob.nodes]
-    shared: dict = {}  # one list per rank, as in _candidates
-    cands = [shared.setdefault((nd.rank, r), [(1,) * c + (0,) * (nd.rank - c)
-                                              for c in range(r + 1)])
-             for nd, r in zip(prob.nodes, ranks)]
-    local4, etab, cuts = _box_tables(prob, cands)
+    Each w(c) is read off the tables of the 0/1 charges, ``unit_tables``."""
+    cands, (local4, etab, cuts) = prob.unit_tables
+    ranks = [len(cl) - 1 for cl in cands]
     links = [(v, p, etab[v]) for v, p in enumerate(prob.parent) if p >= 0] + cuts
     states = list(product(*[range(r + 1) for r in ranks]))  # in lexicographic order
     weight = [(sum(map(list.__getitem__, local4, c))

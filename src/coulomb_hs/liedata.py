@@ -133,15 +133,18 @@ def _dressing_degrees(g: GaugeGroup, m: Charge) -> list:
     return out
 
 
-def dominant_charges(g: GaugeGroup, bound: int) -> list:
-    """All dominant charges with max |entry| <= bound, descending-lex."""
+def dominant_charges(g: GaugeGroup, bound: int, spread: bool = False) -> list:
+    """All dominant charges with max |entry| <= bound, descending-lex.  With
+    ``spread``, a U(N) charge m is kept only when its spread m_1 - m_N is
+    at most ``bound`` too: max(m_1, 0) + max(-m_N, 0) <= bound."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
     r = g.rank
     fam = g.family
     if fam is Family.UNITARY:
         alphabet = range(bound, -bound - 1, -1)
-        return [tuple(t) for t in combinations_with_replacement(alphabet, r)]
+        return [tuple(t) for t in combinations_with_replacement(alphabet, r)
+                if not spread or t[0] - t[-1] <= bound]
     if fam is Family.SYMPLECTIC or g.n % 2:
         alphabet = range(bound, -1, -1)
         return [tuple(t) for t in combinations_with_replacement(alphabet, r)]

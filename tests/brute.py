@@ -16,6 +16,11 @@ evaluated one by one (``positive_root_values``), and the dressing
 degrees by way of the residual stabilizer's groups
 (``dressing_degrees_ref``), and Kostant's refined Hilbert series of the
 nilpotent cone (``kostant_nilcone_series``).
+
+For quivers whose gauge nodes are all unitary, a second oracle sums the
+monopole formula cell by cell over count vectors (``cell_sum_ref``),
+with each cell's weight read off the counts alone (``cell_weight``), so
+it reaches orders that no box sum can.
 """
 
 from collections import Counter
@@ -201,6 +206,89 @@ def charges_ref(q, order: int, bound: int) -> dict:
             d4 += m
         if d4 <= 2 * order:
             out[combo] = d4
+    return out
+
+
+def cell_weight(q, counts: dict) -> int:
+    """w(c), 2*Delta of the 0/1 charge that sets the top c_v entries of
+    each gauge node v to 1, from the counts alone: a node term
+    f_v c_v - 2 c_v (r_v - c_v), with every flavor or pinned neighbour
+    counted in f_v, plus c_u (r_v - c_v) + c_v (r_u - c_u) per edge
+    between gauge nodes, once per multiplicity."""
+    rank = {nd.id: nd.group.n for nd in q.gauge_nodes}
+    w = sum(-2 * c * (rank[v] - c) for v, c in counts.items())
+    for a, b in q.edges:
+        if a in rank and b in rank:
+            w += counts[a] * (rank[b] - counts[b]) + counts[b] * (rank[a] - counts[a])
+        elif a in rank or b in rank:
+            v, f = (a, b) if a in rank else (b, a)
+            w += q.node(f).group.n * counts[v]
+    return w
+
+
+def cell_sum_ref(q, order: int, dressed: bool = True) -> list:
+    """Coefficients of t^0..t^order of the unrefined Hilbert series of a
+    good quiver whose gauge nodes are all unitary, as the monopole formula
+    summed cell by cell (arXiv:1309.2657, 1403.0585):
+
+        HS = sum over s + z + n = r of G(s) D(z) G(n),
+        G(0) = 1,  G(c) = t^w(c) / (1 - t^w(c)) * sum over 0 != k <= c of D(k) G(c - k),
+        D(k) = prod over gauge nodes v of prod_{d = 1..k_v} 1 / (1 - t^(2d)),
+
+    over the count vectors of the gauge ranks r, with w(c) =
+    ``cell_weight``: s counts each node's positive entries, z its zeros
+    and n its negative ones.  Every sum runs over all count vectors, one
+    product at a time.  Without ``dressed``, D = 1 and the coefficient of
+    t^e counts the charges with 2*Delta = e."""
+    gauge = q.gauge_nodes
+    ids = [nd.id for nd in gauge]
+    ranks = [nd.group.n for nd in gauge]
+    top = order + 1
+
+    def mul(a, b):
+        out = [0] * top
+        for i, x in enumerate(a):
+            if x:
+                for j in range(top - i):
+                    out[i + j] += x * b[j]
+        return out
+
+    def geometric(w):  # 1 / (1 - t^w)
+        return [int(e % w == 0) for e in range(top)]
+
+    one = [1] + [0] * order
+    dressings = {}
+
+    def dressing(k):
+        if k not in dressings:
+            out = one
+            for kv in k if dressed else ():
+                for d in range(1, kv + 1):
+                    out = mul(out, geometric(2 * d))
+            dressings[k] = out
+        return dressings[k]
+
+    states = list(product(*(range(r + 1) for r in ranks)))
+    g = {}
+    for c in states:
+        if not any(c):
+            g[c] = one
+            continue
+        w = cell_weight(q, dict(zip(ids, c)))
+        if w <= 0:
+            raise ValueError(f"count vector {c} has w = {w} <= 0: a bad theory")
+        acc = [0] * top
+        for k in product(*(range(x + 1) for x in c)):
+            if any(k):
+                rest = tuple(x - y for x, y in zip(c, k))
+                acc = [a + b for a, b in zip(acc, mul(dressing(k), g[rest]))]
+        g[c] = mul(([0] * w + acc)[:top], geometric(w))
+    out = [0] * top
+    for s in states:
+        for n in states:
+            z = tuple(r - a - b for r, a, b in zip(ranks, s, n))
+            if min(z, default=0) >= 0:
+                out = [a + b for a, b in zip(out, mul(mul(g[s], dressing(z)), g[n]))]
     return out
 
 

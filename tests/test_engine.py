@@ -55,7 +55,7 @@ from coulomb_hs.quiver import (
 )
 from coulomb_hs.series import SeriesError, TruncatedSeries, expand_inverse, one_minus_power
 
-from brute import (HALF_PAIR_WEIGHT, delta_ref, hs_ref, kostant_nilcone_series,
+from brute import (HALF_PAIR_WEIGHT, cell_sum_ref, delta_ref, hs_ref, kostant_nilcone_series,
                    matter_term, quarter_units, shell_min_ref, topological_counts)
 
 
@@ -1102,6 +1102,8 @@ def test_cycle_edges_reuse_the_tree_tables(monkeypatch):
     # cycle: on a ring of four U(1)s with a flavor, the U(1)-U(1) table of
     # each box is built once, after the flavor's column.  On affine A3 the
     # pinned node is a flavor of its two neighbours, which share its column.
+    # Box 1 is the 0/1 charges (0,) and (1,); box B keeps every U(1)
+    # candidate, since a U(1) charge has spread 0.
     import coulomb_hs.engine as engine
     built = []
 
@@ -1111,11 +1113,11 @@ def test_cycle_edges_reuse_the_tree_tables(monkeypatch):
     monkeypatch.setattr(engine, "_edge_table", counted)
     assert any(_Problem(flavored_ring(4)).nontree)
     s, _, _ = solve_on_tree(HSRequest(flavored_ring(4), 10), counted=False)
-    assert built == [(3, 1), (3, 3), (21, 1), (21, 21)]
+    assert built == [(2, 1), (2, 2), (21, 1), (21, 21)]
     assert [s.coefficient(k) for k in range(11)] == flavored_ring_series(4, 10)
     built.clear()
     s, _, _ = solve_on_tree(HSRequest(affine_a_cycle(4), 10), counted=False)
-    assert built == [(3, 1), (3, 3), (11, 1), (11, 11)]
+    assert built == [(2, 1), (2, 2), (11, 1), (11, 11)]
     assert [s.coefficient(k) for k in range(11)] == minimal_orbit_series(*type_a(4), 10)
 
 
@@ -1530,8 +1532,9 @@ def test_router_takes_the_cheaper_route(monkeypatch):
         routes.clear()
         compute_hilbert_series(req)
         assert routes == [route], req
-    # The router counts box B's cells once, and the tree pass reuses that
-    # count: two closed-form counts per gauge node, box 1's and box B's.
+    # Every count is in closed form, one per gauge node: box 1's for the
+    # proven box's guard, and box B's for the router and again for the
+    # tree pass's guard.
     calls = []
     count = engine.dominant_charge_count
 
@@ -1541,7 +1544,34 @@ def test_router_takes_the_cheaper_route(monkeypatch):
     monkeypatch.setattr(engine, "dominant_charge_count", counted)
     routes.clear()
     compute_hilbert_series(HSRequest(build_bouquet_quiver(5), 4, ungauge="b1"))
-    assert routes == ["_tree_sum"] and sorted(calls) == [1] * 8 + [2] * 8
+    assert routes == ["_tree_sum"] and sorted(calls) == [1] * 8 + [2] * 16
+
+
+def test_cell_route_builds_one_table_set_over_the_0_1_charges(monkeypatch):
+    # The proven box and the cell sum share one _box_tables call over the
+    # 0/1 charges 1^c 0^(r - c) of each node, the pinned b1 at 0 alone, and
+    # neither builds a list of dominant charges; nor does the proven box of
+    # a solve that then runs on the tree pass.
+    import coulomb_hs.engine as engine
+    routes = recorded_routes(monkeypatch)
+    built = []
+    box_tables = engine._box_tables
+
+    def counted(prob, cands):
+        built.append(cands)
+        return box_tables(prob, cands)
+
+    def refused(*args):
+        raise AssertionError("a list of dominant charges was built")
+    monkeypatch.setattr(engine, "_box_tables", counted)
+    monkeypatch.setattr(engine, "dominant_charges", refused)
+    s = coulomb_hilbert_series(HSRequest(build_bouquet_quiver(3), 8, ungauge="b1"))
+    assert routes == ["_cell_sum"] and s.coefficient(2) == 28
+    u1, u2 = [(0,), (1,)], [(0, 0), (1, 0), (1, 1)]
+    assert built == [[u1, u2, [(0,)], u1, u1]]
+    built.clear()
+    prob = _Problem(ungauge(build_bouquet_quiver(5), "b1"))
+    assert _proven_box(prob, 8) == 2 and len(built) == 1
 
 
 def test_routes_agree_on_the_engine_quivers():
@@ -1568,6 +1598,17 @@ def test_cells_reach_the_nilpotent_cone_past_the_tables(n, order):
     # Orders where the tree pass would need 1e8 table cells or more.
     q = build_linear_nilpotent_quiver(n)
     assert coulomb_hilbert_series(HSRequest(q, order)) == nilcone_reference_hs(n, order)
+
+
+def test_cell_sum_oracle_reaches_the_nilpotent_cone():
+    # At an order no box sum reaches, the brute-force cell sum, the
+    # engine's cell sum and the closed form agree on nilcone(4) to t^40.
+    q = build_linear_nilpotent_quiver(4)
+    want = [nilcone_reference_hs(4, 40).coefficient(k) for k in range(41)]
+    assert cell_sum_ref(q, 40) == want
+    coeffs, counts = _cell_sum(_Problem(q), 40, True)
+    assert [coeffs.get(k, 0) for k in range(41)] == want
+    assert [counts.get(2 * k, 0) for k in range(41)] == cell_sum_ref(q, 40, dressed=False)
 
 
 def test_a_box_past_the_cell_limit_runs_on_the_cells():

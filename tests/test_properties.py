@@ -4,6 +4,7 @@ quivers."""
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -22,6 +23,7 @@ from coulomb_hs.engine import (
     _proven_box,
     _tree_sum,
 )
+from coulomb_hs.liedata import dominant_charges
 from coulomb_hs.quiver import (
     Family,
     NodeKind,
@@ -34,7 +36,8 @@ from coulomb_hs.quiver import (
     ungauge,
 )
 
-from brute import charges_ref, series_ref, shell_min_ref, topological_counts
+from brute import (cell_sum_ref, cell_weight, charges_ref, series_ref, shell_min_ref,
+                   topological_counts)
 
 
 @st.composite
@@ -214,23 +217,6 @@ def test_cell_sum_matches_the_tree_pass(case, order):
         assert sum(counts.values()) == len(charges)
 
 
-def cell_weight(q, counts: dict) -> int:
-    """w(c), 2*Delta of the 0/1 charge that sets the top c_v entries of
-    each gauge node v to 1, from the counts alone: a node term
-    f_v c_v - 2 c_v (r_v - c_v), with every flavor or pinned neighbour
-    counted in f_v, plus c_u (r_v - c_v) + c_v (r_u - c_u) per edge
-    between gauge nodes, once per multiplicity."""
-    rank = {nd.id: nd.group.n for nd in q.gauge_nodes}
-    w = sum(-2 * c * (rank[v] - c) for v, c in counts.items())
-    for a, b in q.edges:
-        if a in rank and b in rank:
-            w += counts[a] * (rank[b] - counts[b]) + counts[b] * (rank[a] - counts[a])
-        elif a in rank or b in rank:
-            v, f = (a, b) if a in rank else (b, a)
-            w += q.node(f).group.n * counts[v]
-    return w
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=st.one_of(unitary_quivers(), unitary_quivers(cycles=1),
@@ -348,3 +334,106 @@ def test_copied_leaves_fold_without_changing_the_sum(case, order):
         got = [topological_counts(x, ids) for x in got]
     assert got == want
     assert result.stats.charge_count == len(charges)
+
+
+def split_charge(combo: tuple, sign: int) -> tuple:
+    """m+ (``sign`` 1) or m- (``sign`` -1) of a unitary charge, a tuple of
+    node charges: max(sign * m, 0) entrywise, sorted back into each
+    node's dominant chamber."""
+    return tuple(tuple(sorted((max(sign * x, 0) for x in c), reverse=True)) for c in combo)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(unitary_quivers(), unitary_quivers(cycles=1),
+                     unitary_quivers(cycles=2), unitary_quivers(forest=True)),
+       order=st.integers(0, 4))
+@example(case=DOUBLED_EDGE, order=4)
+@example(case=PINNED_FOREST, order=4)
+@example(case=FLAVORED_SQUARE, order=4)
+def test_unitary_charges_split_into_positive_and_negative_parts(case, order):
+    # Every unitary term |a - b| is |a+ - b+| + |a- - b-|, so Delta(m) =
+    # Delta(m+) + Delta(m-) on box 2, with Delta as in delta_ref.  Hence
+    # every charge with 2*Delta <= K has max m+ + max m- <= B, the proven
+    # box: checked on the unpruned box one past it.
+    q, _ = case
+    box = charges_ref(q, 10 ** 6, 2)  # every charge of box 2, with its 4*Delta
+    assert len(box) == prod(len(dominant_charges(nd.group, 2)) for nd in q.gauge_nodes)
+    for combo, d4 in box.items():
+        assert d4 == box[split_charge(combo, 1)] + box[split_charge(combo, -1)], combo
+    c = shell_min_ref(q, 1)
+    if c is not None and c <= 0:
+        return
+    bound = 0 if c is None else 2 * order // int(4 * c)
+    for combo in charges_ref(q, order, bound + 1):
+        entries = [x for ch in combo for x in ch]
+        assert max([0] + entries) + max([0] + [-x for x in entries]) <= bound, combo
+
+
+# SO(4)-USp(2) with a USp(4) flavor on the SO(4) end and an SO(2) flavor on
+# the USp(2) end: SO(4)'s box 1 holds (1, -1), which no 0/1 list has.
+SO4_CHAIN = (Quiver(
+    [QuiverNode("c0", NodeKind.GAUGE, SO(4)), QuiverNode("c1", NodeKind.GAUGE, USp(2)),
+     QuiverNode("f0", NodeKind.FLAVOR, USp(4)), QuiverNode("f1", NodeKind.FLAVOR, SO(2))],
+    [("c0", "c1"), ("c0", "f0"), ("c1", "f1")]), frozenset())
+# SO(2), the torus U(1), with a USp(2) flavor: (-1,) ties with (1,) on shell 1.
+SO2_NODE = (Quiver(
+    [QuiverNode("c0", NodeKind.GAUGE, SO(2)), QuiverNode("f0", NodeKind.FLAVOR, USp(2))],
+    [("c0", "f0")]), frozenset())
+# SQED beside SO(2) with a USp(4) flavor: one unitary and one orthosymplectic
+# component, whose least charges split differently.
+MIXED_FOREST = (Quiver(
+    [QuiverNode("u0", NodeKind.GAUGE, U(1)), QuiverNode("fu", NodeKind.FLAVOR, U(3)),
+     QuiverNode("c0", NodeKind.GAUGE, SO(2)), QuiverNode("fc", NodeKind.FLAVOR, USp(4))],
+    [("u0", "fu"), ("c0", "fc")]), frozenset())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(unitary_quivers(), unitary_quivers(cycles=1),
+                     unitary_quivers(cycles=2), unitary_quivers(forest=True),
+                     orthosymplectic_chains()))
+@example(case=SO4_CHAIN)
+@example(case=SO2_NODE)
+@example(case=MIXED_FOREST)
+@example(case=ODD_SO_CHAIN)
+def test_proven_box_reads_c4_off_the_0_1_charges(case):
+    # The proven box takes c4 from the 0/1 charges 1^c 0^(r - c) alone, and
+    # B = thr4 // c4 with c4 = 4 times the least Delta over all of shell 1,
+    # negative entries included, for every cutoff up to 80; a bad theory
+    # raises.
+    q, _ = case
+    prob = _Problem(q)
+    c = shell_min_ref(q, 1)
+    if c is not None and c <= 0:
+        with pytest.raises(BadTheoryError):
+            _proven_box(prob, 0)
+        return
+    for thr4 in range(81):
+        assert _proven_box(prob, thr4) == (0 if c is None else thr4 // int(4 * c)), thr4
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(unitary_quivers(), unitary_quivers(cycles=1),
+                     unitary_quivers(cycles=2), unitary_quivers(forest=True)),
+       order=st.integers(0, 10))
+@example(case=FLAVORED_SQUARE, order=10)
+@example(case=TWO_CHORDS, order=10)
+@example(case=PINNED_FOREST, order=10)
+@example(case=DOUBLED_EDGE, order=10)
+def test_cell_sum_matches_its_oracle(case, order):
+    # The engine's cell sum reads w(c) off the tables of the 0/1 charges,
+    # which the proven box shares; the oracle reads it off the counts
+    # alone and sums naively over count vectors.  Series and charge counts.
+    q, _ = case
+    prob = _Problem(q)
+    c = shell_min_ref(q, 1)
+    if c is not None and c <= 0:
+        with pytest.raises(BadTheoryError):
+            _proven_box(prob, 2 * order)
+        return
+    coeffs, counts = _cell_sum(prob, order, True)
+    assert [coeffs.get(k, 0) for k in range(order + 1)] == cell_sum_ref(q, order)
+    assert ([counts.get(2 * k, 0) for k in range(order + 1)]
+            == cell_sum_ref(q, order, dressed=False))
