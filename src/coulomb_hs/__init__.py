@@ -17,9 +17,9 @@ _EXPORTS = {
     **dict.fromkeys([
         "BadTheoryError", "EngineError", "EngineStats", "HSRequest",
         "HSResult", "QuiverCharge", "compute_hilbert_series",
-        "coulomb_hilbert_series", "delta", "dressing_factor",
-        "enumerate_charges", "nilcone_reference_hs",
-        "refined_implosion_integral", "symmetry_dimension"], "engine"),
+        "coulomb_hilbert_series", "delta", "enumerate_charges",
+        "nilcone_reference_hs", "refined_implosion_integral",
+        "symmetry_dimension"], "engine"),
     **dict.fromkeys([
         "DualityReport", "GaleError", "RankDeficientError", "ToricConfig",
         "duality_report", "gale_dual", "is_gale_dual_pair",

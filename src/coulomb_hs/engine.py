@@ -24,12 +24,19 @@ Every charge below the dimension cutoff lies in one box of charges with
 max |entry| <= B, and B is proven: on the shell of charges with
 max |entry| == b, 4*Delta is at least b times its minimum c4 over shell 1
 (see ``_proven_box``).  As 4*Delta(m) = 4*Delta(m+) + 4*Delta(m-), with
-m+ = max(m, 0) and m- = max(-m, 0) on unitary nodes, c4 is read off the
-exact minimum-cost tables of the 0/1 charges 1^c 0^(r - c) over the
-quiver's spanning forest, with no search, and the sums over box B keep
-only the unitary candidates of spread m_1 - m_r <= B.  Only a bad theory
-(c4 <= 0) lists the charges of box 1 with cutoff 0, to name the
-offending charge; ``enumerate_charges`` lists the charges of box B.
+m+ = max(m, 0) and m- = max(-m, 0) on unitary nodes (|m| and 0 on the
+others), c4 is read off the exact minimum-cost tables of the 0/1 charges
+1^c 0^(r - c) over the quiver's spanning forest, with no search.  The
+same tables give each node v its floors, floor[v][c] the least 4*Delta
+of a 0/1 charge with node v at 1^c 0^(r - c).  m+ is the sum of its
+level sets 1[m+ >= k], k >= 1, each a 0/1 charge in the closure of the
+cell of m+, on which 4*Delta is linear, so every charge m through
+candidate x of node v has 4*Delta(m) >= F_v(x), the sum over k >= 1 of
+floor[v][#{i : x+_i >= k}] plus the same for x-: one dot product per
+candidate.  The sums over box B keep only the candidates with F_v(x) at
+most the cutoff (``_candidates``), a superset of the live ones.  Only a
+bad theory (c4 <= 0) lists the charges of box 1 with cutoff 0, to name
+the offending charge; ``enumerate_charges`` lists the charges of box B.
 Both lists come from the same tree pass as the Hilbert series (below),
 with dressing 1 and one packed digit per charge entry, so that each
 charge is one monomial.
@@ -142,7 +149,7 @@ from collections import Counter, namedtuple
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import chain, product
-from math import comb, prod
+from math import comb, inf, prod
 from operator import add, mul
 
 from .liedata import (
@@ -361,6 +368,22 @@ class _Problem:
             for nd in self.nodes]
         return cands, _box_tables(self, cands)
 
+    @cached_property
+    def floors(self) -> list:
+        """``floors[v][c]``: the least 4*Delta of any 0/1 charge with node v
+        at 1^c 0^(r - c), under every cycle cutset assignment, from the
+        tables of ``unit_tables`` (see ``_proven_box``)."""
+        cands, tables = self.unit_tables
+        floors = None
+        for loc, tab, lab in _cutset_assignments(self, *tables, cands):
+            tot = _totals(self, tab, *_min_tables(self, loc, tab))
+            # A pinned node keeps one candidate, and bounds only its count.
+            tot = [tv if len(tv) == len(cl) else [tv[0] if c == lb[0] else inf for c in cl]
+                   for tv, cl, lb in zip(tot, cands, lab)]
+            floors = tot if floors is None else [list(map(min, f, t))
+                                                 for f, t in zip(floors, tot)]
+        return floors
+
     def coerce_charge(self, charge) -> tuple:
         if isinstance(charge, QuiverCharge):
             charge = charge.as_dict()
@@ -499,21 +522,27 @@ def _check_cells(prob: _Problem, b: int) -> None:
                           f"{MAX_TABLE_CELLS} allowed")
 
 
-def _candidates(prob: _Problem, b: int, spread: bool = False) -> list:
+def _candidates(prob: _Problem, b: int, thr4: int | None = None) -> list:
     """Each node's dominant charges with max |entry| <= b; a fixed node has
-    only charge 0.  With ``spread``, for the proven box b of a good theory,
-    a unitary node keeps only the charges of spread c_1 - c_r <= b, since
-    no charge through another is within the cutoff (``_proven_box``).
-    Nodes of one type (group, fixed) share one list, which no consumer
-    mutates.  ``_check_cells`` counts the whole box before any is built,
-    so the lists are bounded too."""
+    only charge 0.  With a cutoff ``thr4`` whose proven box is b, for a
+    good theory, node v keeps only the charges x of spread <= b and floor
+    F_v(x) <= thr4 (``liedata.dominant_charges`` over ``_Problem.floors``),
+    since no charge through another is within the cutoff (``_proven_box``).
+    Nodes of one group, fixed or not, with the same floors build one list,
+    and equal lists are one object, which no consumer mutates: twin leaves
+    and the table memo rely on it.  ``_check_cells`` counts the whole box
+    before any is built, so the lists are bounded too."""
     _check_cells(prob, b)
-    shared: dict = {}
-    for nd in prob.nodes:
-        if (nd.group, nd.fixed) not in shared:
-            shared[nd.group, nd.fixed] = ([(0,) * nd.rank] if nd.fixed
-                                          else dominant_charges(nd.group, b, spread))
-    return [shared[nd.group, nd.fixed] for nd in prob.nodes]
+    built: dict = {}  # (group, fixed, floors): the list
+    shared: dict = {}  # (group, the list's charges): its one object
+    out = []
+    for nd, fl in zip(prob.nodes, prob.floors):
+        key = nd.group, nd.fixed, tuple(fl)
+        if key not in built:
+            cl = [(0,) * nd.rank] if nd.fixed else dominant_charges(nd.group, b, fl, thr4)
+            built[key] = shared.setdefault((nd.group, tuple(cl)), cl)
+        out.append(built[key])
+    return out
 
 
 def _box_tables(prob: _Problem, cands: list):
@@ -645,26 +674,34 @@ def _proven_box(prob: _Problem, thr4: int) -> int:
     m- the charge max(-m, 0) on the unitary nodes and 0 on the others, each
     sorted into its chamber, 4*Delta(m) = 4*Delta(m+) + 4*Delta(m-), which
     is at least c4 * (max m+ + max m-).  On shell 1, m+ and m- are 0/1
-    charges 1^c 0^(r - c), one of them nonzero, so c4 is the least
-    ``tot[v][iv]`` of their tables (``_Problem.unit_tables``) over the
-    nonzero candidates iv of every node v, under every assignment of the
-    cycle cutset.  Box 1 holds a nonzero charge with 4*Delta <= 0 exactly
-    when c4 <= 0, a bad theory, named by the nonzero charge of box 1 with
-    the least 4*Delta, ties going to the first in the order of
-    ``enumerate_charges``; otherwise every charge with 4*Delta <= thr4 has
-    max m+ + max m- <= B = thr4 // c4 (B = 0 when no node has a nonzero
-    charge).  Delta is a half-integer, so a positive c4 is at least 2 and
-    B <= thr4 // 2: at order K, thr4 = 2K and the box is at most K.
+    charges 1^c 0^(r - c), one of them nonzero, so c4 is the least floor
+    ``floors[v][c]`` with c >= 1 over every node v: the least ``tot`` of
+    those charges' tables (``_Problem.unit_tables``) with node v at
+    1^c 0^(r - c), under every assignment of the cycle cutset.  Box 1
+    holds a nonzero charge with 4*Delta <= 0 exactly when c4 <= 0, a bad
+    theory, named by the nonzero charge of box 1 with the least 4*Delta,
+    ties going to the first in the order of ``enumerate_charges``;
+    otherwise every charge with 4*Delta <= thr4 has max m+ + max m- <= B
+    = thr4 // c4 (B = 0 when no node has a nonzero charge).  Delta is a
+    half-integer, so a positive c4 is at least 2 and B <= thr4 // 2: at
+    order K, thr4 = 2K and the box is at most K.
     ``_check_cells`` counts box 1 first: that count bounds the 0/1 tables,
     and a bad theory lists box 1.
+
+    The floors bound each node's candidates too.  m+ is the sum over k >= 1
+    of its level sets 1[m+ >= k], each a 0/1 charge, sorted as m+ is, in
+    the closure of m+'s cell: wherever m+_i >= m+_j (entries of any nodes),
+    1[m+_i >= k] >= 1[m+_j >= k], and wherever m+_i = 0 the level is 0.
+    4*Delta is linear on that closed cell, so 4*Delta(m+) is the sum of the
+    levels' 4*Delta, and level k costs at least ``floors[v][#{i : m+_v,i >=
+    k}]``; likewise m-.  So 4*Delta(m) >= F_v(m_v) at every node v, with F_v
+    as in ``liedata.dominant_charges``, and F_v(x) >= c4 * (max x+ + max
+    x-), as each of those levels has a count c >= 1.  A charge within thr4
+    thus passes only through candidates with F_v(x) <= thr4, whose spread
+    is at most B (``_candidates``).
     """
     _check_cells(prob, 1)
-    cands, tables = prob.unit_tables
-    least: list = []
-    for loc, tab, lab in _cutset_assignments(prob, *tables, cands):
-        tot = _totals(prob, tab, *_min_tables(prob, loc, tab))
-        least.extend(t for v in prob.preorder for t, c in zip(tot[v], lab[v]) if any(c))
-    c4 = min(least, default=None)
+    c4 = min(chain.from_iterable(fl[1:] for fl in prob.floors), default=None)
     if c4 is not None and c4 <= 0:
         d4, vec = min((d4, vec) for vec, d4 in _box_charges(prob, 1, 0).items()
                       if any(chain.from_iterable(vec)))
@@ -674,18 +711,18 @@ def _proven_box(prob: _Problem, thr4: int) -> int:
     return 0 if c4 is None else thr4 // c4
 
 
-def _box_charges(prob: _Problem, b: int, thr4: int, spread: bool = False) -> dict:
+def _box_charges(prob: _Problem, b: int, thr4: int, pruned: bool = False) -> dict:
     """``{charge: 4*Delta}`` for the charges with max |entry| <= b and
-    4*Delta <= thr4 (with ``spread``, see ``_candidates``): the box sum
-    without dressing, in which each entry of every charge is one balanced
-    digit of base 2b + 1.  Node v's entries form the digit d(m) = sum_i
-    m_v[i] * (2b + 1)^i, so each charge is one key of coefficient 1, and
-    each node's digit names its charge."""
+    4*Delta <= thr4 (with ``pruned``, over ``_candidates`` cut at thr4):
+    the box sum without dressing, in which each entry of every charge is
+    one balanced digit of base 2b + 1.  Node v's entries form the digit
+    d(m) = sum_i m_v[i] * (2b + 1)^i, so each charge is one key of
+    coefficient 1, and each node's digit names its charge."""
     base = 2 * b + 1
 
     def number(c: Charge) -> int:
         return sum(x * base ** i for i, x in enumerate(c))
-    cands = _candidates(prob, b, spread=spread)
+    cands = _candidates(prob, b, thr4 if pruned else None)
     names = [{number(c): c for c in cl} for cl in cands]
     digits = [(v, number) for v in range(len(names))]
     terms, _ = _monopole_sum(prob, cands, thr4, digits, dressed=False, counted=False)
@@ -705,7 +742,7 @@ def enumerate_charges(q: Quiver, delta_max) -> list:
         raise ValueError("delta_max must be a quarter-integer")
     prob = _Problem(q)
     bound = _proven_box(prob, int(thr4))
-    found = _box_charges(prob, bound, int(thr4), spread=True)
+    found = _box_charges(prob, bound, int(thr4), pruned=True)
     ids = tuple(nd.id for nd in prob.nodes)
     keyed = sorted((max(map(abs, chain.from_iterable(vec)), default=0), vec)
                    for vec in found)
@@ -713,7 +750,7 @@ def enumerate_charges(q: Quiver, delta_max) -> list:
 
 
 # ---------------------------------------------------------------------------
-# public conformal-dimension / dressing operations
+# conformal dimension and dressing
 
 
 def delta(q: Quiver, charge) -> Fraction:
@@ -733,20 +770,6 @@ def _dressing_coeffs(degrees: tuple, order: int) -> tuple:
         for e in range(step, order + 1):
             arr[e] += arr[e - step]
     return tuple(arr)
-
-
-def dressing_factor(q: Quiver, charge, order: int) -> TruncatedSeries:
-    """P(m,t): product over residual Casimir degrees d of 1/(1 - t^(2d));
-    fixed nodes contribute factor 1."""
-    check_order(order)
-    prob = _Problem(q)
-    vec = prob.coerce_charge(charge)
-    degrees: list = []
-    for i, nd in enumerate(prob.nodes):
-        if not nd.fixed:
-            degrees.extend(_dressing_degrees(nd.group, vec[i]))
-    arr = _dressing_coeffs(tuple(sorted(degrees)), order)
-    return TruncatedSeries(order, {e: c for e, c in enumerate(arr) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -1009,7 +1032,7 @@ def _tree_sum(prob: _Problem, order: int, bound: int, refined: list, counted: bo
     so it is multiplied once by (1 - t^2)^(-u), whose coefficient of
     t^(2j) is the integer c_j = c_(j-1) * (u - 1 + j) / j, with c_0 = 1."""
     digits = [(prob.index[nid], sum) for nid in refined]
-    terms, counts = _monopole_sum(prob, _candidates(prob, bound, spread=True), 2 * order,
+    terms, counts = _monopole_sum(prob, _candidates(prob, bound, 2 * order), 2 * order,
                                   digits, dressed=True, counted=counted)
     centers = sum(nd.center for nd in prob.nodes)
     factor = [1]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb
+from operator import sub
 
 from .quiver import Family, GaugeGroup, QuiverError
 
@@ -133,30 +134,47 @@ def _dressing_degrees(g: GaugeGroup, m: Charge) -> list:
     return out
 
 
-def dominant_charges(g: GaugeGroup, bound: int, spread: bool = False) -> list:
-    """All dominant charges with max |entry| <= bound, descending-lex.  With
-    ``spread``, a U(N) charge m is kept only when its spread m_1 - m_N is
-    at most ``bound`` too: max(m_1, 0) + max(-m_N, 0) <= bound."""
+def dominant_charges(g: GaugeGroup, bound: int, floor=(), cap=None) -> list:
+    """All dominant charges with max |entry| <= bound, descending-lex.
+
+    With a ``cap``, and ``floor`` a list of r + 1 integers with floor[0] =
+    0, a U(r) charge m is kept only when its spread is at most ``bound``,
+    max(m_1, 0) + max(-m_r, 0) <= bound, and any charge only when its
+    floor F(m) is at most ``cap``.  F(m) is the sum over the levels k >= 1
+    of floor[#{i : m+_i >= k}] + floor[#{i : m-_i >= k}], where on U(r) m+
+    = max(m, 0) and m- = max(-m, 0), each sorted descending, and on the
+    other groups m+ = |m| and m- = 0.  As floor[c] is the sum of floor[i]
+    - floor[i - 1] over i <= c, and m+_i levels k have #{i : m+_i >= k} >=
+    i, F is one dot product: the sum over i of (floor[i] - floor[i - 1]) *
+    (m+_i + m-_i), with m-_i = max(-m_(r+1-i), 0) on U(r).  A charge of
+    spread at most ``bound`` has at most ``bound`` levels, so when
+    ``bound * max(floor[1:]) <= cap`` no F is computed: only the spread
+    test runs."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
     r = g.rank
     fam = g.family
     if fam is Family.UNITARY:
         alphabet = range(bound, -bound - 1, -1)
-        return [tuple(t) for t in combinations_with_replacement(alphabet, r)
-                if not spread or t[0] - t[-1] <= bound]
-    if fam is Family.SYMPLECTIC or g.n % 2:
-        alphabet = range(bound, -1, -1)
-        return [tuple(t) for t in combinations_with_replacement(alphabet, r)]
-    if r == 1:  # SO(2)
-        return [(x,) for x in range(bound, -bound - 1, -1)]
-    out = []
-    for t in combinations_with_replacement(range(bound, -1, -1), r):
-        out.append(t)
-        if t[-1] > 0:
-            out.append(t[:-1] + (-t[-1],))
-    out.sort(reverse=True)
-    return out
+        out = [m for m in combinations_with_replacement(alphabet, r)
+               if cap is None or m[0] - m[-1] <= bound]
+    elif fam is Family.SYMPLECTIC or g.n % 2:
+        out = list(combinations_with_replacement(range(bound, -1, -1), r))
+    elif r == 1:  # SO(2)
+        out = [(x,) for x in range(bound, -bound - 1, -1)]
+    else:
+        out = []
+        for t in combinations_with_replacement(range(bound, -1, -1), r):
+            out.append(t)
+            if t[-1] > 0:
+                out.append(t[:-1] + (-t[-1],))
+        out.sort(reverse=True)
+    if cap is None or bound * max(floor[1:], default=0) <= cap:
+        return out
+    up = list(map(sub, floor[1:], floor))
+    down = up[::-1] if fam is Family.UNITARY else up  # for entries x < 0
+    return [m for m in out
+            if sum(x * u if x > 0 else -x * d for x, u, d in zip(m, up, down)) <= cap]
 
 
 def dominant_charge_count(g: GaugeGroup, bound: int) -> int:

@@ -16,7 +16,6 @@ from coulomb_hs.engine import (
     compute_hilbert_series,
     coulomb_hilbert_series,
     delta,
-    dressing_factor,
     enumerate_charges,
     implosion_series,
     nilcone_reference_hs,
@@ -30,6 +29,7 @@ from coulomb_hs.engine import (
     _candidates,
     _cell_sum,
     _cutset_assignments,
+    _dressing_coeffs,
     _edge_table,
     _min_tables,
     _proven_box,
@@ -125,8 +125,6 @@ def test_delta_rejects_unknown_charge_keys():
         delta(q, {"g": (1,), "typo": (5,)})
     with pytest.raises(QuiverError, match="'f'"):  # a flavor node has no charge
         delta(q, {"g": (1,), "f": (5,)})
-    with pytest.raises(QuiverError, match="'f'"):
-        dressing_factor(q, {"g": (1,), "f": (0, 0)}, 4)
 
 
 def test_delta_rejects_bool_entries():
@@ -148,30 +146,22 @@ def test_delta_fixed_nodes_keep_matter():
 
 
 def test_dressing_examples():
-    q = Quiver([QuiverNode("g", NodeKind.GAUGE, U(2)),
-                QuiverNode("f", NodeKind.FLAVOR, U(4))], [("g", "f")])
-    full = dressing_factor(q, {"g": (1, 1)}, 8)
-    assert full == expand_inverse(2, 8) * expand_inverse(4, 8)
-    broken = dressing_factor(q, {"g": (1, 0)}, 8)
-    assert broken == expand_inverse(2, 8) * expand_inverse(2, 8)
-    lone_fixed = ungauge(Quiver([QuiverNode("g", NodeKind.GAUGE, U(1))], []), "g")
-    assert dressing_factor(lone_fixed, {"g": (0,)}, 6) == TruncatedSeries.one(6)
-
-
-def test_dressing_rejects_negative_order():
-    q = u1_with_flavors(2)
-    assert dressing_factor(q, {"g": (0,)}, 0) == TruncatedSeries.one(0)
-    with pytest.raises(ValueError, match="truncation order must be >= 0"):
-        dressing_factor(q, {"g": (0,)}, -1)
+    # P(m, t), the product over the residual Casimir degrees d of
+    # 1/(1 - t^(2d)), as the tree pass expands it: U(2) at (1, 1) keeps
+    # U(2), at (1, 0) it breaks to U(1)^2, and the empty product is 1.
+    def dressing(g, m, order):
+        coeffs = _dressing_coeffs(tuple(dressing_degrees(g, m)), order)
+        return TruncatedSeries(order, {e: c for e, c in enumerate(coeffs) if c})
+    assert dressing(U(2), (1, 1), 8) == expand_inverse(2, 8) * expand_inverse(4, 8)
+    assert dressing(U(2), (1, 0), 8) == expand_inverse(2, 8) * expand_inverse(2, 8)
+    assert dressing(SO(1), (), 6) == TruncatedSeries.one(6)
+    assert dressing(U(1), (0,), 0) == TruncatedSeries.one(0)
 
 
 @pytest.mark.parametrize("order", [True, 2.0, 2.5])
 def test_non_integer_orders_are_rejected(order):
-    q = build_linear_nilpotent_quiver(2)
     builders = [lambda: TruncatedSeries(order, {0: 1}),
                 lambda: nilcone_reference_hs(3, order),
-                lambda: dressing_factor(q, {"g1": (0,)}, order),
-                lambda: dressing_factor(q, {"g1": (1,)}, order),
                 lambda: expand_inverse(1, order),
                 lambda: one_minus_power(1, order)]
     for build in builders:
@@ -1052,6 +1042,45 @@ def test_edge_table_matches_reference():
     assert [(prob.nodes[u].id, prob.nodes[v].id)
             for v, late in enumerate(prob.nontree) for u, _ in late] == [("b", "d")]
     assert [f.mult for f in prob.nodes[prob.index["b"]].flavor] == [1]  # the fixed a
+
+
+def test_box_b_keeps_only_candidates_within_their_floors():
+    # Box B's lists keep the candidates whose floor is within the cutoff,
+    # so the tree edges' tables shrink: wide-bouquet (bouquet(5), b1
+    # ungauged, K = 4) 1794 -> 340 cells, ortho-d5 (dn(5) with its flavor,
+    # K = 6) 3902 -> 284 and nilcone(7) at K = 8 398 734 -> 3 978, while
+    # affine E6 at K = 6, whose floors are all c4, keeps its 3608.  The
+    # series are unchanged: ortho-d5 has 10630 charges, and nilcone(7),
+    # here on the tree pass, is Kostant's series.
+    cases = ((ungauge(build_bouquet_quiver(5), "b1"), 4, 340),
+             (build_dn_implosion_quiver(5, with_flavor=True), 6, 284),
+             (build_linear_nilpotent_quiver(7), 8, 3978),
+             (ungauge(build_partial_implosion_quiver(4, [2, 2]), "l1_1"), 6, 3608))
+    for q, order, cells in cases:
+        prob = _Problem(q)
+        cands = _candidates(prob, _proven_box(prob, 2 * order), 2 * order)
+        _, etab, _ = _box_tables(prob, cands)
+        assert sum(len(tab) * len(tab[0]) for tab in etab if tab) == cells, q
+    _, _, counts = solve_on_tree(HSRequest(cases[1][0], 6))
+    assert sum(counts.values()) == 10630
+    series, _, _ = solve_on_tree(HSRequest(cases[2][0], 8), counted=False)
+    assert series == nilcone_reference_hs(7, 8)
+
+
+def test_equal_kept_lists_are_one_object():
+    # U(1) a with one flavor and U(1) b with two, joined: floors [0, 4] and
+    # [0, 6], so c4 = 4.  At K = 3 (box 1) neither floor test can drop a
+    # charge, and the two equal lists are one object, as twin leaves and
+    # the table memo need; at K = 2 b keeps only its charge 0.
+    q = Quiver([QuiverNode("a", NodeKind.GAUGE, U(1)), QuiverNode("b", NodeKind.GAUGE, U(1)),
+                QuiverNode("fa", NodeKind.FLAVOR, U(1)), QuiverNode("fb", NodeKind.FLAVOR, U(2))],
+               [("a", "b"), ("a", "fa"), ("b", "fb")])
+    prob = _Problem(q)
+    assert prob.floors == [[0, 4], [0, 6]]
+    a, b = _candidates(prob, _proven_box(prob, 6), 6)
+    assert a == [(1,), (0,), (-1,)] and a is b
+    a, b = _candidates(prob, _proven_box(prob, 4), 4)
+    assert a == [(1,), (0,), (-1,)] and b == [(0,)]
 
 
 def test_edge_tables_are_shared_per_edge_type():

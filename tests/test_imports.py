@@ -67,7 +67,7 @@ EXPORTS = [
     "build_dn_implosion_quiver", "build_linear_nilpotent_quiver",
     "build_partial_implosion_quiver", "casimir_degrees", "compute_hilbert_series",
     "coulomb_hilbert_series", "decoupled_u1_count", "delta", "detect_decoupled_u1",
-    "dominant_charges", "dressing_factor", "duality_report", "enumerate_charges",
+    "dominant_charges", "duality_report", "enumerate_charges",
     "expand_inverse", "expected_coulomb_dimension_real", "gale_dual",
     "gauge_group_rank", "is_gale_dual_pair",
     "kernel_lattice", "nilcone_reference_hs", "node_balance", "plethystic_exp",

@@ -3,7 +3,7 @@ refined monomials) against the brute-force box sum on small random
 quivers."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import prod
 
 import pytest
@@ -19,6 +19,7 @@ from coulomb_hs.engine import (
     enumerate_charges,
     _Problem,
     _box_charges,
+    _candidates,
     _cell_sum,
     _proven_box,
     _tree_sum,
@@ -411,6 +412,61 @@ def test_proven_box_reads_c4_off_the_0_1_charges(case):
         return
     for thr4 in range(81):
         assert _proven_box(prob, thr4) == (0 if c is None else thr4 // int(4 * c)), thr4
+
+
+def level_floor(floor: list, x: tuple, unitary: bool) -> int:
+    """F(x) from its definition: floor[#{i : x+_i >= k}] summed over the
+    levels k >= 1, plus the same for x-, with x+ = max(x, 0) and x- =
+    max(-x, 0) on a unitary node and x+ = |x|, x- = 0 on the others."""
+    parts = ([[max(e, 0) for e in x], [max(-e, 0) for e in x]] if unitary
+             else [[abs(e) for e in x]])
+    return sum(floor[sum(e >= k for e in part)]
+               for part in parts for k in range(1, max(part, default=0) + 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(unitary_quivers(), unitary_quivers(cycles=1),
+                     unitary_quivers(cycles=2), unitary_quivers(forest=True),
+                     orthosymplectic_chains()),
+       order=st.integers(0, 4))
+@example(case=FLAVORED_SQUARE, order=4)
+@example(case=DOUBLED_EDGE, order=4)
+@example(case=PINNED_FOREST, order=4)
+@example(case=SO4_CHAIN, order=4)
+@example(case=ODD_SO_CHAIN, order=4)
+@example(case=MIXED_FOREST, order=3)
+def test_node_floors_bound_every_charge_through_a_candidate(case, order):
+    # floor[v][c] is the least 4*Delta of a 0/1 charge with node v at
+    # 1^c 0^(r - c).  A charge m is the sum of its level sets, 0/1 charges
+    # on which 4*Delta adds up, so F_v(m_v) <= 4*Delta(m) at every node:
+    # checked on every charge of box 2.  Box B keeps exactly the
+    # candidates x with F_v(x) <= thr4, and so every node's charge of
+    # every charge within the cutoff, on the unpruned box one past B.
+    q, _ = case
+    c = shell_min_ref(q, 1)
+    if c is not None and c <= 0:
+        return
+    gauge = q.gauge_nodes
+    unitary = [nd.group.family is Family.UNITARY for nd in gauge]
+    box1 = charges_ref(q, 10 ** 6, 1)
+    floors = [[min(d4 for combo, d4 in box1.items()
+                   if set(chain(*combo)) <= {0, 1} and sum(combo[k]) == n)
+               for n in range(nd.group.rank + 1)] for k, nd in enumerate(gauge)]
+    prob = _Problem(q)
+    assert [prob.floors[prob.index[nd.id]] for nd in gauge] == floors
+    for combo, d4 in charges_ref(q, 10 ** 6, 2).items():
+        for fl, x, u in zip(floors, combo, unitary):
+            assert level_floor(fl, x, u) <= d4, (combo, x)
+    thr4 = 2 * order
+    bound = _proven_box(prob, thr4)
+    full, kept = _candidates(prob, bound), _candidates(prob, bound, thr4)
+    slots = [prob.index[nd.id] for nd in gauge]
+    for v, fl, u in zip(slots, floors, unitary):
+        assert kept[v] == [x for x in full[v] if level_floor(fl, x, u) <= thr4]
+    for combo in charges_ref(q, order, bound + 1):
+        for v, x in zip(slots, combo):
+            assert x in kept[v], (combo, x)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
