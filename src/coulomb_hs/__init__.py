@@ -18,8 +18,7 @@ _EXPORTS = {
         "BadTheoryError", "EngineError", "EngineStats", "HSRequest",
         "HSResult", "QuiverCharge", "compute_hilbert_series",
         "coulomb_hilbert_series", "delta", "enumerate_charges",
-        "nilcone_reference_hs", "refined_implosion_integral",
-        "symmetry_dimension"], "engine"),
+        "refined_implosion_integral", "symmetry_dimension"], "engine"),
     **dict.fromkeys([
         "DualityReport", "GaleError", "RankDeficientError", "ToricConfig",
         "duality_report", "gale_dual", "is_gale_dual_pair",
@@ -40,8 +39,9 @@ _EXPORTS = {
         "expected_coulomb_dimension_real", "gauge_group_rank", "node_balance",
         "predict_global_symmetry"], "balance"),
     **dict.fromkeys([
-        "Laurent", "TruncatedSeries", "expand_inverse", "plethystic_exp",
-        "plethystic_log", "series_from_json", "series_to_json"], "series"),
+        "Laurent", "TruncatedSeries", "expand_inverse", "nilcone_reference_hs",
+        "plethystic_exp", "plethystic_log", "series_from_json",
+        "series_to_json"], "series"),
 }
 
 __all__ = sorted(_EXPORTS)

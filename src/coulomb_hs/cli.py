@@ -36,7 +36,6 @@ from .engine import (
     compute_hilbert_series,
     coulomb_hilbert_series,
     implosion_series,
-    nilcone_reference_hs,
 )
 from .quiver import (
     DecoupledU1UnresolvedError,
@@ -57,6 +56,7 @@ from .quiver import (
 from .series import (
     SeriesError,
     expand_inverse,
+    nilcone_reference_hs,
     one_minus_power,
     plethystic_exp,
     plethystic_log,

@@ -86,6 +86,26 @@ minimum row and multiplies in its message once per leaf, and the others
 get no row, no totals and no message.  The four gauged U(1) leaves of
 bouquet(5) at K = 4 make 35 messages in place of 65.
 
+Conjugate candidates are priced once.  The monopole formula is invariant
+under charge conjugation m -> -m (arXiv:1309.2657), which maps a U(r)
+charge c to sigma(c), -c reversed, again dominant.  On a sum whose nodes
+are all unitary, with no digit and no cycle cutset, sigma preserves every
+quantity the tree pass reads: the root term -<2*rho, c>, as 2*rho is
+antisymmetric under reversal; every edge term |x - y| and flavor term
+|x|, as sigma negates the entries of every node at once; the residual
+group, whose blocks sigma reverses, and so the dressing; and the
+candidate lists, as the box, the spread filter and the floor F_v are
+unchanged when x+ and x- swap, the entries of x- being weighed by the
+floors' steps reversed.  So tab[sigma(ip)][sigma(iv)] = tab[ip][iv], the
+node terms, minimum tables and totals agree at iv and sigma(iv), and so
+do the products a node builds and the messages it sends, and each pair
+of conjugate candidates is priced once (``liedata.negation``).  With its
+leaves folded too, bouquet(5) at K = 4 makes 22 messages, not 35, and
+affine E6 at K = 6 makes 82, not 153.  Off the unitary family sigma is
+the identity on USp, SO(odd) and SO(4k) and is not used on SO(2) and
+SO(4k+2); a digit (the topological charge or a listed charge) tells c
+from sigma(c), and a cutset pins one of them.
+
 The residual group of every charge of a U(n) or SO(2) gauge node holds
 the node's center, a U(1) whose Casimir of degree 1 gives P(m,t) the same
 factor 1/(1 - t^2) at every charge.  So the tree pass dresses each node
@@ -149,14 +169,16 @@ from collections import Counter, namedtuple
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import chain, product
-from math import comb, inf, prod
+from math import inf, prod
 from operator import add, mul
 
 from .liedata import (
     Charge,
     dominant_charge_count,
     dominant_charges,
+    _dressing_coeffs,
     _dressing_degrees,
+    negation,
     validate_charge,
     weyl_vector,
 )
@@ -172,7 +194,7 @@ from .quiver import (
     decoupled_u1_count,
     ungauge,
 )
-from .series import Laurent, TruncatedSeries, check_order, one_minus_power
+from .series import Laurent, TruncatedSeries, check_order
 
 
 class EngineError(QuiverError):
@@ -762,16 +784,6 @@ def delta(q: Quiver, charge) -> Fraction:
     return Fraction(_delta4(prob, prob.coerce_charge(charge)), 4)
 
 
-def _dressing_coeffs(degrees: tuple, order: int) -> tuple:
-    arr = [0] * (order + 1)
-    arr[0] = 1
-    for d in degrees:
-        step = 2 * d
-        for e in range(step, order + 1):
-            arr[e] += arr[e - step]
-    return tuple(arr)
-
-
 # ---------------------------------------------------------------------------
 # Hilbert series
 
@@ -788,26 +800,25 @@ def _poly_mul(a: dict, b: dict, top: int) -> dict:
     return out
 
 
-def _message(fm: list, fc: list, slack: list, cap: int, width: int,
-             counted: bool):
+def _message(fs: list, slack: list, cap: int, width: int, counted: bool):
     """The sums of ``x^slack[iv] * f[iv]`` over the candidates iv with slack
-    at most ``cap``, for the main lane ``fm`` and, when ``counted``, the
-    count lane ``fc``, cut at ``cap``; without ``counted`` the count lane
-    comes back empty."""
+    at most ``cap``, for the main lane and, when ``counted``, the count
+    lane of the pairs ``fs[iv]``, cut at ``cap``; without ``counted`` the
+    count lane comes back empty."""
     out: dict = {}
     outc: dict = {}
     top = cap * width + width // 2
-    for iv, s in enumerate(slack):
+    for (fm, fc), s in zip(fs, slack):
         if s <= cap:
             shift = s * width
             lim = top - shift
-            for k, c in fm[iv].items():
+            for k, c in fm.items():
                 if k <= lim:
                     k += shift
                     out[k] = out.get(k, 0) + c
             if counted:
                 lim = cap - s
-                for k, c in fc[iv].items():
+                for k, c in fc.items():
                     if k <= lim:
                         k += s
                         outc[k] = outc.get(k, 0) + c
@@ -815,7 +826,8 @@ def _message(fm: list, fc: list, slack: list, cap: int, width: int,
 
 
 def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
-               etab: list, width: int, dress, forest: tuple, counted: bool):
+               etab: list, width: int, dress, forest: tuple, counted: bool,
+               conj: list):
     """The monopole sum over one spanning forest, as packed polynomials in x
     with x^(4*Delta) = t^(2*Delta): the main lane keyed ``X * width + mono``
     and, when ``counted``, the count lane, with dressing 1 and no monomial,
@@ -837,7 +849,16 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
     are priced: ``dress(v, c)`` gives the dressing degrees and packed
     monomial of node v at charge c, and the messages run over the live
     children alone.  A dead child never passes a message's cap:
-    ``tot[p][ip]`` plus its slack is at least ``tot[v][iv] > thr4``."""
+    ``tot[p][ip]`` plus its slack is at least ``tot[v][iv] > thr4``.
+
+    ``conj[v]``, when not None, is the index map of charge conjugation
+    sigma on node v's candidates (``liedata.negation``), given for every
+    node or for none.  Every table the pass reads is invariant under it
+    (the module docstring), so the product of node v's dressing and its
+    children's messages at candidate sigma(iv) is the one at iv, and its
+    message to a parent candidate sigma(ip) the one to ip: each is built
+    for the first of the two and shared with the other.  Each message is
+    the pair of its lanes, and no consumer mutates one."""
     n = len(prob.nodes)
     parent = prob.parent
     order, kids = forest
@@ -850,13 +871,15 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
     half = width // 2
     dressings: dict = {}
     msg: list = [None] * n
-    msgc: list = [None] * n
     final, finalc = {0: 1}, {0: 1}
     for v in reversed(order):
         live = [iv for iv, t in enumerate(tot[v]) if t <= thr4]
-        fm: list = []
-        fc: list = []
+        sv = conj[v] or range(len(tot[v]))
+        built: dict = {}  # the two lanes' products at each live candidate
         for iv in live:
+            if sv[iv] < iv:  # the conjugate's, built already
+                built[iv] = built[sv[iv]]
+                continue
             cap = thr4 - tot[v][iv]
             dv = dress(v, cands[v][iv])
             key = dv, cap
@@ -869,28 +892,31 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
             pc = {0: 1}
             top = cap * width + half
             for c in kids[v]:
-                pm = _poly_mul(pm, msg[c][iv], top)
+                pm = _poly_mul(pm, msg[c][iv][0], top)
                 if counted:
-                    pc = _poly_mul(pc, msgc[c][iv], cap)
-            fm.append(pm)
-            fc.append(pc)
+                    pc = _poly_mul(pc, msg[c][iv][1], cap)
+            built[iv] = pm, pc
+        fs = list(built.values())
         sc = [sub_cost[v][iv] for iv in live]
         p = parent[v]
         if p < 0:
-            out, outc = _message(fm, fc, [s - root_min[v] for s in sc],
+            out, outc = _message(fs, [s - root_min[v] for s in sc],
                                  thr4 - s0, width, counted)
             final = _poly_mul(final, out, (thr4 - s0) * width + half)
             finalc = _poly_mul(finalc, outc, thr4 - s0)
             continue
-        msg[v], msgc[v] = [None] * len(tot[p]), [None] * len(tot[p])
+        msg[v] = [None] * len(tot[p])
+        sp = conj[p] or range(len(tot[p]))
         for ip, row in enumerate(etab[v]):
-            if tot[p][ip] <= thr4:
+            if sp[ip] < ip:  # the conjugate's message, sent already
+                msg[v][ip] = msg[v][sp[ip]]
+            elif tot[p][ip] <= thr4:
                 bv = best[v][ip]
-                msg[v][ip], msgc[v][ip] = _message(
-                    fm, fc, [row[iv] + s - bv for iv, s in zip(live, sc)],
+                msg[v][ip] = _message(
+                    fs, [row[iv] + s - bv for iv, s in zip(live, sc)],
                     thr4 - tot[p][ip], width, counted)
         for c in kids[v]:
-            msg[c] = msgc[c] = None
+            msg[c] = None
     return ({k + s0 * width: c for k, c in final.items()},
             {k + s0: c for k, c in finalc.items()})
 
@@ -925,7 +951,11 @@ def _monopole_sum(prob: _Problem, cands: list, thr4: int, digits: list, *,
     sum.  Interchangeable leaves with no digit fold into one
     (``_Problem.forest``).  Each node multiplies its children's messages
     fewest digits in the subtree first, by a stable sort, so a sum without
-    digits keeps the forest's order."""
+    digits keeps the forest's order.  A sum with no digit and no cycle
+    cutset over nodes that are all unitary builds one charge-conjugation
+    map per shared candidate list (``liedata.negation``), so the tree pass
+    prices each pair of conjugate candidates once; every other sum passes
+    no map."""
     nodes = prob.nodes
     places: list = [[] for _ in nodes]
     radix = []  # (place, base, h) of each digit
@@ -955,11 +985,21 @@ def _monopole_sum(prob: _Problem, cands: list, thr4: int, digits: list, *,
             degs = degrees[key] = tuple(degs)
         return degs, sum(place * f(c) for place, f in places[v]) if places[v] else 0
 
+    # The conjugation map of each shared list, used only when every node
+    # has one and no digit or cutset tells c from sigma(c).
+    maps: dict = {}
+    if not digits and not any(prob.nontree):
+        for nd, cl in zip(nodes, cands):
+            if id(cl) not in maps:
+                maps[id(cl)] = negation(nd.group, cl)
+    conj = [maps.get(id(cl)) for cl in cands]
+    if None in conj:
+        conj = [None] * len(nodes)
     main: Counter = Counter()
     count: Counter = Counter()
     for loc, tab, lab in _cutset_assignments(prob, *_box_tables(prob, cands), cands):
         terms, counts = _tree_pass(prob, thr4, loc, lab, tab, width, dress,
-                                   forest, counted)
+                                   forest, counted, conj)
         main.update(terms)
         count.update(counts)
 
@@ -1138,18 +1178,6 @@ def symmetry_dimension(s: TruncatedSeries) -> int:
     if isinstance(c, Laurent):
         raise EngineError("symmetry dimension needs an unrefined series")
     return c
-
-
-def nilcone_reference_hs(n: int, order: int) -> TruncatedSeries:
-    """Closed form prod_{i=1..n}(1 - t^(2i)) / (1 - t^2)^(n^2), expanded."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    num = TruncatedSeries.one(order)
-    for i in range(1, n + 1):
-        num = num * one_minus_power(2 * i, order)
-    denom = TruncatedSeries(order, {2 * j: comb(n * n - 1 + j, j)
-                                    for j in range(order // 2 + 1)})
-    return num * denom
 
 
 def bouquet_leaf_ids(n: int) -> list:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb
-from operator import sub
+from operator import neg, sub
 
 from .quiver import Family, GaugeGroup, QuiverError
 
@@ -134,6 +134,18 @@ def _dressing_degrees(g: GaugeGroup, m: Charge) -> list:
     return out
 
 
+def _dressing_coeffs(degrees: tuple, order: int) -> tuple:
+    """The coefficients of t^(2j), j = 0..order, of the dressing factor
+    prod_d 1 / (1 - t^(2d)) over the Casimir ``degrees``."""
+    arr = [0] * (order + 1)
+    arr[0] = 1
+    for d in degrees:
+        step = 2 * d
+        for e in range(step, order + 1):
+            arr[e] += arr[e - step]
+    return tuple(arr)
+
+
 def dominant_charges(g: GaugeGroup, bound: int, floor=(), cap=None) -> list:
     """All dominant charges with max |entry| <= bound, descending-lex.
 
@@ -175,6 +187,19 @@ def dominant_charges(g: GaugeGroup, bound: int, floor=(), cap=None) -> list:
     down = up[::-1] if fam is Family.UNITARY else up  # for entries x < 0
     return [m for m in out
             if sum(x * u if x > 0 else -x * d for x, u, d in zip(m, up, down)) <= cap]
+
+
+def negation(g: GaugeGroup, cands: list) -> list | None:
+    """The index map of charge conjugation sigma on ``cands``, a list of
+    U(r) charges closed under it: ``cands[out[i]]`` is -``cands[i]``
+    reversed, the dominant representative of the negated charge.  None on
+    every other group: USp, SO(odd) and SO(4k) map each charge to itself,
+    and SO(2) and SO(4k+2), on which sigma flips the sign of the last
+    entry, are left alone."""
+    if g.family is not Family.UNITARY:
+        return None
+    at = {c: i for i, c in enumerate(cands)}
+    return [at[tuple(map(neg, c[::-1]))] for c in cands]
 
 
 def dominant_charge_count(g: GaugeGroup, bound: int) -> int:

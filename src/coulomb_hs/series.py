@@ -12,6 +12,7 @@ rational mode anywhere.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from math import comb
 
 
 class SeriesError(ValueError):
@@ -357,6 +358,18 @@ def one_minus_power(d: int, order: int) -> TruncatedSeries:
     if d <= order:
         coeffs[d] = -1
     return TruncatedSeries(order, coeffs)
+
+
+def nilcone_reference_hs(n: int, order: int) -> TruncatedSeries:
+    """Closed form prod_{i=1..n}(1 - t^(2i)) / (1 - t^2)^(n^2), expanded."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    num = TruncatedSeries.one(order)
+    for i in range(1, n + 1):
+        num = num * one_minus_power(2 * i, order)
+    denom = TruncatedSeries(order, {2 * j: comb(n * n - 1 + j, j)
+                                    for j in range(order // 2 + 1)})
+    return num * denom
 
 
 def _unrefined(s: TruncatedSeries, what: str) -> None:

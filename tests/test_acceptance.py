@@ -8,7 +8,6 @@ import time
 from coulomb_hs.engine import (
     HSRequest,
     coulomb_hilbert_series,
-    nilcone_reference_hs,
     refined_implosion_integral,
     symmetry_dimension,
 )
@@ -37,8 +36,8 @@ from coulomb_hs.quiver import (
     predict_global_symmetry,
     ungauge,
 )
-from coulomb_hs.series import expand_inverse, one_minus_power, plethystic_exp, \
-    plethystic_log
+from coulomb_hs.series import expand_inverse, nilcone_reference_hs, one_minus_power, \
+    plethystic_exp, plethystic_log
 
 from brute import HALF_PAIR_WEIGHT, delta_ref, positive_root_values, weyl_orbit
 from test_engine import boxes_past_bound

@@ -18,7 +18,6 @@ from coulomb_hs.engine import (
     delta,
     enumerate_charges,
     implosion_series,
-    nilcone_reference_hs,
     refined_implosion_integral,
     symmetry_dimension,
     MAX_TABLE_CELLS,
@@ -29,7 +28,6 @@ from coulomb_hs.engine import (
     _candidates,
     _cell_sum,
     _cutset_assignments,
-    _dressing_coeffs,
     _edge_table,
     _min_tables,
     _proven_box,
@@ -37,7 +35,7 @@ from coulomb_hs.engine import (
     _tree_pass,
     _tree_sum,
 )
-from coulomb_hs.liedata import dominant_charges, dressing_degrees
+from coulomb_hs.liedata import _dressing_coeffs, dominant_charges, dressing_degrees
 from coulomb_hs.quiver import (
     DecoupledU1UnresolvedError,
     NodeKind,
@@ -53,7 +51,8 @@ from coulomb_hs.quiver import (
     build_partial_implosion_quiver,
     ungauge,
 )
-from coulomb_hs.series import SeriesError, TruncatedSeries, expand_inverse, one_minus_power
+from coulomb_hs.series import (SeriesError, TruncatedSeries, expand_inverse, nilcone_reference_hs,
+                               one_minus_power)
 
 from brute import (HALF_PAIR_WEIGHT, cell_sum_ref, delta_ref, hs_ref, kostant_nilcone_series,
                    matter_term, quarter_units, shell_min_ref, topological_counts)
@@ -1197,11 +1196,13 @@ def test_pinned_leaf_sends_no_message(monkeypatch):
 
 def test_interchangeable_leaves_send_one_message(monkeypatch):
     # At K = 4 the four gauged U(1) leaves of bouquet(5), b1 ungauged, fold
-    # into one: its cost row and message count once per leaf, so 35 calls
-    # of _message in all, against 65 unfolded; dn(4)'s SO(2) leaves, 25
-    # against 34.  A refined leaf carries a digit and stays apart: 43 calls
-    # with b2 refined, and 63 with all four, which is no fold.  The charges,
-    # and the series against the unfolded forest, do not change.
+    # into one: its cost row and message count once per leaf, and each pair
+    # of conjugate candidates sends one message, so 22 calls of _message in
+    # all (35 with the fold alone, 65 with neither); dn(4)'s SO(2) leaves,
+    # 25 against 34.  A refined leaf carries a digit and stays apart, and a
+    # digit tells conjugates apart: 43 calls with b2 refined, and 63 with
+    # all four, which is no fold.  The charges, and the series against the
+    # unfolded forest, do not change.
     import coulomb_hs.engine as engine
     calls = []
     message = engine._message
@@ -1213,7 +1214,7 @@ def test_interchangeable_leaves_send_one_message(monkeypatch):
     b5 = build_bouquet_quiver(5)
     prob = _Problem(ungauge(b5, "b1"))
     assert [[prob.nodes[v].id for v in vs] for vs in prob.twins] == [["b2", "b3", "b4", "b5"]]
-    cases = ((HSRequest(b5, 4, ungauge="b1"), 35, 245),
+    cases = ((HSRequest(b5, 4, ungauge="b1"), 22, 245),
              (HSRequest(build_dn_implosion_quiver(4), 4), 25, 318),
              (HSRequest(b5, 4, frozenset({"b2"}), "b1"), 43, 245),
              (HSRequest(b5, 4, frozenset(bouquet_leaf_ids(5)[1:]), "b1"), 63, 245))
@@ -1226,6 +1227,58 @@ def test_interchangeable_leaves_send_one_message(monkeypatch):
                         lambda self, marked=(): (self.preorder, self.children))
     for (req, _, _), result in zip(cases, folded):
         assert compute_hilbert_series(req).series == result.series, req
+
+
+def test_conjugate_candidates_send_one_message(monkeypatch):
+    # The benchmark's affine E6 at K = 6, l1_1 ungauged, on the tree pass:
+    # each pair of conjugate candidates, c and -c reversed, is priced once,
+    # so 82 calls of _message in all, against 153 with no conjugation map,
+    # over the same 25436 charges and the E6 minimal orbit's dim V(k theta).
+    import coulomb_hs.engine as engine
+    calls = []
+    message = engine._message
+
+    def counted(*args):
+        calls.append(None)
+        return message(*args)
+    monkeypatch.setattr(engine, "_message", counted)
+    req = HSRequest(build_partial_implosion_quiver(4, [2, 2]), 6, ungauge="l1_1")
+    result = compute_hilbert_series(req)
+    assert len(calls) == 82 and result.stats.charge_count == 25436
+    assert [result.series.coefficient(k) for k in (0, 2, 4, 6)] == [1, 78, 2430, 43758]
+    calls.clear()
+    monkeypatch.setattr(engine, "negation", lambda g, cands: None)
+    unmapped = compute_hilbert_series(req)
+    assert (len(calls), unmapped.series, unmapped.stats.charge_count) == (
+        153, result.series, 25436)
+
+
+def test_conjugation_maps_only_a_digit_free_unitary_forest(monkeypatch):
+    # The tree pass gets one map per node on an unrefined unitary forest,
+    # shared by nodes with one candidate list, and none for a refined
+    # request, a charge list (a digit per node), a cycle cutset or an
+    # orthosymplectic node.
+    import coulomb_hs.engine as engine
+    maps = []
+    tree_pass = engine._tree_pass
+
+    def recorded(*args):
+        maps.append(args[-1])
+        return tree_pass(*args)
+    monkeypatch.setattr(engine, "_tree_pass", recorded)
+    bouquet = build_bouquet_quiver(3)
+    solve_on_tree(HSRequest(bouquet, 4, ungauge="b1"))
+    (conj,) = maps
+    index = _Problem(ungauge(bouquet, "b1")).index
+    assert None not in conj and conj[index["b2"]] is conj[index["b3"]]
+    for run in (lambda: coulomb_hilbert_series(HSRequest(bouquet, 4, frozenset({"b2"}), "b1")),
+                lambda: enumerate_charges(ungauge(bouquet, "b1"), 2),
+                lambda: solve_on_tree(HSRequest(flavored_ring(3), 4)),
+                lambda: solve_on_tree(HSRequest(k4_two_node_cutset(), 4)),
+                lambda: coulomb_hilbert_series(HSRequest(build_dn_implosion_quiver(4), 4))):
+        maps.clear()
+        run()
+        assert maps and all(conj == [None] * len(conj) for conj in maps)
 
 
 def test_solve_validates_no_candidate(monkeypatch):
@@ -1309,7 +1362,8 @@ def test_shared_tables_are_never_mutated():
             sub_cost, best, root_min = _min_tables(prob, loc, tab)
             _totals(prob, tab, sub_cost, best, root_min)
             _totals(prob, tab, sub_cost, best, root_min, 12)
-            _tree_pass(prob, 12, loc, lab, tab, 1, dress, prob.forest(), True)
+            _tree_pass(prob, 12, loc, lab, tab, 1, dress, prob.forest(), True,
+                       [None] * len(prob.nodes))
         _box_charges(prob, 2, 12)
         assert (cands, local4, etab, cuts) == before, q
 

@@ -8,6 +8,7 @@ from coulomb_hs.liedata import (
     dominant_charge_count,
     dominant_charges,
     dressing_degrees,
+    negation,
     residual_stabilizer,
     validate_charge,
     weyl_vector,
@@ -374,6 +375,29 @@ def test_dominant_charge_count_is_the_list_length():
         for b in range(5):
             assert dominant_charge_count(g, b) == len(dominant_charges(g, b)), (g, b)
     assert [dominant_charge_count(g, 1) for g in (U(3), USp(6), SO(7), SO(6))] == [10, 4, 4, 5]
+
+
+def test_negation_is_an_involution_on_every_unitary_list():
+    # Charge conjugation sigma maps a U(r) charge c to -c reversed.  Every
+    # list dominant_charges gives for U(r) is closed under it, the spread
+    # and floor filters included, as F weighs the entries of m- by the
+    # floor's steps reversed; negation is its index map, an involution.
+    # Off the unitary family there is no map.
+    for r in range(1, 5):
+        floors = ([0] * (r + 1), list(range(0, 2 * r + 1, 2)),
+                  [0] + [2 * c * (r - c + 1) for c in range(1, r + 1)],
+                  [0, 6, 2, 4, 8][:r + 1])
+        for b in range(4):
+            for floor in floors:
+                for cap in (None, 0, 2, 4, 8, 16):
+                    cands = dominant_charges(U(r), b, floor, cap)
+                    sigma = negation(U(r), cands)
+                    assert [cands[i] for i in sigma] == [
+                        tuple(-x for x in reversed(c)) for c in cands], (r, b, floor, cap)
+                    assert [sigma[i] for i in sigma] == list(range(len(cands)))
+    for g in SMALL_GROUPS:
+        if g.family is not Family.UNITARY:
+            assert negation(g, dominant_charges(g, 2)) is None, g
 
 
 def test_dominant_charges_cover_weyl_orbits():

@@ -5,12 +5,14 @@ quivers."""
 from fractions import Fraction
 from itertools import chain, product
 from math import prod
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import coulomb_hs.engine as engine
 from coulomb_hs.engine import (
     BadTheoryError,
     HSRequest,
@@ -33,6 +35,8 @@ from coulomb_hs.quiver import (
     SO,
     U,
     USp,
+    build_bouquet_quiver,
+    build_partial_implosion_quiver,
     detect_decoupled_u1,
     ungauge,
 )
@@ -493,3 +497,91 @@ def test_cell_sum_matches_its_oracle(case, order):
     assert [coeffs.get(k, 0) for k in range(order + 1)] == cell_sum_ref(q, order)
     assert ([counts.get(2 * k, 0) for k in range(order + 1)]
             == cell_sum_ref(q, order, dressed=False))
+
+
+@st.composite
+def unitary_forests(draw):
+    """A forest of one or two trees: a core of one to three gauge nodes, u0
+    of rank r = 1 to 3 and the rest U(1), each joining a drawn earlier node
+    by a single or doubled edge or starting a tree of its own, with a
+    flavor on each tree's first node (2r - 2 to 2r of them on u0) and
+    maybe on the others; then, on a drawn
+    core node, none or two U(1) twin leaves with one flavor; and maybe one
+    pinned U(1), unless it is the only gauge node."""
+    n = draw(st.integers(1, 3))
+    ids = [f"u{i}" for i in range(n)]
+    r = draw(st.integers(1, 3))
+    nodes = [QuiverNode("u0", NodeKind.GAUGE, U(r))]
+    nodes += [QuiverNode(i, NodeKind.GAUGE, U(1)) for i in ids[1:]]
+    edges, firsts = [], ["u0"]
+    for i in range(1, n):
+        p = draw(st.integers(-1, i - 1))
+        if p < 0:
+            firsts.append(ids[i])
+        else:
+            edges += [(ids[p], ids[i])] * draw(st.integers(1, 2))
+    for i in ids:
+        # u0 of rank r gets 2r - 2 to 2r flavors, so that U(2) and U(3)
+        # are mostly good theories.
+        low, high = (max(2 * r - 2, 1), 2 * r) if i == "u0" else (int(i in firsts), 3)
+        f = draw(st.integers(low, high))
+        if f:
+            nodes.append(QuiverNode(f"f{i}", NodeKind.FLAVOR, U(f)))
+            edges.append((i, f"f{i}"))
+    if n < 3 and draw(st.booleans()):
+        at, f = draw(st.sampled_from(ids)), draw(st.integers(0, 1))
+        for t in ("t0", "t1"):
+            nodes.append(QuiverNode(t, NodeKind.GAUGE, U(1)))
+            edges.append((at, t))
+            if f:
+                nodes.append(QuiverNode(f"f{t}", NodeKind.FLAVOR, U(f)))
+                edges.append((t, f"f{t}"))
+    q = Quiver(nodes, edges)
+    abelian = [nd.id for nd in q.gauge_nodes if nd.group == U(1)]
+    if abelian and len(q.gauge_nodes) > 1 and draw(st.booleans()):
+        q = ungauge(q, draw(st.sampled_from(abelian)))
+    return q
+
+
+# The benchmark's affine E6 (partial implosion of SU(4) at (2, 2)) and
+# bouquet(5), each with its first leaf pinned.
+AFFINE_E6 = ungauge(build_partial_implosion_quiver(4, [2, 2]), "l1_1")
+BOUQUET_5 = ungauge(build_bouquet_quiver(5), "b1")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(q=unitary_forests(), order=st.integers(0, 3))
+@example(q=AFFINE_E6, order=6)
+@example(q=BOUQUET_5, order=4)
+def test_conjugate_candidates_share_their_work(q, order):
+    # The unrefined tree pass over a unitary forest prices each pair of
+    # conjugate candidates c and -c reversed once.  Its series and charge
+    # counts equal the pass with no conjugation map, which sends at least
+    # as many messages, and the cell sum's; on a box of at most 40000
+    # charges, also the brute-force box sum's.
+    prob = _Problem(q)
+    if least_cell_weight(q) <= 0:
+        with pytest.raises(BadTheoryError):
+            _proven_box(prob, 2 * order)
+        return
+    bound = _proven_box(prob, 2 * order)
+    sent = []
+    message = engine._message
+
+    def counted(*args):
+        sent[-1] += 1
+        return message(*args)
+    with mock.patch.object(engine, "_message", counted):
+        sent.append(0)
+        got = _tree_sum(prob, order, bound, [], True)
+        sent.append(0)
+        with mock.patch.object(engine, "negation", lambda g, cands: None):
+            assert _tree_sum(prob, order, bound, [], True) == got
+    assert sent[0] <= sent[1]
+    coeffs, counts = got
+    assert got == _cell_sum(prob, order, True)
+    if prod(len(dominant_charges(nd.group, bound)) for nd in q.gauge_nodes) <= 40000:
+        charges = charges_ref(q, order, bound)
+        assert [coeffs.get(k, 0) for k in range(order + 1)] == series_ref(q, order, charges)
+        assert sum(counts.values()) == len(charges)
