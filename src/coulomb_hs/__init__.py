@@ -25,7 +25,7 @@ _EXPORTS = {
         "kernel_lattice"], "gale"),
     **dict.fromkeys([
         "ChamberViolationError", "casimir_degrees", "dominant_charges",
-        "residual_stabilizer", "weyl_vector"], "liedata"),
+        "weyl_vector"], "liedata"),
     **dict.fromkeys([
         "DecoupledU1UnresolvedError", "Family", "GaugeGroup", "NodeKind",
         "Quiver", "QuiverError", "QuiverNode", "SO", "U", "USp",

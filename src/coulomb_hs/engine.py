@@ -77,15 +77,6 @@ close a cycle among gauge nodes are handled by conditioning on the
 charges of their early endpoints, a cycle cutset, and running the same
 pass once per assignment.
 
-Leaves that cannot be told apart are priced once.  Gauge leaves of one
-parent with one group, one parent edge multiplicity and the same flavor
-edges, on no edge outside the forest and with no digit, share their
-candidate list, parent table and node terms, so each such class folds
-into its first leaf (``_Problem.forest``): the parent adds that leaf's
-minimum row and multiplies in its message once per leaf, and the others
-get no row, no totals and no message.  The four gauged U(1) leaves of
-bouquet(5) at K = 4 make 35 messages in place of 65.
-
 Conjugate candidates are priced once.  The monopole formula is invariant
 under charge conjugation m -> -m (arXiv:1309.2657), which maps a U(r)
 charge c to sigma(c), -c reversed, again dominant.  On a sum whose nodes
@@ -99,12 +90,12 @@ unchanged when x+ and x- swap, the entries of x- being weighed by the
 floors' steps reversed.  So tab[sigma(ip)][sigma(iv)] = tab[ip][iv], the
 node terms, minimum tables and totals agree at iv and sigma(iv), and so
 do the products a node builds and the messages it sends, and each pair
-of conjugate candidates is priced once (``liedata.negation``).  With its
-leaves folded too, bouquet(5) at K = 4 makes 22 messages, not 35, and
-affine E6 at K = 6 makes 82, not 153.  Off the unitary family sigma is
-the identity on USp, SO(odd) and SO(4k) and is not used on SO(2) and
-SO(4k+2); a digit (the topological charge or a listed charge) tells c
-from sigma(c), and a cutset pins one of them.
+of conjugate candidates is priced once (``liedata.negation``).
+Bouquet(5) at K = 4 makes 40 messages, not 65, and affine E6 at K = 6
+makes 82, not 153.  Off the unitary family sigma is the identity on USp,
+SO(odd) and SO(4k) and is not used on SO(2) and SO(4k+2); a digit (the
+topological charge or a listed charge) tells c from sigma(c), and a
+cutset pins one of them.
 
 The residual group of every charge of a U(n) or SO(2) gauge node holds
 the node's center, a U(1) whose Casimir of degree 1 gives P(m,t) the same
@@ -287,7 +278,6 @@ class _Problem:
                     f"edge {a!r}-{b!r}: orthosymplectic edge multiplicity "
                     f"{mult} is not supported")
         self._build_tree([self.index[nid] for nid in preferred])
-        self.twins = self._twin_leaves()
 
     def _build_tree(self, preferred: list):
         """Spanning forest by depth-first search.  Each component is rooted
@@ -350,34 +340,6 @@ class _Problem:
             if not tree_edge[ei]:
                 late, early = (e.a, e.b) if pos[e.a] > pos[e.b] else (e.b, e.a)
                 self.nontree[late].append((early, ei))
-
-    def _twin_leaves(self) -> list:
-        """The classes of two or more interchangeable leaves: gauge leaves
-        of one parent with one group, one parent edge multiplicity and the
-        same flavor edges, on no edge outside the forest (a depth-first
-        leaf is the late endpoint of each such edge).  They share one
-        candidate list and one parent table, and their node terms agree."""
-        classes: dict = {}
-        for v, nd in enumerate(self.nodes):
-            if self.parent[v] >= 0 and not self.children[v] and not self.nontree[v]:
-                flavors = tuple(sorted((f.mult, f.ortho, f.so_odd, f.zero) for f in nd.flavor))
-                key = self.parent[v], nd.group, self.edges[self.parent_edge[v]].mult, flavors
-                classes.setdefault(key, []).append(v)
-        return [vs for vs in classes.values() if len(vs) > 1]
-
-    def forest(self, marked=frozenset()) -> tuple:
-        """``(order, kids)``: the preorder and the child lists with each class
-        of ``twins``, less its ``marked`` leaves, folded into its first leaf.
-        The others leave ``order`` and stand in their parent's ``kids`` as
-        repeats of that leaf, whose cost row and message then count once per
-        leaf.  Valid only over the shared candidate lists of ``_candidates``."""
-        rep = list(range(len(self.nodes)))
-        for vs in self.twins:
-            vs = [v for v in vs if v not in marked]
-            for v in vs[1:]:
-                rep[v] = vs[0]
-        return ([v for v in self.preorder if rep[v] == v],
-                [[rep[c] for c in cs] for cs in self.children])
 
     @cached_property
     def unit_tables(self) -> tuple:
@@ -551,9 +513,9 @@ def _candidates(prob: _Problem, b: int, thr4: int | None = None) -> list:
     F_v(x) <= thr4 (``liedata.dominant_charges`` over ``_Problem.floors``),
     since no charge through another is within the cutoff (``_proven_box``).
     Nodes of one group, fixed or not, with the same floors build one list,
-    and equal lists are one object, which no consumer mutates: twin leaves
-    and the table memo rely on it.  ``_check_cells`` counts the whole box
-    before any is built, so the lists are bounded too."""
+    and equal lists are one object, which no consumer mutates: the table
+    memo and the conjugation maps rely on it.  ``_check_cells`` counts the
+    whole box before any is built, so the lists are bounded too."""
     _check_cells(prob, b)
     built: dict = {}  # (group, fixed, floors): the list
     shared: dict = {}  # (group, the list's charges): its one object
@@ -594,21 +556,19 @@ def _box_tables(prob: _Problem, cands: list):
     return local4, etab, cuts
 
 
-def _min_tables(prob: _Problem, local4: list, etab: list, forest=None):
-    """Bottom-up exact minimum costs over the spanning forest, by default
-    unfolded, else the ``(order, kids)`` of ``_Problem.forest``.
+def _min_tables(prob: _Problem, local4: list, etab: list):
+    """Bottom-up exact minimum costs over the spanning forest.
 
     ``sub_cost[v][iv]`` is the least cost of v's subtree with v at candidate
     iv, ``best[v][ip]`` the least cost of that subtree plus its edge to
     the parent, with the parent at candidate ip, and ``root_min[r]`` the
-    least cost of the tree rooted at r.  A folded leaf has neither."""
-    order, kids = forest or (prob.preorder, prob.children)
+    least cost of the tree rooted at r."""
     n = len(prob.nodes)
     sub_cost: list = [None] * n
     best: list = [None] * n
-    for v in reversed(order):
+    for v in reversed(prob.preorder):
         sc = local4[v]
-        for c in kids[v]:
+        for c in prob.children[v]:
             sc = list(map(add, sc, best[c]))
         sub_cost[v] = sc
         if prob.parent[v] >= 0:
@@ -626,13 +586,10 @@ def _totals(prob: _Problem, etab: list, sub_cost: list, best: list,
     reads only the rows of live parent candidates, ``tot[p][ip] <= thr4``:
     every term through ip is at least ``tot[p][ip]``, since the edge cost
     plus ``sub_cost[v][iv]`` is at least ``best[v][ip]``.  ``tot`` is then
-    exact where it is at most ``thr4`` and above ``thr4`` elsewhere.  A
-    folded leaf, with no ``sub_cost``, gets none."""
+    exact where it is at most ``thr4`` and above ``thr4`` elsewhere."""
     s0 = sum(root_min.values())
     tot: list = [None] * len(prob.nodes)
     for v in prob.preorder:
-        if sub_cost[v] is None:
-            continue
         p = prob.parent[v]
         if p < 0:
             tot[v] = [s - root_min[v] + s0 for s in sub_cost[v]]
@@ -826,14 +783,13 @@ def _message(fs: list, slack: list, cap: int, width: int, counted: bool):
 
 
 def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
-               etab: list, width: int, dress, forest: tuple, counted: bool,
+               etab: list, width: int, dress, kids: list, counted: bool,
                conj: list):
     """The monopole sum over one spanning forest, as packed polynomials in x
     with x^(4*Delta) = t^(2*Delta): the main lane keyed ``X * width + mono``
     and, when ``counted``, the count lane, with dressing 1 and no monomial,
-    keyed ``X`` (else empty).  ``forest`` is the ``(order, kids)`` of
-    ``_Problem.forest``: node v multiplies its children's messages in the
-    order ``kids[v]``, a folded leaf's as often as it is repeated there.
+    keyed ``X`` (else empty).  Node v multiplies its children's messages
+    in the order ``kids[v]``, a permutation of ``prob.children[v]``.
 
     Every exponent is the least total S = sum of the root minima plus a
     slack ``etab[v][ip][iv] + sub_cost[v][iv] - best[v][ip] >= 0`` per node,
@@ -861,8 +817,7 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
     the pair of its lanes, and no consumer mutates one."""
     n = len(prob.nodes)
     parent = prob.parent
-    order, kids = forest
-    sub_cost, best, root_min = _min_tables(prob, local4, etab, forest)
+    sub_cost, best, root_min = _min_tables(prob, local4, etab)
     s0 = sum(root_min.values())
     if s0 > thr4:
         return {}, {}
@@ -872,7 +827,7 @@ def _tree_pass(prob: _Problem, thr4: int, local4: list, cands: list,
     dressings: dict = {}
     msg: list = [None] * n
     final, finalc = {0: 1}, {0: 1}
-    for v in reversed(order):
+    for v in reversed(prob.preorder):
         live = [iv for iv, t in enumerate(tot[v]) if t <= thr4]
         sv = conj[v] or range(len(tot[v]))
         built: dict = {}  # the two lanes' products at each live candidate
@@ -948,14 +903,12 @@ def _monopole_sum(prob: _Problem, cands: list, thr4: int, digits: list, *,
     late endpoint, and the tree pass runs as is.  The tree pass asks
     ``dress`` for the dressing degrees of its live candidates only, and
     ``dress`` computes them once per (group, fixed, charge) for the whole
-    sum.  Interchangeable leaves with no digit fold into one
-    (``_Problem.forest``).  Each node multiplies its children's messages
-    fewest digits in the subtree first, by a stable sort, so a sum without
-    digits keeps the forest's order.  A sum with no digit and no cycle
-    cutset over nodes that are all unitary builds one charge-conjugation
-    map per shared candidate list (``liedata.negation``), so the tree pass
-    prices each pair of conjugate candidates once; every other sum passes
-    no map."""
+    sum.  Each node multiplies its children's messages fewest digits in
+    the subtree first, by a stable sort, so a sum without digits keeps the
+    forest's order.  A sum with no digit and no cycle cutset over nodes
+    that are all unitary builds one charge-conjugation map per shared
+    candidate list (``liedata.negation``), so the tree pass prices each
+    pair of conjugate candidates once; every other sum passes no map."""
     nodes = prob.nodes
     places: list = [[] for _ in nodes]
     radix = []  # (place, base, h) of each digit
@@ -968,8 +921,7 @@ def _monopole_sum(prob: _Problem, cands: list, thr4: int, digits: list, *,
     spread = list(map(len, places))  # the digits in each node's subtree
     for v in reversed(prob.preorder):
         spread[v] += sum(spread[c] for c in prob.children[v])
-    order, kids = prob.forest({v for v, _ in digits})
-    forest = order, [sorted(cs, key=spread.__getitem__) for cs in kids]
+    kids = [sorted(cs, key=spread.__getitem__) for cs in prob.children]
     degrees: dict = {}
 
     def dress(v: int, c: Charge) -> tuple:
@@ -999,7 +951,7 @@ def _monopole_sum(prob: _Problem, cands: list, thr4: int, digits: list, *,
     count: Counter = Counter()
     for loc, tab, lab in _cutset_assignments(prob, *_box_tables(prob, cands), cands):
         terms, counts = _tree_pass(prob, thr4, loc, lab, tab, width, dress,
-                                   forest, counted, conj)
+                                   kids, counted, conj)
         main.update(terms)
         count.update(counts)
 
@@ -1088,9 +1040,11 @@ def _tree_sum(prob: _Problem, order: int, bound: int, refined: list, counted: bo
 
 
 # The tree pass's fixed cost in the routing estimates' units (table cells
-# times orders).  Timed on a grid of chains, bouquets, affine E6 and a
-# flavored ring at orders 2 to 40, every value from 2000 to 8000 sends
-# each solve to a route within 1.25 times the faster one.
+# times orders), calibrated when the cell sum landed on a grid of chains,
+# bouquets, affine E6 and a flavored ring at orders 2 to 40.  The tree
+# pass has since become cheaper than ``_box_work`` says, so the router can
+# pick the slower route (nilcone(8) at order 8 goes to the cells); see the
+# roadmap's router notes.
 _TREE_SETUP_WORK = 4000
 
 

@@ -87,20 +87,6 @@ def _residual_blocks(g: GaugeGroup, m: Charge) -> tuple:
     return 2 * sizes.pop() + g.n % 2, sizes
 
 
-def residual_stabilizer(g: GaugeGroup, m: Charge) -> list:
-    """Subgroup of g left unbroken by the magnetic charge m.
-
-    U(N) breaks to one U(k) per distinct entry; orthosymplectic groups keep
-    an SO/USp block on the zero entries and U(k) factors on distinct
-    nonzero values (absolute values for SO(even), whose Weyl group flips
-    signs only in pairs)."""
-    validate_charge(g, m)
-    n0, sizes = _residual_blocks(g, m)
-    out = [GaugeGroup(g.family, n0)] if n0 else []
-    out.extend(GaugeGroup(Family.UNITARY, k) for k in sizes)
-    return out
-
-
 def casimir_degrees(g: GaugeGroup) -> tuple:
     """Degrees of the generators of the adjoint invariant ring."""
     return _casimir_degrees(g.family, g.n)

@@ -19,8 +19,9 @@ nilpotent cone (``kostant_nilcone_series``).
 
 For quivers whose gauge nodes are all unitary, a second oracle sums the
 monopole formula cell by cell over count vectors (``cell_sum_ref``),
-with each cell's weight read off the counts alone (``cell_weight``), so
-it reaches orders that no box sum can.
+refined by topological charges or not, with each cell's weight read off
+the counts alone (``cell_weight``), so it reaches orders that no box sum
+can.
 """
 
 from collections import Counter
@@ -226,37 +227,45 @@ def cell_weight(q, counts: dict) -> int:
     return w
 
 
-def cell_sum_ref(q, order: int, dressed: bool = True) -> list:
-    """Coefficients of t^0..t^order of the unrefined Hilbert series of a
-    good quiver whose gauge nodes are all unitary, as the monopole formula
-    summed cell by cell (arXiv:1309.2657, 1403.0585):
+def cell_sum_ref(q, order: int, dressed: bool = True, refined=None) -> list:
+    """Coefficients of t^0..t^order of the Hilbert series of a good quiver
+    whose gauge nodes are all unitary, as the monopole formula summed cell
+    by cell (arXiv:1309.2657, 1403.0585):
 
-        HS = sum over s + z + n = r of G(s) D(z) G(n),
-        G(0) = 1,  G(c) = t^w(c) / (1 - t^w(c)) * sum over 0 != k <= c of D(k) G(c - k),
+        HS = sum over s + z + n = r of G+(s) D(z) G-(n),
+        G(0) = 1,  G+-(c) = T+-(c) * sum over 0 != k <= c of D(k) G+-(c - k),
+        T+-(c) = t^w(c) z^(+-c) / (1 - t^w(c) z^(+-c)),
         D(k) = prod over gauge nodes v of prod_{d = 1..k_v} 1 / (1 - t^(2d)),
 
     over the count vectors of the gauge ranks r, with w(c) =
     ``cell_weight``: s counts each node's positive entries, z its zeros
-    and n its negative ones.  Every sum runs over all count vectors, one
-    product at a time.  Without ``dressed``, D = 1 and the coefficient of
-    t^e counts the charges with 2*Delta = e."""
+    and n its negative ones.  z^c is the product of z_v^(c_v) over a set
+    of ``refined`` gauge node ids, each z_v the fugacity of node v's
+    topological charge, so that each coefficient is a map as in ``hs_ref``;
+    without ``refined``, z = 1 and each coefficient is an integer.  Every
+    sum runs over all count vectors, one product at a time.  Without
+    ``dressed``, D = 1 and the coefficient of t^e counts the charges with
+    2*Delta = e."""
     gauge = q.gauge_nodes
     ids = [nd.id for nd in gauge]
     ranks = [nd.group.n for nd in gauge]
-    top = order + 1
+    tops = [ids.index(i) for i in sorted(refined or ())]
+    plain = (0,) * len(tops)
 
+    # A series is a Counter {(exponent of t, exponents of the z_v): coefficient}.
     def mul(a, b):
-        out = [0] * top
-        for i, x in enumerate(a):
-            if x:
-                for j in range(top - i):
-                    out[i + j] += x * b[j]
+        out = Counter()
+        for (e, x), u in a.items():
+            for (f, y), v in b.items():
+                if e + f <= order:
+                    out[e + f, tuple(i + j for i, j in zip(x, y))] += u * v
         return out
 
-    def geometric(w):  # 1 / (1 - t^w)
-        return [int(e % w == 0) for e in range(top)]
+    def geometric(w, z, start):  # sum over j >= start of (t^w z)^j
+        return Counter({(j * w, tuple(j * x for x in z)): 1
+                        for j in range(start, order // w + 1)})
 
-    one = [1] + [0] * order
+    one = Counter({(0, plain): 1})
     dressings = {}
 
     def dressing(k):
@@ -264,32 +273,40 @@ def cell_sum_ref(q, order: int, dressed: bool = True) -> list:
             out = one
             for kv in k if dressed else ():
                 for d in range(1, kv + 1):
-                    out = mul(out, geometric(2 * d))
+                    out = mul(out, geometric(2 * d, plain, 0))
             dressings[k] = out
         return dressings[k]
 
     states = list(product(*(range(r + 1) for r in ranks)))
-    g = {}
-    for c in states:
-        if not any(c):
-            g[c] = one
-            continue
-        w = cell_weight(q, dict(zip(ids, c)))
+    weight = {}
+    for c in states[1:]:
+        w = weight[c] = cell_weight(q, dict(zip(ids, c)))
         if w <= 0:
             raise ValueError(f"count vector {c} has w = {w} <= 0: a bad theory")
-        acc = [0] * top
-        for k in product(*(range(x + 1) for x in c)):
-            if any(k):
-                rest = tuple(x - y for x, y in zip(c, k))
-                acc = [a + b for a, b in zip(acc, mul(dressing(k), g[rest]))]
-        g[c] = mul(([0] * w + acc)[:top], geometric(w))
-    out = [0] * top
+
+    def g_sums(sign):
+        g = {}
+        for c in states:
+            if not any(c):
+                g[c] = one
+                continue
+            acc = Counter()
+            for k in product(*(range(x + 1) for x in c)):
+                if any(k):
+                    acc.update(mul(dressing(k), g[tuple(x - y for x, y in zip(c, k))]))
+            g[c] = mul(geometric(weight[c], [sign * c[i] for i in tops], 1), acc)
+        return g
+
+    plus, minus = g_sums(1), g_sums(-1)
+    out = Counter()
     for s in states:
         for n in states:
             z = tuple(r - a - b for r, a, b in zip(ranks, s, n))
             if min(z, default=0) >= 0:
-                out = [a + b for a, b in zip(out, mul(mul(g[s], dressing(z)), g[n]))]
-    return out
+                out.update(mul(mul(plus[s], dressing(z)), minus[n]))
+    if refined is None:
+        return [out[e, ()] for e in range(order + 1)]
+    return [{x: v for (f, x), v in out.items() if f == e and v} for e in range(order + 1)]
 
 
 def hs_ref(q, order: int, bound: int, refined=None) -> list:

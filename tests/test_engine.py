@@ -102,6 +102,11 @@ def test_delta_examples():
     assert delta(q, {"g": (1, 0)}) == 1
     assert delta(q, {"g": (1, 1)}) == 4  # no root term, matter (1/2)*4*2
     assert delta(q, {"g": (0, 0)}) == 0
+    # A sequence gives one charge per gauge or fixed node, in quiver order.
+    q = ungauge(build_bouquet_quiver(3), "b1")
+    assert delta(q, [(1,), (1, 0), (0,), (0,), (0,)]) == 1
+    with pytest.raises(QuiverError, match="wrong number of components"):
+        delta(q, [(1,), (1, 0), (0,), (0,)])
 
 
 def test_delta_is_half_integral_for_unitary():
@@ -124,6 +129,11 @@ def test_delta_rejects_unknown_charge_keys():
         delta(q, {"g": (1,), "typo": (5,)})
     with pytest.raises(QuiverError, match="'f'"):  # a flavor node has no charge
         delta(q, {"g": (1,), "f": (5,)})
+    q = ungauge(build_bouquet_quiver(3), "b1")
+    with pytest.raises(QuiverError, match="charge missing for node 'g2'"):
+        delta(q, {"g1": (1,)})
+    with pytest.raises(QuiverError, match="fixed node 'b1' must carry charge 0"):
+        delta(q, {"g1": (0,), "g2": (0, 0), "b1": (1,), "b2": (0,), "b3": (0,)})
 
 
 def test_delta_rejects_bool_entries():
@@ -312,6 +322,9 @@ def test_symmetry_dimension_examples():
     assert symmetry_dimension(s) == 18
     s = coulomb_hilbert_series(HSRequest(u1_with_flavors(2), 2))
     assert symmetry_dimension(s) == 3
+    s = coulomb_hilbert_series(HSRequest(build_bouquet_quiver(3), 2, frozenset({"b2"}), "b1"))
+    with pytest.raises(EngineError, match="unrefined"):
+        symmetry_dimension(s)
 
 
 def test_hs_ungauging_choice_independent():
@@ -1069,8 +1082,8 @@ def test_box_b_keeps_only_candidates_within_their_floors():
 def test_equal_kept_lists_are_one_object():
     # U(1) a with one flavor and U(1) b with two, joined: floors [0, 4] and
     # [0, 6], so c4 = 4.  At K = 3 (box 1) neither floor test can drop a
-    # charge, and the two equal lists are one object, as twin leaves and
-    # the table memo need; at K = 2 b keeps only its charge 0.
+    # charge, and the two equal lists are one object, as the table memo
+    # and the conjugation maps need; at K = 2 b keeps only its charge 0.
     q = Quiver([QuiverNode("a", NodeKind.GAUGE, U(1)), QuiverNode("b", NodeKind.GAUGE, U(1)),
                 QuiverNode("fa", NodeKind.FLAVOR, U(1)), QuiverNode("fb", NodeKind.FLAVOR, U(2))],
                [("a", "b"), ("a", "fa"), ("b", "fb")])
@@ -1195,14 +1208,13 @@ def test_pinned_leaf_sends_no_message(monkeypatch):
 
 
 def test_interchangeable_leaves_send_one_message(monkeypatch):
-    # At K = 4 the four gauged U(1) leaves of bouquet(5), b1 ungauged, fold
-    # into one: its cost row and message count once per leaf, and each pair
-    # of conjugate candidates sends one message, so 22 calls of _message in
-    # all (35 with the fold alone, 65 with neither); dn(4)'s SO(2) leaves,
-    # 25 against 34.  A refined leaf carries a digit and stays apart, and a
-    # digit tells conjugates apart: 43 calls with b2 refined, and 63 with
-    # all four, which is no fold.  The charges, and the series against the
-    # unfolded forest, do not change.
+    # At K = 4 the four gauged U(1) leaves of bouquet(5), b1 ungauged, each
+    # send their own messages, and each pair of conjugate candidates sends
+    # one, so 40 calls of _message in all, against 65 with no conjugation
+    # map; dn(4), whose SO(2) nodes get no map, 34 either way.  A refined
+    # leaf carries a digit, which tells conjugates apart: 63 calls with b2
+    # refined, and 63 with all four.  The charges and the series do not
+    # change without the maps.
     import coulomb_hs.engine as engine
     calls = []
     message = engine._message
@@ -1212,21 +1224,21 @@ def test_interchangeable_leaves_send_one_message(monkeypatch):
         return message(*args)
     monkeypatch.setattr(engine, "_message", counted)
     b5 = build_bouquet_quiver(5)
-    prob = _Problem(ungauge(b5, "b1"))
-    assert [[prob.nodes[v].id for v in vs] for vs in prob.twins] == [["b2", "b3", "b4", "b5"]]
-    cases = ((HSRequest(b5, 4, ungauge="b1"), 22, 245),
-             (HSRequest(build_dn_implosion_quiver(4), 4), 25, 318),
-             (HSRequest(b5, 4, frozenset({"b2"}), "b1"), 43, 245),
-             (HSRequest(b5, 4, frozenset(bouquet_leaf_ids(5)[1:]), "b1"), 63, 245))
-    folded = []
-    for req, want, count in cases:
+    cases = ((HSRequest(b5, 4, ungauge="b1"), 40, 65, 245),
+             (HSRequest(build_dn_implosion_quiver(4), 4), 34, 34, 318),
+             (HSRequest(b5, 4, frozenset({"b2"}), "b1"), 63, 63, 245),
+             (HSRequest(b5, 4, frozenset(bouquet_leaf_ids(5)[1:]), "b1"), 63, 63, 245))
+    mapped = []
+    for req, want, _, count in cases:
         calls.clear()
-        folded.append(compute_hilbert_series(req))
-        assert (len(calls), folded[-1].stats.charge_count) == (want, count), req
-    monkeypatch.setattr(_Problem, "forest",
-                        lambda self, marked=(): (self.preorder, self.children))
-    for (req, _, _), result in zip(cases, folded):
-        assert compute_hilbert_series(req).series == result.series, req
+        mapped.append(compute_hilbert_series(req))
+        assert (len(calls), mapped[-1].stats.charge_count) == (want, count), req
+    monkeypatch.setattr(engine, "negation", lambda g, cands: None)
+    for (req, _, want, count), result in zip(cases, mapped):
+        calls.clear()
+        unmapped = compute_hilbert_series(req)
+        assert (len(calls), unmapped.series, unmapped.stats.charge_count) == (
+            want, result.series, count), req
 
 
 def test_conjugate_candidates_send_one_message(monkeypatch):
@@ -1362,7 +1374,7 @@ def test_shared_tables_are_never_mutated():
             sub_cost, best, root_min = _min_tables(prob, loc, tab)
             _totals(prob, tab, sub_cost, best, root_min)
             _totals(prob, tab, sub_cost, best, root_min, 12)
-            _tree_pass(prob, 12, loc, lab, tab, 1, dress, prob.forest(), True,
+            _tree_pass(prob, 12, loc, lab, tab, 1, dress, prob.children, True,
                        [None] * len(prob.nodes))
         _box_charges(prob, 2, 12)
         assert (cands, local4, etab, cuts) == before, q
@@ -1692,6 +1704,17 @@ def test_cell_sum_oracle_reaches_the_nilpotent_cone():
     coeffs, counts = _cell_sum(_Problem(q), 40, True)
     assert [coeffs.get(k, 0) for k in range(41)] == want
     assert [counts.get(2 * k, 0) for k in range(41)] == cell_sum_ref(q, 40, dressed=False)
+
+
+def test_refined_cell_sum_oracle_matches_the_engine():
+    # The cell sum refined by topological charges, T+-(c) = t^w(c) z^(+-c)
+    # / (1 - t^w(c) z^(+-c)), term for term against the tree pass's refined
+    # series: bouquet(3) refined at two leaves, and nilcone(4) at every node.
+    for q, order, ids in ((ungauge(build_bouquet_quiver(3), "b1"), 12, ("b2", "b3")),
+                          (build_linear_nilpotent_quiver(4), 8, ("g1", "g2", "g3"))):
+        series = coulomb_hilbert_series(HSRequest(q, order, refined=frozenset(ids)))
+        got = [topological_counts(series.coefficient(k), ids) for k in range(order + 1)]
+        assert got == cell_sum_ref(q, order, refined=ids), ids
 
 
 def test_a_box_past_the_cell_limit_runs_on_the_cells():

@@ -72,7 +72,7 @@ EXPORTS = [
     "gauge_group_rank", "is_gale_dual_pair",
     "kernel_lattice", "nilcone_reference_hs", "node_balance", "plethystic_exp",
     "plethystic_log", "predict_global_symmetry", "quiver_from_json",
-    "quiver_to_json", "refined_implosion_integral", "residual_stabilizer",
+    "quiver_to_json", "refined_implosion_integral",
     "series_from_json", "series_to_json", "symmetry_dimension", "ungauge",
     "weyl_vector",
 ]

@@ -9,7 +9,6 @@ from coulomb_hs.liedata import (
     dominant_charges,
     dressing_degrees,
     negation,
-    residual_stabilizer,
     validate_charge,
     weyl_vector,
 )
@@ -237,30 +236,28 @@ def test_matter_weight_weyl_invariance():
 # stabilizers and Casimir degrees
 
 
-def test_residual_stabilizer_examples():
-    assert residual_stabilizer(U(3), (2, 2, 0)) == [U(2), U(1)]
-    assert sorted(map(repr, residual_stabilizer(USp(4), (1, 0)))) == \
-        ["U(1)", "USp(2)"]
+def test_dressing_degrees_examples():
+    # The degrees of U(2) x U(1), of U(1) x USp(2), and at charge 0 of the
+    # whole group.
+    assert dressing_degrees(U(3), (2, 2, 0)) == [1, 2, 1]
+    assert dressing_degrees(USp(4), (1, 0)) == [2, 1]
     for g in SMALL_GROUPS:
-        assert residual_stabilizer(g, (0,) * g.rank) == [g]
+        assert dressing_degrees(g, (0,) * g.rank) == list(casimir_degrees(g))
 
 
-def test_residual_stabilizer_rank_preserved():
+def test_dressing_degrees_count_the_rank():
+    # The residual group keeps the rank, so its degrees number the rank.
     for g in SMALL_GROUPS:
         for m in dominant_charges(g, 2):
-            pieces = residual_stabilizer(g, m)
-            assert sum(p.rank for p in pieces) == g.rank
-            degrees = []
-            for p in pieces:
-                degrees.extend(casimir_degrees(p))
-            assert len(degrees) == g.rank
+            assert len(dressing_degrees(g, m)) == g.rank, (g, m)
 
 
-def test_residual_stabilizer_so_even_signs():
-    assert residual_stabilizer(SO(4), (1, -1)) == [U(2)]
-    assert residual_stabilizer(SO(4), (1, 1)) == [U(2)]
-    assert sorted(map(repr, residual_stabilizer(SO(6), (1, 0, 0)))) == \
-        ["SO(4)", "U(1)"]
+def test_dressing_degrees_so_even_signs():
+    # SO(4)'s Weyl group flips signs in pairs, so (1, -1) and (1, 1) both
+    # leave U(2); SO(6) at (1, 0, 0) leaves SO(4) x U(1).
+    assert dressing_degrees(SO(4), (1, -1)) == [1, 2]
+    assert dressing_degrees(SO(4), (1, 1)) == [1, 2]
+    assert dressing_degrees(SO(6), (1, 0, 0)) == [2, 2, 1]
 
 
 def test_casimir_degrees_examples():
@@ -347,6 +344,8 @@ def test_dominant_charges_examples():
     assert dominant_charges(U(2), 1) == \
         [(1, 1), (1, 0), (1, -1), (0, 0), (0, -1), (-1, -1)]
     assert sorted(dominant_charges(USp(2), 2)) == [(0,), (1,), (2,)]
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        dominant_charges(U(1), -1)
 
 
 def test_dominant_charges_so_even():
