@@ -18,7 +18,7 @@ _EXPORTS = {
         "BadTheoryError", "EngineError", "EngineStats", "HSRequest",
         "HSResult", "QuiverCharge", "compute_hilbert_series",
         "coulomb_hilbert_series", "delta", "enumerate_charges",
-        "refined_implosion_integral", "symmetry_dimension"], "engine"),
+        "symmetry_dimension"], "engine"),
     **dict.fromkeys([
         "DualityReport", "GaleError", "RankDeficientError", "ToricConfig",
         "duality_report", "gale_dual", "is_gale_dual_pair",

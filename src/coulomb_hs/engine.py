@@ -180,8 +180,6 @@ from .quiver import (
     SO,
     Quiver,
     QuiverError,
-    build_bouquet_quiver,
-    build_linear_nilpotent_quiver,
     decoupled_u1_count,
     ungauge,
 )
@@ -1043,8 +1041,8 @@ def _tree_sum(prob: _Problem, order: int, bound: int, refined: list, counted: bo
 # times orders), calibrated when the cell sum landed on a grid of chains,
 # bouquets, affine E6 and a flavored ring at orders 2 to 40.  The tree
 # pass has since become cheaper than ``_box_work`` says, so the router can
-# pick the slower route (nilcone(8) at order 8 goes to the cells); see the
-# roadmap's router notes.
+# pick the slower route (nilcone(8) at order 8 goes to the cells); see
+# ROADMAP.md item 3, pricing the tree pass by the lists it builds.
 _TREE_SETUP_WORK = 4000
 
 
@@ -1133,49 +1131,3 @@ def symmetry_dimension(s: TruncatedSeries) -> int:
         raise EngineError("symmetry dimension needs an unrefined series")
     return c
 
-
-def bouquet_leaf_ids(n: int) -> list:
-    return [f"b{i}" for i in range(1, n + 1)]
-
-
-def _check_leaf_count(n) -> None:
-    if type(n) is not int:  # nor bool
-        raise ValueError(f"n must be an int, got {n!r}")
-
-
-def refined_implosion_integral(n: int, order: int) -> TruncatedSeries:
-    """Residue integral over the bouquet fugacities: the refined series of
-    bouquet(n) with leaf b1 ungauged and the other n-1 leaves refined, times
-    (1 - t^2)^(n-1), constant term in every fugacity.  ``n`` must be an
-    int, else ``ValueError``.
-
-    That integral is the unrefined series of the T[SU(n)] chain
-    ``build_linear_nilpotent_quiver(n)``, and is computed as that series.
-    On any quiver, refining r U(1) nodes, multiplying by (1 - t^2)^r and
-    taking the constant terms equals ungauging those nodes: the constant
-    term in z_v keeps the charges with m_v = 0, at which a U(1) dresses by
-    1/(1 - t^2).  Ungauging every leaf leaves the chain with a U(n)
-    flavor, whose Coulomb branch is the nilpotent cone, so the result
-    matches ``nilcone_reference_hs(n, order)``: the T[SU(n)] chain check
-    and no more.  The bouquet's own Coulomb branch is not tested here.
-    """
-    _check_leaf_count(n)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n == 1:
-        return TruncatedSeries.one(order)
-    return coulomb_hilbert_series(HSRequest(build_linear_nilpotent_quiver(n), order))
-
-
-def implosion_series(n: int, order: int) -> tuple:
-    """``(integral, bouquet)``: ``refined_implosion_integral(n, order)`` and
-    the unrefined series of bouquet(n), leaf b1 ungauged, to t^2, the rows
-    that ``implosion-check`` reads.  The bouquet, the wider quiver, is
-    solved first, so a box too large for either is named by the
-    bouquet's.  ``n`` must be an int, else ``ValueError``.
-    """
-    _check_leaf_count(n)
-    check_order(order)  # before the bouquet's solve, which runs at t^2
-    bouquet = coulomb_hilbert_series(HSRequest(
-        build_bouquet_quiver(n), 2, ungauge=bouquet_leaf_ids(n)[0]))
-    return refined_implosion_integral(n, order), bouquet

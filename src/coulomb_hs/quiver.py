@@ -425,17 +425,3 @@ def load_quiver(path: str) -> Quiver:
             raise QuiverValidationError(f"{path}: invalid JSON: {exc}") from None
     return quiver_from_json(obj)
 
-
-# Names that moved to ``balance``: still importable from here, and loaded
-# only when asked for.
-_MOVED = frozenset({
-    "BalanceReport", "DynkinComponent", "SymmetryPrediction", "balance_report",
-    "balanced_subquiver_classification", "expected_coulomb_dimension_real",
-    "gauge_group_rank", "node_balance", "predict_global_symmetry"})
-
-
-def __getattr__(name):
-    if name in _MOVED:
-        from . import balance
-        return getattr(balance, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,12 +5,14 @@ criterion prints one pass line (run with ``pytest -s`` to see them)."""
 import random
 import time
 
-from coulomb_hs.engine import (
-    HSRequest,
-    coulomb_hilbert_series,
-    refined_implosion_integral,
-    symmetry_dimension,
+from coulomb_hs.balance import (
+    balance_report,
+    expected_coulomb_dimension_real,
+    gauge_group_rank,
+    node_balance,
+    predict_global_symmetry,
 )
+from coulomb_hs.engine import HSRequest, coulomb_hilbert_series, symmetry_dimension
 from coulomb_hs.gale import (
     RankDeficientError,
     ToricConfig,
@@ -26,21 +28,16 @@ from coulomb_hs.quiver import (
     SO,
     U,
     USp,
-    balance_report,
     build_bouquet_quiver,
     build_dn_implosion_quiver,
     build_linear_nilpotent_quiver,
-    expected_coulomb_dimension_real,
-    gauge_group_rank,
-    node_balance,
-    predict_global_symmetry,
     ungauge,
 )
 from coulomb_hs.series import expand_inverse, nilcone_reference_hs, one_minus_power, \
     plethystic_exp, plethystic_log
 
 from brute import HALF_PAIR_WEIGHT, delta_ref, positive_root_values, weyl_orbit
-from test_engine import boxes_past_bound
+from test_engine import bouquet_constant_terms, boxes_past_bound
 
 
 def u1_with_flavors(d):
@@ -112,7 +109,7 @@ def test_criterion_05_bouquet_t2_coefficients():
 def test_criterion_06_refined_integral():
     t0 = time.perf_counter()
     for n in (2, 3):
-        got = refined_implosion_integral(n, 8)
+        got = bouquet_constant_terms(n, 8, n - 1)
         assert got == nilcone_reference_hs(n, 8), f"n={n}"
     elapsed = time.perf_counter() - t0
     report(6, f"(1-t^2)^(n-1) * residue integral of the refined bouquet series "

@@ -250,7 +250,9 @@ def test_implosion_check_pass_and_negative_control(capsys):
 
 def test_implosion_check_solves_no_order_above_its_own(capsys, monkeypatch):
     # Two unrefined solves per run: the bouquet to t^2, for the t^2 row,
-    # then the chain to the order asked, for the integral.
+    # then the chain to the order asked, for the integral.  A bad order
+    # exits 1 before either, also where the bouquet's box alone would be
+    # refused (n = 90).
     import coulomb_hs.engine as engine
 
     hilbert_series = engine._hilbert_series
@@ -263,6 +265,11 @@ def test_implosion_check_solves_no_order_above_its_own(capsys, monkeypatch):
         orders = []
         code, _, _ = run(capsys, "implosion-check", "--n", n, "--order", order)
         assert (code, orders) == (0, solved), (n, order)
+    for n in "3", "90":
+        orders = []
+        code, text, err = run(capsys, "implosion-check", "--n", n, "--order", "-1")
+        assert (code, text, orders) == (1, "", []), n
+        assert "truncation order must be >= 0" in err, n
 
 
 def test_a_box_past_the_table_cell_limit_exits_2_at_once(capsys, monkeypatch):
@@ -469,6 +476,35 @@ def test_check_suite(capsys):
     code, text2, _ = run(capsys, "check-suite")
     hash2 = [l for l in text2.splitlines() if "manifest hash" in l][0]
     assert hash1 == hash2
+
+
+def test_check_suite_solves_each_request_once_and_only_for_a_row(capsys, monkeypatch):
+    # Every solve the suite makes, in order: each one feeds a row, and none
+    # repeats.  The PE/PL round trip reuses the nilpotent-cone row's series.
+    import coulomb_hs.engine as engine
+    from coulomb_hs.quiver import (NodeKind, Quiver, QuiverNode, U, build_bouquet_quiver,
+                                   build_dn_implosion_quiver,
+                                   build_linear_nilpotent_quiver)
+
+    hilbert_series = engine._hilbert_series
+
+    def recording(request, counted):
+        requests.append(request)
+        return hilbert_series(request, counted)
+    monkeypatch.setattr(engine, "_hilbert_series", recording)
+    abelian = [HSRequest(Quiver([QuiverNode("g", NodeKind.GAUGE, U(1)),
+                                 QuiverNode("f", NodeKind.FLAVOR, U(d))],
+                                [("g", "f")]), 20) for d in range(1, 6)]
+    cones = [HSRequest(build_linear_nilpotent_quiver(n), 10) for n in (2, 3)]
+    chains = [HSRequest(build_linear_nilpotent_quiver(n), 8) for n in (2, 3)]
+    for full, bouquet_ns, dn_ns in (False, (2, 3, 4), (3,)), (True, (2, 3, 4, 5), (3, 4)):
+        bouquets = [HSRequest(build_bouquet_quiver(n), 2, ungauge="b1") for n in bouquet_ns]
+        dn = [HSRequest(build_dn_implosion_quiver(n), 2) for n in dn_ns]
+        requests = []
+        code, _, _ = run(capsys, "check-suite", *["--full"] * full)
+        assert code == 0
+        assert not [r for i, r in enumerate(requests) if r in requests[:i]], full
+        assert requests == abelian + cones + bouquets + chains + dn, full
 
 
 def output_argv(tmp_path, command):

@@ -12,13 +12,10 @@ from coulomb_hs.engine import (
     EngineError,
     HSRequest,
     QuiverCharge,
-    bouquet_leaf_ids,
     compute_hilbert_series,
     coulomb_hilbert_series,
     delta,
     enumerate_charges,
-    implosion_series,
-    refined_implosion_integral,
     symmetry_dimension,
     MAX_TABLE_CELLS,
     _Problem,
@@ -51,7 +48,7 @@ from coulomb_hs.quiver import (
     build_partial_implosion_quiver,
     ungauge,
 )
-from coulomb_hs.series import (SeriesError, TruncatedSeries, expand_inverse, nilcone_reference_hs,
+from coulomb_hs.series import (TruncatedSeries, expand_inverse, nilcone_reference_hs,
                                one_minus_power)
 
 from brute import (HALF_PAIR_WEIGHT, cell_sum_ref, delta_ref, hs_ref, kostant_nilcone_series,
@@ -362,16 +359,6 @@ def test_hs_refined_to_one_matches_unrefined():
     plain = coulomb_hilbert_series(HSRequest(q, 4, ungauge="b1"))
     assert refined.substitute_ones() == plain
     assert refined.fugacities == frozenset({"b2", "b3"})
-    # The implosion check's two series: the unrefined bouquet to t^2, at
-    # any order, and the integral to the order asked.
-    for n, order in (2, 8), (3, 6), (4, 4), (3, 1), (3, 0):
-        integral, bouquet = implosion_series(n, order)
-        assert bouquet == coulomb_hilbert_series(HSRequest(
-            build_bouquet_quiver(n), 2, ungauge="b1")), (n, order)
-        assert integral == nilcone_reference_hs(n, order), (n, order)
-    for bad in -1, True:
-        with pytest.raises(SeriesError):
-            implosion_series(3, bad)
 
 
 def test_hs_refined_validation():
@@ -454,10 +441,10 @@ def test_dn_flavor_chain_gives_so2n_nilpotent_cone():
 
 
 def test_refined_integral_matches_nilcone():
+    # The constant terms of the refined bouquet, times (1 - t^2)^(n-1):
+    # the residue integral that implosion-check's first row stands for.
     for n in (2, 3):
-        got = refined_implosion_integral(n, 8)
-        assert got == nilcone_reference_hs(n, 8)
-    assert refined_implosion_integral(1, 6) == TruncatedSeries.one(6)
+        assert bouquet_constant_terms(n, 8, n - 1) == nilcone_reference_hs(n, 8), n
 
 
 @pytest.mark.parametrize("n, order", [(2, 16), (3, 12), (4, 8), (5, 6)])
@@ -475,7 +462,7 @@ def test_refined_nilpotent_cone_matches_kostant(n, order):
 def test_constant_terms_of_refined_u1s_ungauge_them():
     # Refining r U(1) nodes, multiplying by (1 - t^2)^r and taking the
     # constant terms is ungauging them: on a partial implosion's leg ends,
-    # and on the bouquet, where it makes the integral the chain check.
+    # and on the bouquet, where ungauging every leaf leaves the chain.
     q = build_partial_implosion_quiver(4, [2, 1, 1])
     ends = ["l1_1", "l2_1", "l3_1"]
     s = coulomb_hilbert_series(HSRequest(q, 6, refined=frozenset(ends[1:]), ungauge=ends[0]))
@@ -487,18 +474,18 @@ def test_constant_terms_of_refined_u1s_ungauge_them():
         pinned = ungauge(pinned, name)
     assert s == coulomb_hilbert_series(HSRequest(pinned, 6, ungauge=ends[0]))
     for n in (3, 4):
-        assert refined_implosion_integral(n, 6) == coulomb_hilbert_series(
-            HSRequest(build_linear_nilpotent_quiver(n), 6))
+        assert bouquet_constant_terms(n, 6, n - 1) == coulomb_hilbert_series(
+            HSRequest(build_linear_nilpotent_quiver(n), 6)), n
 
 
 def bouquet_constant_terms(n, order, e):
     """The constant terms of the refined bouquet(n) series, leaf b1
     ungauged, times (1 - t^2)^e."""
-    leaves = bouquet_leaf_ids(n)
+    leaves = [f"b{i}" for i in range(2, n + 1)]
     s = coulomb_hilbert_series(HSRequest(
-        build_bouquet_quiver(n), order, refined=frozenset(leaves[1:]),
-        ungauge=leaves[0])) * one_minus_power(2, order) ** e
-    for name in leaves[1:]:
+        build_bouquet_quiver(n), order, refined=frozenset(leaves),
+        ungauge="b1")) * one_minus_power(2, order) ** e
+    for name in leaves:
         s = s.constant_term(name)
     return s
 
@@ -506,28 +493,17 @@ def bouquet_constant_terms(n, order, e):
 def test_refined_integral_takes_constant_terms_before_the_prefactor():
     # (1 - t^2)^(n-1) carries no fugacity, so the constant terms of the
     # refined series times it are the constant terms times it, at one
-    # truncation.
-    # The integral is computed as the chain's series, so this pins the
-    # refined bouquet's constant terms to it, at the implosion check's
-    # sizes too.
+    # truncation.  Both equal the chain's series, which implosion-check
+    # solves for its integral row, at its sizes too.
     for n, order in ((2, 8), (3, 8), (3, 12), (4, 8)):
-        assert refined_implosion_integral(n, order) == \
-            bouquet_constant_terms(n, order, n - 1), (n, order)
+        chain = coulomb_hilbert_series(HSRequest(build_linear_nilpotent_quiver(n), order))
+        assert bouquet_constant_terms(n, order, n - 1) == chain, (n, order)
+        assert bouquet_constant_terms(n, order, 0) * one_minus_power(2, order) ** (n - 1) \
+            == chain, (n, order)
 
 
 def test_refined_integral_negative_control():
     assert bouquet_constant_terms(3, 6, 4) != nilcone_reference_hs(3, 6)
-
-
-def test_refined_integral_of_one_leaf_solves_nothing(monkeypatch):
-    import coulomb_hs.engine as engine
-
-    def solve(req, counted):
-        raise AssertionError("solved")
-    monkeypatch.setattr(engine, "_hilbert_series", solve)
-    with pytest.raises(ValueError, match="need n >= 1"):
-        refined_implosion_integral(0, 4)
-    assert refined_implosion_integral(1, 4) == TruncatedSeries.one(4)
 
 
 def test_ungauged_bouquet_t2_and_basic_monopoles():
@@ -542,7 +518,7 @@ def test_ungauged_bouquet_t2_and_basic_monopoles():
         q = ungauge(build_bouquet_quiver(n), "b1")
         ranks = {node.id: node.group.rank for node in q.gauge_nodes}
         zero = {nid: (0,) * r for nid, r in ranks.items()}
-        basic = [{**zero, leaf: (sign,)} for leaf in bouquet_leaf_ids(n)[1:]
+        basic = [{**zero, f"b{i}": (sign,)} for i in range(2, n + 1)
                  for sign in (1, -1)]
         basic += [{nid: (sign,) * r for nid, r in ranks.items()} for sign in (1, -1)]
         assert len(basic) == 2 * n
@@ -554,7 +530,7 @@ def test_unitary_edge_multiplicity():
                      QuiverNode("b", NodeKind.GAUGE, U(2))],
                     [("a", "b"), ("a", "b")])
     assert delta(double, {"a": (1,), "b": (0, 0)}) == 2
-    from coulomb_hs.quiver import node_balance
+    from coulomb_hs.balance import node_balance
 
     assert node_balance(double, "a") == -2 + 2 * 2
 
@@ -1227,7 +1203,7 @@ def test_interchangeable_leaves_send_one_message(monkeypatch):
     cases = ((HSRequest(b5, 4, ungauge="b1"), 40, 65, 245),
              (HSRequest(build_dn_implosion_quiver(4), 4), 34, 34, 318),
              (HSRequest(b5, 4, frozenset({"b2"}), "b1"), 63, 63, 245),
-             (HSRequest(b5, 4, frozenset(bouquet_leaf_ids(5)[1:]), "b1"), 63, 63, 245))
+             (HSRequest(b5, 4, frozenset({"b2", "b3", "b4", "b5"}), "b1"), 63, 63, 245))
     mapped = []
     for req, want, _, count in cases:
         calls.clear()
@@ -1484,13 +1460,6 @@ def test_centers_are_dressed_outside_the_tree_pass(monkeypatch):
     assert s.constant_term("b2").constant_term("b3") == nilcone_reference_hs(3, 12)
 
 
-def test_implosion_leaf_count_must_be_an_int():
-    for bad in True, 2.0:
-        for f in refined_implosion_integral, implosion_series:
-            with pytest.raises(ValueError, match=r"^n must be an int, got "):
-                f(bad, 4)
-
-
 def test_bad_theory_message_names_the_charge():
     # The nonzero charge of box 1 with the least 2*Delta, ties going to the
     # first in the order of enumerate_charges: on a tree, and on a
@@ -1566,7 +1535,8 @@ def test_monopole_sums_leave_no_cyclic_garbage():
             HSRequest(affine_a_cycle(4), 4)),
         "nilcone(5) refined at g1, g2": lambda: compute_hilbert_series(
             HSRequest(build_linear_nilpotent_quiver(5), 4, refined=frozenset({"g1", "g2"}))),
-        "implosion_series(3, 8)": lambda: implosion_series(3, 8),
+        "the T[SU(3)] chain at K = 8": lambda: compute_hilbert_series(
+            HSRequest(build_linear_nilpotent_quiver(3), 8)),
         "nilcone(4) at K = 12, on the cells": lambda: compute_hilbert_series(
             HSRequest(build_linear_nilpotent_quiver(4), 12)),
         "enumerate_charges on pinned affine E6": lambda: enumerate_charges(e6, 2),

@@ -72,15 +72,8 @@ EXPORTS = [
     "gauge_group_rank", "is_gale_dual_pair",
     "kernel_lattice", "nilcone_reference_hs", "node_balance", "plethystic_exp",
     "plethystic_log", "predict_global_symmetry", "quiver_from_json",
-    "quiver_to_json", "refined_implosion_integral",
-    "series_from_json", "series_to_json", "symmetry_dimension", "ungauge",
-    "weyl_vector",
-]
-
-MOVED_TO_BALANCE = [
-    "BalanceReport", "DynkinComponent", "SymmetryPrediction", "balance_report",
-    "balanced_subquiver_classification", "expected_coulomb_dimension_real",
-    "gauge_group_rank", "node_balance", "predict_global_symmetry",
+    "quiver_to_json", "series_from_json", "series_to_json", "symmetry_dimension",
+    "ungauge", "weyl_vector",
 ]
 
 
@@ -108,14 +101,3 @@ def test_lazy_exports_resolve_to_their_defining_module():
     with pytest.raises(AttributeError, match="no_such_name"):
         coulomb_hs.no_such_name
 
-
-def test_moved_names_still_import_from_quiver():
-    from coulomb_hs import balance, quiver
-    from coulomb_hs.quiver import balance_report
-
-    assert balance_report is balance.balance_report
-    for name in MOVED_TO_BALANCE:
-        assert getattr(quiver, name) is getattr(balance, name), name
-        assert getattr(balance, name).__module__ == "coulomb_hs.balance", name
-    with pytest.raises(AttributeError, match="no_such_name"):
-        quiver.no_such_name

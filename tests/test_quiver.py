@@ -2,6 +2,14 @@ import json
 
 import pytest
 
+from coulomb_hs.balance import (
+    balance_report,
+    balanced_subquiver_classification,
+    expected_coulomb_dimension_real,
+    gauge_group_rank,
+    node_balance,
+    predict_global_symmetry,
+)
 from coulomb_hs.quiver import (
     DecoupledU1UnresolvedError,
     DimensionMismatchError,
@@ -19,8 +27,6 @@ from coulomb_hs.quiver import (
     U,
     USp,
     UnknownNodeError,
-    balance_report,
-    balanced_subquiver_classification,
     bouquet_replace,
     build_bouquet_quiver,
     build_dn_implosion_quiver,
@@ -28,10 +34,6 @@ from coulomb_hs.quiver import (
     build_partial_implosion_quiver,
     decoupled_u1_count,
     detect_decoupled_u1,
-    expected_coulomb_dimension_real,
-    gauge_group_rank,
-    node_balance,
-    predict_global_symmetry,
     quiver_from_json,
     quiver_to_json,
     ungauge,
