@@ -71,11 +71,11 @@ for the series alone (``coulomb_hilbert_series``) or the charge lists.
 Integer functions of a node's charge ride along as digits of one packed
 integer: the refined topological charges, or each charge read as one
 number when the charges are listed.  A fixed node sits at charge 0, so
-its edges are flavor edges of its gauge neighbours and it is a root of
-its own with one candidate: a fixed node on a cycle opens it.  Edges that
-close a cycle among gauge nodes are handled by conditioning on the
-charges of their early endpoints, a cycle cutset, and running the same
-pass once per assignment.
+it is a flavor of its gauge neighbours and no node of the forest: a
+fixed node on a cycle opens it.  Edges that close a cycle among gauge
+nodes are handled by conditioning on the charges of their early
+endpoints, a cycle cutset, and running the same pass once per
+assignment.
 
 Conjugate candidates are priced once.  The monopole formula is invariant
 under charge conjugation m -> -m (arXiv:1309.2657), which maps a U(r)
@@ -91,8 +91,8 @@ floors' steps reversed.  So tab[sigma(ip)][sigma(iv)] = tab[ip][iv], the
 node terms, minimum tables and totals agree at iv and sigma(iv), and so
 do the products a node builds and the messages it sends, and each pair
 of conjugate candidates is priced once (``liedata.negation``).
-Bouquet(5) at K = 4 makes 40 messages, not 65, and affine E6 at K = 6
-makes 82, not 153.  Off the unitary family sigma is the identity on USp,
+Bouquet(5) at K = 4 makes 39 messages, not 64, and affine E6 at K = 6
+makes 81, not 152.  Off the unitary family sigma is the identity on USp,
 SO(odd) and SO(4k) and is not used on SO(2) and SO(4k+2); a digit (the
 topological charge or a listed charge) tells c from sigma(c), and a
 cutset pins one of them.
@@ -111,11 +111,11 @@ order).  The root's digit enters only the final sum, as one shift per
 root candidate, while any other node's digit rides in every product at
 each ancestor and in every message, once per parent candidate: for the
 series of refined bouquet(3) at K = 12, counted without the count lane,
-this cuts the message terms from 53 453 to 11 404.  Each node multiplies
+this cuts the message terms from 53 452 to 11 403.  Each node multiplies
 its children's messages digit-free first, in ascending order of the
 digits in the child's subtree, so each later factor meets a product
-still narrow in the digits: 2 964 product term pairs on that run
-instead of 5 997.  A component with a cycle keeps its first node, which
+still narrow in the digits: 2 963 product term pairs on that run
+instead of 5 996.  A component with a cycle keeps its first node, which
 heads the cutset, since a root with more candidates would multiply the
 passes.  The same edge type met from its other end reuses the table
 already built, transposed.
@@ -225,17 +225,15 @@ HSResult = namedtuple("HSResult", "series stats")
 
 
 class _ENode:
-    __slots__ = ("id", "group", "rank", "fixed", "center", "flavor")
+    __slots__ = ("id", "group", "rank", "center", "flavor")
 
     def __init__(self, node):
         self.id = node.id
         self.group = node.group
         self.rank = node.group.rank
-        self.fixed = node.kind is NodeKind.FIXED
         # A U(n) or SO(2) gauge node's center, a U(1) in the residual group
         # of every charge, dresses each charge by 1/(1 - t^2).
-        self.center = not self.fixed and (
-            node.group.family is Family.UNITARY or node.group == SO(2))
+        self.center = node.group.family is Family.UNITARY or node.group == SO(2)
         self.flavor = []  # _EEdge to each flavor or fixed node, at charge 0
 
 
@@ -256,9 +254,12 @@ class _EEdge:
 
 class _Problem:
     def __init__(self, quiver: Quiver, preferred: Sequence[str] = ()):
-        self.quiver = quiver
-        self.nodes = [_ENode(n) for n in quiver.nodes if n.kind is not NodeKind.FLAVOR]
+        self.nodes = [_ENode(n) for n in quiver.nodes if n.kind is NodeKind.GAUGE]
         self.index = {nd.id: i for i, nd in enumerate(self.nodes)}
+        # A charge's components, in quiver order: (id, None) for each gauge
+        # node and (id, its charge 0) for each fixed node.
+        self.slots = [(n.id, None if n.kind is NodeKind.GAUGE else (0,) * n.group.rank)
+                      for n in quiver.nodes if n.kind is not NodeKind.FLAVOR]
         self.edges: list = []
         for (a, b), mult in sorted(Counter(quiver.edges).items()):
             na, nb = quiver.node(a), quiver.node(b)
@@ -342,12 +343,12 @@ class _Problem:
     @cached_property
     def unit_tables(self) -> tuple:
         """``(cands, _box_tables(self, cands))`` over the 0/1 charges
-        1^c 0^(r - c), c = 0..r, of each node (a fixed node has only 0),
-        one list per rank, built once for ``_proven_box`` and ``_cell_sum``."""
+        1^c 0^(r - c), c = 0..r, of each node, one list per rank, built once
+        for ``_proven_box`` and ``_cell_sum``."""
         shared: dict = {}
-        cands = [shared.setdefault((nd.rank, nd.fixed), [
-            (1,) * c + (0,) * (nd.rank - c) for c in range(1 if nd.fixed else nd.rank + 1)])
-            for nd in self.nodes]
+        cands = [shared.setdefault(nd.rank, [(1,) * c + (0,) * (nd.rank - c)
+                                             for c in range(nd.rank + 1)])
+                 for nd in self.nodes]
         return cands, _box_tables(self, cands)
 
     @cached_property
@@ -367,34 +368,33 @@ class _Problem:
         return floors
 
     def coerce_charge(self, charge) -> tuple:
+        """The gauge nodes' charges of ``charge``, a mapping by node id or
+        one charge per gauge or fixed node in quiver order.  A fixed node's
+        entry must be 0, may be left out of a mapping, and is dropped."""
         if isinstance(charge, QuiverCharge):
             charge = charge.as_dict()
         if isinstance(charge, Mapping):
+            ids = dict(self.slots)
             for key in charge:
-                if key not in self.index:
+                if key not in ids:
                     raise QuiverError(
                         f"charge given for {key!r}, which is not a gauge "
                         "or fixed node")
-            vec = []
-            for nd in self.nodes:
-                if nd.id not in charge:
-                    if nd.fixed:
-                        vec.append((0,) * nd.rank)
-                        continue
-                    raise QuiverError(f"charge missing for node {nd.id!r}")
-                c = tuple(charge[nd.id])
-                vec.append(c)
-        else:
-            vec = [tuple(c) for c in charge]
-            if len(vec) != len(self.nodes):
-                raise QuiverError("charge has wrong number of components")
-        for nd, c in zip(self.nodes, vec):
-            if nd.fixed:
-                if any(c):
-                    raise QuiverError(f"fixed node {nd.id!r} must carry charge 0")
-            else:
-                validate_charge(nd.group, c)
-        return tuple(vec)
+            for nid, zero in self.slots:
+                if nid not in charge and zero is None:
+                    raise QuiverError(f"charge missing for node {nid!r}")
+            charge = [charge.get(nid, zero) for nid, zero in self.slots]
+        vec = [tuple(c) for c in charge]
+        if len(vec) != len(self.slots):
+            raise QuiverError("charge has wrong number of components")
+        out = []
+        for (nid, zero), c in zip(self.slots, vec):
+            if zero is None:
+                validate_charge(self.nodes[len(out)].group, c)
+                out.append(c)
+            elif any(c):
+                raise QuiverError(f"fixed node {nid!r} must carry charge 0")
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +489,7 @@ def _box_work(prob: _Problem, b: int) -> tuple:
     between gauge nodes, and one pass per assignment of the cycle cutset
     (``_cutset_assignments``).  The whole box is counted, an upper bound
     on what the sums over it build from the lists of ``_candidates``."""
-    sizes = [1 if nd.fixed else dominant_charge_count(nd.group, b) for nd in prob.nodes]
+    sizes = [dominant_charge_count(nd.group, b) for nd in prob.nodes]
     cutset = {u for late in prob.nontree for u, _ in late}
     return (sum(sizes) + sum(sizes[e.a] * sizes[e.b] for e in prob.edges),
             prod(sizes[u] for u in cutset))
@@ -505,23 +505,23 @@ def _check_cells(prob: _Problem, b: int) -> None:
 
 
 def _candidates(prob: _Problem, b: int, thr4: int | None = None) -> list:
-    """Each node's dominant charges with max |entry| <= b; a fixed node has
-    only charge 0.  With a cutoff ``thr4`` whose proven box is b, for a
-    good theory, node v keeps only the charges x of spread <= b and floor
-    F_v(x) <= thr4 (``liedata.dominant_charges`` over ``_Problem.floors``),
-    since no charge through another is within the cutoff (``_proven_box``).
-    Nodes of one group, fixed or not, with the same floors build one list,
-    and equal lists are one object, which no consumer mutates: the table
-    memo and the conjugation maps rely on it.  ``_check_cells`` counts the
-    whole box before any is built, so the lists are bounded too."""
+    """Each node's dominant charges with max |entry| <= b.  With a cutoff
+    ``thr4`` whose proven box is b, for a good theory, node v keeps only
+    the charges x of spread <= b and floor F_v(x) <= thr4
+    (``liedata.dominant_charges`` over ``_Problem.floors``), since no
+    charge through another is within the cutoff (``_proven_box``).  Nodes
+    of one group with the same floors build one list, and equal lists are
+    one object, which no consumer mutates: the table memo and the
+    conjugation maps rely on it.  ``_check_cells`` counts the whole box
+    before any is built, so the lists are bounded too."""
     _check_cells(prob, b)
-    built: dict = {}  # (group, fixed, floors): the list
+    built: dict = {}  # (group, floors): the list
     shared: dict = {}  # (group, the list's charges): its one object
     out = []
     for nd, fl in zip(prob.nodes, prob.floors):
-        key = nd.group, nd.fixed, tuple(fl)
+        key = nd.group, tuple(fl)
         if key not in built:
-            cl = [(0,) * nd.rank] if nd.fixed else dominant_charges(nd.group, b, fl, thr4)
+            cl = dominant_charges(nd.group, b, fl, thr4)
             built[key] = shared.setdefault((nd.group, tuple(cl)), cl)
         out.append(built[key])
     return out
@@ -694,7 +694,8 @@ def _box_charges(prob: _Problem, b: int, thr4: int, pruned: bool = False) -> dic
     the box sum without dressing, in which each entry of every charge is
     one balanced digit of base 2b + 1.  Node v's entries form the digit
     d(m) = sum_i m_v[i] * (2b + 1)^i, so each charge is one key of
-    coefficient 1, and each node's digit names its charge."""
+    coefficient 1, and each node's digit names its charge.  A key holds
+    one charge per gauge or fixed node, in quiver order (``coerce_charge``)."""
     base = 2 * b + 1
 
     def number(c: Charge) -> int:
@@ -703,7 +704,11 @@ def _box_charges(prob: _Problem, b: int, thr4: int, pruned: bool = False) -> dic
     names = [{number(c): c for c in cl} for cl in cands]
     digits = [(v, number) for v in range(len(names))]
     terms, _ = _monopole_sum(prob, cands, thr4, digits, dressed=False, counted=False)
-    return {tuple(map(dict.__getitem__, names, digits)): d4 for d4, digits in terms}
+    out = {}
+    for d4, digits in terms:
+        gauged = map(dict.__getitem__, names, digits)
+        out[tuple(next(gauged) if zero is None else zero for _, zero in prob.slots)] = d4
+    return out
 
 
 def enumerate_charges(q: Quiver, delta_max) -> list:
@@ -720,7 +725,7 @@ def enumerate_charges(q: Quiver, delta_max) -> list:
     prob = _Problem(q)
     bound = _proven_box(prob, int(thr4))
     found = _box_charges(prob, bound, int(thr4), pruned=True)
-    ids = tuple(nd.id for nd in prob.nodes)
+    ids = tuple(nid for nid, _ in prob.slots)
     keyed = sorted((max(map(abs, chain.from_iterable(vec)), default=0), vec)
                    for vec in found)
     return [QuiverCharge(ids, vec) for _, vec in keyed]
@@ -894,13 +899,13 @@ def _monopole_sum(prob: _Problem, cands: list, thr4: int, digits: list, *,
     below the exponent, and multiplying monomials adds keys.  The refined
     series gives each refined U(r) node one digit, its topological charge
     (h = b * r); ``_box_charges`` gives each node one, whose own digits of
-    base 2b + 1 are the node's entries (h = 0 at a fixed node).  Edges
+    base 2b + 1 are the node's entries.  Edges
     outside the spanning forest are handled by conditioning on their
     early endpoints: for each assignment of that cutset, the pinned nodes
     keep one candidate, each such edge's cost joins the local term of its
     late endpoint, and the tree pass runs as is.  The tree pass asks
     ``dress`` for the dressing degrees of its live candidates only, and
-    ``dress`` computes them once per (group, fixed, charge) for the whole
+    ``dress`` computes them once per (group, charge) for the whole
     sum.  Each node multiplies its children's messages fewest digits in
     the subtree first, by a stable sort, so a sum without digits keeps the
     forest's order.  A sum with no digit and no cycle cutset over nodes
@@ -924,11 +929,11 @@ def _monopole_sum(prob: _Problem, cands: list, thr4: int, digits: list, *,
 
     def dress(v: int, c: Charge) -> tuple:
         nd = nodes[v]
-        key = nd.group, nd.fixed, c
+        key = nd.group, c
         degs = degrees.get(key)
         if degs is None:
             degs = []
-            if dressed and not nd.fixed:
+            if dressed:
                 degs = _dressing_degrees(nd.group, c)
                 if nd.center:
                     degs.remove(1)
@@ -1052,9 +1057,9 @@ def _cell_work(prob: _Problem, order: int) -> int | None:
     the gauge ranks r at order K; or None when a gauge node is not unitary
     or when the series it keeps, about prod(r + 1) * sum(r + 1) * (K + 1)
     coefficients, would pass ``MAX_TABLE_CELLS``."""
-    if any(not nd.fixed and nd.group.family is not Family.UNITARY for nd in prob.nodes):
+    if any(nd.group.family is not Family.UNITARY for nd in prob.nodes):
         return None
-    sizes = [nd.rank + 1 for nd in prob.nodes if not nd.fixed]
+    sizes = [nd.rank + 1 for nd in prob.nodes]
     kept = prod(sizes) * sum(sizes) * (order + 1)
     return None if kept > MAX_TABLE_CELLS else kept * (order + 1) // 2
 
@@ -1077,7 +1082,7 @@ def _cell_sum(prob: _Problem, order: int, counted: bool):
     weight = [(sum(map(list.__getitem__, local4, c))
                + sum(tab[c[u]][c[v]] for v, u, tab in links)) // 2 for c in states]
     # Each gauge node is an axis: (node, the index step of its unit vector).
-    axes = [(v, prod(r + 1 for r in ranks[v + 1:])) for v, r in enumerate(ranks) if r]
+    axes = [(v, prod(r + 1 for r in ranks[v + 1:])) for v in range(len(ranks))]
     n, top = len(states), order + 1
     # A series is a list of its order + 1 coefficients followed, when
     # counted, by the count lane's, so that one pass runs both lanes.

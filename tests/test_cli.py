@@ -250,9 +250,9 @@ def test_implosion_check_pass_and_negative_control(capsys):
 
 def test_implosion_check_solves_no_order_above_its_own(capsys, monkeypatch):
     # Two unrefined solves per run: the bouquet to t^2, for the t^2 row,
-    # then the chain to the order asked, for the integral.  A bad order
-    # exits 1 before either, also where the bouquet's box alone would be
-    # refused (n = 90).
+    # then the T[SU(n)] chain to the order asked, for the chain row.  A bad
+    # order exits 1 before either, also where the bouquet's box alone would
+    # be refused (n = 90).
     import coulomb_hs.engine as engine
 
     hilbert_series = engine._hilbert_series
@@ -273,7 +273,7 @@ def test_implosion_check_solves_no_order_above_its_own(capsys, monkeypatch):
 
 
 def test_a_box_past_the_table_cell_limit_exits_2_at_once(capsys, monkeypatch):
-    # bouquet(90)'s box 1 would need 304 664 442 table cells, just past
+    # bouquet(90)'s box 1 would need 304 664 441 table cells, just past
     # MAX_TABLE_CELLS (3e8): the run ends with exit 2 naming the count
     # before any candidate list is built.
     import coulomb_hs.engine as engine
@@ -284,7 +284,7 @@ def test_a_box_past_the_table_cell_limit_exits_2_at_once(capsys, monkeypatch):
     assert engine.MAX_TABLE_CELLS == 300_000_000
     code, text, err = run(capsys, "implosion-check", "--n", "90", "--order", "0")
     assert (code, text) == (2, "")
-    assert "box 1 needs 304664442 table cells, more than the 300000000 allowed" in err
+    assert "box 1 needs 304664441 table cells, more than the 300000000 allowed" in err
 
 
 def test_a_chain_past_the_table_cell_limit_runs_on_the_cells(capsys):
@@ -496,7 +496,6 @@ def test_check_suite_solves_each_request_once_and_only_for_a_row(capsys, monkeyp
                                  QuiverNode("f", NodeKind.FLAVOR, U(d))],
                                 [("g", "f")]), 20) for d in range(1, 6)]
     cones = [HSRequest(build_linear_nilpotent_quiver(n), 10) for n in (2, 3)]
-    chains = [HSRequest(build_linear_nilpotent_quiver(n), 8) for n in (2, 3)]
     for full, bouquet_ns, dn_ns in (False, (2, 3, 4), (3,)), (True, (2, 3, 4, 5), (3, 4)):
         bouquets = [HSRequest(build_bouquet_quiver(n), 2, ungauge="b1") for n in bouquet_ns]
         dn = [HSRequest(build_dn_implosion_quiver(n), 2) for n in dn_ns]
@@ -504,7 +503,7 @@ def test_check_suite_solves_each_request_once_and_only_for_a_row(capsys, monkeyp
         code, _, _ = run(capsys, "check-suite", *["--full"] * full)
         assert code == 0
         assert not [r for i, r in enumerate(requests) if r in requests[:i]], full
-        assert requests == abelian + cones + bouquets + chains + dn, full
+        assert requests == abelian + cones + bouquets + dn, full
 
 
 def output_argv(tmp_path, command):
@@ -567,7 +566,7 @@ def test_a_failed_check_exits_3(capsys, monkeypatch):
     assert any(row[-1] is False for row in json.loads(text)["rows"])
     code, text, _ = run(capsys, "implosion-check", "--n", "3", "--order", "6")
     assert code == 3
-    assert text.startswith("FAIL  refined integral equals nilpotent-cone closed form")
+    assert text.startswith("FAIL  T[SU(3)] chain equals nilpotent-cone closed form")
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -584,7 +583,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 1, argv
         assert "error:" in capsys.readouterr().err
-    for n in ("1", "0", "x"):  # rejected before the refined integral runs
+    for n in ("1", "0", "x"):  # rejected before either solve runs
         with pytest.raises(SystemExit) as exc:
             main(["implosion-check", "--n", n, "--order", "4"])
         assert exc.value.code == 1, n

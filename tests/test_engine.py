@@ -51,8 +51,9 @@ from coulomb_hs.quiver import (
 from coulomb_hs.series import (TruncatedSeries, expand_inverse, nilcone_reference_hs,
                                one_minus_power)
 
-from brute import (HALF_PAIR_WEIGHT, cell_sum_ref, delta_ref, hs_ref, kostant_nilcone_series,
-                   matter_term, quarter_units, shell_min_ref, topological_counts)
+from brute import (HALF_PAIR_WEIGHT, cell_sum_ref, delta_ref, higgs_hs, hs_ref,
+                   kostant_nilcone_series, matter_term, quarter_units, shell_min_ref,
+                   topological_counts)
 
 
 def u1_with_flavors(d):
@@ -459,6 +460,29 @@ def test_refined_nilpotent_cone_matches_kostant(n, order):
     assert got.fugacities == frozenset(node.id for node in q.gauge_nodes)
 
 
+@pytest.mark.parametrize("n, order", [(2, 8), (3, 8), (4, 6)])
+def test_bouquet_is_dual_to_the_universal_implosion(n, order):
+    # The paper's claim, term by term: the Coulomb branch of bouquet(n)
+    # with b1 ungauged against the universal hyperkahler implosion of
+    # SU(n), the Higgs branch of [SU(1)]-SU(2)-...-SU(n-1)-[U(n)]
+    # (Dancer-Kirwan-Swann, arXiv:1209.1578), T[SU(n)]'s chain with every
+    # gauge node made special.  SU(1) is trivial, so its node is one
+    # flavor of SU(2), and n = 2 is H^2, 1/(1 - t)^4.
+    chain = build_linear_nilpotent_quiver(n)
+    higgs = higgs_hs(chain, order, special={node.id for node in chain.gauge_nodes})
+    assert higgs == coulomb_hilbert_series(HSRequest(build_bouquet_quiver(n), order,
+                                                     ungauge="b1"))
+    if n == 4:
+        assert [higgs.coefficient(k) for k in range(7)] == [1, 0, 18, 32, 206, 544, 1993]
+
+
+def test_higgs_integrator_gives_the_self_mirror_nilpotent_cone():
+    # The integrator's own control: T[SU(3)] with U(k) nodes is self-mirror,
+    # so its Higgs branch is the nilpotent cone of sl(3), its Coulomb
+    # branch's closed form.
+    assert higgs_hs(build_linear_nilpotent_quiver(3), 8) == nilcone_reference_hs(3, 8)
+
+
 def test_constant_terms_of_refined_u1s_ungauge_them():
     # Refining r U(1) nodes, multiplying by (1 - t^2)^r and taking the
     # constant terms is ungauging them: on a partial implosion's leg ends,
@@ -494,7 +518,7 @@ def test_refined_integral_takes_constant_terms_before_the_prefactor():
     # (1 - t^2)^(n-1) carries no fugacity, so the constant terms of the
     # refined series times it are the constant terms times it, at one
     # truncation.  Both equal the chain's series, which implosion-check
-    # solves for its integral row, at its sizes too.
+    # solves for its T[SU(n)] chain row, at its sizes too.
     for n, order in ((2, 8), (3, 8), (3, 12), (4, 8)):
         chain = coulomb_hilbert_series(HSRequest(build_linear_nilpotent_quiver(n), order))
         assert bouquet_constant_terms(n, order, n - 1) == chain, (n, order)
@@ -859,14 +883,15 @@ def affine_a3_square():
 def test_tree_is_rooted_at_its_first_preferred_node():
     # bouquet(3) beside a ring with a flavor and nothing pinned: the tree
     # component is rooted at the first preferred node it holds, the pinned
-    # b1 is a root of its own, and the ring, whose cycle stays closed, at
-    # its first node with the same spanning tree and cutset as without a
-    # preference.
+    # b1 is a flavor and no node of the forest, and the ring, whose cycle
+    # stays closed, at its first node with the same spanning tree and
+    # cutset as without a preference.
     bouquet, ring = ungauge(build_bouquet_quiver(3), "b1"), flavored_ring(3)
     q = Quiver(bouquet.nodes + ring.nodes, bouquet.edges + ring.edges)
     plain, prob = _Problem(q), _Problem(q, ["u2", "b3", "b2"])
-    assert [plain.nodes[r].id for r in plain.roots] == ["g1", "b1", "u0"]
-    assert [prob.nodes[r].id for r in prob.roots] == ["b3", "b1", "u0"]
+    assert "b1" not in plain.index and "b1" not in prob.index
+    assert [plain.nodes[r].id for r in plain.roots] == ["g1", "u0"]
+    assert [prob.nodes[r].id for r in prob.roots] == ["b3", "u0"]
     b3, g2 = prob.index["b3"], prob.index["g2"]
     assert prob.parent[g2] == b3 and prob.children[b3] == [g2]
     assert sorted(prob.preorder) == list(range(len(prob.nodes)))
@@ -1004,7 +1029,7 @@ def test_edge_table_matches_reference():
         groups = [nd.group for nd in prob.nodes]
         flavor = {prob.index[g]: q.node(f).group for edge in q.edges
                   for g, f in (edge, edge[::-1]) if q.node(f).kind is not NodeKind.GAUGE}
-        assert not any(prob.nodes[v].fixed for e in prob.edges for v in (e.a, e.b))
+        assert all(q.node(nd.id).kind is NodeKind.GAUGE for nd in prob.nodes)
         edges = [(e, groups[e.b]) for e in prob.edges]
         edges += [(f, flavor[v]) for v, nd in enumerate(prob.nodes) for f in nd.flavor]
         for e, gb in edges:
@@ -1012,8 +1037,7 @@ def test_edge_table_matches_reference():
             families.add((e.ortho, e.mult, e.b < 0,
                            e.ortho and (ga if e.so_first else gb).n))
         for b in range(4):
-            cands = [[(0,) * nd.rank] if nd.fixed else dominant_charges(nd.group, b)
-                     for nd in prob.nodes]
+            cands = [dominant_charges(nd.group, b) for nd in prob.nodes]
             for e, gb in edges:
                 ends = [(e.a, e.b)] if e.b < 0 else [(e.a, e.b), (e.b, e.a)]
                 for p, v in ends:
@@ -1139,17 +1163,17 @@ def test_cycle_edges_reuse_the_tree_tables(monkeypatch):
 
 
 def test_pinned_node_opens_the_cycle_through_it(monkeypatch):
-    # A ring of six U(1)s pinned at u3: u3 is a flavor of u2 and u4, so the
-    # ring opens into a path with no cutset, and u3 is a root of its own
-    # with one candidate.  So one tree pass runs at K = 16, where the
+    # A ring of six U(1)s pinned at u3: u3 is a flavor of u2 and u4 and no
+    # node of the forest, so the ring opens into a path of five nodes with
+    # no cutset, one tree.  So one tree pass runs at K = 16, where the
     # closed cycle ran one per candidate of its cutset node, 17, and the
     # series is still the sl(6) minimal orbit's.
     import coulomb_hs.engine as engine
     q = affine_a_cycle(6, 3)
     prob = _Problem(q)
-    u3 = prob.index["u3"]
-    assert not any(prob.nontree)
-    assert u3 in prob.roots and prob.children[u3] == [] and _candidates(prob, 2)[u3] == [(0,)]
+    assert "u3" not in prob.index and len(prob.nodes) == 5
+    assert not any(prob.nontree) and len(prob.roots) == 1
+    assert [len(nd.flavor) for nd in prob.nodes] == [0, 0, 1, 1, 0]
     passes = []
     tree_pass = engine._tree_pass
 
@@ -1166,8 +1190,9 @@ def test_pinned_node_opens_the_cycle_through_it(monkeypatch):
 def test_pinned_leaf_sends_no_message(monkeypatch):
     # Refined bouquet(3) at K = 12 pins b1, which is then a flavor of the
     # U(2) node rather than a child sending it one message per live
-    # candidate: 155 calls of _message in all, against 224 with b1 in the
-    # forest.
+    # candidate: 154 calls of _message in all, one per live parent
+    # candidate of each child and one per root, against 224 with b1 in
+    # the forest.
     import coulomb_hs.engine as engine
     calls = []
     message = engine._message
@@ -1178,7 +1203,7 @@ def test_pinned_leaf_sends_no_message(monkeypatch):
     monkeypatch.setattr(engine, "_message", counted)
     s = coulomb_hilbert_series(HSRequest(
         build_bouquet_quiver(3), 12, refined=frozenset({"b2", "b3"}), ungauge="b1"))
-    assert len(calls) == 155
+    assert len(calls) == 154
     s = s * one_minus_power(2, 12) ** 2
     assert s.constant_term("b2").constant_term("b3") == nilcone_reference_hs(3, 12)
 
@@ -1186,10 +1211,10 @@ def test_pinned_leaf_sends_no_message(monkeypatch):
 def test_interchangeable_leaves_send_one_message(monkeypatch):
     # At K = 4 the four gauged U(1) leaves of bouquet(5), b1 ungauged, each
     # send their own messages, and each pair of conjugate candidates sends
-    # one, so 40 calls of _message in all, against 65 with no conjugation
+    # one, so 39 calls of _message in all, against 64 with no conjugation
     # map; dn(4), whose SO(2) nodes get no map, 34 either way.  A refined
-    # leaf carries a digit, which tells conjugates apart: 63 calls with b2
-    # refined, and 63 with all four.  The charges and the series do not
+    # leaf carries a digit, which tells conjugates apart: 62 calls with b2
+    # refined, and 62 with all four.  The charges and the series do not
     # change without the maps.
     import coulomb_hs.engine as engine
     calls = []
@@ -1200,10 +1225,10 @@ def test_interchangeable_leaves_send_one_message(monkeypatch):
         return message(*args)
     monkeypatch.setattr(engine, "_message", counted)
     b5 = build_bouquet_quiver(5)
-    cases = ((HSRequest(b5, 4, ungauge="b1"), 40, 65, 245),
+    cases = ((HSRequest(b5, 4, ungauge="b1"), 39, 64, 245),
              (HSRequest(build_dn_implosion_quiver(4), 4), 34, 34, 318),
-             (HSRequest(b5, 4, frozenset({"b2"}), "b1"), 63, 63, 245),
-             (HSRequest(b5, 4, frozenset({"b2", "b3", "b4", "b5"}), "b1"), 63, 63, 245))
+             (HSRequest(b5, 4, frozenset({"b2"}), "b1"), 62, 62, 245),
+             (HSRequest(b5, 4, frozenset({"b2", "b3", "b4", "b5"}), "b1"), 62, 62, 245))
     mapped = []
     for req, want, _, count in cases:
         calls.clear()
@@ -1220,7 +1245,7 @@ def test_interchangeable_leaves_send_one_message(monkeypatch):
 def test_conjugate_candidates_send_one_message(monkeypatch):
     # The benchmark's affine E6 at K = 6, l1_1 ungauged, on the tree pass:
     # each pair of conjugate candidates, c and -c reversed, is priced once,
-    # so 82 calls of _message in all, against 153 with no conjugation map,
+    # so 81 calls of _message in all, against 152 with no conjugation map,
     # over the same 25436 charges and the E6 minimal orbit's dim V(k theta).
     import coulomb_hs.engine as engine
     calls = []
@@ -1232,13 +1257,13 @@ def test_conjugate_candidates_send_one_message(monkeypatch):
     monkeypatch.setattr(engine, "_message", counted)
     req = HSRequest(build_partial_implosion_quiver(4, [2, 2]), 6, ungauge="l1_1")
     result = compute_hilbert_series(req)
-    assert len(calls) == 82 and result.stats.charge_count == 25436
+    assert len(calls) == 81 and result.stats.charge_count == 25436
     assert [result.series.coefficient(k) for k in (0, 2, 4, 6)] == [1, 78, 2430, 43758]
     calls.clear()
     monkeypatch.setattr(engine, "negation", lambda g, cands: None)
     unmapped = compute_hilbert_series(req)
     assert (len(calls), unmapped.series, unmapped.stats.charge_count) == (
-        153, result.series, 25436)
+        152, result.series, 25436)
 
 
 def test_conjugation_maps_only_a_digit_free_unitary_forest(monkeypatch):
@@ -1344,8 +1369,7 @@ def test_shared_tables_are_never_mutated():
         before = copy.deepcopy((cands, local4, etab, cuts))
 
         def dress(v, c):
-            nd = prob.nodes[v]
-            return () if nd.fixed else tuple(dressing_degrees(nd.group, c)), 0
+            return tuple(dressing_degrees(prob.nodes[v].group, c)), 0
         for loc, tab, lab in _cutset_assignments(prob, local4, etab, cuts, cands):
             sub_cost, best, root_min = _min_tables(prob, loc, tab)
             _totals(prob, tab, sub_cost, best, root_min)
@@ -1407,7 +1431,7 @@ def test_count_lane_runs_only_where_the_count_is_read(monkeypatch):
 
 def test_digit_free_messages_are_multiplied_first(monkeypatch):
     # Refined bouquet(3) at K = 12: the U(2) node multiplies its refined
-    # child's message last, which costs 8274 term pairs against 11886 in
+    # child's message last, which costs 3943 term pairs against 6976 in
     # forest order, and the forest's own child lists are left as built.
     import coulomb_hs.engine as engine
     pairs, built = [0], []
@@ -1426,14 +1450,14 @@ def test_digit_free_messages_are_multiplied_first(monkeypatch):
     result = compute_hilbert_series(HSRequest(
         build_bouquet_quiver(3), 12, refined=frozenset({"b2", "b3"}), ungauge="b1"))
     assert result.stats.charge_count == 17668
-    assert pairs[0] < 11886
+    assert pairs[0] < 6976
     assert built and all(prob.children == before for prob, before in built)
 
 
 def test_centers_are_dressed_outside_the_tree_pass(monkeypatch):
     # Refined bouquet(3) at K = 12: every U(1) candidate is priced with no
     # dressing degree, as its center's 1/(1 - t^2) multiplies the sum once,
-    # and the tree pass costs 2964 term pairs against the 7029 of dressing
+    # and the tree pass costs 2963 term pairs against the 7028 of dressing
     # each center at every charge.
     import coulomb_hs.engine as engine
     pairs, priced = [0], []
@@ -1455,24 +1479,29 @@ def test_centers_are_dressed_outside_the_tree_pass(monkeypatch):
         build_bouquet_quiver(3), 12, refined=frozenset({"b2", "b3"}), ungauge="b1"))
     leaves = [degrees for g, degrees in priced if g == U(1)]
     assert leaves and not any(leaves)
-    assert pairs[0] < 7029
+    assert pairs[0] < 7028
     s = s * one_minus_power(2, 12) ** 2
     assert s.constant_term("b2").constant_term("b3") == nilcone_reference_hs(3, 12)
 
 
 def test_bad_theory_message_names_the_charge():
     # The nonzero charge of box 1 with the least 2*Delta, ties going to the
-    # first in the order of enumerate_charges: on a tree, and on a
-    # triangle whose third edge the cutset conditions on.
+    # first in the order of enumerate_charges: on a tree, on a triangle
+    # whose third edge the cutset conditions on, and on U(2) whose only
+    # neighbour is a fixed U(1), which the message names at its charge 0,
+    # in quiver order.
     tree = Quiver([QuiverNode("g", NodeKind.GAUGE, U(2)),
                    QuiverNode("f", NodeKind.FLAVOR, U(1))], [("g", "f")])
+    pinned = Quiver([QuiverNode("p", NodeKind.FIXED, U(1)),
+                     QuiverNode("g", NodeKind.GAUGE, U(2))], [("g", "p")])
     cycle = Quiver([QuiverNode("a", NodeKind.GAUGE, U(1)),
                     QuiverNode("b", NodeKind.GAUGE, U(2)),
                     QuiverNode("c", NodeKind.GAUGE, U(1)),
                     QuiverNode("f", NodeKind.FLAVOR, U(1))],
                    [("a", "b"), ("b", "c"), ("c", "a"), ("a", "f")])
     for q, charge, two_delta in ((tree, "((1, -1),)", -2),
-                                 (cycle, "((0,), (0, -1), (0,))", 0)):
+                                 (cycle, "((0,), (0, -1), (0,))", 0),
+                                 (pinned, "((0,), (1, -1))", -2)):
         message = (f"nonzero magnetic charge {charge} has 2*Delta = {two_delta} "
                    "<= 0; the monopole sum diverges")
         for order in (0, 4):
@@ -1614,8 +1643,8 @@ def test_router_takes_the_cheaper_route(monkeypatch):
 
 def test_cell_route_builds_one_table_set_over_the_0_1_charges(monkeypatch):
     # The proven box and the cell sum share one _box_tables call over the
-    # 0/1 charges 1^c 0^(r - c) of each node, the pinned b1 at 0 alone, and
-    # neither builds a list of dominant charges; nor does the proven box of
+    # 0/1 charges 1^c 0^(r - c) of each gauge node (the pinned b1 is a
+    # flavor and has none), and neither builds a list of dominant charges; nor does the proven box of
     # a solve that then runs on the tree pass.
     import coulomb_hs.engine as engine
     routes = recorded_routes(monkeypatch)
@@ -1633,7 +1662,7 @@ def test_cell_route_builds_one_table_set_over_the_0_1_charges(monkeypatch):
     s = coulomb_hilbert_series(HSRequest(build_bouquet_quiver(3), 8, ungauge="b1"))
     assert routes == ["_cell_sum"] and s.coefficient(2) == 28
     u1, u2 = [(0,), (1,)], [(0, 0), (1, 0), (1, 1)]
-    assert built == [[u1, u2, [(0,)], u1, u1]]
+    assert built == [[u1, u2, u1, u1]]
     built.clear()
     prob = _Problem(ungauge(build_bouquet_quiver(5), "b1"))
     assert _proven_box(prob, 8) == 2 and len(built) == 1

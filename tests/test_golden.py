@@ -31,15 +31,15 @@ def stdout_of(capsys, *argv) -> str:
 def test_check_suite_full_manifest_hash(capsys):
     out = stdout_of(capsys, "check-suite", "--full")
     assert out.splitlines()[-1] == (
-        "suite: 25/25 passed; manifest hash "
-        "e9d5bb8dd367390b30a258881963380ce4e3b09fd415b72dfcd3aca4fde7e6c4")
+        "suite: 23/23 passed; manifest hash "
+        "69026dea54448ca6a3d09fbf918362b5e734aa4e80839da1f146ef78f01d9f35")
 
 
 def test_check_suite_default_manifest_hash(capsys):
     out = stdout_of(capsys, "check-suite")
     assert out.splitlines()[-1] == (
-        "suite: 23/23 passed; manifest hash "
-        "ea4f66a9838052269214a145d31664c6107096ec47e842e5c22b62a58e3f2435")
+        "suite: 21/21 passed; manifest hash "
+        "5814d57228853f80759fb72c3c64c316e1e1a1c7dca8a3d04f856dc057027414")
 
 
 @pytest.mark.parametrize("generate, argv, digest", [
@@ -63,10 +63,10 @@ def test_hs_json_payload(tmp_path, capsys, generate, argv, digest):
 
 
 @pytest.mark.parametrize("n, order, digest", [
-    ("3", "12", "32f6cce6a8633e31b157d3c8b53318aa23dfde5309e8c059d2f9bdc8159dd390"),
-    ("3", "0", "2fc670ce362c609a85b4b005f75acac29e51914d73bb0690790ecd0e3ee02794"),
-    ("5", "2", "e9d3f35bd73b04214a0c8d4ea953bf91220e4ff96bce79a747e17722e65db4ce"),
-    ("2", "8", "01bc0a7d3473bfa85e8ac2ca5a4c1cfa7dfdefd4d8c500dc93c14e5a328a30c9"),
+    ("3", "12", "2ff4810f3ccd87d0777ffaaf936e646b493fd015eba5848f7b760f8355779cfd"),
+    ("3", "0", "13fd33b23b79116b81dfb50a04a40f3bcb31b9202ba04287f3d46a870c5f89b3"),
+    ("5", "2", "c7cf6e1add49b1ba1a7d62bada2c381141e2a4f12b1458c9660759748a45c48b"),
+    ("2", "8", "2c8d8cbf8a16b6094b3b169166cf60c095e0fd15e30566cd6e32c39df6cba30a"),
 ], ids=["n3-K12", "n3-K0", "n5-K2", "n2-K8"])
 def test_implosion_check_stdout(capsys, n, order, digest):
     out = stdout_of(capsys, "implosion-check", "--n", n, "--order", order)
