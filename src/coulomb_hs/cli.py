@@ -26,7 +26,6 @@ from __future__ import annotations
 import gc
 import json
 import sys
-from functools import partial
 from types import SimpleNamespace
 
 from . import __version__
@@ -101,8 +100,8 @@ def _output(args, payload, text: str | None = None) -> None:
 def cmd_generate(args) -> int:
     if args.partition is not None and args.kind != "partial":
         raise QuiverError("--partition is for partial only")
-    if args.flavor is not None and args.kind != "dn":
-        raise QuiverError(f"--{'flavor' if args.flavor else 'bouquet'} is for dn only")
+    if args.flavor and args.kind != "dn":
+        raise QuiverError("--flavor is for dn only")
     if args.kind == "nilpotent":
         q = build_linear_nilpotent_quiver(args.n)
     elif args.kind == "bouquet":
@@ -117,7 +116,7 @@ def cmd_generate(args) -> int:
                               f"got {args.partition!r}") from None
         q = build_partial_implosion_quiver(args.n, parts)
     else:
-        q = build_dn_implosion_quiver(args.n, with_flavor=bool(args.flavor))
+        q = build_dn_implosion_quiver(args.n, with_flavor=args.flavor)
     _output(args, quiver_to_json(q))
     return EXIT_OK
 
@@ -252,6 +251,12 @@ def _check_table(rows) -> str:
 _ENHANCED_T2 = {2: 10, 3: 28}  # Sp(2) and SO(8) enhancements
 
 
+def _bouquet_t2(n: int) -> int:
+    """The ungauged bouquet(n)'s expected t^2 coefficient, the dimension of
+    its symmetry: SU(n) x U(1)^(n-1), n^2+n-2, unless enhanced."""
+    return _ENHANCED_T2.get(n) or n * n + n - 2
+
+
 def cmd_implosion_check(args) -> int:
     # The order is checked first, then the bouquet, the wider quiver, is
     # solved, so a box too large for either is named by the bouquet's.  The
@@ -262,13 +267,12 @@ def cmd_implosion_check(args) -> int:
     check_order(order)
     bouquet = coulomb_hilbert_series(HSRequest(build_bouquet_quiver(n), 2, ungauge="b1"))
     chain = coulomb_hilbert_series(HSRequest(build_linear_nilpotent_quiver(n), order))
-    enhanced = _ENHANCED_T2.get(n)
     rows = [
         _row(f"T[SU({n})] chain equals nilpotent-cone closed form",
              nilcone_reference_hs(n, order).text(), chain.text()),
-        _row(f"t^2 coefficient (enhanced symmetry for n={n})" if enhanced
+        _row(f"t^2 coefficient (enhanced symmetry for n={n})" if n in _ENHANCED_T2
              else "t^2 coefficient equals n^2+n-2",
-             enhanced or n * n + n - 2, bouquet.coefficient(2)),
+             _bouquet_t2(n), bouquet.coefficient(2)),
     ]
     print(_check_table(rows))
     return EXIT_OK if all(r[3] for r in rows) else EXIT_CHECK_FAILED
@@ -296,7 +300,7 @@ def cmd_gale(args) -> int:
 # check-suite
 
 
-def _suite_rows(full: bool):
+def _suite_rows():
     # Loaded here, not at start-up: hs and implosion-check use neither.
     from .balance import (balance_report, expected_coulomb_dimension_real,
                           gauge_group_rank, node_balance, predict_global_symmetry)
@@ -321,20 +325,16 @@ def _suite_rows(full: bool):
 
     # bouquet coefficients, leaf b1 ungauged
     bouquets = {n: coulomb_hilbert_series(HSRequest(build_bouquet_quiver(n), 2, ungauge="b1"))
-                for n in range(2, 6 if full else 5)}
+                for n in range(2, 6)}
     yield _row("ungauged bouquet(2): t coefficient", 4, bouquets[2].coefficient(1))
-    yield _row("ungauged bouquet(2): t^2 coefficient", 10, bouquets[2].coefficient(2))
-    for n, t2 in (3, 28), (4, 18), (5, 28):
-        if n in bouquets:
-            yield _row(f"ungauged bouquet({n}): t^2 coefficient", t2,
-                       bouquets[n].coefficient(2))
+    for n, s in bouquets.items():
+        yield _row(f"ungauged bouquet({n}): t^2 coefficient", _bouquet_t2(n),
+                   s.coefficient(2))
 
     # orthosymplectic
-    s = coulomb_hilbert_series(HSRequest(build_dn_implosion_quiver(3), 2))
-    yield _row("D-type bouquet n=3: t^2 coefficient", 18, s.coefficient(2))
-    if full:
-        s = coulomb_hilbert_series(HSRequest(build_dn_implosion_quiver(4), 2))
-        yield _row("D-type bouquet n=4: t^2 coefficient", 32, s.coefficient(2))
+    for n, t2 in (3, 18), (4, 32):
+        s = coulomb_hilbert_series(HSRequest(build_dn_implosion_quiver(n), 2))
+        yield _row(f"D-type bouquet n={n}: t^2 coefficient", t2, s.coefficient(2))
 
     # dimension bookkeeping
     ok = all(
@@ -372,7 +372,7 @@ def _suite_rows(full: bool):
 
 
 def cmd_check_suite(args) -> int:
-    rows = list(_suite_rows(args.full))
+    rows = list(_suite_rows())
     digest = _hash_payload(rows)
     _output(args, {"rows": rows, "hash": digest},
             f"{_check_table(rows)}\nsuite: {sum(r[3] for r in rows)}/{len(rows)} "
@@ -388,24 +388,6 @@ def cmd_check_suite(args) -> int:
 # ``_parse`` passes it a ``_Declared``, which records the same calls.
 
 
-def _int_at_least(lo: int):
-    """An argparse type: an integer no smaller than ``lo``."""
-
-    def parse(text: str) -> int:
-        try:
-            n = int(text)
-        except ValueError:
-            n = None
-        if n is not None and n >= lo:
-            return n
-        import argparse  # for the error alone: a good value loads nothing
-
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}" if n is None else f"must be at least {lo}, got {n}")
-
-    return parse
-
-
 def _add_output(p):
     """The --json / -o pair of report, hs, gale and check-suite (see _output)."""
     p.add_argument("--json", action="store_true")
@@ -416,12 +398,8 @@ def _add_generate(g):
     g.add_argument("kind", choices=["nilpotent", "bouquet", "partial", "dn"])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--partition", help="comma-separated parts (partial only)")
-    var = g.add_mutually_exclusive_group()
-    var.add_argument("--bouquet", dest="flavor", action="store_false",
-                     help="dn: bouquet of SO(2) leaves (default)")
-    var.add_argument("--flavor", dest="flavor", action="store_true",
-                     help="dn: SO(2n) flavor node instead of the bouquet")
-    g.set_defaults(flavor=None)  # None: neither flag given
+    g.add_argument("--flavor", action="store_true",
+                   help="dn: SO(2n) flavor node instead of the bouquet of SO(2) leaves")
     g.add_argument("-o", "--output")
     g.set_defaults(func=cmd_generate)
 
@@ -446,7 +424,7 @@ def _add_hs(h):
 
 
 def _add_implosion_check(ic):
-    ic.add_argument("--n", type=_int_at_least(2), required=True,
+    ic.add_argument("--n", type=int, required=True,
                     help="number of bouquet leaves (at least 2)")
     ic.add_argument("--order", type=int, default=8)
     ic.set_defaults(func=cmd_implosion_check)
@@ -459,8 +437,6 @@ def _add_gale(ga):
 
 
 def _add_check_suite(cs):
-    cs.add_argument("--full", action="store_true",
-                    help="include the slower bouquet(5) and D_4 checks")
     _add_output(cs)
     cs.set_defaults(func=cmd_check_suite)
 
@@ -476,49 +452,39 @@ _COMMANDS = {
 }
 
 # The value an argument of each action takes when it is not given.
-_ACTION_DEFAULTS = {"store": None, "store_true": False, "store_false": True}
-_UNSET = object()
+_ACTION_DEFAULTS = {"store": None, "store_true": False}
 
 
 class _Declared:
     """The arguments of one subcommand, recorded from the argparse calls its
-    ``_add_*`` function makes, with argparse's rules for dest and defaults.
-    It takes positionals, options with the actions of _ACTION_DEFAULTS,
-    mutually exclusive groups and ``set_defaults``; any other declaration
-    raises here rather than be misread."""
+    ``_add_*`` function makes, with argparse's rule for dest.  It takes
+    positionals, options with the actions of _ACTION_DEFAULTS (a default of
+    None standing for the action's own) and ``set_defaults(func=...)``; any
+    other declaration raises here rather than be misread."""
 
     def __init__(self):
         self.arguments = []    # in declaration order
         self.positionals = []
         self.options = {}      # option string -> its argument
-        self.defaults = {}     # from set_defaults
 
-    def add_argument(self, *names, dest=None, action="store", type=None, choices=None,
-                     required=False, default=_UNSET, help=None, group=None):
+    def add_argument(self, *names, action="store", type=None, choices=None,
+                     required=False, default=None, help=None):
         positional = not names[0].startswith("-")
-        if dest is None:
-            dest = names[0] if positional else next(
-                (s for s in names if s.startswith("--")), names[0]
-            ).lstrip("-").replace("-", "_")
+        dest = names[0] if positional else next(
+            (s for s in names if s.startswith("--")), names[0]
+        ).lstrip("-").replace("-", "_")
         implied = _ACTION_DEFAULTS[action]  # a KeyError for any other action
-        if default is _UNSET:
-            default = self.defaults.get(dest, implied)
         arg = SimpleNamespace(dest=dest, action=action, type=type, choices=choices,
-                              required=required or positional, default=default,
-                              group=group)
+                              required=required or positional,
+                              default=implied if default is None else default)
         self.arguments.append(arg)
         if positional:
             self.positionals.append(arg)
         else:
             self.options.update(dict.fromkeys(names, arg))
 
-    def add_mutually_exclusive_group(self):
-        return SimpleNamespace(add_argument=partial(self.add_argument, group=object()))
-
-    def set_defaults(self, **defaults):
-        self.defaults.update(defaults)
-        for arg in self.arguments:
-            arg.default = defaults.get(arg.dest, arg.default)
+    def set_defaults(self, func):
+        self.func = func
 
 
 def _parse(argv):
@@ -533,14 +499,12 @@ def _parse(argv):
     declared = _Declared()
     _COMMANDS[argv[0]][1](declared)
     tokens, positionals = iter(argv[1:]), iter(declared.positionals)
-    values, chosen = {}, {}  # chosen: group -> the argument given from it
+    values = {}
     for token in tokens:
         if token.startswith("-"):
             arg = declared.options.get(token)
             if arg is None:
                 return None
-            if arg.group is not None and chosen.setdefault(arg.group, arg) is not arg:
-                return None  # two arguments of one mutually exclusive group
             if arg.action == "store":
                 token = next(tokens, "-")
                 if token.startswith("-"):  # none, or one argparse may not take
@@ -557,14 +521,13 @@ def _parse(argv):
             if arg.choices is not None and value not in arg.choices:
                 return None
         else:
-            value = arg.action == "store_true"
+            value = True
         values[arg.dest] = value  # a repeated option: the last one wins
     if any(arg.required and arg.dest not in values for arg in declared.arguments):
         return None
-    # As argparse: the first argument of a dest sets its default, which
-    # set_defaults has already updated, so set_defaults adds only new keys.
-    defaults = {arg.dest: arg.default for arg in reversed(declared.arguments)}
-    return SimpleNamespace(**{"command": argv[0], **declared.defaults, **defaults, **values})
+    defaults = {arg.dest: arg.default for arg in declared.arguments}
+    return SimpleNamespace(**{"command": argv[0], "func": declared.func,
+                              **defaults, **values})
 
 
 def build_parser():

@@ -1024,15 +1024,12 @@ def _tree_sum(prob: _Problem, order: int, bound: int, refined: list, counted: bo
     ``refined`` node ids if there are any and an int otherwise, and the
     charge counts of ``_monopole_sum``.  A refined node's digit is its
     topological charge.  The sum leaves each of its u centers undressed,
-    so it is multiplied once by (1 - t^2)^(-u), whose coefficient of
-    t^(2j) is the integer c_j = c_(j-1) * (u - 1 + j) / j, with c_0 = 1."""
+    so it is multiplied once by (1 - t^2)^(-u), the dressing factor of u
+    Casimirs of degree 1."""
     digits = [(prob.index[nid], sum) for nid in refined]
     terms, counts = _monopole_sum(prob, _candidates(prob, bound, 2 * order), 2 * order,
                                   digits, dressed=True, counted=counted)
-    centers = sum(nd.center for nd in prob.nodes)
-    factor = [1]
-    for j in range(1, order // 2 + 1):
-        factor.append(factor[-1] * (centers - 1 + j) // j)
+    factor = _dressing_coeffs((1,) * sum(nd.center for nd in prob.nodes), order)[::2]
     rows: dict = {}
     for (x, tops), coeff in terms.items():
         mono = tuple((nid, s) for nid, s in zip(refined, tops) if s)

@@ -121,8 +121,9 @@ def _dressing_degrees(g: GaugeGroup, m: Charge) -> list:
 
 
 def _dressing_coeffs(degrees: tuple, order: int) -> tuple:
-    """The coefficients of t^(2j), j = 0..order, of the dressing factor
-    prod_d 1 / (1 - t^(2d)) over the Casimir ``degrees``."""
+    """The coefficients of t^j, j = 0..order, of the dressing factor
+    prod_d 1 / (1 - t^(2d)) over the Casimir ``degrees``; those at odd j
+    are 0."""
     arr = [0] * (order + 1)
     arr[0] = 1
     for d in degrees:

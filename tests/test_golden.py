@@ -29,17 +29,10 @@ def stdout_of(capsys, *argv) -> str:
 
 
 def test_check_suite_full_manifest_hash(capsys):
-    out = stdout_of(capsys, "check-suite", "--full")
+    out = stdout_of(capsys, "check-suite")
     assert out.splitlines()[-1] == (
         "suite: 23/23 passed; manifest hash "
         "69026dea54448ca6a3d09fbf918362b5e734aa4e80839da1f146ef78f01d9f35")
-
-
-def test_check_suite_default_manifest_hash(capsys):
-    out = stdout_of(capsys, "check-suite")
-    assert out.splitlines()[-1] == (
-        "suite: 21/21 passed; manifest hash "
-        "5814d57228853f80759fb72c3c64c316e1e1a1c7dca8a3d04f856dc057027414")
 
 
 @pytest.mark.parametrize("generate, argv, digest", [
