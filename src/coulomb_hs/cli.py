@@ -9,8 +9,9 @@ at once).
 Exit codes: 0 success, 1 validation error, 2 computational error
 (divergent theory, unresolved decoupling, ...), 3 check failure.
 
-A well-formed command line is read without argparse, from the same
-declarations that build the argparse parser (``_parse``).  Help,
+Each subcommand is declared once, as data: ``_COMMANDS`` gives its help
+line and its arguments, which build the argparse parser and from which
+``_parse`` reads a well-formed command line without argparse.  Help,
 --version, every usage error and any form the fast reading does not take
 (abbreviations, ``--opt=value``, ``--``, a value starting with "-") go
 through argparse, which alone prints messages.
@@ -383,112 +384,75 @@ def cmd_check_suite(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 #
-# Each subcommand's arguments are declared once, by its ``_add_*`` function,
-# through argparse's calls.  ``build_parser`` passes it an argparse subparser;
-# ``_parse`` passes it a ``_Declared``, which records the same calls.
+# Each subcommand is declared once, in ``_COMMANDS``, as data: its help line
+# and its arguments, each a pair (option strings, argparse keywords).
+# ``build_parser`` passes each pair to ``add_argument``; ``_parse`` reads
+# the same pairs without argparse.  A subcommand ``x-y`` runs ``cmd_x_y``,
+# looked up when the command line is read (``_command``), so a function put
+# in its place, as a test does, is the one that runs.
 
+_QUIVER = ("quiver",), {}
+_ORDER = ("--order",), {"type": int, "default": 8}
+# The --json / -o pair of report, hs, gale and check-suite (see _output);
+# generate takes -o alone.
+_JSON = ("--json",), {"action": "store_true"}
+_OUTPUT = ("-o", "--output"), {}
 
-def _add_output(p):
-    """The --json / -o pair of report, hs, gale and check-suite (see _output)."""
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output")
-
-
-def _add_generate(g):
-    g.add_argument("kind", choices=["nilpotent", "bouquet", "partial", "dn"])
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--partition", help="comma-separated parts (partial only)")
-    g.add_argument("--flavor", action="store_true",
-                   help="dn: SO(2n) flavor node instead of the bouquet of SO(2) leaves")
-    g.add_argument("-o", "--output")
-    g.set_defaults(func=cmd_generate)
-
-
-def _add_report(r):
-    r.add_argument("quiver")
-    _add_output(r)
-    r.set_defaults(func=cmd_report)
-
-
-def _add_hs(h):
-    h.add_argument("quiver")
-    h.add_argument("--order", type=int, default=8)
-    h.add_argument("--ungauge", help="U(1) gauge node to pin at charge 0")
-    h.add_argument("--refine", help="comma-separated node ids to refine "
-                                    "with one fugacity each")
-    h.add_argument("--pl", action="store_true",
-                   help="also print the plethystic logarithm "
-                        "(not with --refine)")
-    _add_output(h)
-    h.set_defaults(func=cmd_hs)
-
-
-def _add_implosion_check(ic):
-    ic.add_argument("--n", type=int, required=True,
-                    help="number of bouquet leaves (at least 2)")
-    ic.add_argument("--order", type=int, default=8)
-    ic.set_defaults(func=cmd_implosion_check)
-
-
-def _add_gale(ga):
-    ga.add_argument("matrix")
-    _add_output(ga)
-    ga.set_defaults(func=cmd_gale)
-
-
-def _add_check_suite(cs):
-    _add_output(cs)
-    cs.set_defaults(func=cmd_check_suite)
-
-
-# Subcommand -> (help line, function adding its arguments), in help order.
+# Subcommand -> (help line, arguments), in help order.
 _COMMANDS = {
-    "generate": ("write a quiver JSON file", _add_generate),
-    "report": ("balance / symmetry / dimension report", _add_report),
-    "hs": ("compute the Coulomb-branch Hilbert series", _add_hs),
-    "implosion-check": ("bouquet quiver consistency checks", _add_implosion_check),
-    "gale": ("Gale-dual configuration and report", _add_gale),
-    "check-suite": ("run every built-in check", _add_check_suite),
+    "generate": ("write a quiver JSON file", [
+        (("kind",), {"choices": ["nilpotent", "bouquet", "partial", "dn"]}),
+        (("--n",), {"type": int, "required": True}),
+        (("--partition",), {"help": "comma-separated parts (partial only)"}),
+        (("--flavor",), {"action": "store_true", "help": "dn: SO(2n) flavor node "
+                         "instead of the bouquet of SO(2) leaves"}),
+        _OUTPUT]),
+    "report": ("balance / symmetry / dimension report", [_QUIVER, _JSON, _OUTPUT]),
+    "hs": ("compute the Coulomb-branch Hilbert series", [
+        _QUIVER, _ORDER,
+        (("--ungauge",), {"help": "U(1) gauge node to pin at charge 0"}),
+        (("--refine",), {"help": "comma-separated node ids to refine "
+                                 "with one fugacity each"}),
+        (("--pl",), {"action": "store_true", "help": "also print the plethystic "
+                     "logarithm (not with --refine)"}),
+        _JSON, _OUTPUT]),
+    "implosion-check": ("bouquet quiver consistency checks", [
+        (("--n",), {"type": int, "required": True,
+                    "help": "number of bouquet leaves (at least 2)"}),
+        _ORDER]),
+    "gale": ("Gale-dual configuration and report", [(("matrix",), {}), _JSON, _OUTPUT]),
+    "check-suite": ("run every built-in check", [_JSON, _OUTPUT]),
 }
 
 # The value an argument of each action takes when it is not given.
 _ACTION_DEFAULTS = {"store": None, "store_true": False}
 
 
-class _Declared:
-    """The arguments of one subcommand, recorded from the argparse calls its
-    ``_add_*`` function makes, with argparse's rule for dest.  It takes
-    positionals, options with the actions of _ACTION_DEFAULTS (a default of
-    None standing for the action's own) and ``set_defaults(func=...)``; any
-    other declaration raises here rather than be misread."""
+def _command(name):
+    """The function that runs subcommand ``name``."""
+    return globals()["cmd_" + name.replace("-", "_")]
 
-    def __init__(self):
-        self.arguments = []    # in declaration order
-        self.positionals = []
-        self.options = {}      # option string -> its argument
 
-    def add_argument(self, *names, action="store", type=None, choices=None,
-                     required=False, default=None, help=None):
-        positional = not names[0].startswith("-")
-        dest = names[0] if positional else next(
-            (s for s in names if s.startswith("--")), names[0]
-        ).lstrip("-").replace("-", "_")
-        implied = _ACTION_DEFAULTS[action]  # a KeyError for any other action
-        arg = SimpleNamespace(dest=dest, action=action, type=type, choices=choices,
-                              required=required or positional,
-                              default=implied if default is None else default)
-        self.arguments.append(arg)
-        if positional:
-            self.positionals.append(arg)
-        else:
-            self.options.update(dict.fromkeys(names, arg))
-
-    def set_defaults(self, func):
-        self.func = func
+def _argument(names, action="store", type=None, choices=None, required=False,
+              default=None, help=None):
+    """One declared argument as ``_parse`` reads it, with argparse's rules
+    for dest, required and default (a default of None standing for the
+    action's own).  It takes positionals and options with the actions of
+    _ACTION_DEFAULTS; any other action or keyword raises here rather than
+    be misread."""
+    positional = not names[0].startswith("-")
+    dest = names[0] if positional else next(
+        (s for s in names if s.startswith("--")), names[0]
+    ).lstrip("-").replace("-", "_")
+    implied = _ACTION_DEFAULTS[action]  # a KeyError for any other action
+    return SimpleNamespace(names=names, positional=positional, dest=dest,
+                           action=action, type=type, choices=choices,
+                           required=required or positional,
+                           default=implied if default is None else default)
 
 
 def _parse(argv):
-    """The namespace argparse gives for ``argv``, read from the declarations
+    """The namespace argparse gives for ``argv``, read from ``_COMMANDS``
     without argparse; or None for any argv not in the plainest well-formed
     shape: a subcommand, then its positionals and exact option strings, each
     value a token of its own that does not start with "-".  Help, --version,
@@ -496,13 +460,14 @@ def _parse(argv):
     the None cases, and argparse parses them."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    declared = _Declared()
-    _COMMANDS[argv[0]][1](declared)
-    tokens, positionals = iter(argv[1:]), iter(declared.positionals)
+    declared = [_argument(names, **keywords)
+                for names, keywords in _COMMANDS[argv[0]][1]]
+    options = {s: arg for arg in declared if not arg.positional for s in arg.names}
+    tokens, positionals = iter(argv[1:]), (arg for arg in declared if arg.positional)
     values = {}
     for token in tokens:
         if token.startswith("-"):
-            arg = declared.options.get(token)
+            arg = options.get(token)
             if arg is None:
                 return None
             if arg.action == "store":
@@ -523,10 +488,10 @@ def _parse(argv):
         else:
             value = True
         values[arg.dest] = value  # a repeated option: the last one wins
-    if any(arg.required and arg.dest not in values for arg in declared.arguments):
+    if any(arg.required and arg.dest not in values for arg in declared):
         return None
-    defaults = {arg.dest: arg.default for arg in declared.arguments}
-    return SimpleNamespace(**{"command": argv[0], "func": declared.func,
+    defaults = {arg.dest: arg.default for arg in declared}
+    return SimpleNamespace(**{"command": argv[0], "func": _command(argv[0]),
                               **defaults, **values})
 
 
@@ -548,8 +513,11 @@ def build_parser():
         description="Exact Coulomb-branch Hilbert series via the monopole formula")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for names, keywords in arguments:
+            p.add_argument(*names, **keywords)
+        p.set_defaults(func=_command(name))
     return ap
 
 

@@ -59,6 +59,7 @@ def test_generate_bouquet_and_dn(tmp_path, capsys):
                "-o", str(out))[0] == 0
     q = quiver_from_json(json.loads(out.read_text()))
     assert q.node("f").group.n == 6
+    assert run(capsys, "generate", "dn", "--n", "1") == (1, "", "error: need n >= 2\n")
 
 
 def test_generate_partial(tmp_path, capsys):
@@ -78,6 +79,9 @@ def test_generate_partial(tmp_path, capsys):
         assert code == 1
         assert err == ("error: --partition: parts must be comma-separated "
                        f"integers, got {bad!r}\n")
+    for argv, message in ((["--n", "3"], "partial needs --partition, e.g. --partition 2,2"),
+                          (["--n", "1", "--partition", "1"], "need n >= 2")):
+        assert run(capsys, "generate", "partial", *argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -216,6 +220,13 @@ def test_hs_refined(tmp_path, capsys):
     assert code == 0
     data = json.loads(text)
     assert data["series"].get("fugacities") == ["b2"]
+    # A refined series prints each coefficient as a Laurent polynomial.
+    qf = tmp_path / "n2.json"
+    run(capsys, "generate", "nilpotent", "--n", "2", "-o", str(qf))
+    code, text, _ = run(capsys, "hs", str(qf), "--order", "4", "--refine", "g1")
+    assert code == 0
+    assert text.splitlines()[0] == ("1 + (1 + g1^-1 + g1)*t^2 "
+                                    "+ (1 + g1^-2 + g1^-1 + g1 + g1^2)*t^4")
 
 
 def test_hs_validation_error(tmp_path, capsys):
@@ -431,10 +442,17 @@ def one_gauge_node(n):
     ("hs", {**one_gauge_node(1), "nodes": [
         {"id": "g", "kind": "gauge", "group": {"family": "SU", "n": 2}}]},
      "nodes[0]: 'SU' is not a valid Family"),
+    ("gale", [1], "matrix JSON must be an object with 'columns'"),
+    ("gale", {"columns": [[1, 2], [1]]}, "ragged columns"),
+    ("gale", {"columns": [[1], [2]], "d": 3}, "expected 3 columns, got 2"),
+    ("gale", {"columns": [[1], [2]], "n": 2}, "expected columns of height 2, got 1"),
+    ("hs", [1, 2], "quiver JSON must be an object with 'nodes'"),
+    ("hs", {**one_gauge_node(1), "edges": [["x", "g"]]}, "edges[0]: unknown node 'x'"),
 ], ids=["nodes-int", "edges-int", "group-n-float", "group-n-bool", "columns-int",
         "column-int", "entry-float", "n-bool", "d-float", "n-negative", "d-negative",
         "id-int", "edge-end-int", "edge-end-null", "node-int", "group-string",
-        "group-missing-n", "node-missing-kind", "family-unknown"])
+        "group-missing-n", "node-missing-kind", "family-unknown", "matrix-list",
+        "columns-ragged", "d-mismatch", "n-mismatch", "quiver-list", "edge-end-unknown"])
 def test_malformed_input_file_exits_1(tmp_path, capsys, command, obj, message):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
@@ -727,6 +745,17 @@ def test_fast_parse_agrees_with_argparse(capsys):
         assert help_text in out, name
 
 
+def test_fast_parse_raises_on_a_declaration_it_cannot_read():
+    # An action or keyword the fast parse does not read is an error in the
+    # table, not a command line to misread.
+    from coulomb_hs.cli import _argument
+
+    with pytest.raises(KeyError):
+        _argument(("--verbose",), action="count")
+    with pytest.raises(TypeError):
+        _argument(("--nodes",), nargs="+")
+
+
 # Values good and bad for each kind of argument, and tokens the fast parse
 # leaves to argparse: abbreviations, "=" forms, help, "--" and strays.
 INT_VALUES = ["0", "1", "2", "3", "8", " 4", "-1", "x", "2.5"]
@@ -740,21 +769,20 @@ def argv_pieces(command):
     """Pieces of a command line for ``command``: a list per required argument
     of its pieces (each positional value, or the option with each value of
     its kind), then one list of every piece, flags and strays included."""
-    from coulomb_hs.cli import _COMMANDS, _Declared
+    from coulomb_hs.cli import _COMMANDS
 
-    declared = _Declared()
-    _COMMANDS[command][1](declared)
+    def pieces(names, keywords):
+        if not names[0].startswith("-"):
+            return [[v] for v in [*keywords.get("choices", ["q.json"]), "bogus"]]
+        if "action" in keywords:
+            return [[o] for o in names]
+        return [[o, v] for o in names
+                for v in (INT_VALUES if "type" in keywords else TEXT_VALUES)]
 
-    def pieces(arg):
-        if any(arg is p for p in declared.positionals):
-            return [[v] for v in [*(arg.choices or ["q.json"]), "bogus"]]
-        options = [o for o, a in declared.options.items() if a is arg]
-        if arg.action != "store":
-            return [[o] for o in options]
-        return [[o, v] for o in options for v in (INT_VALUES if arg.type else TEXT_VALUES)]
-
-    by_argument = [pieces(arg) for arg in declared.arguments]
-    required = [p for arg, p in zip(declared.arguments, by_argument) if arg.required]
+    arguments = _COMMANDS[command][1]
+    by_argument = [pieces(*arg) for arg in arguments]
+    required = [p for (names, keywords), p in zip(arguments, by_argument)
+                if keywords.get("required") or not names[0].startswith("-")]
     return required, [piece for p in by_argument for piece in p] + STRAY_PIECES
 
 

@@ -50,6 +50,10 @@ def test_rank_validation():
         ToricConfig([[1], [2]])
     with pytest.raises(RankDeficientError):
         ToricConfig([[0, 0]])
+    with pytest.raises(GaleError, match="^ragged matrix$"):
+        ToricConfig([[1, 2], [1]])
+    with pytest.raises(GaleError, match="^declared d=3 but rows have width 2$"):
+        ToricConfig([[1, 2]], d=3)
 
 
 def test_duality_report_examples():

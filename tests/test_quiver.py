@@ -10,6 +10,7 @@ from coulomb_hs.balance import (
     node_balance,
     predict_global_symmetry,
 )
+from coulomb_hs.engine import HSRequest, coulomb_hilbert_series
 from coulomb_hs.quiver import (
     DecoupledU1UnresolvedError,
     DimensionMismatchError,
@@ -157,26 +158,19 @@ def star_quiver(center_dim, legs, flavor_on=None, flavor_dim=1):
 
 def test_classification_d_and_e_shapes():
     # Balanced dimension vectors: affine marks with a unit flavor standing
-    # in for the deleted affine node.
-    d4 = star_quiver(2, [[1], [1], [1]], flavor_on="c")
-    assert balance_report(d4).all_balanced
-    assert [c.label for c in balanced_subquiver_classification(d4)] == ["D4"]
-
-    d5 = star_quiver(2, [[1], [1], [2, 1]], flavor_on="n2_0")
-    assert balance_report(d5).all_balanced
-    assert [c.label for c in balanced_subquiver_classification(d5)] == ["D5"]
-
-    e6 = star_quiver(3, [[2, 1], [2, 1], [2]], flavor_on="n2_0")
-    assert balance_report(e6).all_balanced
-    assert [c.label for c in balanced_subquiver_classification(e6)] == ["E6"]
-
-    e7 = star_quiver(4, [[3, 2, 1], [3, 2], [2]], flavor_on="n1_1")
-    assert balance_report(e7).all_balanced
-    assert [c.label for c in balanced_subquiver_classification(e7)] == ["E7"]
-
-    e8 = star_quiver(6, [[5, 4, 3, 2], [4, 2], [3]], flavor_on="n0_3")
-    assert balance_report(e8).all_balanced
-    assert [c.label for c in balanced_subquiver_classification(e8)] == ["E8"]
+    # in for the deleted affine node.  The Coulomb branch is the minimal
+    # nilpotent orbit of the symmetry g, whose t^2 coefficient is dim g
+    # (arXiv:1005.3026).
+    for q, label, dim in (
+            (star_quiver(2, [[1], [1], [1]], flavor_on="c"), "D4", 28),
+            (star_quiver(2, [[1], [1], [2, 1]], flavor_on="n2_0"), "D5", 45),
+            (star_quiver(3, [[2, 1], [2, 1], [2]], flavor_on="n2_0"), "E6", 78),
+            (star_quiver(4, [[3, 2, 1], [3, 2], [2]], flavor_on="n1_1"), "E7", 133),
+            (star_quiver(6, [[5, 4, 3, 2], [4, 2], [3]], flavor_on="n0_3"), "E8", 248)):
+        assert balance_report(q).all_balanced
+        assert [c.label for c in balanced_subquiver_classification(q)] == [label]
+        assert predict_global_symmetry(q).total_dimension == dim
+        assert coulomb_hilbert_series(HSRequest(q, 2)).coefficient(2) == dim
 
 
 def test_classification_unrecognized_shapes():

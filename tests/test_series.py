@@ -282,3 +282,5 @@ def test_text_rendering():
     assert S(4, {2: 3, 4: -1}).text() == "3*t^2 - t^4"
     assert S(2, {1: 4}).text() == "4*t"
     assert TruncatedSeries.zero(2).text() == "0"
+    assert Laurent({(("z", 1),): -1, (("z", -1),): 1, (): 2,
+                    (("w", 2), ("z", 1)): 3}).text() == "2 + 3*w^2*z + z^-1 - z"
