@@ -15,17 +15,14 @@ __version__ = "0.1.0"
 # Exported name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys([
-        "BadTheoryError", "EngineError", "EngineStats", "HSRequest",
-        "HSResult", "QuiverCharge", "compute_hilbert_series",
-        "coulomb_hilbert_series", "delta", "enumerate_charges",
-        "symmetry_dimension"], "engine"),
+        "EngineError", "EngineStats", "HSRequest", "HSResult",
+        "QuiverCharge", "compute_hilbert_series", "coulomb_hilbert_series",
+        "delta", "enumerate_charges", "symmetry_dimension"], "engine"),
     **dict.fromkeys([
-        "DualityReport", "GaleError", "RankDeficientError", "ToricConfig",
-        "duality_report", "gale_dual", "is_gale_dual_pair",
-        "kernel_lattice"], "gale"),
+        "DualityReport", "GaleError", "ToricConfig", "duality_report",
+        "gale_dual", "is_gale_dual_pair", "kernel_lattice"], "gale"),
     **dict.fromkeys([
-        "ChamberViolationError", "casimir_degrees", "dominant_charges",
-        "weyl_vector"], "liedata"),
+        "casimir_degrees", "dominant_charges", "weyl_vector"], "liedata"),
     **dict.fromkeys([
         "DecoupledU1UnresolvedError", "Family", "GaugeGroup", "NodeKind",
         "Quiver", "QuiverError", "QuiverNode", "SO", "U", "USp",

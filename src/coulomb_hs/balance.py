@@ -15,10 +15,9 @@ from collections import Counter, namedtuple
 from .quiver import (
     DecoupledU1UnresolvedError,
     Family,
-    FlavorNodeHasNoBalanceError,
     NodeKind,
-    NonIntegralBalanceError,
     Quiver,
+    QuiverError,
     _components,
     decoupled_u1_count,
     detect_decoupled_u1,
@@ -39,18 +38,18 @@ def node_balance(q: Quiver, node_id: str) -> int:
     """
     node = q.node(node_id)
     if node.kind is NodeKind.FLAVOR:
-        raise FlavorNodeHasNoBalanceError(f"flavor node {node_id!r} has no balance")
+        raise QuiverError(f"flavor node {node_id!r} has no balance")
     s = sum(q.node(other).group.n for other in q.neighbors(node_id))
     fam, n = node.group.family, node.group.n
     if fam is Family.UNITARY:
         return -2 * n + s
     if fam is Family.ORTHOGONAL:
         if (s + 2) % 2:
-            raise NonIntegralBalanceError(
+            raise QuiverError(
                 f"node {node_id!r}: adjacent dimension sum {s} violates SO parity")
         return (s + 2) // 2 - n
     if (s - 2) % 2:
-        raise NonIntegralBalanceError(
+        raise QuiverError(
             f"node {node_id!r}: adjacent dimension sum {s} violates USp parity")
     return (s - 2) // 2 - n
 

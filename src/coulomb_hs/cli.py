@@ -7,7 +7,9 @@ series), ``implosion-check`` (bouquet consistency checks),
 at once).
 
 Exit codes: 0 success, 1 validation error, 2 computational error
-(divergent theory, unresolved decoupling, ...), 3 check failure.
+(divergent theory, unresolved decoupling, ...), 3 check failure, 141
+stdout closed by its reader (128 + SIGPIPE, as a shell reports such a
+writer; nothing goes to stderr).
 
 Each subcommand is declared once, as data: ``_COMMANDS`` gives its help
 line and its arguments, which build the argparse parser and from which
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -529,11 +532,18 @@ def main(argv=None) -> int:
     paused = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader left (exit 141, above); stdout now goes to
+        # devnull, so the interpreter's last flush raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DecoupledU1UnresolvedError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except (QuiverError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     finally:

@@ -187,15 +187,10 @@ from .series import Laurent, TruncatedSeries, check_order
 
 
 class EngineError(QuiverError):
-    """Base class for monopole-engine failures."""
-
-
-class BadTheoryError(EngineError):
-    """A nonzero charge with Delta <= 0 was found; the sum cannot converge."""
-
-
-class UnsupportedEdgeError(EngineError):
-    pass
+    """A theory the monopole sum cannot evaluate (a nonzero charge with
+    Delta <= 0, so the sum diverges), an unsupported edge, a table past
+    ``MAX_TABLE_CELLS``, or a refined series where an unrefined one is
+    needed."""
 
 
 class QuiverCharge(namedtuple("QuiverCharge", "node_ids charges")):
@@ -273,7 +268,7 @@ class _Problem:
                 if na.kind is NodeKind.GAUGE:
                     self.nodes[e.a].flavor.append(e)
             if e.ortho and mult > 1:
-                raise UnsupportedEdgeError(
+                raise EngineError(
                     f"edge {a!r}-{b!r}: orthosymplectic edge multiplicity "
                     f"{mult} is not supported")
         self._build_tree([self.index[nid] for nid in preferred])
@@ -682,7 +677,7 @@ def _proven_box(prob: _Problem, thr4: int) -> int:
     if c4 is not None and c4 <= 0:
         d4, vec = min((d4, vec) for vec, d4 in _box_charges(prob, 1, 0).items()
                       if any(chain.from_iterable(vec)))
-        raise BadTheoryError(
+        raise EngineError(
             f"nonzero magnetic charge {vec} has 2*Delta = {d4 // 2} <= 0; "
             "the monopole sum diverges")
     return 0 if c4 is None else thr4 // c4

@@ -26,14 +26,6 @@ class GaleError(ValueError):
     pass
 
 
-class RankDeficientError(GaleError):
-    pass
-
-
-class DimensionMismatchError(GaleError):
-    pass
-
-
 Matrix = tuple  # tuple of row tuples
 
 
@@ -91,9 +83,9 @@ class ToricConfig:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "d", d)
         if self.n > self.d:
-            raise RankDeficientError(f"need n <= d, got n={self.n}, d={self.d}")
+            raise GaleError(f"need n <= d, got n={self.n}, d={self.d}")
         if rows and len(hnf_rows(rows, self.d)) != len(rows):
-            raise RankDeficientError("columns do not span full rank")
+            raise GaleError("columns do not span full rank")
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -160,7 +152,7 @@ def gale_dual(c: ToricConfig) -> ToricConfig:
 def is_gale_dual_pair(a: ToricConfig, b: ToricConfig) -> bool:
     """True when b's row lattice is exactly the integer kernel of a."""
     if a.d != b.d:
-        raise DimensionMismatchError(f"configurations have d={a.d} and d={b.d}")
+        raise GaleError(f"configurations have d={a.d} and d={b.d}")
     if a.n + b.n != a.d:
         return False
     return hnf_rows(b.rows, b.d) == kernel_lattice(a)

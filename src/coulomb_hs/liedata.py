@@ -20,21 +20,17 @@ from operator import neg, sub
 from .quiver import Family, GaugeGroup, QuiverError
 
 
-class ChamberViolationError(QuiverError):
-    pass
-
-
 Charge = tuple
 
 
 def validate_charge(g: GaugeGroup, m: Charge) -> None:
-    """Raise ChamberViolationError unless m is a dominant representative."""
+    """Raise QuiverError unless m is a dominant representative."""
     m = tuple(m)
     r = g.rank
     if len(m) != r:
-        raise ChamberViolationError(f"{g}: charge {m} has wrong length (rank {r})")
+        raise QuiverError(f"{g}: charge {m} has wrong length (rank {r})")
     if any(type(x) is not int for x in m):  # bool entries are not integers
-        raise ChamberViolationError(f"{g}: charge entries must be integers")
+        raise QuiverError(f"{g}: charge entries must be integers")
     if g.family is Family.UNITARY:
         ok = all(m[i] >= m[i + 1] for i in range(r - 1))
     elif g.family is Family.SYMPLECTIC:
@@ -46,7 +42,7 @@ def validate_charge(g: GaugeGroup, m: Charge) -> None:
     else:          # SO(even), rank >= 2
         ok = all(m[i] >= m[i + 1] for i in range(r - 2)) and m[r - 2] >= abs(m[r - 1])
     if not ok:
-        raise ChamberViolationError(f"{g}: charge {m} is outside the dominant chamber")
+        raise QuiverError(f"{g}: charge {m} is outside the dominant chamber")
 
 
 def weyl_vector(g: GaugeGroup) -> tuple:

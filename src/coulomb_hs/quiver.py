@@ -17,43 +17,8 @@ from enum import Enum
 
 
 class QuiverError(ValueError):
-    """Base class for quiver-model failures."""
-
-
-class QuiverValidationError(QuiverError):
-    pass
-
-
-class UnknownNodeError(QuiverError):
-    pass
-
-
-class FlavorNodeHasNoBalanceError(QuiverError):
-    pass
-
-
-class NonIntegralBalanceError(QuiverError):
-    pass
-
-
-class NotAbelianGaugeNodeError(QuiverError):
-    pass
-
-
-class NotAFlavorNodeError(QuiverError):
-    pass
-
-
-class DimensionMismatchError(QuiverError):
-    pass
-
-
-class MultiplyAttachedFlavorError(QuiverError):
-    pass
-
-
-class PartitionSumMismatchError(QuiverError):
-    pass
+    """A quiver, node, group, charge or quiver file that breaks a rule of
+    the model; the message names the rule."""
 
 
 class DecoupledU1UnresolvedError(QuiverError):
@@ -79,9 +44,9 @@ class GaugeGroup(namedtuple("GaugeGroup", "family n")):
 
     def __new__(cls, family: Family, n: int):
         if n < 1:
-            raise QuiverValidationError(f"group dimension must be >= 1, got {n}")
+            raise QuiverError(f"group dimension must be >= 1, got {n}")
         if family is Family.SYMPLECTIC and n % 2:
-            raise QuiverValidationError(f"USp({n}) needs even n")
+            raise QuiverError(f"USp({n}) needs even n")
         return super().__new__(cls, family, n)
 
     @classmethod
@@ -131,24 +96,24 @@ class Quiver:
         by_id: dict = {}
         for i, node in enumerate(nodes):
             if node.id in by_id:
-                raise QuiverValidationError(f"nodes[{i}]: duplicate node id {node.id!r}")
+                raise QuiverError(f"nodes[{i}]: duplicate node id {node.id!r}")
             by_id[node.id] = node
         canon = []
         for i, e in enumerate(edges):
             a, b = e
             if a not in by_id:
-                raise QuiverValidationError(f"edges[{i}]: unknown node {a!r}")
+                raise QuiverError(f"edges[{i}]: unknown node {a!r}")
             if b not in by_id:
-                raise QuiverValidationError(f"edges[{i}]: unknown node {b!r}")
+                raise QuiverError(f"edges[{i}]: unknown node {b!r}")
             if a == b:
-                raise QuiverValidationError(
+                raise QuiverError(
                     f"edges[{i}]: self-loop on {a!r} (adjoint matter unsupported)")
             na, nb = by_id[a], by_id[b]
             if na.kind is NodeKind.FLAVOR and nb.kind is NodeKind.FLAVOR:
-                raise QuiverValidationError(
+                raise QuiverError(
                     f"edges[{i}]: edge {a!r}-{b!r} joins two flavor nodes")
             if not _edge_ok(na, nb):
-                raise QuiverValidationError(
+                raise QuiverError(
                     f"edges[{i}]: edge {a!r}-{b!r} mixes group families "
                     f"{na.group.family.value} and {nb.group.family.value}")
             canon.append(tuple(sorted((a, b))))
@@ -160,7 +125,7 @@ class Quiver:
         try:
             return self._by_id[node_id]
         except KeyError:
-            raise UnknownNodeError(f"no node {node_id!r}") from None
+            raise QuiverError(f"no node {node_id!r}") from None
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._by_id
@@ -253,8 +218,7 @@ def ungauge(q: Quiver, node_id: str) -> Quiver:
     node = q.node(node_id)
     if node.kind is not NodeKind.GAUGE or node.group.family is not Family.UNITARY \
             or node.group.n != 1:
-        raise NotAbelianGaugeNodeError(
-            f"node {node_id!r} is not a U(1) gauge node")
+        raise QuiverError(f"node {node_id!r} is not a U(1) gauge node")
     nodes = tuple(QuiverNode(n.id, NodeKind.FIXED, n.group) if n.id == node_id else n
                   for n in q.nodes)
     return Quiver(nodes, q.edges)
@@ -268,7 +232,7 @@ def build_linear_nilpotent_quiver(n: int) -> Quiver:
     """Gauge chain U(1)-U(2)-...-U(n-1) ending on an n-dimensional flavor
     node; its Coulomb branch is the nilpotent cone of type A_{n-1}."""
     if n < 2:
-        raise QuiverValidationError("need n >= 2")
+        raise QuiverError("need n >= 2")
     nodes = [QuiverNode(f"g{i}", NodeKind.GAUGE, U(i)) for i in range(1, n)]
     nodes.append(QuiverNode("f", NodeKind.FLAVOR, U(n)))
     edges = [(f"g{i}", f"g{i+1}") for i in range(1, n - 1)]
@@ -283,13 +247,13 @@ def bouquet_replace(q: Quiver, flavor_id: str, k: int) -> Quiver:
     node keeps its balance."""
     node = q.node(flavor_id)
     if node.kind is not NodeKind.FLAVOR:
-        raise NotAFlavorNodeError(f"node {flavor_id!r} is not a flavor node")
+        raise QuiverError(f"node {flavor_id!r} is not a flavor node")
     if node.group.n != k:
-        raise DimensionMismatchError(
+        raise QuiverError(
             f"flavor node {flavor_id!r} has dimension {node.group.n}, not {k}")
     attached = q.neighbors(flavor_id)
     if len(attached) != 1:
-        raise MultiplyAttachedFlavorError(
+        raise QuiverError(
             f"flavor node {flavor_id!r} must have exactly one incident edge, "
             f"found {len(attached)}")
     anchor = attached[0]
@@ -314,10 +278,9 @@ def build_partial_implosion_quiver(n: int, partition: Sequence[int]) -> Quiver:
     attached at U(n-1) via the U(n_i) end."""
     parts = list(partition)
     if any(p < 1 for p in parts) or sum(parts) != n:
-        raise PartitionSumMismatchError(
-            f"partition {parts} does not sum to {n} with positive parts")
+        raise QuiverError(f"partition {parts} does not sum to {n} with positive parts")
     if n < 2:
-        raise QuiverValidationError("need n >= 2")
+        raise QuiverError("need n >= 2")
     nodes = [QuiverNode(f"g{i}", NodeKind.GAUGE, U(i)) for i in range(1, n)]
     edges = [(f"g{i}", f"g{i+1}") for i in range(1, n - 1)]
     for leg, p in enumerate(parts, start=1):
@@ -334,7 +297,7 @@ def build_dn_implosion_quiver(n: int, with_flavor: bool = False) -> Quiver:
     """Alternating chain SO(2)-USp(2)-SO(4)-...-USp(2n-2), terminated either
     by a bouquet of n SO(2) leaves (default) or by an SO(2n) flavor node."""
     if n < 2:
-        raise QuiverValidationError("need n >= 2")
+        raise QuiverError("need n >= 2")
     nodes = []
     for k in range(1, 2 * n - 1):
         group = SO(k + 1) if k % 2 else USp(k)
@@ -372,19 +335,19 @@ def _json_object(value, keys: tuple, form: str, path: str) -> dict:
     """``value`` if it is a JSON object holding every key of ``keys``; the
     error names ``path`` and the expected ``form``."""
     if not isinstance(value, dict):
-        raise QuiverValidationError(f"{path}: expected an object {form}, got {value!r}")
+        raise QuiverError(f"{path}: expected an object {form}, got {value!r}")
     for key in keys:
         if key not in value:
-            raise QuiverValidationError(f'{path}: missing "{key}"; expected {form}')
+            raise QuiverError(f'{path}: missing "{key}"; expected {form}')
     return value
 
 
 def quiver_from_json(obj: dict) -> Quiver:
     if not isinstance(obj, dict) or "nodes" not in obj:
-        raise QuiverValidationError("quiver JSON must be an object with 'nodes'")
+        raise QuiverError("quiver JSON must be an object with 'nodes'")
     for key in ("nodes", "edges"):
         if not isinstance(obj.get(key, []), list):
-            raise QuiverValidationError(f"{key}: expected a list")
+            raise QuiverError(f"{key}: expected a list")
     nodes = []
     for i, spec in enumerate(obj["nodes"]):
         spec = _json_object(spec, ("id", "kind", "group"), _NODE_FORM, f"nodes[{i}]")
@@ -394,25 +357,22 @@ def quiver_from_json(obj: dict) -> Quiver:
         try:
             kind, family = NodeKind(spec["kind"]), Family(group["family"])
         except ValueError as exc:  # the message names the enum
-            raise QuiverValidationError(f"nodes[{i}]: {exc}") from None
+            raise QuiverError(f"nodes[{i}]: {exc}") from None
         if not isinstance(node_id, str):
-            raise QuiverValidationError(
-                f"nodes[{i}].id: expected a string, got {node_id!r}")
+            raise QuiverError(f"nodes[{i}].id: expected a string, got {node_id!r}")
         if type(n) is not int:  # bool is not a group dimension either
-            raise QuiverValidationError(
-                f"nodes[{i}].group.n: expected an integer, got {n!r}")
+            raise QuiverError(f"nodes[{i}].group.n: expected an integer, got {n!r}")
         try:
             nodes.append(QuiverNode(node_id, kind, GaugeGroup(family, n)))
-        except QuiverValidationError as exc:
-            raise QuiverValidationError(f"nodes[{i}]: {exc}") from None
+        except QuiverError as exc:
+            raise QuiverError(f"nodes[{i}]: {exc}") from None
     edges = []
     for i, e in enumerate(obj.get("edges", [])):
         if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise QuiverValidationError(f"edges[{i}]: expected a pair of node ids")
+            raise QuiverError(f"edges[{i}]: expected a pair of node ids")
         for j, end in enumerate(e):
             if not isinstance(end, str):
-                raise QuiverValidationError(
-                    f"edges[{i}][{j}]: expected a string, got {end!r}")
+                raise QuiverError(f"edges[{i}][{j}]: expected a string, got {end!r}")
         edges.append(tuple(e))
     return Quiver(nodes, edges)
 
@@ -422,6 +382,6 @@ def load_quiver(path: str) -> Quiver:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise QuiverValidationError(f"{path}: invalid JSON: {exc}") from None
+            raise QuiverError(f"{path}: invalid JSON: {exc}") from None
     return quiver_from_json(obj)
 

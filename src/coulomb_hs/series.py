@@ -16,27 +16,8 @@ from math import comb
 
 
 class SeriesError(ValueError):
-    """Base class for series-algebra failures."""
-
-
-class FugacityMismatchError(SeriesError):
-    pass
-
-
-class UnknownFugacityError(SeriesError):
-    pass
-
-
-class OrderExceededError(SeriesError):
-    pass
-
-
-class NonUnitConstantTermError(SeriesError):
-    pass
-
-
-class NonzeroConstantTermError(SeriesError):
-    pass
+    """A malformed series or an operation it does not support; the
+    message names the check that failed."""
 
 
 # Term key of a Laurent multinomial: sorted (name, exponent) pairs, all
@@ -201,7 +182,7 @@ class TruncatedSeries:
             if type(e) is not int:  # nor is bool
                 raise SeriesError(f"exponents must be int, got {e!r}")
             if not 0 <= e <= order:
-                raise OrderExceededError(f"exponent {e} outside 0..{order}")
+                raise SeriesError(f"exponent {e} outside 0..{order}")
             c = _normalize(c)
             if c != 0:
                 clean[e] = c
@@ -219,15 +200,13 @@ class TruncatedSeries:
 
     def coefficient(self, k: int) -> Coefficient:
         if not 0 <= k <= self.order:
-            raise OrderExceededError(
-                f"coefficient {k} beyond truncation order {self.order}")
+            raise SeriesError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs.get(k, 0)
 
     def _merged_context(self, other: "TruncatedSeries") -> frozenset:
         a, b = self.fugacities, other.fugacities
         if a and b and a != b:
-            raise FugacityMismatchError(
-                f"fugacity contexts differ: {sorted(a)} vs {sorted(b)}")
+            raise SeriesError(f"fugacity contexts differ: {sorted(a)} vs {sorted(b)}")
         return a | b
 
     def __add__(self, other):
@@ -293,7 +272,7 @@ class TruncatedSeries:
     def constant_term(self, name: str) -> "TruncatedSeries":
         """Residue integral in one fugacity: keep its exponent-0 part."""
         if name not in self.fugacities:
-            raise UnknownFugacityError(f"series carries no fugacity {name!r}")
+            raise SeriesError(f"series carries no fugacity {name!r}")
         out: dict = {}
         for e, c in self.coeffs.items():
             if isinstance(c, Laurent):
@@ -392,7 +371,7 @@ def plethystic_log(s: TruncatedSeries) -> TruncatedSeries:
     """
     _unrefined(s, "plethystic logarithm")
     if s.coefficient(0) != 1:
-        raise NonUnitConstantTermError("PL needs constant term 1")
+        raise SeriesError("PL needs constant term 1")
     K = s.order
     c = [s.coeffs.get(e, 0) for e in range(K + 1)]
     b = [0] * (K + 1)  # b[m] holds the proper divisors' share until step m
@@ -417,7 +396,7 @@ def plethystic_exp(s: TruncatedSeries) -> TruncatedSeries:
     """
     _unrefined(s, "plethystic exponential")
     if s.coefficient(0) != 0:
-        raise NonzeroConstantTermError("PE needs constant term 0")
+        raise SeriesError("PE needs constant term 0")
     K = s.order
     b = [0] * (K + 1)
     for n, a in s.coeffs.items():

@@ -16,8 +16,10 @@ from coulomb_hs.cli import main
 from coulomb_hs.engine import HSRequest, coulomb_hilbert_series
 from coulomb_hs.quiver import (
     DecoupledU1UnresolvedError,
+    build_bouquet_quiver,
     detect_decoupled_u1,
     quiver_from_json,
+    quiver_to_json,
 )
 from coulomb_hs.series import (
     TruncatedSeries,
@@ -460,6 +462,25 @@ def test_malformed_input_file_exits_1(tmp_path, capsys, command, obj, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def node(node_id, kind, family, n):
+    return {"id": node_id, "kind": kind, "group": {"family": family, "n": n}}
+
+
+@pytest.mark.parametrize("obj, message", [
+    (one_gauge_node(2), "nonzero magnetic charge ((0, -1),) has 2*Delta = 0 <= 0; "
+                        "the monopole sum diverges"),
+    ({"nodes": [node("a", "gauge", "SO", 3), node("b", "gauge", "USp", 2),
+                node("f", "flavor", "SO", 4)],
+      "edges": [["a", "b"], ["a", "b"], ["b", "f"]]},
+     "edge 'a'-'b': orthosymplectic edge multiplicity 2 is not supported"),
+], ids=["divergent", "ortho-double-edge"])
+def test_a_theory_the_engine_cannot_sum_exits_2(tmp_path, capsys, obj, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "hs", str(path), "--order", "4")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_gale_command(tmp_path, capsys):
     mf = tmp_path / "m.json"
     mf.write_text(json.dumps({"n": 1, "d": 2, "columns": [[1], [1]]}))
@@ -638,6 +659,30 @@ def test_max_bound_flag_is_rejected(tmp_path, capsys):
     assert code == 0 and json.loads(out)["manifest"]["charge_bound_reached"] == 2
 
 
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_closed_stdout_exits_141_in_silence(tmp_path, buffered):
+    # The reader leaves before the first write, whether stdout is written
+    # at once or at the last flush: a shell reports such a writer as
+    # 128 + SIGPIPE, and there is no error to print.
+    qf = tmp_path / "b3.json"
+    qf.write_text(json.dumps(quiver_to_json(build_bouquet_quiver(3))))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(coulomb_hs.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "coulomb_hs", "hs", str(qf),
+                               "--order", "2", "--ungauge", "b1"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 def test_python_m_runs_the_cli():
     env = dict(os.environ,
                PYTHONPATH=str(Path(coulomb_hs.__file__).resolve().parents[1]))
@@ -809,8 +854,10 @@ def test_fast_parse_agrees_with_argparse_on_drawn_argv():
         accepted.append(assert_fast_parse_agrees(argv) is not None)
 
     check()
-    # Enough drawn command lines are read (110 of 400) for the namespaces
-    # to be compared, not only the None cases.
+    # Enough drawn command lines are read for the namespaces to be
+    # compared, not only the None cases.  How many depends on the Python
+    # and Hypothesis versions (101 of 400 on 3.11.7 and 6.155.2), so the
+    # test keeps a floor.
     assert sum(accepted) >= 60
 
 

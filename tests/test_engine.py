@@ -8,7 +8,6 @@ from operator import mul
 import pytest
 
 from coulomb_hs.engine import (
-    BadTheoryError,
     EngineError,
     HSRequest,
     QuiverCharge,
@@ -54,6 +53,11 @@ from coulomb_hs.series import (TruncatedSeries, expand_inverse, nilcone_referenc
 from brute import (HALF_PAIR_WEIGHT, cell_sum_ref, delta_ref, higgs_hs, hs_ref,
                    kostant_nilcone_series, matter_term, quarter_units, shell_min_ref,
                    topological_counts)
+
+
+# A nonzero charge with Delta <= 0, whichever charge the box lists first.
+DIVERGES = (r"^nonzero magnetic charge .* has 2\*Delta = -?\d+ <= 0; "
+            "the monopole sum diverges$")
 
 
 def u1_with_flavors(d):
@@ -186,7 +190,8 @@ def test_enumerate_charges_examples():
     assert enumerate_charges(u1_with_flavors(2), Fraction(5, 4)) == got
     got = enumerate_charges(u1_with_flavors(2), 0)
     assert [c.charges for c in got] == [((0,),)]
-    with pytest.raises(BadTheoryError):
+    with pytest.raises(EngineError, match=r"^nonzero magnetic charge \(\(-1,\), \(-1, -1\), "
+                       r"\(-1,\), \(-1,\), \(-1,\)\) has 2\*Delta = 0 <= 0"):
         enumerate_charges(build_bouquet_quiver(3), 1)
     # With no gauge node the one charge is the empty one.
     lone_flavor = Quiver([QuiverNode("f", NodeKind.FLAVOR, U(3))], [])
@@ -560,12 +565,11 @@ def test_unitary_edge_multiplicity():
 
 
 def test_ortho_edge_multiplicity_rejected():
-    from coulomb_hs.engine import UnsupportedEdgeError
-
     q = Quiver([QuiverNode("a", NodeKind.GAUGE, SO(2)),
                 QuiverNode("b", NodeKind.GAUGE, USp(2))],
                [("a", "b"), ("a", "b")])
-    with pytest.raises(UnsupportedEdgeError):
+    with pytest.raises(EngineError, match="^edge 'a'-'b': orthosymplectic edge "
+                       "multiplicity 2 is not supported$"):
         delta(q, {"a": (0,), "b": (0,)})
 
 
@@ -815,7 +819,7 @@ def test_shell_minimum_is_linear_in_the_shell():
         req = HSRequest(q, order)
         if c <= 0:
             negative += 1
-            with pytest.raises(BadTheoryError):
+            with pytest.raises(EngineError, match=DIVERGES):
                 compute_hilbert_series(req)
         else:
             stats = compute_hilbert_series(req).stats
@@ -1505,10 +1509,10 @@ def test_bad_theory_message_names_the_charge():
         message = (f"nonzero magnetic charge {charge} has 2*Delta = {two_delta} "
                    "<= 0; the monopole sum diverges")
         for order in (0, 4):
-            with pytest.raises(BadTheoryError) as exc:
+            with pytest.raises(EngineError) as exc:
                 compute_hilbert_series(HSRequest(q, order))
             assert str(exc.value) == message
-            with pytest.raises(BadTheoryError) as exc:
+            with pytest.raises(EngineError) as exc:
                 enumerate_charges(q, order)
             assert str(exc.value) == message
 
@@ -1553,7 +1557,7 @@ def test_monopole_sums_leave_no_cyclic_garbage():
                         QuiverNode("f", NodeKind.FLAVOR, U(1))], [("g", "f")])
 
     def bad_theory():
-        with pytest.raises(BadTheoryError):
+        with pytest.raises(EngineError, match=DIVERGES):
             compute_hilbert_series(HSRequest(diverging, 4))
     paths = {
         "dn(5) with its flavor": lambda: compute_hilbert_series(
@@ -1569,7 +1573,7 @@ def test_monopole_sums_leave_no_cyclic_garbage():
         "nilcone(4) at K = 12, on the cells": lambda: compute_hilbert_series(
             HSRequest(build_linear_nilpotent_quiver(4), 12)),
         "enumerate_charges on pinned affine E6": lambda: enumerate_charges(e6, 2),
-        "BadTheoryError": bad_theory,
+        "a divergent theory": bad_theory,
         "coulomb_hilbert_series on bouquet(3)": lambda: coulomb_hilbert_series(
             HSRequest(build_bouquet_quiver(3), 4, ungauge="b1")),
     }
@@ -1759,7 +1763,7 @@ def test_cell_route_keeps_the_error_messages(monkeypatch):
     assert routes == ["_cell_sum"]
     routes.clear()
     for solve in (compute_hilbert_series, coulomb_hilbert_series):
-        with pytest.raises(BadTheoryError) as err:
+        with pytest.raises(EngineError) as err:
             solve(HSRequest(bad, 12))
         assert str(err.value) == ("nonzero magnetic charge ((0, -1),) has 2*Delta = 0 "
                                   "<= 0; the monopole sum diverges")

@@ -4,6 +4,7 @@
 import ast
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -57,11 +58,11 @@ def test_every_import_is_read():
 
 # The names ``coulomb_hs`` exports, each resolved lazily.
 EXPORTS = [
-    "BadTheoryError", "BalanceReport", "ChamberViolationError",
-    "DecoupledU1UnresolvedError", "DualityReport", "DynkinComponent", "EngineError",
-    "EngineStats", "Family", "GaleError", "GaugeGroup", "HSRequest", "HSResult",
-    "Laurent", "NodeKind", "Quiver", "QuiverCharge", "QuiverError", "QuiverNode",
-    "RankDeficientError", "SO", "SymmetryPrediction", "ToricConfig",
+    "BalanceReport", "DecoupledU1UnresolvedError", "DualityReport",
+    "DynkinComponent", "EngineError", "EngineStats", "Family", "GaleError",
+    "GaugeGroup", "HSRequest", "HSResult", "Laurent", "NodeKind", "Quiver",
+    "QuiverCharge", "QuiverError", "QuiverNode", "SO", "SymmetryPrediction",
+    "ToricConfig",
     "TruncatedSeries", "U", "USp", "balance_report",
     "balanced_subquiver_classification", "bouquet_replace", "build_bouquet_quiver",
     "build_dn_implosion_quiver", "build_linear_nilpotent_quiver",
@@ -87,6 +88,26 @@ def test_import_loads_no_submodule():
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout.strip(), done.stderr) == (
         0, "[] coulomb_hs.gale", "")
+
+
+def test_five_exception_classes():
+    # No caller tells finer failures apart: each raises its module's class,
+    # and the message names the check.  No module keeps another name for one.
+    bound = {}
+    for path in Path(coulomb_hs.__file__).parent.glob("*.py"):
+        if path.stem not in ("__init__", "__main__"):
+            module = import_module(f"coulomb_hs.{path.stem}")
+            bound.update((name, f"{obj.__module__}.{obj.__qualname__}")
+                         for name, obj in vars(module).items()
+                         if isinstance(obj, type) and issubclass(obj, Exception)
+                         and obj.__module__.startswith("coulomb_hs."))
+    assert bound == {
+        "QuiverError": "coulomb_hs.quiver.QuiverError",
+        "DecoupledU1UnresolvedError": "coulomb_hs.quiver.DecoupledU1UnresolvedError",
+        "EngineError": "coulomb_hs.engine.EngineError",
+        "SeriesError": "coulomb_hs.series.SeriesError",
+        "GaleError": "coulomb_hs.gale.GaleError",
+    }
 
 
 def test_lazy_exports_resolve_to_their_defining_module():

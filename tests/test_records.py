@@ -25,7 +25,7 @@ from coulomb_hs import (
     duality_report,
     predict_global_symmetry,
 )
-from coulomb_hs.quiver import QuiverValidationError
+from coulomb_hs.quiver import QuiverError
 
 
 def records():
@@ -66,14 +66,17 @@ def test_records_keep_their_contract():
     assert sorted(charges) == sorted(charges, key=lambda c: (c.node_ids, c.charges))
     assert sorted(charges)[:2] == [QuiverCharge((), ()), QuiverCharge(("a",), ((0,),))]
 
-    for bad in (lambda: GaugeGroup(Family.UNITARY, 0),
-                lambda: GaugeGroup(family=Family.ORTHOGONAL, n=-1),
-                lambda: GaugeGroup(Family.SYMPLECTIC, 3),
-                lambda: U(2)._replace(n=0),
-                lambda: USp(2)._replace(n=3),
-                lambda: U(3)._replace(family=Family.SYMPLECTIC),
-                lambda: GaugeGroup._make((Family.UNITARY, 0))):
-        with pytest.raises(QuiverValidationError):
+    too_small = "^group dimension must be >= 1, got "
+    odd_usp = r"^USp\(3\) needs even n$"
+    for bad, message in ((lambda: GaugeGroup(Family.UNITARY, 0), too_small + "0$"),
+                         (lambda: GaugeGroup(family=Family.ORTHOGONAL, n=-1),
+                          too_small + "-1$"),
+                         (lambda: GaugeGroup(Family.SYMPLECTIC, 3), odd_usp),
+                         (lambda: U(2)._replace(n=0), too_small + "0$"),
+                         (lambda: USp(2)._replace(n=3), odd_usp),
+                         (lambda: U(3)._replace(family=Family.SYMPLECTIC), odd_usp),
+                         (lambda: GaugeGroup._make((Family.UNITARY, 0)), too_small + "0$")):
+        with pytest.raises(QuiverError, match=message):
             bad()
     assert U(2)._replace(n=4) == U(4)
     assert repr(U(3)) == "U(3)" and repr(USp(4)) == "USp(4)"

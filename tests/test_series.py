@@ -7,14 +7,9 @@ from fractions import Fraction
 import pytest
 
 from coulomb_hs.series import (
-    FugacityMismatchError,
     Laurent,
-    NonUnitConstantTermError,
-    NonzeroConstantTermError,
-    OrderExceededError,
     SeriesError,
     TruncatedSeries,
-    UnknownFugacityError,
     expand_inverse,
     one_minus_power,
     plethystic_exp,
@@ -59,7 +54,7 @@ def test_coefficient_access():
     s = S(2, {0: 1, 2: 3})
     assert s.coefficient(2) == 3
     assert s.coefficient(1) == 0
-    with pytest.raises(OrderExceededError):
+    with pytest.raises(SeriesError, match="^coefficient 3 beyond truncation order 2$"):
         s.coefficient(3)
 
 
@@ -89,9 +84,9 @@ def test_plethystic_exp_examples():
 
 
 def test_plethystic_guards():
-    with pytest.raises(NonUnitConstantTermError):
+    with pytest.raises(SeriesError, match="^PL needs constant term 1$"):
         plethystic_log(S(4, {0: 2}))
-    with pytest.raises(NonzeroConstantTermError):
+    with pytest.raises(SeriesError, match="^PE needs constant term 0$"):
         plethystic_exp(S(4, {0: 1}))
 
 
@@ -139,7 +134,7 @@ def test_constant_term_series():
     assert ct.coefficient(0) == 1
     assert ct.coefficient(1) == 0
     assert ct.fugacities == frozenset()
-    with pytest.raises(UnknownFugacityError):
+    with pytest.raises(SeriesError, match="^series carries no fugacity 'w'$"):
         s.constant_term("w")
 
 
@@ -158,7 +153,8 @@ def test_constant_term_commutes_with_fugacity_free_mul():
 def test_fugacity_context_rules():
     sa = TruncatedSeries(3, {0: Laurent.monomial({"a": 1})}, frozenset({"a"}))
     sb = TruncatedSeries(3, {0: Laurent.monomial({"b": 1})}, frozenset({"b"}))
-    with pytest.raises(FugacityMismatchError):
+    with pytest.raises(SeriesError,
+                       match=r"^fugacity contexts differ: \['a'\] vs \['b'\]$"):
         sa + sb
     free = S(3, {0: 2})
     assert (sa * free).fugacities == frozenset({"a"})
