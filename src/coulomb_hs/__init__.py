@@ -37,8 +37,7 @@ _EXPORTS = {
         "predict_global_symmetry"], "balance"),
     **dict.fromkeys([
         "Laurent", "TruncatedSeries", "expand_inverse", "nilcone_reference_hs",
-        "plethystic_exp", "plethystic_log", "series_from_json",
-        "series_to_json"], "series"),
+        "plethystic_exp", "plethystic_log", "series_to_json"], "series"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -181,6 +181,12 @@ def predict_global_symmetry(q: Quiver) -> SymmetryPrediction:
     Component labels are graph shapes; for orthosymplectic quivers only the
     semisimple report is meaningful and the abelian rule counts unitary
     nodes alone.
+
+    The prediction holds for good quivers only (every balance >= 0), where
+    it is the t^2 coefficient of the Hilbert series.  U(2) with 3 flavors
+    has balance -1 and series 1 + 2t + 4t^2 + ..., but the prediction is
+    1: a Delta = 1/2 monopole is a free twisted hypermultiplet
+    (arXiv:0807.3720).
     """
     components = balanced_subquiver_classification(q)
     factors = tuple(c for c in components if c.recognized)

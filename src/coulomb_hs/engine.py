@@ -1039,7 +1039,7 @@ def _tree_sum(prob: _Problem, order: int, bound: int, refined: list, counted: bo
 # bouquets, affine E6 and a flavored ring at orders 2 to 40.  The tree
 # pass has since become cheaper than ``_box_work`` says, so the router can
 # pick the slower route (nilcone(8) at order 8 goes to the cells); see
-# ROADMAP.md item 3, pricing the tree pass by the lists it builds.
+# the ROADMAP.md item on pricing the tree pass by the lists it builds.
 _TREE_SETUP_WORK = 4000
 
 

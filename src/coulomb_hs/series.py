@@ -43,17 +43,6 @@ class Laurent:
                 clean[k] = v
         self.terms = clean
 
-    @staticmethod
-    def monomial(exponents: Mapping[str, int], coeff: int = 1) -> "Laurent":
-        key = tuple(sorted((n, e) for n, e in exponents.items() if e))
-        return Laurent({key: coeff})
-
-    def names(self) -> set:
-        out = set()
-        for key in self.terms:
-            out.update(n for n, _ in key)
-        return out
-
     def as_int(self):
         """Integer value if fugacity-free, else None."""
         if not self.terms:
@@ -75,10 +64,8 @@ class Laurent:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __neg__(self):
-        return Laurent({k: -v for k, v in self.terms.items()})
-
     def __add__(self, other):
+        """Sum; the series products of perfbench's traced solve add terms."""
         if isinstance(other, int):
             other = Laurent({(): other})
         if not isinstance(other, Laurent):
@@ -91,6 +78,7 @@ class Laurent:
     __radd__ = __add__
 
     def __mul__(self, other):
+        """Product; the series products of perfbench's traced solve scale terms."""
         if isinstance(other, int):
             return Laurent({k: v * other for k, v in self.terms.items()})
         if not isinstance(other, Laurent):
@@ -109,17 +97,9 @@ class Laurent:
     __rmul__ = __mul__
 
     def constant_part(self, name: str) -> "Laurent":
-        """Terms with exponent 0 in the named fugacity."""
+        """Terms with exponent 0 in the named fugacity (perfbench's traced solve)."""
         return Laurent({k: v for k, v in self.terms.items()
                         if all(n != name for n, _ in k)})
-
-    def substitute_one(self, name: str) -> "Laurent":
-        """Set the named fugacity to 1."""
-        out: dict = {}
-        for k, v in self.terms.items():
-            key = tuple(p for p in k if p[0] != name)
-            out[key] = out.get(key, 0) + v
-        return Laurent(out)
 
     def text(self) -> str:
         if not self.terms:
@@ -194,10 +174,6 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         return cls(order, {0: 1})
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order, {})
-
     def coefficient(self, k: int) -> Coefficient:
         if not 0 <= k <= self.order:
             raise SeriesError(f"coefficient {k} beyond truncation order {self.order}")
@@ -209,36 +185,8 @@ class TruncatedSeries:
             raise SeriesError(f"fugacity contexts differ: {sorted(a)} vs {sorted(b)}")
         return a | b
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = TruncatedSeries(self.order, {0: other})
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        ctx = self._merged_context(other)
-        order = min(self.order, other.order)
-        out = {e: c for e, c in self.coeffs.items() if e <= order}
-        for e, c in other.coeffs.items():
-            if e <= order:
-                out[e] = out.get(e, 0) + c
-        return TruncatedSeries(order, out, ctx)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.order, {e: -c for e, c in self.coeffs.items()},
-                               self.fugacities)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = TruncatedSeries(self.order, {0: other})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
+        """Product; perfbench's traced solve multiplies refined series too."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         ctx = self._merged_context(other)
@@ -254,9 +202,8 @@ class TruncatedSeries:
                 out[e] = out.get(e, 0) + ca * cb
         return TruncatedSeries(order, out, ctx)
 
-    __rmul__ = __mul__
-
     def __pow__(self, k: int):
+        """k-th power; perfbench's traced solve raises 1 - t^2 to the refined count."""
         if not isinstance(k, int) or k < 0:
             raise SeriesError("series powers must be nonnegative integers")
         result = TruncatedSeries(self.order, {0: 1}, self.fugacities)
@@ -264,13 +211,8 @@ class TruncatedSeries:
             result = result * self
         return result
 
-    def scale(self, c: Coefficient) -> "TruncatedSeries":
-        return TruncatedSeries(self.order,
-                               {e: v * c for e, v in self.coeffs.items()},
-                               self.fugacities)
-
     def constant_term(self, name: str) -> "TruncatedSeries":
-        """Residue integral in one fugacity: keep its exponent-0 part."""
+        """Exponent-0 part in one fugacity, a residue; perfbench's traced solve takes it."""
         if name not in self.fugacities:
             raise SeriesError(f"series carries no fugacity {name!r}")
         out: dict = {}
@@ -279,16 +221,6 @@ class TruncatedSeries:
                 c = c.constant_part(name)
             out[e] = c
         return TruncatedSeries(self.order, out, self.fugacities - {name})
-
-    def substitute_ones(self) -> "TruncatedSeries":
-        """Set every fugacity to 1 (unrefinement)."""
-        out: dict = {}
-        for e, c in self.coeffs.items():
-            if isinstance(c, Laurent):
-                for name in sorted(c.names()):
-                    c = c.substitute_one(name)
-            out[e] = c
-        return TruncatedSeries(self.order, out, frozenset())
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -333,6 +265,8 @@ def expand_inverse(d: int, order: int) -> TruncatedSeries:
 
 def one_minus_power(d: int, order: int) -> TruncatedSeries:
     """The polynomial 1 - t^d as a truncated series."""
+    if d < 1:
+        raise SeriesError("degree must be >= 1")
     coeffs = {0: 1}
     if d <= order:
         coeffs[d] = -1
@@ -418,57 +352,9 @@ def _encode_coeff(c: Coefficient):
     return [[{n: e for n, e in key}, str(v)] for key, v in sorted(c.terms.items())]
 
 
-def _decode_int(text: str, where: str) -> int:
-    """An integer written as ``-?[0-9]+`` in ASCII; ``int`` alone would also
-    read spaces, underscores, a plus sign and non-ASCII digits."""
-    if not isinstance(text, str):
-        raise SeriesError(f"{where}: expected a string, got {text!r}")
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise SeriesError(f"{where}: expected an integer, got {text!r}")
-    return int(text)
-
-
-def _decode_coeff(obj, where: str, names: frozenset) -> Coefficient:
-    if isinstance(obj, str):
-        return _decode_int(obj, where)
-    if not isinstance(obj, list):
-        raise SeriesError(f"{where}: expected a string or a list of terms, got {obj!r}")
-    terms = {}
-    for term in obj:
-        if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], dict)
-                and all(type(e) is int for e in term[0].values())
-                and isinstance(term[1], str)):
-            raise SeriesError(f"{where}: malformed term {term!r}")
-        expvec, v = term
-        for n in expvec:
-            if n not in names:
-                raise SeriesError(f"{where}: fugacity {n!r} is not listed under "
-                                  "'fugacities'")
-        key = tuple(sorted((n, e) for n, e in expvec.items() if e))
-        terms[key] = _decode_int(v, where)
-    return Laurent(terms)
-
-
 def series_to_json(s: TruncatedSeries) -> dict:
     out = {"order": s.order,
            "coeffs": {str(e): _encode_coeff(s.coeffs[e]) for e in sorted(s.coeffs)}}
     if s.fugacities:
         out["fugacities"] = sorted(s.fugacities)
     return out
-
-
-def series_from_json(obj: dict) -> TruncatedSeries:
-    """Inverse of :func:`series_to_json`; no value is rounded or coerced."""
-    if not isinstance(obj, dict) or "order" not in obj:
-        raise SeriesError("series JSON must be an object with 'order'")
-    coeffs = obj.get("coeffs", {})
-    if not isinstance(coeffs, dict):
-        raise SeriesError(f"coeffs: expected an object, got {coeffs!r}")
-    names = obj.get("fugacities", [])
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-        raise SeriesError(f"fugacities: expected a list of strings, got {names!r}")
-    names = frozenset(names)
-    coeffs = {_decode_int(e, "coeffs key"): _decode_coeff(c, f"coeffs[{e!r}]", names)
-              for e, c in coeffs.items()}
-    return TruncatedSeries(obj["order"], coeffs, names)

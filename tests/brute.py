@@ -380,7 +380,8 @@ def kostant_nilcone_series(n: int, order: int) -> TruncatedSeries:
         for j in range(i + 1, n + 1):
             for sign in (1, -1):  # PE[z^alpha t^2] = sum_k z^(k alpha) t^(2k)
                 s = s * TruncatedSeries(order, {
-                    2 * k: Laurent.monomial({f"g{m}": sign * k for m in range(i, j)})
+                    2 * k: Laurent({tuple(sorted((f"g{m}", sign * k)
+                                                 for m in range(i, j) if k)): 1})
                     for k in range(order // 2 + 1)})
     return s
 

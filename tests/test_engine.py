@@ -47,8 +47,8 @@ from coulomb_hs.quiver import (
     build_partial_implosion_quiver,
     ungauge,
 )
-from coulomb_hs.series import (TruncatedSeries, expand_inverse, nilcone_reference_hs,
-                               one_minus_power)
+from coulomb_hs.series import (Laurent, TruncatedSeries, expand_inverse,
+                               nilcone_reference_hs, one_minus_power)
 
 from brute import (HALF_PAIR_WEIGHT, cell_sum_ref, delta_ref, higgs_hs, hs_ref,
                    kostant_nilcone_series, matter_term, quarter_units, shell_min_ref,
@@ -363,7 +363,8 @@ def test_hs_refined_to_one_matches_unrefined():
     refined = coulomb_hilbert_series(
         HSRequest(q, 4, refined=frozenset({"b2", "b3"}), ungauge="b1"))
     plain = coulomb_hilbert_series(HSRequest(q, 4, ungauge="b1"))
-    assert refined.substitute_ones() == plain
+    at_ones = lambda c: sum(c.terms.values()) if isinstance(c, Laurent) else c
+    assert {e: at_ones(c) for e, c in refined.coeffs.items()} == plain.coeffs
     assert refined.fugacities == frozenset({"b2", "b3"})
 
 

@@ -73,7 +73,7 @@ EXPORTS = [
     "gauge_group_rank", "is_gale_dual_pair",
     "kernel_lattice", "nilcone_reference_hs", "node_balance", "plethystic_exp",
     "plethystic_log", "predict_global_symmetry", "quiver_from_json",
-    "quiver_to_json", "series_from_json", "series_to_json", "symmetry_dimension",
+    "quiver_to_json", "series_to_json", "symmetry_dimension",
     "ungauge", "weyl_vector",
 ]
 

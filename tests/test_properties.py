@@ -26,6 +26,7 @@ from coulomb_hs.engine import (
     _proven_box,
     _tree_sum,
 )
+from coulomb_hs.balance import balance_report, predict_global_symmetry
 from coulomb_hs.liedata import dominant_charges
 from coulomb_hs.quiver import (
     Family,
@@ -579,3 +580,43 @@ def test_conjugate_candidates_share_their_work(q, order):
         charges = charges_ref(q, order, bound)
         assert [coeffs.get(k, 0) for k in range(order + 1)] == series_ref(q, order, charges)
         assert sum(counts.values()) == len(charges)
+
+
+@st.composite
+def good_unitary_trees(draw):
+    """A tree of up to four U(1)-U(3) nodes with single edges, each node
+    given at least the flavors that make its balance >= 0 and one node at
+    least one flavor: a good quiver with no decoupled U(1), whose balanced
+    subgraph is a union of paths or the D4 star, so always recognised."""
+    n = draw(st.integers(1, 4))
+    ranks = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ids = [f"u{i}" for i in range(n)]
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    adjacent = [0] * n
+    for i, p in enumerate(parents, 1):
+        adjacent[i] += ranks[p]
+        adjacent[p] += ranks[i]
+    flavors = [max(0, 2 * r - s) + draw(st.integers(0, 2))
+               for r, s in zip(ranks, adjacent)]
+    if not any(flavors):
+        flavors[draw(st.integers(0, n - 1))] = 1
+    nodes = [QuiverNode(i, NodeKind.GAUGE, U(r)) for i, r in zip(ids, ranks)]
+    nodes += [QuiverNode(f"f{i}", NodeKind.FLAVOR, U(f)) for i, f in zip(ids, flavors) if f]
+    edges = [(ids[p], ids[i]) for i, p in enumerate(parents, 1)]
+    edges += [(i, f"f{i}") for i, f in zip(ids, flavors) if f]
+    return Quiver(nodes, edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(q=good_unitary_trees())
+def test_good_tree_t2_is_the_predicted_symmetry_dimension(q):
+    # The balance rule: on a good quiver the t^2 coefficient counts the
+    # moment maps of the Coulomb branch's symmetry, a simple factor per
+    # balanced component and a U(1) per unbalanced unitary node.
+    assert min(balance_report(q).balances.values()) >= 0
+    assert not detect_decoupled_u1(q)
+    prediction = predict_global_symmetry(q)
+    assert not prediction.unrecognized
+    t2 = coulomb_hilbert_series(HSRequest(q, 2)).coefficient(2)
+    assert t2 == prediction.total_dimension

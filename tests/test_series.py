@@ -1,6 +1,5 @@
 import json
 import random
-import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,13 +13,16 @@ from coulomb_hs.series import (
     one_minus_power,
     plethystic_exp,
     plethystic_log,
-    series_from_json,
     series_to_json,
 )
 
 
 def S(order, coeffs):
     return TruncatedSeries(order, coeffs)
+
+
+def power(name, e):
+    return Laurent({((name, e),): 1})
 
 
 def test_add_mul_basics():
@@ -34,7 +36,6 @@ def test_add_mul_basics():
 def test_order_propagates_as_minimum():
     a = S(6, {0: 1, 6: 9})
     b = S(3, {0: 1})
-    assert (a + b).order == 3
     assert (a * b).order == 3
 
 
@@ -48,6 +49,11 @@ def test_expand_inverse():
 def test_expand_inverse_is_inverse():
     for d in (1, 2, 3, 5):
         assert expand_inverse(d, 12) * one_minus_power(d, 12) == TruncatedSeries.one(12)
+    for d in (0, -2):  # 1 - t^0 is 0, not a factor of a Hilbert series
+        with pytest.raises(SeriesError, match="^pole degree must be >= 1$"):
+            expand_inverse(d, 4)
+        with pytest.raises(SeriesError, match="^degree must be >= 1$"):
+            one_minus_power(d, 4)
 
 
 def test_coefficient_access():
@@ -66,11 +72,10 @@ def test_mul_commutative_associative_random():
         a, b, c = mk(), mk(), mk()
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
 
 
 def test_plethystic_log_examples():
-    assert plethystic_log(TruncatedSeries.one(6)) == TruncatedSeries.zero(6)
+    assert plethystic_log(TruncatedSeries.one(6)) == TruncatedSeries(6)
     assert plethystic_log(expand_inverse(1, 6)) == S(6, {1: 1})
     # (1+t^2)/(1-t^2)^2: three generators, one relation, nothing further.
     s = S(6, {0: 1, 2: 1}) * expand_inverse(2, 6) * expand_inverse(2, 6)
@@ -80,7 +85,7 @@ def test_plethystic_log_examples():
 def test_plethystic_exp_examples():
     assert plethystic_exp(S(3, {1: 1})) == S(3, {0: 1, 1: 1, 2: 1, 3: 1})
     assert plethystic_exp(S(4, {2: 3, 4: -1})) == S(4, {0: 1, 2: 3, 4: 5})
-    assert plethystic_exp(TruncatedSeries.zero(5)) == TruncatedSeries.one(5)
+    assert plethystic_exp(TruncatedSeries(5)) == TruncatedSeries.one(5)
 
 
 def test_plethystic_guards():
@@ -116,19 +121,16 @@ def test_pe_pl_round_trip_random():
 
 
 def test_laurent_arithmetic():
-    z = Laurent.monomial({"z": 1})
-    zi = Laurent.monomial({"z": -1})
+    z, zi = power("z", 1), power("z", -1)
     both = z + zi
-    assert both * both == Laurent.monomial({"z": 2}) + 2 + Laurent.monomial({"z": -2})
-    assert (z + 1 + zi).constant_part("z") == Laurent.monomial({}, 1)
-    assert (z + 1 + zi).substitute_one("z") == 3
-    assert Laurent.monomial({"z": 2}).constant_part("z") == Laurent({})
+    assert both * both == power("z", 2) + 2 + power("z", -2)
+    assert (z + 1 + zi).constant_part("z") == Laurent({(): 1})
+    assert power("z", 2).constant_part("z") == Laurent({})
 
 
 def test_constant_term_series():
-    z = Laurent.monomial({"z": 1})
-    zi = Laurent.monomial({"z": -1})
-    s = TruncatedSeries(2, {0: z + 1 + zi, 1: Laurent.monomial({"z": 2})},
+    z, zi = power("z", 1), power("z", -1)
+    s = TruncatedSeries(2, {0: z + 1 + zi, 1: power("z", 2)},
                         fugacities=frozenset({"z"}))
     ct = s.constant_term("z")
     assert ct.coefficient(0) == 1
@@ -139,23 +141,20 @@ def test_constant_term_series():
 
 
 def test_constant_term_commutes_with_fugacity_free_mul():
-    z = Laurent.monomial({"z": 1})
+    z = power("z", 1)
     s = TruncatedSeries(4, {0: 1, 1: z, 2: z + 2}, fugacities=frozenset({"z"}))
     plain = S(4, {0: 1, 2: -1})
     lhs = (s * plain).constant_term("z")
     rhs = s.constant_term("z") * plain
     assert lhs.coeffs == rhs.coeffs
-    a, b = S(4, {0: 1}), S(4, {1: 2})
-    assert (s * (a + b)).constant_term("z") == \
-        (s * a).constant_term("z") + (s * b).constant_term("z")
 
 
 def test_fugacity_context_rules():
-    sa = TruncatedSeries(3, {0: Laurent.monomial({"a": 1})}, frozenset({"a"}))
-    sb = TruncatedSeries(3, {0: Laurent.monomial({"b": 1})}, frozenset({"b"}))
+    sa = TruncatedSeries(3, {0: power("a", 1)}, frozenset({"a"}))
+    sb = TruncatedSeries(3, {0: power("b", 1)}, frozenset({"b"}))
     with pytest.raises(SeriesError,
                        match=r"^fugacity contexts differ: \['a'\] vs \['b'\]$"):
-        sa + sb
+        sa * sb
     free = S(3, {0: 2})
     assert (sa * free).fugacities == frozenset({"a"})
 
@@ -181,102 +180,35 @@ def test_exponents_other_than_int_are_rejected(e):
 
 
 def test_plethystics_reject_laurent_coefficients_without_fugacities():
-    x = Laurent.monomial({"x": 1})
+    x = power("x", 1)
     with pytest.raises(SeriesError, match="logarithm of refined series"):
         plethystic_log(S(3, {0: 1, 1: x}))
     with pytest.raises(SeriesError, match="exponential of refined series"):
         plethystic_exp(S(3, {1: x}))
 
 
-def test_substitute_ones():
-    z = Laurent.monomial({"z1": 1}) + Laurent.monomial({"z2": -1})
-    s = TruncatedSeries(2, {1: z}, frozenset({"z1", "z2"}))
-    u = s.substitute_ones()
-    assert u.coefficient(1) == 2
-    assert u.fugacities == frozenset()
-
-
 def test_json_round_trip():
-    big = 10 ** 40 + 7
-    s = S(4, {0: 1, 2: big})
-    blob = json.dumps(series_to_json(s))
-    back = series_from_json(json.loads(blob))
-    assert back == s
-    assert json.dumps(series_to_json(back), sort_keys=True) == \
-        json.dumps(series_to_json(s), sort_keys=True)
-    with pytest.raises(ValueError):
-        series_from_json({"order": 4, "coeffs": {"3": "1/3"}})
+    # Coefficients are written as decimal strings, so no JSON reader rounds
+    # a big one.
+    s = S(4, {0: 1, 2: 10 ** 40 + 7})
+    assert json.loads(json.dumps(series_to_json(s))) == \
+        {"order": 4, "coeffs": {"0": "1", "2": "1" + "0" * 39 + "7"}}
 
 
 def test_json_round_trip_refined():
-    c = Laurent.monomial({"z1": 1, "z2": -2}, 3) + Laurent.monomial({}, -5)
+    # The refined format: each Laurent coefficient is a list of
+    # [{fugacity: exponent}, "coefficient"] terms, and the fugacities are listed.
+    c = Laurent({(("z1", 1), ("z2", -2)): 3, (): -5})
     s = TruncatedSeries(3, {2: c}, frozenset({"z1", "z2"}))
-    back = series_from_json(series_to_json(s))
-    assert back == s
-    assert back.fugacities == s.fugacities
-
-
-@pytest.mark.parametrize("obj, message", [
-    ({"order": 2.5}, "truncation order must be an integer, got 2.5"),
-    ({"order": True}, "truncation order must be an integer, got True"),
-    ({"order": 2, "coeffs": {"0": 1}},
-     "coeffs['0']: expected a string or a list of terms, got 1"),
-    ({"order": 2, "coeffs": {"1": [[{"z": 1.5}, "1"]]}, "fugacities": ["z"]},
-     "coeffs['1']: malformed term [{'z': 1.5}, '1']"),
-    ({"order": 2, "coeffs": {"1": [[{"z": True}, "1"]]}, "fugacities": ["z"]},
-     "coeffs['1']: malformed term [{'z': True}, '1']"),
-    ({"order": 2, "coeffs": {"1": [[{"z": 1}, 2]]}, "fugacities": ["z"]},
-     "coeffs['1']: malformed term [{'z': 1}, 2]"),
-    ([], "series JSON must be an object with 'order'"),
-    ({"coeffs": {}}, "series JSON must be an object with 'order'"),
-    ({"order": 2, "coeffs": []}, "coeffs: expected an object, got []"),
-    ({"order": 2, "coeffs": {"x": "1"}}, "coeffs key: expected an integer, got 'x'"),
-    ({"order": 2, "coeffs": {"1": [[1, "1"]]}}, "coeffs['1']: malformed term [1, '1']"),
-    ({"order": 2, "coeffs": {"1": [[{"z": 1}]]}},
-     "coeffs['1']: malformed term [{'z': 1}]"),
-    ({"order": 2, "fugacities": 5}, "fugacities: expected a list of strings, got 5"),
-    ({"order": 2, "fugacities": "z"},
-     "fugacities: expected a list of strings, got 'z'"),
-    # Integer text is -?[0-9]+ in ASCII, though int() reads more.
-    ({"order": 2, "coeffs": {" 1": "1_0"}}, "coeffs key: expected an integer, got ' 1'"),
-    ({"order": 2, "coeffs": {"+1": "1"}}, "coeffs key: expected an integer, got '+1'"),
-    ({"order": 2, "coeffs": {"1\n": "1"}}, "coeffs key: expected an integer, got '1\\n'"),
-    ({"order": 2, "coeffs": {"\uff12": "1"}},
-     "coeffs key: expected an integer, got '\uff12'"),
-    ({"order": 2, "coeffs": {1: "1"}}, "coeffs key: expected a string, got 1"),
-    ({"order": 2, "coeffs": {"1": "1_0"}}, "coeffs['1']: expected an integer, got '1_0'"),
-    ({"order": 2, "coeffs": {"1": "+1"}}, "coeffs['1']: expected an integer, got '+1'"),
-    ({"order": 2, "coeffs": {"1": " 1"}}, "coeffs['1']: expected an integer, got ' 1'"),
-    ({"order": 2, "coeffs": {"1": "\uff12"}},
-     "coeffs['1']: expected an integer, got '\uff12'"),
-    ({"order": 2, "coeffs": {"1": "-"}}, "coeffs['1']: expected an integer, got '-'"),
-    ({"order": 2, "coeffs": {"1": "--1"}}, "coeffs['1']: expected an integer, got '--1'"),
-    ({"order": 2, "coeffs": {"1": [[{"z": 1}, "1_0"]]}, "fugacities": ["z"]},
-     "coeffs['1']: expected an integer, got '1_0'"),
-    # Every fugacity a term names is declared.
-    ({"order": 2, "coeffs": {"1": [[{"z": 1}, "1"]]}},
-     "coeffs['1']: fugacity 'z' is not listed under 'fugacities'"),
-    ({"order": 2, "coeffs": {"1": [[{"z": 1, "w": -1}, "1"]]}, "fugacities": ["z"]},
-     "coeffs['1']: fugacity 'w' is not listed under 'fugacities'"),
-], ids=["float-order", "bool-order", "int-coefficient", "float-exponent",
-        "bool-exponent", "int-term-coefficient", "not-an-object", "no-order",
-        "coeffs-list", "exponent-key-text", "exponent-map-int", "one-element-term",
-        "fugacities-int", "fugacities-text", "key-space", "key-plus", "key-newline",
-        "key-fullwidth", "key-int", "coefficient-underscore", "coefficient-plus",
-        "coefficient-space", "coefficient-fullwidth", "coefficient-minus-only",
-        "coefficient-double-minus", "term-coefficient-underscore",
-        "undeclared-fugacity", "one-undeclared-fugacity"])
-def test_json_rejects_malformed_series(obj, message):
-    # Nothing is rounded or coerced: a bad field is named, not read as
-    # something else.
-    with pytest.raises(SeriesError, match=re.escape(message)):
-        series_from_json(obj)
+    assert json.loads(json.dumps(series_to_json(s))) == \
+        {"order": 3, "coeffs": {"2": [[{}, "-5"], [{"z1": 1, "z2": -2}, "3"]]},
+         "fugacities": ["z1", "z2"]}
 
 
 def test_text_rendering():
     assert S(4, {0: 1, 2: 3, 4: 5}).text() == "1 + 3*t^2 + 5*t^4"
     assert S(4, {2: 3, 4: -1}).text() == "3*t^2 - t^4"
     assert S(2, {1: 4}).text() == "4*t"
-    assert TruncatedSeries.zero(2).text() == "0"
+    assert TruncatedSeries(2).text() == "0"
     assert Laurent({(("z", 1),): -1, (("z", -1),): 1, (): 2,
                     (("w", 2), ("z", 1)): 3}).text() == "2 + 3*w^2*z + z^-1 - z"
