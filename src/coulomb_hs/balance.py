@@ -34,7 +34,9 @@ def node_balance(q: Quiver, node_id: str) -> int:
     Unitary U(N): -2N + sum of adjacent dimensions.  Orthosymplectic nodes
     use the signed deviation from their balancing condition, divided by two
     so that balanced means 0 uniformly: SO(N) gives (S+2)/2 - N and USp(N)
-    gives (S-2)/2 - N where S is the adjacent dimension sum.
+    gives (S-2)/2 - N where S is the adjacent dimension sum.  An SO node's
+    neighbours are all USp, of even dimension, so only a USp node's S can
+    be odd.
     """
     node = q.node(node_id)
     if node.kind is NodeKind.FLAVOR:
@@ -44,9 +46,6 @@ def node_balance(q: Quiver, node_id: str) -> int:
     if fam is Family.UNITARY:
         return -2 * n + s
     if fam is Family.ORTHOGONAL:
-        if (s + 2) % 2:
-            raise QuiverError(
-                f"node {node_id!r}: adjacent dimension sum {s} violates SO parity")
         return (s + 2) // 2 - n
     if (s - 2) % 2:
         raise QuiverError(

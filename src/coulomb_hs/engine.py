@@ -36,7 +36,8 @@ floor[v][#{i : x+_i >= k}] plus the same for x-: one dot product per
 candidate.  The sums over box B keep only the candidates with F_v(x) at
 most the cutoff (``_candidates``), a superset of the live ones.  Only a
 bad theory (c4 <= 0) lists the charges of box 1 with cutoff 0, to name
-the offending charge; ``enumerate_charges`` lists the charges of box B.
+the offending charge, from the candidates of box 2 (``_proven_box``);
+``enumerate_charges`` lists the charges of box B.
 Both lists come from the same tree pass as the Hilbert series (below),
 with dressing 1 and one packed digit per charge entry, so that each
 charge is one monomial.
@@ -148,8 +149,8 @@ passes times K plus a fixed set-up cost.  Box B is proven first either
 way, which names a bad theory.  ``MAX_TABLE_CELLS`` bounds the tree
 pass's tables and, for the cell sum, the about prod(r + 1) * sum(r + 1)
 * (K + 1) coefficients of the series it keeps; a solve past the cell
-sum's bound goes to the tree pass and its guard.  So nilcone(5) at K =
-40, whose tables would need 1.7e9 cells, runs on the cells in
+sum's bound goes to the tree pass and its guard.  So nilcone(6) at K =
+30, whose tables would need 1.2e9 cells, runs on the cells in
 milliseconds.
 """
 
@@ -471,10 +472,11 @@ def _table_memo(prob: _Problem):
     return table
 
 
-# The most table cells one box of the tree pass may need, at about 20
-# bytes each.  It was set above nilcone(5) at order 30 (2.6e8 cells),
-# which the cell sum now takes, as it takes any box past the limit where
-# its own work is smaller.
+# The most table cells one box of the tree pass may need, counted over
+# its lists before their floor filter, at about 20 bytes each.  It was
+# set above nilcone(5) at order 30 (2.6e8 cells over the whole box, 4.7e7
+# over those lists), which the cell sum takes, as it takes any box past
+# the limit where its own work is smaller.
 MAX_TABLE_CELLS = 300_000_000
 
 
@@ -482,8 +484,10 @@ def _box_work(prob: _Problem, b: int) -> tuple:
     """Box b's table cells and tree passes, in closed form: one cell per
     candidate (its node term) and one per pair of candidates of each edge
     between gauge nodes, and one pass per assignment of the cycle cutset
-    (``_cutset_assignments``).  The whole box is counted, an upper bound
-    on what the sums over it build from the lists of ``_candidates``."""
+    (``_cutset_assignments``).  The candidates counted are those of
+    ``_candidates`` with a cutoff before their floor filter
+    (``liedata.dominant_charge_count``), an upper bound on what the sums
+    over box b build."""
     sizes = [dominant_charge_count(nd.group, b) for nd in prob.nodes]
     cutset = {u for late in prob.nontree for u, _ in late}
     return (sum(sizes) + sum(sizes[e.a] * sizes[e.b] for e in prob.edges),
@@ -507,8 +511,10 @@ def _candidates(prob: _Problem, b: int, thr4: int | None = None) -> list:
     charge through another is within the cutoff (``_proven_box``).  Nodes
     of one group with the same floors build one list, and equal lists are
     one object, which no consumer mutates: the table memo and the
-    conjugation maps rely on it.  ``_check_cells`` counts the whole box
-    before any is built, so the lists are bounded too."""
+    conjugation maps rely on it.  ``_check_cells`` counts the lists before
+    their floor filter, before any is built, so they are bounded too.
+    Without a cutoff every dominant charge of the box is listed, past that
+    count on unitary nodes: the tests' unpruned reference."""
     _check_cells(prob, b)
     built: dict = {}  # (group, floors): the list
     shared: dict = {}  # (group, the list's charges): its one object
@@ -657,8 +663,12 @@ def _proven_box(prob: _Problem, thr4: int) -> int:
     = thr4 // c4 (B = 0 when no node has a nonzero charge).  Delta is a
     half-integer, so a positive c4 is at least 2 and B <= thr4 // 2: at
     order K, thr4 = 2K and the box is at most K.
-    ``_check_cells`` counts box 1 first: that count bounds the 0/1 tables,
-    and a bad theory lists box 1.
+    ``_check_cells`` counts box 1 first: that count bounds the 0/1 tables.
+    A bad theory's charges of box 1 with 4*Delta <= 0 are listed from the
+    candidates of box 2 cut at 0 (``_candidates``): the floors bound
+    4*Delta of every theory, good or bad, and box 2's spread test keeps
+    every charge of box 1, whose spread is at most 2.  So that list's
+    count, box 2's, bounds it.
 
     The floors bound each node's candidates too.  m+ is the sum over k >= 1
     of its level sets 1[m+ >= k], each a 0/1 charge, sorted as m+ is, in
@@ -675,8 +685,8 @@ def _proven_box(prob: _Problem, thr4: int) -> int:
     _check_cells(prob, 1)
     c4 = min(chain.from_iterable(fl[1:] for fl in prob.floors), default=None)
     if c4 is not None and c4 <= 0:
-        d4, vec = min((d4, vec) for vec, d4 in _box_charges(prob, 1, 0).items()
-                      if any(chain.from_iterable(vec)))
+        d4, vec = min((d4, vec) for vec, d4 in _box_charges(prob, 2, 0, pruned=True).items()
+                      if max(map(abs, chain.from_iterable(vec))) == 1)
         raise EngineError(
             f"nonzero magnetic charge {vec} has 2*Delta = {d4 // 2} <= 0; "
             "the monopole sum diverges")
@@ -685,8 +695,9 @@ def _proven_box(prob: _Problem, thr4: int) -> int:
 
 def _box_charges(prob: _Problem, b: int, thr4: int, pruned: bool = False) -> dict:
     """``{charge: 4*Delta}`` for the charges with max |entry| <= b and
-    4*Delta <= thr4 (with ``pruned``, over ``_candidates`` cut at thr4):
-    the box sum without dressing, in which each entry of every charge is
+    4*Delta <= thr4 (with ``pruned``, over ``_candidates`` cut at thr4;
+    without, over the whole box, the tests' unpruned reference): the box
+    sum without dressing, in which each entry of every charge is
     one balanced digit of base 2b + 1.  Node v's entries form the digit
     d(m) = sum_i m_v[i] * (2b + 1)^i, so each charge is one key of
     coefficient 1, and each node's digit names its charge.  A key holds
@@ -1038,7 +1049,7 @@ def _tree_sum(prob: _Problem, order: int, bound: int, refined: list, counted: bo
 # times orders), calibrated when the cell sum landed on a grid of chains,
 # bouquets, affine E6 and a flavored ring at orders 2 to 40.  The tree
 # pass has since become cheaper than ``_box_work`` says, so the router can
-# pick the slower route (nilcone(8) at order 8 goes to the cells); see
+# pick the slower route (nilcone(8) at order 12 goes to the cells); see
 # the ROADMAP.md item on pricing the tree pass by the lists it builds.
 _TREE_SETUP_WORK = 4000
 

@@ -133,15 +133,17 @@ def dominant_charges(g: GaugeGroup, bound: int, floor=(), cap=None) -> list:
     """All dominant charges with max |entry| <= bound, descending-lex.
 
     With a ``cap``, and ``floor`` a list of r + 1 integers with floor[0] =
-    0, a U(r) charge m is kept only when its spread is at most ``bound``,
-    max(m_1, 0) + max(-m_r, 0) <= bound, and any charge only when its
-    floor F(m) is at most ``cap``.  F(m) is the sum over the levels k >= 1
-    of floor[#{i : m+_i >= k}] + floor[#{i : m-_i >= k}], where on U(r) m+
-    = max(m, 0) and m- = max(-m, 0), each sorted descending, and on the
-    other groups m+ = |m| and m- = 0.  As floor[c] is the sum of floor[i]
-    - floor[i - 1] over i <= c, and m+_i levels k have #{i : m+_i >= k} >=
-    i, F is one dot product: the sum over i of (floor[i] - floor[i - 1]) *
-    (m+_i + m-_i), with m-_i = max(-m_(r+1-i), 0) on U(r).  A charge of
+    0, the U(r) charges are drawn from those of spread m_1 - m_r at most
+    ``bound``, each once: the first entry hi runs from bound down to
+    -bound, the others from hi down to max(hi - bound, -bound).  Any
+    charge is then kept only when its floor F(m) is at most ``cap``.  F(m)
+    is the sum over the levels k >= 1 of floor[#{i : m+_i >= k}] +
+    floor[#{i : m-_i >= k}], where on U(r) m+ = max(m, 0) and m- =
+    max(-m, 0), each sorted descending, and on the other groups m+ = |m|
+    and m- = 0.  As floor[c] is the sum of floor[i] - floor[i - 1] over i
+    <= c, and m+_i levels k have #{i : m+_i >= k} >= i, F is one dot
+    product: the sum over i of (floor[i] - floor[i - 1]) * (m+_i + m-_i),
+    with m-_i = max(-m_(r+1-i), 0) on U(r).  A charge of
     spread at most ``bound`` has at most ``bound`` levels, so when
     ``bound * max(floor[1:]) <= cap`` no F is computed: only the spread
     test runs."""
@@ -149,10 +151,10 @@ def dominant_charges(g: GaugeGroup, bound: int, floor=(), cap=None) -> list:
         raise ValueError("bound must be >= 0")
     r = g.rank
     fam = g.family
-    if fam is Family.UNITARY:
-        alphabet = range(bound, -bound - 1, -1)
-        out = [m for m in combinations_with_replacement(alphabet, r)
-               if cap is None or m[0] - m[-1] <= bound]
+    if fam is Family.UNITARY:  # m_1 = hi, the others from hi down to hi - spread
+        spread = 2 * bound if cap is None else bound  # 2 * bound: the whole box
+        out = [(hi,) + m for hi in range(bound, -bound - 1, -1) for m in
+               combinations_with_replacement(range(hi, max(hi - spread, -bound) - 1, -1), r - 1)]
     elif fam is Family.SYMPLECTIC or g.n % 2:
         out = list(combinations_with_replacement(range(bound, -1, -1), r))
     elif r == 1:  # SO(2)
@@ -186,13 +188,18 @@ def negation(g: GaugeGroup, cands: list) -> list | None:
 
 
 def dominant_charge_count(g: GaugeGroup, bound: int) -> int:
-    """``len(dominant_charges(g, bound))`` in closed form: the multisets of
-    r entries from 2*bound + 1 values for U(r), from bound + 1 values for
-    USp(2r) and SO(2r+1), and for SO(2r), SO(2) included, those plus the
-    ones with a positive last entry, whose sign flips."""
+    """The length of ``dominant_charges(g, bound, floor, cap)`` with a cap,
+    before its floor filter, in closed form.  For U(r), the charges of
+    spread at most bound: (bound + 1) * C(bound + r - 1, r - 1) with first
+    entry hi >= 0, the others from bound + 1 values, plus C(bound + r - 1,
+    r) with hi < 0, summed over the 1..bound values left to the others.
+    For USp(2r) and SO(2r+1), the multisets of r entries from bound + 1
+    values, and for SO(2r), SO(2) included, those plus the ones with a
+    positive last entry, whose sign flips; off U(r), a list with no cap
+    has the same length."""
     r = g.rank
     if g.family is Family.UNITARY:
-        return comb(2 * bound + r, r)
+        return (bound + 1) * comb(bound + r - 1, r - 1) + comb(bound + r - 1, r)
     if g.family is Family.SYMPLECTIC or g.n % 2:
         return comb(bound + r, r)
     return comb(bound + r, r) + comb(bound + r - 1, r)

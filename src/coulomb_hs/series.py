@@ -255,18 +255,24 @@ class TruncatedSeries:
         return " ".join(parts)
 
 
+def _check_degree(d, what: str) -> None:
+    """A degree d of 1 - t^d is an int >= 1: 1 - t^0 is 0."""
+    if type(d) is not int:  # bool is not a degree either
+        raise SeriesError(f"{what} must be an integer, got {d!r}")
+    if d < 1:
+        raise SeriesError(f"{what} must be >= 1")
+
+
 def expand_inverse(d: int, order: int) -> TruncatedSeries:
     """Geometric expansion of 1/(1 - t^d) up to the truncation order."""
-    if d < 1:
-        raise SeriesError("pole degree must be >= 1")
+    _check_degree(d, "pole degree")
     check_order(order)
     return TruncatedSeries(order, {j: 1 for j in range(0, order + 1, d)})
 
 
 def one_minus_power(d: int, order: int) -> TruncatedSeries:
     """The polynomial 1 - t^d as a truncated series."""
-    if d < 1:
-        raise SeriesError("degree must be >= 1")
+    _check_degree(d, "degree")
     coeffs = {0: 1}
     if d <= order:
         coeffs[d] = -1

@@ -284,7 +284,7 @@ def test_implosion_check_solves_no_order_above_its_own(capsys, monkeypatch):
 
 
 def test_a_box_past_the_table_cell_limit_exits_2_at_once(capsys, monkeypatch):
-    # bouquet(90)'s box 1 would need 304 664 441 table cells, just past
+    # bouquet(607)'s box 1 would need 300 036 455 table cells, just past
     # MAX_TABLE_CELLS (3e8): the run ends with exit 2 naming the count
     # before any candidate list is built.
     import coulomb_hs.engine as engine
@@ -293,15 +293,15 @@ def test_a_box_past_the_table_cell_limit_exits_2_at_once(capsys, monkeypatch):
         raise AssertionError("a candidate list was built")
     monkeypatch.setattr(engine, "dominant_charges", dominant_charges)
     assert engine.MAX_TABLE_CELLS == 300_000_000
-    code, text, err = run(capsys, "implosion-check", "--n", "90", "--order", "0")
+    code, text, err = run(capsys, "implosion-check", "--n", "607", "--order", "0")
     assert (code, text) == (2, "")
-    assert "box 1 needs 304664441 table cells, more than the 300000000 allowed" in err
+    assert "box 1 needs 300036455 table cells, more than the 300000000 allowed" in err
 
 
 def test_a_chain_past_the_table_cell_limit_runs_on_the_cells(capsys):
-    # The T[SU(5)] chain at order 40 would need 1.7e9 table cells, past
+    # The T[SU(6)] chain at order 30 would need 1.2e9 table cells, past
     # MAX_TABLE_CELLS; the cell sum solves it, so both rows pass.
-    code, text, err = run(capsys, "implosion-check", "--n", "5", "--order", "40")
+    code, text, err = run(capsys, "implosion-check", "--n", "6", "--order", "30")
     assert (code, err, text.count("PASS"), text.count("FAIL")) == (0, "", 2, 0)
 
 
@@ -503,6 +503,10 @@ def test_gale_command(tmp_path, capsys):
     no_columns.write_text(json.dumps({"n": 2, "columns": []}))
     code, out, err = run(capsys, "gale", str(no_columns))
     assert (code, out, err) == (1, "", "error: need n <= d, got n=2, d=0\n")
+
+    bad.write_text("{notjson")
+    code, out, err = run(capsys, "gale", str(bad))
+    assert (code, out) == (1, "") and "invalid JSON" in err
 
 
 def test_check_suite(capsys):

@@ -359,13 +359,15 @@ def test_hs_stability_under_larger_bound():
 
 
 def test_hs_refined_to_one_matches_unrefined():
-    q = build_bouquet_quiver(3)
-    refined = coulomb_hilbert_series(
-        HSRequest(q, 4, refined=frozenset({"b2", "b3"}), ungauge="b1"))
-    plain = coulomb_hilbert_series(HSRequest(q, 4, ungauge="b1"))
+    # Refined nilcone(6) at K = 20: its box 10 counts 5.4e7 table cells,
+    # under MAX_TABLE_CELLS, so the tree pass runs it.
     at_ones = lambda c: sum(c.terms.values()) if isinstance(c, Laurent) else c
-    assert {e: at_ones(c) for e, c in refined.coeffs.items()} == plain.coeffs
-    assert refined.fugacities == frozenset({"b2", "b3"})
+    for q, order, ids, pin in ((build_bouquet_quiver(3), 4, {"b2", "b3"}, "b1"),
+                               (build_linear_nilpotent_quiver(6), 20, {"g1"}, None)):
+        refined = coulomb_hilbert_series(HSRequest(q, order, frozenset(ids), pin))
+        plain = coulomb_hilbert_series(HSRequest(q, order, ungauge=pin))
+        assert {e: at_ones(c) for e, c in refined.coeffs.items()} == plain.coeffs
+        assert refined.fugacities == frozenset(ids)
 
 
 def test_hs_refined_validation():
@@ -1320,19 +1322,23 @@ def test_solve_validates_no_candidate(monkeypatch):
 def test_table_cells_are_counted_before_any_list_is_built(monkeypatch):
     # The guard counts one cell per candidate and one per pair of
     # candidates of each edge between gauge nodes, from closed forms, and
-    # refuses a box past MAX_TABLE_CELLS before building a list.  The
-    # largest run on record, nilcone(5) at K = 30 (box 15), stays under it.
+    # refuses a box past MAX_TABLE_CELLS before building a list.  It counts
+    # the capped lists before their floor filter: at a cutoff high enough
+    # that only the spread test runs, the count is exact.  The largest run
+    # on record, nilcone(5) at K = 30 (box 15), stays under it.
     import coulomb_hs.engine as engine
     from coulomb_hs.liedata import dominant_charge_count
     prob = _Problem(ungauge(build_bouquet_quiver(4), "b1"))
-    cands = _candidates(prob, 2)
+    cands = _candidates(prob, 2, 10**6)
     cells = sum(map(len, cands)) + sum(len(cands[e.a]) * len(cands[e.b]) for e in prob.edges)
     monkeypatch.setattr(engine, "MAX_TABLE_CELLS", cells)
-    assert _candidates(prob, 2) == cands
+    assert _candidates(prob, 2, 10**6) == cands
     monkeypatch.setattr(engine, "MAX_TABLE_CELLS", cells - 1)
     monkeypatch.setattr(engine, "dominant_charges", None)  # no list is built
     with pytest.raises(EngineError, match=f"box 2 needs {cells} table cells"):
-        _candidates(prob, 2)
+        _candidates(prob, 2, 10**6)
+    # bouquet(90)'s box 1, in which the U(90) node draws 181 candidates.
+    assert _box_work(_Problem(ungauge(build_bouquet_quiver(90), "b1")), 1) == (1_011_927, 1)
     monkeypatch.undo()
     sizes = [dominant_charge_count(U(r), 15) for r in range(1, 5)]
     assert sum(sizes) + sum(map(mul, sizes, sizes[1:])) < engine.MAX_TABLE_CELLS
@@ -1618,6 +1624,8 @@ def test_router_takes_the_cheaper_route(monkeypatch):
     cases = (
         (HSRequest(build_linear_nilpotent_quiver(3), 12), "_cell_sum"),
         (HSRequest(build_linear_nilpotent_quiver(8), 2), "_tree_sum"),
+        (HSRequest(build_linear_nilpotent_quiver(8), 8), "_tree_sum"),
+        (HSRequest(build_bouquet_quiver(6), 12, ungauge="b1"), "_tree_sum"),
         (HSRequest(build_bouquet_quiver(3), 8, ungauge="b1"), "_cell_sum"),
         (HSRequest(flavored_ring(4), 10), "_cell_sum"),
         (HSRequest(build_bouquet_quiver(4), 2, ungauge="b1"), "_tree_sum"),
@@ -1722,15 +1730,15 @@ def test_refined_cell_sum_oracle_matches_the_engine():
 
 
 def test_a_box_past_the_cell_limit_runs_on_the_cells():
-    # nilcone(5) at K = 40 would need 1.7e9 table cells, past
+    # nilcone(6) at K = 30 would need 1 234 052 535 table cells, past
     # MAX_TABLE_CELLS, so the tree pass would refuse it; the cell sum gives
-    # Kostant's series, prod_(i=2..5) (1 - t^(2i)) / (1 - t^2)^24.
-    q = build_linear_nilpotent_quiver(5)
+    # Kostant's series, prod_(i=2..6) (1 - t^(2i)) / (1 - t^2)^35.
+    q = build_linear_nilpotent_quiver(6)
     prob = _Problem(q)
-    cells, passes = _box_work(prob, _proven_box(prob, 80))
-    assert cells > MAX_TABLE_CELLS and passes == 1
-    s = coulomb_hilbert_series(HSRequest(q, 40))
-    assert s == nilcone_reference_hs(5, 40)
+    cells, passes = _box_work(prob, _proven_box(prob, 60))
+    assert (cells, passes) == (1_234_052_535, 1) and cells > MAX_TABLE_CELLS
+    s = coulomb_hilbert_series(HSRequest(q, 30))
+    assert s == nilcone_reference_hs(6, 30)
 
 
 def test_a_cell_sum_past_the_cell_limit_falls_back_to_the_tree_guard(monkeypatch):
@@ -1746,7 +1754,7 @@ def test_a_cell_sum_past_the_cell_limit_falls_back_to_the_tree_guard(monkeypatch
     assert routes == ["_cell_sum"]
     routes.clear()
     monkeypatch.setattr(engine, "MAX_TABLE_CELLS", 68_879)
-    with pytest.raises(EngineError, match="box 20 needs 1686112987 table cells"):
+    with pytest.raises(EngineError, match="box 20 needs 298520347 table cells"):
         coulomb_hilbert_series(HSRequest(q, 40))
     assert routes == ["_tree_sum"]
 

@@ -93,6 +93,7 @@ def test_is_gale_dual_pair_examples():
     assert is_gale_dual_pair(a, ToricConfig([[1, -1]]))
     assert is_gale_dual_pair(a, ToricConfig([[-1, 1]]))  # same lattice
     assert not is_gale_dual_pair(a, ToricConfig([[1, 1]]))
+    assert not is_gale_dual_pair(a, ToricConfig([[1, 0], [0, 1]]))  # n_a + n_b != d
     with pytest.raises(GaleError, match="^configurations have d=2 and d=3$"):
         is_gale_dual_pair(a, ToricConfig([[1, 1, 0]]))
 

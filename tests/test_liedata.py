@@ -372,14 +372,17 @@ def test_dominant_charges_nesting_and_uniqueness():
 
 
 def test_dominant_charge_count_is_the_list_length():
-    # The closed forms the table-cell guard reads before any list is built:
-    # C(2b+r, r) for U(r), C(b+r, r) for USp(2r) and SO(2r+1), and
-    # C(b+r, r) + C(b+r-1, r) for SO(2r), SO(2) included.
+    # The closed forms the table-cell guard reads before any list is built,
+    # the length of a capped list before its floor filter (a cap high
+    # enough that only the spread test runs): for U(r) the box of spread
+    # <= b, (b+1) C(b+r-1, r-1) + C(b+r-1, r); C(b+r, r) for USp(2r) and
+    # SO(2r+1), and C(b+r, r) + C(b+r-1, r) for SO(2r), SO(2) included.
     groups = SMALL_GROUPS + [U(4), U(5), USp(8), SO(1), SO(8), SO(9), SO(10)]
     for g in groups:
-        for b in range(5):
-            assert dominant_charge_count(g, b) == len(dominant_charges(g, b)), (g, b)
-    assert [dominant_charge_count(g, 1) for g in (U(3), USp(6), SO(7), SO(6))] == [10, 4, 4, 5]
+        for b in range(7):
+            capped = dominant_charges(g, b, (0,) * (g.rank + 1), 0)
+            assert dominant_charge_count(g, b) == len(capped), (g, b)
+    assert [dominant_charge_count(g, 1) for g in (U(3), USp(6), SO(7), SO(6))] == [7, 4, 4, 5]
 
 
 def test_negation_is_an_involution_on_every_unitary_list():

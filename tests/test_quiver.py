@@ -107,6 +107,8 @@ def test_balance_report_examples():
     assert not rep.all_balanced
     rep = balance_report(build_bouquet_quiver(2))
     assert rep.minimally_unbalanced and not rep.has_negative_below_minus_one
+    rep = balance_report(Quiver([QuiverNode("f", NodeKind.FLAVOR, U(2))], []))
+    assert rep == ({}, frozenset(), True, False, False, False)
 
 
 def test_orthosymplectic_balance():
@@ -178,6 +180,12 @@ def test_classification_unrecognized_shapes():
     labels = balanced_subquiver_classification(bad)
     star = [c for c in labels if c.shape.startswith("star")]
     assert all(not c.recognized for c in star)
+    # affine D5, two U(2) nodes with two U(1) leaves each: two branch points
+    ids = ["c1", "c2", "a", "b", "d", "e"]
+    d5 = Quiver([QuiverNode(i, NodeKind.GAUGE, U(2 if i[0] == "c" else 1)) for i in ids],
+                [("c1", "c2"), ("c1", "a"), ("c1", "b"), ("c2", "d"), ("c2", "e")])
+    comps = balanced_subquiver_classification(d5)
+    assert [(c.shape, c.recognized) for c in comps] == [("tree(multiple branch points)", False)]
 
 
 def test_predict_global_symmetry_examples():
@@ -330,6 +338,10 @@ def test_bouquet_replace():
     b3 = build_bouquet_quiver(3)
     assert len(b3.neighbors("g2")) == 4
     assert b3.node("g2").group == U(2)
+    # b1 is taken, so the leaves are named after the flavor node
+    taken = Quiver([QuiverNode("g", NodeKind.GAUGE, U(2)), QuiverNode("b1", NodeKind.GAUGE, U(1)),
+                    QuiverNode("f", NodeKind.FLAVOR, U(2))], [("g", "b1"), ("g", "f")])
+    assert [n.id for n in bouquet_replace(taken, "f", 2).nodes] == ["g", "b1", "f_b1", "f_b2"]
 
 
 def test_bouquet_replace_preserves_balance():

@@ -54,6 +54,11 @@ def test_expand_inverse_is_inverse():
             expand_inverse(d, 4)
         with pytest.raises(SeriesError, match="^degree must be >= 1$"):
             one_minus_power(d, 4)
+    for d in (5.5, 1.5, True):  # bool is not a degree either
+        with pytest.raises(SeriesError, match=f"^pole degree must be an integer, got {d}$"):
+            expand_inverse(d, 4)
+        with pytest.raises(SeriesError, match=f"^degree must be an integer, got {d}$"):
+            one_minus_power(d, 4)
 
 
 def test_coefficient_access():
